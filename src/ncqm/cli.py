@@ -19,6 +19,7 @@ import os
 import sys
 
 from . import algebra, fractional, ring, spectra, verify, wavefunctions
+from .errors import ConvergenceError
 from .params import (Mechanism, ModelParams, PhysicalConstants,
                      params_from_dict)
 
@@ -267,7 +268,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (OSError, json.JSONDecodeError, ValueError) as exc:
+    except (OSError, json.JSONDecodeError, ValueError,
+            ConvergenceError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -9,8 +9,9 @@ Two oracles solve H = p^2/2m* - B L_z + K r^2/2 at frozen coefficients:
   which also labels levels by their angular momentum.
 
 Energy-dependent coefficients are handled by an outer fixed point
-(self_consistent_wrap) so the closed forms and the root-finder in the
-spectra module can be cross-checked end to end.
+(self_consistent_wrap), with a fallback to the spectra module's scan +
+Brent root kernel, so the closed forms and the root-finder in the spectra
+module can be cross-checked end to end.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ from scipy.linalg import eigh_tridiagonal
 from .errors import ConvergenceError, GridError, ValidationError
 from .algebra import build_heisenberg_rep
 from .params import ModelParams, PhysicalConstants, effective_coefficients
+from .spectra import brent_root, sign_change_brackets
 
 _DECAY_LOG = math.log(1e8)  # require exp(-xi_max^2/2) < 1e-8 at the boundary
 
@@ -131,8 +133,19 @@ def fock_matrix_eigensolve(n_trunc: int, m_star: float, b_field: float,
     return energies
 
 
-def _frozen_level(p: ModelParams, qn, energy: float, solver: str,
-                  grid_points: int) -> float:
+# Fixed-point stage of self_consistent_wrap: iteration budget and the
+# damping applied after the first (undamped) step.
+_FIXED_POINT_ITERS = 40
+_DAMPING = 0.5
+# Fallback scan of g(E) = E - level(E): grid points over the energy span
+# scale/_SCAN_SPAN .. scale*_SCAN_SPAN around the commutative scale.
+_SCAN_POINTS = 48
+_SCAN_SPAN = 1e4
+# Radial finite-volume grid of the frozen solves.
+_FD_POINTS = 1200
+
+
+def _frozen_level(p: ModelParams, qn, energy: float, solver: str) -> float:
     """Level (n, m_phi) of the Hamiltonian frozen at the given energy."""
     coeff = effective_coefficients(p, energy)
     c = p.constants
@@ -145,7 +158,7 @@ def _frozen_level(p: ModelParams, qn, energy: float, solver: str,
         scale = math.sqrt((2 * qn.n + abs(qn.m_phi) + 2) / lam)
         r_max = max(r_max, 3.0 * scale)
         levels = radial_fd_eigensolve(coeff.m_star, coeff.b_h, coeff.k_h,
-                                      qn.m_phi, (r_max, 1200), qn.n + 1,
+                                      qn.m_phi, (r_max, _FD_POINTS), qn.n + 1,
                                       hbar=c.hbar, richardson=True)
         return float(levels[qn.n])
     if solver == "fock":
@@ -160,67 +173,50 @@ def _frozen_level(p: ModelParams, qn, energy: float, solver: str,
     raise ValidationError(f"unknown solver {solver!r}; use radial or fock")
 
 
-def self_consistent_wrap(solver: str, p: ModelParams, qn, tol: float = 1e-8,
-                         bracket: tuple[float, float] | None = None,
-                         max_iter: int = 40, damping: float = 0.5,
-                         grid_points: int = 1200,
-                         scan_points: int = 48) -> float:
+def self_consistent_wrap(solver: str, p: ModelParams, qn,
+                         tol: float = 1e-8) -> float:
     """Self-consistent energy E* with eigenvalue(E*) = E*.
 
     The coefficients are re-evaluated at each iterate; the first step is
     taken undamped (constant coefficients then converge immediately), the
-    rest are damped. Free-particle-like coefficient growth makes the
+    rest are damped. The fixed point is accepted once successive iterates
+    agree to tol relative. Free-particle-like coefficient growth makes the
     physical fixed point repulsive, in which case the iteration drifts
     toward the trivial E = 0 point; that collapse is detected and the
-    solve falls back to bracketed bisection of g(E) = E - eigenvalue(E).
-    Raises ConvergenceError with the iteration trace if both stages fail.
+    solve falls back to the spectra root kernel: the first sign change of
+    g(E) = E - eigenvalue(E) on a geometric scan around the commutative
+    scale, refined by Brent's method to tol relative (never below the
+    float floor). Raises ConvergenceError with the iteration trace if both
+    stages fail.
     """
     c = p.constants
     scale = c.hbar * max(c.omega, 1.0 / p.e_ref) * qn.radial_weight
     scale = max(scale, 1e-6 * p.e_ref)
     energy = scale
     trace = []
-    for it in range(max_iter):
-        level = _frozen_level(p, qn, energy, solver, grid_points)
+    for it in range(_FIXED_POINT_ITERS):
+        level = _frozen_level(p, qn, energy, solver)
         trace.append((energy, level))
         if level < 1e-9 * scale or level > 1e9 * scale:
             break  # running away from a repulsive fixed point
         if abs(level - energy) <= tol * abs(level):
             return level
-        energy = level if it == 0 else (1.0 - damping) * energy + damping * level
+        energy = (level if it == 0
+                  else (1.0 - _DAMPING) * energy + _DAMPING * level)
         if energy <= 0 or energy > 1e9 * scale:
             break
 
     def g(e):
-        return e - _frozen_level(p, qn, e, solver, grid_points)
+        return e - _frozen_level(p, qn, e, solver)
 
+    bracket = next(sign_change_brackets(g, scale / _SCAN_SPAN,
+                                        scale * _SCAN_SPAN, _SCAN_POINTS),
+                   None)
     if bracket is None:
-        bracket = (1e-4 * scale, 1e4 * scale)
-    lo, hi = bracket
-    e_prev, g_prev = lo, g(lo)
-    found = None
-    for i in range(1, scan_points + 1):
-        e_cur = lo * (hi / lo) ** (i / scan_points)
-        g_cur = g(e_cur)
-        if g_prev * g_cur <= 0:
-            found = (e_prev, e_cur, g_prev)
-            break
-        e_prev, g_prev = e_cur, g_cur
-    if found is None:
         raise ConvergenceError(
             f"self-consistency failed for {qn}; fixed-point trace: "
             + "; ".join(f"E={a:.6g}->{b:.6g}" for a, b in trace[-6:]))
-    a, b, ga = found
-    for _ in range(120):
-        mid = 0.5 * (a + b)
-        gm = g(mid)
-        if abs(gm) <= tol * max(1e-300, mid) or (b - a) < 1e-14 * max(1.0, mid):
-            return mid
-        if ga * gm < 0:
-            b = mid
-        else:
-            a, ga = mid, gm
-    return 0.5 * (a + b)
+    return brent_root(g, bracket, tol)
 
 
 def comparison_report(p: ModelParams, entries: list[dict]) -> str:

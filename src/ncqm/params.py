@@ -38,6 +38,14 @@ class Mechanism(enum.Enum):
     EO_II = "eo_ii"  # energy -> kinetic Hamiltonian (fractional Laplacian)
 
 
+def _require_finite(obj, names: tuple[str, ...]):
+    """Reject NaN and infinite fields before they reach any coefficient."""
+    for name in names:
+        if not math.isfinite(getattr(obj, name)):
+            raise ValidationError(f"{name} must be finite, got "
+                                  f"{getattr(obj, name)}")
+
+
 @dataclass(frozen=True)
 class PhysicalConstants:
     """Dimensional constants of the underlying commutative problem.
@@ -52,6 +60,7 @@ class PhysicalConstants:
     spring_k: float = 0.0
 
     def __post_init__(self):
+        _require_finite(self, ("hbar", "mass", "charge", "spring_k"))
         if self.hbar <= 0:
             raise ValidationError("hbar must be positive")
         if self.mass <= 0:
@@ -78,6 +87,8 @@ class ModelParams:
     constants: PhysicalConstants = PhysicalConstants()
 
     def __post_init__(self):
+        _require_finite(self, ("eta0", "theta0", "alpha_exp", "beta_exp",
+                               "e_ref"))
         if self.e_ref <= 0:
             raise ValidationError("e_ref must be positive")
         if self.eta0 < 0 or self.theta0 < 0:

@@ -1,43 +1,37 @@
-"""Self-contained special functions used by spectra, wave functions and
-the fractional operators.
+"""Special functions used by spectra, wave functions and the fractional
+operators.
 
-Everything here is implemented in-repo so that the package is
-self-verifying; no external special-function library is used. Accuracy
-envelopes (validated by the test suite):
+Gamma, log-gamma, reciprocal gamma, beta, Bessel J/Y and the generalized
+Laguerre polynomials are validated wrappers over ``scipy.special``: each
+checks its domain, raises the package's typed errors where scipy would
+return inf or nan, and returns a Python float (or complex) for scalar
+input. The Mittag-Leffler function, which scipy does not provide, is
+summed here. Accuracy envelopes (checked against mpmath by the test
+suite):
 
-* gamma_fn      relative error <= 1e-12 for real z in (0, 170]
+* gamma_fn      relative error <= 1e-12 for real z in (0, 170];
+                <= 1e-13 for complex z with Re z in [-5, 20], |Im z| <= 10
+* log_gamma     error <= max(1e-13 |ln Gamma(z)|, 1e-15) for z in (0, 1000]
+* beta_fn       relative error <= 1e-12 for a, b in (0, 50]
 * bessel_j      absolute error <= 1e-10 for 0 <= x <= 50, integer order <= 20
-* bessel_y      same envelope (x > 0), via series / asymptotics / recurrence
-* laguerre      three-term recurrence, exact rational checks for n <= 6
+* bessel_y      error <= 1e-10 * max(1, |Y|) on the same envelope (x > 0)
+* laguerre      error <= 1e-12 times the sum of the absolute terms of the
+                explicit sum, for n <= 20, a in [0, 20], 0 <= x <= 50
 * mittag_leffler  series summation, |z| <= ~30 by default
 
-All functions are pure and reentrant.
+bessel_j, bessel_y and laguerre also take an array of x and return an
+array. All functions are pure and reentrant.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 
+import numpy as np
+from scipy import special
+
 from .errors import ConvergenceError, DomainError, SingularityError
-
-_EULER_GAMMA = 0.5772156649015328606
-
-# Lanczos approximation, g = 7, 9 coefficients. Relative error ~1e-15
-# over the right half plane.
-_LANCZOS_G = 7.0
-_LANCZOS_COEF = (
-    0.99999999999980993,
-    676.5203681218851,
-    -1259.1392167224028,
-    771.32342877765313,
-    -176.61502916214059,
-    12.507343278686905,
-    -0.13857109526572012,
-    9.9843695780195716e-6,
-    1.5056327351493116e-7,
-)
 
 
 @dataclass(frozen=True)
@@ -62,36 +56,29 @@ def _is_nonpositive_int(x: float) -> bool:
     return x <= 0 and x == math.floor(x)
 
 
-def _lanczos(z: complex) -> complex:
-    z = z - 1.0
-    acc = _LANCZOS_COEF[0]
-    for i in range(1, len(_LANCZOS_COEF)):
-        acc += _LANCZOS_COEF[i] / (z + i)
-    t = z + _LANCZOS_G + 0.5
-    return math.sqrt(2.0 * math.pi) * t ** (z + 0.5) * cmath.exp(-t) * acc
+def _real(v):
+    """A Python float for a 0-d result, the array otherwise.
+
+    numpy scalars print as np.float64(...) under repr, which the CLI
+    writes into its CSV output.
+    """
+    return float(v) if np.ndim(v) == 0 else v
 
 
 def gamma_fn(z):
     """Gamma function for real or complex argument.
 
     Raises SingularityError at the poles (non-positive integers). Real
-    input returns a float; large real arguments are routed through
-    log_gamma to avoid intermediate overflow.
+    input returns a float, complex input a complex.
     """
     if isinstance(z, complex):
         if z.imag == 0.0 and _is_nonpositive_int(z.real):
             raise SingularityError(f"gamma pole at z={z}")
-        if z.real < 0.5:
-            return math.pi / (cmath.sin(math.pi * z) * gamma_fn(1.0 - z))
-        return _lanczos(z)
+        return complex(special.gamma(z))
     z = float(z)
     if _is_nonpositive_int(z):
         raise SingularityError(f"gamma pole at z={z}")
-    if z < 0.5:
-        return math.pi / (math.sin(math.pi * z) * gamma_fn(1.0 - z))
-    if z > 20.0:
-        return math.exp(log_gamma(z))
-    return _lanczos(complex(z)).real
+    return float(special.gamma(z))
 
 
 def log_gamma(z: float) -> float:
@@ -99,90 +86,36 @@ def log_gamma(z: float) -> float:
     z = float(z)
     if z <= 0:
         raise DomainError(f"log_gamma requires z > 0, got {z}")
-    if z < 0.5:
-        # reflection keeps accuracy for tiny z
-        return math.log(math.pi / math.sin(math.pi * z)) - log_gamma(1.0 - z)
-    w = z - 1.0
-    acc = _LANCZOS_COEF[0]
-    for i in range(1, len(_LANCZOS_COEF)):
-        acc += _LANCZOS_COEF[i] / (w + i)
-    t = w + _LANCZOS_G + 0.5
-    return (0.5 * math.log(2.0 * math.pi) + (w + 0.5) * math.log(t)
-            - t + math.log(acc))
+    return float(special.gammaln(z))
 
 
 def recip_gamma(x: float) -> float:
     """1/Gamma(x) for real x, returning 0 at the poles."""
-    if _is_nonpositive_int(x):
-        return 0.0
-    if x > 170.0:
-        return 0.0 if x > 500.0 else math.exp(-log_gamma(x))
-    return 1.0 / gamma_fn(x)
+    return float(special.rgamma(x))
 
 
 def beta_fn(a: float, b: float) -> float:
     """Euler beta function B(a, b) = Gamma(a)Gamma(b)/Gamma(a+b), a, b > 0."""
     if a <= 0 or b <= 0:
         raise DomainError(f"beta_fn requires positive arguments, got ({a}, {b})")
-    return math.exp(log_gamma(a) + log_gamma(b) - log_gamma(a + b))
+    return float(special.beta(a, b))
 
 
-def _psi_int(n: int) -> float:
-    """Digamma at a positive integer: psi(n) = -gamma + H_{n-1}."""
-    return -_EULER_GAMMA + sum(1.0 / i for i in range(1, n))
-
-
-# Bessel evaluation strategy: the ascending series is used for x below
-# the switch point where it is free of cancellation; above it J comes from
-# the integral representation (midpoint rule, spectrally accurate for the
-# periodic integrand) and Y from its Hankel asymptotic expansion at orders
-# 0 and 1 followed by the (stable, order-increasing) upward recurrence.
-# The Y switch sits where series cancellation and the smallest asymptotic
-# term are both ~1e-11.
-_BESSEL_SWITCH = 12.0
-_BESSEL_Y_SWITCH = 13.5
-
-
-def _check_bessel_args(order: int, x: float, fn: str):
+def _check_bessel_args(order: int, x, fn: str) -> np.ndarray:
     if order != int(order) or order < 0:
         raise DomainError(f"{fn} requires integer order >= 0, got {order}")
-    if not math.isfinite(x):
+    x = np.asarray(x, dtype=float)
+    if not np.all(np.isfinite(x)):
         raise DomainError(f"{fn} requires finite x, got {x}")
+    return x
 
 
-def _bessel_j_series(m: int, x: float) -> float:
-    half = 0.5 * x
-    term = half ** m / gamma_fn(m + 1.0)
-    acc = term
-    k = 0
-    while abs(term) > 1e-18 * max(1.0, abs(acc)) and k < 200:
-        k += 1
-        term *= -(half * half) / (k * (k + m))
-        acc += term
-    return acc
-
-
-def _bessel_j_integral(m: int, x: float) -> float:
-    n_pts = max(128, int(2.0 * x) + 4 * m + 60)
-    step = math.pi / n_pts
-    acc = 0.0
-    for j in range(n_pts):
-        tau = (j + 0.5) * step
-        acc += math.cos(m * tau - x * math.sin(tau))
-    return acc / n_pts
-
-
-def bessel_j(order: int, x: float) -> float:
+def bessel_j(order: int, x):
     """Bessel function of the first kind, integer order >= 0, x >= 0."""
-    _check_bessel_args(order, x, "bessel_j")
-    if x < 0:
+    x = _check_bessel_args(order, x, "bessel_j")
+    if np.any(x < 0):
         raise DomainError(f"bessel_j requires x >= 0, got {x}")
-    m = int(order)
-    if x == 0.0:
-        return 1.0 if m == 0 else 0.0
-    if x <= _BESSEL_SWITCH:
-        return _bessel_j_series(m, x)
-    return _bessel_j_integral(m, x)
+    return _real(special.jv(int(order), x))
 
 
 def bessel_j_asymptotic(order: int, x: float) -> float:
@@ -198,82 +131,23 @@ def bessel_j_asymptotic(order: int, x: float) -> float:
     return math.sqrt(2.0 / (math.pi * x)) * math.cos(chi)
 
 
-def _hankel_pq(m: int, x: float) -> tuple[float, float]:
-    """Asymptotic amplitude series P, Q (truncated at the smallest term)."""
-    mu = 4.0 * m * m
-    p_acc, q_acc = 1.0, 0.0
-    term = 1.0
-    sign_p, sign_q = -1.0, 1.0
-    for j in range(1, 40):
-        term *= (mu - (2 * j - 1) ** 2) / (8.0 * j * x)
-        if abs(term) < 1e-18:
-            break
-        if j % 2 == 1:
-            q_acc += sign_q * term
-            sign_q = -sign_q
-        else:
-            p_acc += sign_p * term
-            sign_p = -sign_p
-    return p_acc, q_acc
-
-
-def _bessel_y_asymptotic(m: int, x: float) -> float:
-    p, q = _hankel_pq(m, x)
-    chi = x - (0.5 * m + 0.25) * math.pi
-    return math.sqrt(2.0 / (math.pi * x)) * (p * math.sin(chi) + q * math.cos(chi))
-
-
-def _bessel_y_series(m: int, x: float) -> float:
-    half = 0.5 * x
-    # finite sum of negative powers
-    finite = 0.0
-    for k in range(m):
-        finite += (math.exp(log_gamma(m - k) - log_gamma(k + 1.0))
-                   * half ** (2 * k - m))
-    log_term = (2.0 / math.pi) * math.log(half) * _bessel_j_series(m, x)
-    # digamma-weighted ascending series
-    term = half ** m / gamma_fn(m + 1.0)
-    acc = (_psi_int(1) + _psi_int(m + 1)) * term
-    k = 0
-    while abs(term) > 1e-18 and k < 200:
-        k += 1
-        term *= -(half * half) / (k * (k + m))
-        acc += (_psi_int(k + 1) + _psi_int(m + k + 1)) * term
-    return log_term - finite / math.pi - acc / math.pi
-
-
-def bessel_y(order: int, x: float) -> float:
+def bessel_y(order: int, x):
     """Bessel function of the second kind, integer order >= 0, x > 0."""
-    _check_bessel_args(order, x, "bessel_y")
-    if x == 0:
+    x = _check_bessel_args(order, x, "bessel_y")
+    if np.any(x == 0):
         raise SingularityError("bessel_y is singular at x = 0")
-    if x < 0:
+    if np.any(x < 0):
         raise DomainError(f"bessel_y requires x > 0, got {x}")
-    m = int(order)
-    if x <= _BESSEL_Y_SWITCH:
-        return _bessel_y_series(m, x)
-    y0 = _bessel_y_asymptotic(0, x)
-    if m == 0:
-        return y0
-    y1 = _bessel_y_asymptotic(1, x)
-    for k in range(1, m):
-        y0, y1 = y1, (2.0 * k / x) * y1 - y0
-    return y1
+    return _real(special.yv(int(order), x))
 
 
-def laguerre(n: int, a: float, x: float) -> float:
-    """Generalized Laguerre polynomial L_n^(a)(x) by three-term recurrence."""
+def laguerre(n: int, a: float, x):
+    """Generalized Laguerre polynomial L_n^(a)(x)."""
     if n != int(n) or n < 0:
         raise DomainError(f"laguerre requires integer n >= 0, got {n}")
     if a <= -1:
         raise DomainError(f"laguerre requires a > -1, got {a}")
-    n = int(n)
-    if n == 0:
-        return 1.0
-    prev, cur = 1.0, 1.0 + a - x
-    for k in range(1, n):
-        prev, cur = cur, ((2 * k + 1 + a - x) * cur - (k + a) * prev) / (k + 1)
-    return cur
+    return _real(special.eval_genlaguerre(int(n), a, x))
 
 
 def mittag_leffler(alpha: float, beta: float, z,

@@ -9,16 +9,22 @@ whose left side carries the energy dependence through m*(E) and the right
 side through B_h(E), K_h(E). Closed forms exist for the vacuum-fluctuation
 (SQF) model, for the energy-coupled (EC) free particle with alpha != 1,
 and to first order for the EC oscillator; everything else is root-found by
-a deterministic scan+bisection.
+a deterministic geometric sign-change scan refined by Brent's method
+(scipy.optimize.brentq). The scan and the refinement are the package's one
+root-finding kernel: sign_change_brackets and brent_root, which the
+self-consistent oracle uses too.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
-from .errors import (BracketingError, DomainError, UsageError,
-                     ValidationError)
+from scipy.optimize import brentq
+
+from .errors import (BracketingError, ConvergenceError, DomainError,
+                     UsageError, ValidationError)
 from .params import (EffectiveCoefficients, Mechanism, ModelParams,
                      PhysicalConstants, effective_coefficients)
 from .specfun import beta_fn
@@ -36,7 +42,7 @@ class QuantumNumbers:
     def __post_init__(self):
         for name in ("n", "m_phi", "n_alpha", "n_beta"):
             v = getattr(self, name)
-            if v != int(v) or v < 0:
+            if not math.isfinite(v) or v != int(v) or v < 0:
                 raise ValidationError(f"{name} must be a non-negative integer")
 
     @property
@@ -142,16 +148,65 @@ def _linear_level(coeff: EffectiveCoefficients, qn: QuantumNumbers,
             - qn.m_phi * hbar * coeff.b_h)
 
 
+# Points per decade of the geometric scan in ec_solve_energy.
+SCAN_PER_DECADE = 200
+
+# Smallest relative tolerance brentq accepts: the float floor.
+_RTOL_FLOOR = 4.0 * sys.float_info.epsilon
+
+
+def sign_change_brackets(f, lo: float, hi: float, n_pts: int):
+    """Yield each sign change of f on a geometric grid over [lo, hi].
+
+    The grid is lo * step**i, i = 0..n_pts, with step = (hi/lo)**(1/n_pts).
+    Each adjacent pair (a, b) with f(a) f(b) < 0 is yielded as a bracket,
+    and a grid point where f vanishes as the degenerate bracket (a, a).
+    f is evaluated lazily, so a caller that stops at the first bracket
+    evaluates only the grid up to it.
+    """
+    step = (hi / lo) ** (1.0 / n_pts)
+    e_prev = lo
+    f_prev = f(e_prev)
+    for i in range(1, n_pts + 1):
+        e_cur = lo * step ** i
+        f_cur = f(e_cur)
+        if f_prev == 0.0:
+            yield (e_prev, e_prev)
+        elif f_prev * f_cur < 0:
+            yield (e_prev, e_cur)
+        e_prev, f_prev = e_cur, f_cur
+
+
+def brent_root(f, bracket: tuple[float, float], rtol: float) -> float:
+    """Refine a sign-change bracket of f by Brent's method.
+
+    The bracket shrinks until it is rtol relative to the root (never
+    below the float floor 4 eps); there is no absolute floor, so roots of
+    any magnitude keep full relative accuracy. Raises ConvergenceError if
+    brentq exhausts its iteration budget.
+    """
+    a, b = bracket
+    root, info = brentq(f, a, b, xtol=sys.float_info.min,
+                        rtol=max(rtol, _RTOL_FLOOR), full_output=True,
+                        disp=False)
+    if not info.converged:
+        raise ConvergenceError(f"brentq did not converge on {bracket}: "
+                               f"{info.flag}")
+    return root
+
+
 def ec_solve_energy(qn: QuantumNumbers, p: ModelParams,
-                    bracket: tuple[float, float], tol: float = 1e-12,
-                    scan_per_decade: int = 200) -> SpectrumResult:
+                    bracket: tuple[float, float],
+                    tol: float = 1e-12) -> SpectrumResult:
     """Root-find the quantization condition on a bracket.
 
-    A geometric scan (scan_per_decade points per decade) locates sign
-    changes; the smallest root is refined by bisection until the residual
-    magnitude drops below tol. Deterministic for fixed inputs. The number
-    of sign changes seen in the scan is reported so callers can detect the
-    high-energy spurious branch that large strengths produce.
+    A geometric scan (SCAN_PER_DECADE points per decade) locates every
+    sign change; the smallest root is refined by Brent's method to the
+    float floor. tol is the acceptance bound on the refined residual:
+    a root whose |residual| exceeds it raises ConvergenceError.
+    Deterministic for fixed inputs. The number of sign changes seen in
+    the scan is reported so callers can detect the high-energy spurious
+    branch that large strengths produce.
 
     With eta0 = theta0 = 0 the coefficients are energy-independent, the
     condition is linear, and the exact commutative level is returned
@@ -173,37 +228,21 @@ def ec_solve_energy(qn: QuantumNumbers, p: ModelParams,
     if not 0 <= lo < hi:
         raise ValidationError(f"bad bracket {bracket}")
     lo = max(lo, 1e-300)
-    n_pts = max(2, int(math.log10(hi / lo) * scan_per_decade))
-    step = (hi / lo) ** (1.0 / n_pts)
-    roots = []
-    e_prev = lo
-    f_prev = ec_quantization_residual(e_prev, qn, p)
-    for i in range(1, n_pts + 1):
-        e_cur = lo * step ** i
-        f_cur = ec_quantization_residual(e_cur, qn, p)
-        if f_prev == 0.0:
-            roots.append((e_prev, e_prev))
-        elif f_prev * f_cur < 0:
-            roots.append((e_prev, e_cur))
-        e_prev, f_prev = e_cur, f_cur
+
+    def resid(e):
+        return ec_quantization_residual(e, qn, p)
+
+    n_pts = max(2, int(math.log10(hi / lo) * SCAN_PER_DECADE))
+    roots = list(sign_change_brackets(resid, lo, hi, n_pts))
     if not roots:
         raise BracketingError(f"no sign change of the quantization residual "
                               f"in {bracket} for {qn}")
-    a, b = roots[0]
-    fa = ec_quantization_residual(a, qn, p)
-    for _ in range(200):
-        mid = 0.5 * (a + b)
-        fm = ec_quantization_residual(mid, qn, p)
-        if abs(fm) <= tol or (b - a) <= 1e-16 * max(1.0, mid):
-            return SpectrumResult(energy=mid, method="root_find", residual=fm,
-                                  bracket=bracket, roots_found=len(roots))
-        if fa * fm < 0:
-            b = mid
-        else:
-            a, fa = mid, fm
-    mid = 0.5 * (a + b)
-    return SpectrumResult(energy=mid, method="root_find",
-                          residual=ec_quantization_residual(mid, qn, p),
+    energy = brent_root(resid, roots[0], _RTOL_FLOOR)
+    residual = resid(energy)
+    if abs(residual) > tol:
+        raise ConvergenceError(f"refined root E={energy!r} for {qn} leaves "
+                               f"|residual| {abs(residual):.3e} > tol {tol:g}")
+    return SpectrumResult(energy=energy, method="root_find", residual=residual,
                           bracket=bracket, roots_found=len(roots))
 
 

@@ -66,15 +66,13 @@ def radial_bessel(m_phi: int, c_big: float, xi, window: float = BESSEL_WINDOW):
         warnings.warn(
             f"xi^2 exceeds the Bessel-branch window xi^2 <= {window:g}*C",
             stacklevel=2)
-    root_c = math.sqrt(c_big)
-    out = np.vectorize(lambda t: bessel_j(m_phi, root_c * abs(t)))(xi_arr)
-    return out if out.shape else float(out)
+    return bessel_j(m_phi, math.sqrt(c_big) * np.abs(xi_arr))
 
 
 def radial_laguerre(n: int, m_phi: int, xi):
     """Bound-state branch exp(-xi^2/2) xi^m L_n^(m)(xi^2)."""
     xi_arr = np.asarray(xi, dtype=float)
-    lag = np.vectorize(lambda t: laguerre(n, m_phi, t * t))(xi_arr)
+    lag = laguerre(n, m_phi, xi_arr * xi_arr)
     out = np.exp(-0.5 * xi_arr ** 2) * np.abs(xi_arr) ** m_phi * lag
     return out if out.shape else float(out)
 

@@ -86,6 +86,14 @@ class TestSpectrumCommand:
         assert code == 2
         assert "error" in err
 
+    def test_unmet_tol_exit_2(self, capsys):
+        # tol bounds the refined residual; a bound below the float floor
+        # is reported, not silently exceeded
+        code, _, err = run_cli(["spectrum", *EC_FLAGS, "--n", "0..4",
+                                "--mphi", "0..3", "--tol", "1e-30"], capsys)
+        assert code == 2
+        assert "residual" in err
+
     def test_deterministic_output_files(self, tmp_path, capsys):
         out_a = tmp_path / "a.csv"
         out_b = tmp_path / "b.csv"

@@ -218,3 +218,14 @@ class TestJsonRoundTrip:
             ModelParams(eta0=-0.1)
         with pytest.raises(ValidationError):
             PhysicalConstants(mass=0.0)
+
+    def test_non_finite_json_rejected(self):
+        # json parses the NaN/Infinity literals; they must stop at the
+        # boundary instead of surfacing later as a bracketing failure
+        with pytest.raises(ValidationError, match="eta0"):
+            params_from_json('{"eta0": NaN, "e_ref": 10, "spring_k": 1}')
+        for field in ("eta0", "theta0", "alpha", "beta", "e_ref", "hbar",
+                      "mass", "charge", "spring_k"):
+            for bad in ("NaN", "Infinity", "-Infinity"):
+                with pytest.raises(ValidationError):
+                    params_from_json(f'{{"{field}": {bad}}}')

@@ -230,3 +230,80 @@ class TestMittagLeffler:
     def test_control_validation(self):
         with pytest.raises(DomainError):
             SeriesControl(max_terms=0)
+
+
+class TestMpmathReference:
+    """Every scipy-backed wrapper against mpmath at 30 digits, on grids
+    inside the accuracy envelopes the module docstring states."""
+
+    @pytest.fixture(autouse=True)
+    def _precision(self):
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(30):
+            yield
+
+    def test_gamma_real(self):
+        import mpmath
+        for z in np.linspace(0.01, 170.0, 120):
+            assert gamma_fn(z) == pytest.approx(float(mpmath.gamma(z)),
+                                                rel=1e-12)
+
+    def test_gamma_complex(self):
+        import mpmath
+        for re in np.linspace(-5.0, 20.0, 9):
+            for im in np.linspace(-10.0, 10.0, 8):
+                z = complex(re, im)
+                ref = complex(mpmath.gamma(z))
+                assert abs(gamma_fn(z) - ref) <= 1e-13 * abs(ref)
+
+    def test_log_gamma(self):
+        import mpmath
+        for z in np.concatenate([np.linspace(0.01, 10.0, 60),
+                                 np.linspace(10.0, 1000.0, 40)]):
+            ref = float(mpmath.loggamma(z))
+            assert log_gamma(z) == pytest.approx(ref, rel=1e-13, abs=1e-15)
+
+    def test_beta(self):
+        import mpmath
+        grid = np.linspace(0.05, 50.0, 12)
+        for a in grid:
+            for b in grid:
+                assert beta_fn(a, b) == pytest.approx(
+                    float(mpmath.beta(a, b)), rel=1e-12)
+
+    def test_bessel_j_and_y(self):
+        import mpmath
+        for m in range(0, 21):
+            for x in np.linspace(0.1, 50.0, 10):
+                assert bessel_j(m, x) == pytest.approx(
+                    float(mpmath.besselj(m, x)), abs=1e-10)
+                ref_y = float(mpmath.bessely(m, x))
+                assert abs(bessel_y(m, x) - ref_y) <= 1e-10 * max(1.0,
+                                                                  abs(ref_y))
+
+    def test_bessel_array_matches_scalar(self):
+        xs = np.linspace(0.0, 50.0, 33)
+        for m in (0, 3, 20):
+            assert np.array_equal(bessel_j(m, xs),
+                                  [bessel_j(m, x) for x in xs])
+            assert np.array_equal(bessel_y(m, xs[1:]),
+                                  [bessel_y(m, x) for x in xs[1:]])
+
+    def test_laguerre(self):
+        import mpmath
+        for n in range(0, 21, 2):
+            for a in (0.0, 0.5, 3.0, 20.0):
+                for x in np.linspace(0.0, 50.0, 9):
+                    terms = [mpmath.binomial(n + a, n - k) * mpmath.mpf(x) ** k
+                             / mpmath.factorial(k) for k in range(n + 1)]
+                    scale = float(mpmath.fsum(abs(t) for t in terms))
+                    ref = float(mpmath.laguerre(n, a, x))
+                    assert abs(laguerre(n, a, x) - ref) <= 1e-12 * scale
+
+    def test_scalar_results_are_python_numbers(self):
+        # the CLI writes repr(value); numpy scalars would print as
+        # np.float64(...)
+        for v in (gamma_fn(2.5), log_gamma(2.5), beta_fn(1.5, 2.0),
+                  bessel_j(1, 2.0), bessel_y(1, 2.0), laguerre(3, 1.0, 0.5)):
+            assert type(v) is float
+        assert type(gamma_fn(complex(1.0, 1.0))) is complex

@@ -33,6 +33,12 @@ class TestQuantumNumbers:
         with pytest.raises(ValidationError):
             QuantumNumbers(m_phi=-2)
 
+    def test_non_finite_rejected(self):
+        for name in ("n", "m_phi", "n_alpha", "n_beta"):
+            for bad in (math.nan, math.inf):
+                with pytest.raises(ValidationError):
+                    QuantumNumbers(**{name: bad})
+
     def test_radial_weight(self):
         assert QuantumNumbers(n=2, m_phi=3).radial_weight == 8
 
