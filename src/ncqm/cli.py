@@ -76,6 +76,7 @@ def _csv_text(header: list[str], rows: list[list]) -> str:
 def _cmd_spectrum(args) -> int:
     p = _load_params(args)
     rows = []
+    multi_root = 0
     if p.mechanism is Mechanism.EC:
         tol = args.tol
         for n in _parse_range(args.n):
@@ -84,6 +85,7 @@ def _cmd_spectrum(args) -> int:
                 bracket = (tuple(args.bracket) if args.bracket
                            else spectra.ec_default_bracket(qn, p))
                 res = spectra.ec_solve_energy(qn, p, bracket, tol=tol)
+                multi_root += res.roots_found > 1
                 rows.append([p.mechanism.value, n, m_phi, "", "",
                              res.energy, res.method, res.residual])
     elif p.mechanism is Mechanism.SQF:
@@ -108,6 +110,9 @@ def _cmd_spectrum(args) -> int:
     header = ["mechanism", "n", "m_phi", "n_alpha", "n_beta", "energy",
               "method", "residual"]
     _write_text(args.out, _csv_text(header, rows))
+    if multi_root:
+        print(f"note: {multi_root} of {len(rows)} levels saw a second sign "
+              "change; the smallest root is reported", file=sys.stderr)
     return 0
 
 

@@ -26,7 +26,7 @@ from scipy.linalg import eigh_tridiagonal
 from .errors import ConvergenceError, GridError, ValidationError
 from .algebra import build_heisenberg_rep
 from .params import ModelParams, PhysicalConstants, effective_coefficients
-from .spectra import brent_root, sign_change_brackets
+from .spectra import brent_root, first_bracket
 
 _DECAY_LOG = math.log(1e8)  # require exp(-xi_max^2/2) < 1e-8 at the boundary
 
@@ -209,14 +209,13 @@ def self_consistent_wrap(solver: str, p: ModelParams, qn,
     def g(e):
         return e - _frozen_level(p, qn, e, solver)
 
-    bracket = next(sign_change_brackets(g, scale / _SCAN_SPAN,
-                                        scale * _SCAN_SPAN, _SCAN_POINTS),
-                   None)
+    bracket = first_bracket(g, scale / _SCAN_SPAN, scale * _SCAN_SPAN,
+                            _SCAN_POINTS)
     if bracket is None:
         raise ConvergenceError(
             f"self-consistency failed for {qn}; fixed-point trace: "
             + "; ".join(f"E={a:.6g}->{b:.6g}" for a, b in trace[-6:]))
-    return brent_root(g, bracket, tol)
+    return brent_root(g, bracket, tol).root
 
 
 def comparison_report(p: ModelParams, entries: list[dict]) -> str:

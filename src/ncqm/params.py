@@ -100,7 +100,8 @@ class ModelParams:
 
 @dataclass(frozen=True)
 class EffectiveCoefficients:
-    """Derived coefficients of the effective Hamiltonian at one energy.
+    """Derived coefficients of the effective Hamiltonian at one energy, or
+    elementwise over an array of energies (every field then has its shape).
 
     b_e and k_e are the field/elastic terms injected by momentum
     noncommutativity alone; b_h, k_h and m_star include the oscillator
@@ -127,34 +128,45 @@ class EffectiveCoefficients:
     omega_eps: float
 
 
-def nc_strengths(p: ModelParams, energy: float) -> tuple[float, float]:
+def nc_strengths(p: ModelParams, energy):
     """Evaluate (theta(E), eta(E)) for the power-law running.
 
     Parameters
     ----------
     p : ModelParams
-    energy : float
+    energy : float or ndarray
         Running energy (particle energy for EC, fluctuation scale for SQF).
-        Must be non-negative.
+        Must be non-negative; an array must be non-negative everywhere.
 
     Returns
     -------
-    (theta, eta) : tuple of float
+    (theta, eta) : tuple of float, or of ndarray shaped like energy
     """
-    if energy < 0:
-        raise DomainError(f"energy must be non-negative, got {energy}")
+    if _any(energy < 0):
+        raise DomainError(f"energy must be non-negative, got "
+                          f"{np.min(energy)}")
     ratio = energy / p.e_ref
     return (_power(p.theta0, ratio, p.beta_exp, "beta"),
             _power(p.eta0, ratio, p.alpha_exp, "alpha"))
 
 
-def _power(amplitude: float, ratio: float, exponent: float, name: str) -> float:
+def _any(mask) -> bool:
+    """A scalar condition, or whether it holds anywhere in an array."""
+    return mask.any() if isinstance(mask, np.ndarray) else mask
+
+
+def _sqrt(x):
+    """math.sqrt of a scalar (a Python float comes back), np.sqrt of an
+    array; both are the correctly rounded square root."""
+    return np.sqrt(x) if isinstance(x, np.ndarray) else math.sqrt(x)
+
+
+def _power(amplitude: float, ratio, exponent: float, name: str):
     if amplitude == 0.0:
-        return 0.0
-    if ratio == 0.0:
-        if exponent < 0:
-            raise SingularityError(f"E=0 with negative exponent {name}={exponent}")
-        return amplitude if exponent == 0 else 0.0
+        return np.zeros_like(ratio) if isinstance(ratio, np.ndarray) else 0.0
+    if exponent < 0 and _any(ratio == 0.0):
+        raise SingularityError(f"E=0 with negative exponent {name}={exponent}")
+    # 0**0 = 1 and 0**exponent = 0 for exponent > 0, as the limits require
     return amplitude * ratio ** exponent
 
 
@@ -193,28 +205,38 @@ def k_factor(theta: float, eta: float, c: PhysicalConstants) -> float:
     mode (see algebra.sw_inverse); this function always returns the exact
     value and raises on the pole theta*eta = 4 hbar^2.
     """
-    zeta = theta * eta / (4.0 * c.hbar ** 2)
-    if zeta == 1.0:
+    k = _inverse_map_factor(theta, eta, c)
+    if k == math.inf:
         raise SingularityError("k(E) pole: theta*eta = 4*hbar^2")
-    return 1.0 / (1.0 - zeta)
+    return k
 
 
-def rescaled_strengths(theta: float, eta: float,
-                       c: PhysicalConstants) -> tuple[float, float, float]:
+def _inverse_map_factor(theta, eta, c: PhysicalConstants):
+    """1 / (1 - theta*eta/4hbar^2) of scalars or arrays, inf on the pole."""
+    zeta = theta * eta / (4.0 * c.hbar ** 2)
+    if isinstance(zeta, np.ndarray):
+        with np.errstate(divide="ignore"):
+            return 1.0 / (1.0 - zeta)
+    return math.inf if zeta == 1.0 else 1.0 / (1.0 - zeta)
+
+
+def rescaled_strengths(theta, eta, c: PhysicalConstants) -> tuple:
     """Rescaling that restores a constant Planck coefficient.
 
     Returns (theta_eff, eta_eff, xi) with xi = (1 + theta*eta/4hbar^2)^(-1/2)
     and theta_eff = xi^2 * theta, eta_eff = xi^2 * eta. By construction
-    hbar * xi^2 * (1 + theta*eta/4hbar^2) = hbar.
+    hbar * xi^2 * (1 + theta*eta/4hbar^2) = hbar. Scalars or arrays of
+    strengths; the denominator must be positive everywhere.
     """
     denom = 1.0 + theta * eta / (4.0 * c.hbar ** 2)
-    if denom <= 0:
-        raise DomainError(f"1 + theta*eta/4hbar^2 must be positive, got {denom}")
+    if _any(denom <= 0):
+        raise DomainError(f"1 + theta*eta/4hbar^2 must be positive, got "
+                          f"{np.min(denom)}")
     xi = denom ** -0.5
     return theta / denom, eta / denom, xi
 
 
-def effective_coefficients(p: ModelParams, energy: float) -> EffectiveCoefficients:
+def effective_coefficients(p: ModelParams, energy) -> EffectiveCoefficients:
     """All effective Hamiltonian coefficients at the given energy.
 
     The momentum strength feeds an angular-momentum term b_e = eta/2m*hbar
@@ -223,6 +245,9 @@ def effective_coefficients(p: ModelParams, energy: float) -> EffectiveCoefficien
     mass, 1/m_star = 1/m + k theta^2/4hbar^2, shifts the field term to
     b_h = b_e + k theta/2hbar, and stiffens the elastic constant to
     k_h = k + k_e.
+
+    energy is a float, giving float fields, or an ndarray, giving fields of
+    its shape evaluated in one pass; the checks then apply everywhere.
     """
     theta, eta = nc_strengths(p, energy)
     c = p.constants
@@ -234,12 +259,7 @@ def effective_coefficients(p: ModelParams, energy: float) -> EffectiveCoefficien
     b_h = b_e + k * theta / (2.0 * hbar)
     k_h = k + k_e
     theta_eff, eta_eff, xi = rescaled_strengths(theta, eta, c)
-    # the inverse-map factor has a pole at theta*eta = 4 hbar^2; the other
-    # coefficients stay finite there, so record inf rather than failing
-    try:
-        k_of_e = k_factor(theta, eta, c)
-    except SingularityError:
-        k_of_e = math.inf
+    omega = math.sqrt(k / m)
     return EffectiveCoefficients(
         energy=energy,
         theta=theta,
@@ -253,10 +273,13 @@ def effective_coefficients(p: ModelParams, energy: float) -> EffectiveCoefficien
         theta_eff=theta_eff,
         eta_eff=eta_eff,
         xi_scale=xi,
-        k_of_e=k_of_e,
-        omega=math.sqrt(k / m),
-        omega_h=math.sqrt(k_h / m_star),
-        omega_eps=math.sqrt(k_e / m),
+        # the inverse-map factor has a pole at theta*eta = 4 hbar^2; the
+        # other coefficients stay finite there, so it records inf there
+        k_of_e=_inverse_map_factor(theta, eta, c),
+        omega=np.full(np.shape(energy), omega)
+        if isinstance(energy, np.ndarray) else omega,
+        omega_h=_sqrt(k_h / m_star),
+        omega_eps=_sqrt(k_e / m),
     )
 
 

@@ -10,24 +10,31 @@ side through B_h(E), K_h(E). Closed forms exist for the vacuum-fluctuation
 (SQF) model, for the energy-coupled (EC) free particle with alpha != 1,
 and to first order for the EC oscillator; everything else is root-found by
 a deterministic geometric sign-change scan refined by Brent's method
-(scipy.optimize.brentq). The scan and the refinement are the package's one
-root-finding kernel: sign_change_brackets and brent_root, which the
-self-consistent oracle uses too.
+(scipy.optimize.brentq). The scan evaluates the residual on the whole grid
+in one array call (2401 points on the default 12-decade bracket), so a
+level costs one array evaluation plus a handful of scalar Brent steps,
+a fraction of a millisecond. The grid (scan_grid), the bracket rule
+(sign_change_brackets) and the refinement (brent_root) are the package's
+one root-finding kernel, which the self-consistent oracle uses too.
 """
 
 from __future__ import annotations
 
+import logging
 import math
 import sys
 from dataclasses import dataclass
 
+import numpy as np
 from scipy.optimize import brentq
 
 from .errors import (BracketingError, ConvergenceError, DomainError,
                      UsageError, ValidationError)
 from .params import (EffectiveCoefficients, Mechanism, ModelParams,
-                     PhysicalConstants, effective_coefficients)
+                     PhysicalConstants, _any, _sqrt, effective_coefficients)
 from .specfun import beta_fn
+
+log = logging.getLogger("ncqm.spectra")
 
 
 @dataclass(frozen=True)
@@ -125,19 +132,20 @@ def commutative_spectrum(qn: QuantumNumbers, omega: float,
     return c.hbar * omega * qn.radial_weight
 
 
-def ec_quantization_residual(energy: float, qn: QuantumNumbers,
-                             p: ModelParams) -> float:
+def ec_quantization_residual(energy, qn: QuantumNumbers, p: ModelParams):
     """Signed residual of the quantization condition at the given energy.
 
     Zero residual marks an energy level; the sign flips across each root.
+    energy is a float (a float comes back) or an ndarray, evaluated
+    elementwise in one pass; K_h must then be positive everywhere.
     """
     _require(p, Mechanism.EC, "ec_quantization_residual")
     coeff = effective_coefficients(p, energy)
-    if coeff.k_h <= 0:
+    if _any(coeff.k_h <= 0):
         raise DomainError("K_h(E) must be positive to evaluate the condition")
     hbar = p.constants.hbar
-    lhs = hbar / math.sqrt(coeff.m_star) * qn.radial_weight
-    rhs = (energy + qn.m_phi * hbar * coeff.b_h) / math.sqrt(coeff.k_h)
+    lhs = hbar / _sqrt(coeff.m_star) * qn.radial_weight
+    rhs = (energy + qn.m_phi * hbar * coeff.b_h) / _sqrt(coeff.k_h)
     return lhs - rhs
 
 
@@ -155,44 +163,61 @@ SCAN_PER_DECADE = 200
 _RTOL_FLOOR = 4.0 * sys.float_info.epsilon
 
 
-def sign_change_brackets(f, lo: float, hi: float, n_pts: int):
-    """Yield each sign change of f on a geometric grid over [lo, hi].
+def scan_grid(lo: float, hi: float, n_pts: int, i):
+    """Point i of the geometric scan grid over [lo, hi]: lo * step**i with
+    step = (hi/lo)**(1/n_pts), so i = 0..n_pts runs from lo to hi.
 
-    The grid is lo * step**i, i = 0..n_pts, with step = (hi/lo)**(1/n_pts).
-    Each adjacent pair (a, b) with f(a) f(b) < 0 is yielded as a bracket,
-    and a grid point where f vanishes as the degenerate bracket (a, a).
-    f is evaluated lazily, so a caller that stops at the first bracket
-    evaluates only the grid up to it.
+    An int i gives a float; an integer array gives the points at once.
     """
-    step = (hi / lo) ** (1.0 / n_pts)
-    e_prev = lo
-    f_prev = f(e_prev)
+    return lo * ((hi / lo) ** (1.0 / n_pts)) ** i
+
+
+def sign_change_brackets(values) -> list[tuple[int, int]]:
+    """Index brackets of each sign change of values sampled along a grid.
+
+    In grid order, a sample that is exactly zero gives the degenerate
+    bracket (i, i), and adjacent samples with values[i] * values[i+1] < 0
+    give (i, i + 1). The last sample opens no bracket.
+    """
+    values = np.asarray(values, dtype=float)
+    f_prev, f_cur = values[:-1], values[1:]
+    zero = f_prev == 0.0
+    hits = np.flatnonzero(zero | (f_prev * f_cur < 0)).tolist()
+    return [(i, i if zero[i] else i + 1) for i in hits]
+
+
+def first_bracket(f, lo: float, hi: float, n_pts: int):
+    """The first sign-change bracket (a, b) of f on the scan grid, or None.
+
+    f is evaluated one grid point at a time and only up to that bracket,
+    for callers whose f is too costly to evaluate on the whole grid.
+    """
+    values = [f(scan_grid(lo, hi, n_pts, 0))]
     for i in range(1, n_pts + 1):
-        e_cur = lo * step ** i
-        f_cur = f(e_cur)
-        if f_prev == 0.0:
-            yield (e_prev, e_prev)
-        elif f_prev * f_cur < 0:
-            yield (e_prev, e_cur)
-        e_prev, f_prev = e_cur, f_cur
+        values.append(f(scan_grid(lo, hi, n_pts, i)))
+        for a, b in sign_change_brackets(values[-2:]):
+            return (scan_grid(lo, hi, n_pts, i - 1 + a),
+                    scan_grid(lo, hi, n_pts, i - 1 + b))
+    return None
 
 
-def brent_root(f, bracket: tuple[float, float], rtol: float) -> float:
+def brent_root(f, bracket: tuple[float, float], rtol: float):
     """Refine a sign-change bracket of f by Brent's method.
 
     The bracket shrinks until it is rtol relative to the root (never
     below the float floor 4 eps); there is no absolute floor, so roots of
-    any magnitude keep full relative accuracy. Raises ConvergenceError if
-    brentq exhausts its iteration budget.
+    any magnitude keep full relative accuracy. Returns scipy's
+    RootResults (root, iterations, function_calls). Raises
+    ConvergenceError if brentq exhausts its iteration budget.
     """
     a, b = bracket
-    root, info = brentq(f, a, b, xtol=sys.float_info.min,
-                        rtol=max(rtol, _RTOL_FLOOR), full_output=True,
-                        disp=False)
+    _, info = brentq(f, a, b, xtol=sys.float_info.min,
+                     rtol=max(rtol, _RTOL_FLOOR), full_output=True,
+                     disp=False)
     if not info.converged:
         raise ConvergenceError(f"brentq did not converge on {bracket}: "
                                f"{info.flag}")
-    return root
+    return info
 
 
 def ec_solve_energy(qn: QuantumNumbers, p: ModelParams,
@@ -200,13 +225,20 @@ def ec_solve_energy(qn: QuantumNumbers, p: ModelParams,
                     tol: float = 1e-12) -> SpectrumResult:
     """Root-find the quantization condition on a bracket.
 
-    A geometric scan (SCAN_PER_DECADE points per decade) locates every
-    sign change; the smallest root is refined by Brent's method to the
-    float floor. tol is the acceptance bound on the refined residual:
-    a root whose |residual| exceeds it raises ConvergenceError.
-    Deterministic for fixed inputs. The number of sign changes seen in
-    the scan is reported so callers can detect the high-energy spurious
-    branch that large strengths produce.
+    The residual is evaluated on the whole geometric scan grid
+    (SCAN_PER_DECADE points per decade) in one array call, and every sign
+    change on it is located; the smallest root is refined by Brent's
+    method to the float floor. tol is the acceptance bound on the refined
+    residual: a root whose |residual| exceeds it raises ConvergenceError.
+    Deterministic for fixed inputs.
+
+    The smallest root is the physical level. A later sign change is the
+    high-energy spurious branch that the energy-dependent coefficients
+    produce (on most oscillator levels of a wide bracket); it is never
+    returned, but the number of sign changes seen is reported as
+    roots_found. Each solve logs one DEBUG record on the "ncqm.spectra"
+    logger: grid points, sign changes, chosen bracket and brentq function
+    calls.
 
     With eta0 = theta0 = 0 the coefficients are energy-independent, the
     condition is linear, and the exact commutative level is returned
@@ -228,22 +260,29 @@ def ec_solve_energy(qn: QuantumNumbers, p: ModelParams,
     if not 0 <= lo < hi:
         raise ValidationError(f"bad bracket {bracket}")
     lo = max(lo, 1e-300)
+    n_pts = max(2, int(math.log10(hi / lo) * SCAN_PER_DECADE))
+    grid = scan_grid(lo, hi, n_pts, np.arange(n_pts + 1))
+    brackets = sign_change_brackets(ec_quantization_residual(grid, qn, p))
+    if not brackets:
+        raise BracketingError(f"no sign change of the quantization residual "
+                              f"in {bracket} for {qn}")
+    # endpoints from the scalar grid formula, bit-identical to a scalar scan
+    chosen = tuple(scan_grid(lo, hi, n_pts, i) for i in brackets[0])
 
     def resid(e):
         return ec_quantization_residual(e, qn, p)
 
-    n_pts = max(2, int(math.log10(hi / lo) * SCAN_PER_DECADE))
-    roots = list(sign_change_brackets(resid, lo, hi, n_pts))
-    if not roots:
-        raise BracketingError(f"no sign change of the quantization residual "
-                              f"in {bracket} for {qn}")
-    energy = brent_root(resid, roots[0], _RTOL_FLOOR)
+    info = brent_root(resid, chosen, _RTOL_FLOOR)
+    energy = info.root
     residual = resid(energy)
+    log.debug("ec_solve_energy %s: %d grid points, %d sign changes, "
+              "bracket %r, %d brentq calls", qn, n_pts + 1, len(brackets),
+              chosen, info.function_calls)
     if abs(residual) > tol:
         raise ConvergenceError(f"refined root E={energy!r} for {qn} leaves "
                                f"|residual| {abs(residual):.3e} > tol {tol:g}")
     return SpectrumResult(energy=energy, method="root_find", residual=residual,
-                          bracket=bracket, roots_found=len(roots))
+                          bracket=bracket, roots_found=len(brackets))
 
 
 def ec_default_bracket(qn: QuantumNumbers, p: ModelParams,

@@ -30,6 +30,20 @@ class TestSpectrumCommand:
             assert parts[0] == "ec"
             assert abs(float(parts[7])) <= 1e-12
 
+    def test_second_root_note(self, capsys):
+        # the spurious high-energy branch is reported on stderr only
+        code, out, err = run_cli(["spectrum", *EC_FLAGS,
+                                  "--n", "0..4", "--mphi", "0..3"], capsys)
+        assert code == 0
+        assert err == ("note: 20 of 20 levels saw a second sign change; "
+                       "the smallest root is reported\n")
+        assert "note" not in out
+        code, _, err = run_cli(["spectrum", *EC_FLAGS, "--n", "0..1",
+                                "--mphi", "0..1", "--bracket", "0.1", "20"],
+                               capsys)
+        assert code == 0
+        assert err == ""
+
     def test_sqf_requires_eps(self, capsys):
         code, _, err = run_cli(["spectrum", "--mechanism", "sqf",
                                 "--eta0", "1"], capsys)

@@ -1,11 +1,14 @@
-"""Property tests of the root kernel (geometric scan + Brent refinement).
+"""Property tests of the root kernel (geometric scan + Brent refinement)
+and of parameter-wide invariants of the algebra, the SQF spectrum and the
+ring.
 
-Parameters are drawn from the ranges of the benchmark pool, in which every
-default-table level is bound. Examples are derandomized so that the suite
-checks the same draws on every run.
+Oscillator parameters are drawn from the ranges of the benchmark pool, in
+which every default-table level is bound. Examples are derandomized so
+that the suite checks the same draws on every run.
 """
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -14,10 +17,18 @@ pytest.importorskip("hypothesis")
 from hypothesis import assume, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from ncqm.params import Mechanism, ModelParams, PhysicalConstants  # noqa: E402
+from ncqm.algebra import (build_heisenberg_rep, sw_forward,  # noqa: E402
+                          sw_inverse)
+from ncqm.params import (Mechanism, ModelParams,  # noqa: E402
+                         PhysicalConstants, effective_coefficients, k_factor)
+from ncqm.ring import (RingSpec, ground_level_index,  # noqa: E402
+                       ground_persistent_current, nc_flux, persistent_current,
+                       ring_levels)
 from ncqm.spectra import (SCAN_PER_DECADE, QuantumNumbers,  # noqa: E402
-                          ec_default_bracket, ec_free_energy_closed,
-                          ec_quantization_residual, ec_solve_energy)
+                          commutative_spectrum, ec_default_bracket,
+                          ec_free_energy_closed, ec_quantization_residual,
+                          ec_solve_energy, first_bracket, scan_grid,
+                          sign_change_brackets, sqf_oscillator_spectrum)
 
 TOL = 1e-12
 PROPERTY_SETTINGS = settings(max_examples=40, deadline=None,
@@ -38,11 +49,20 @@ def ec_oscillators(draw):
     return p, QuantumNumbers(n=draw(level_index), m_phi=draw(level_index))
 
 
-def scan_grid(bracket):
-    """The geometric grid ec_solve_energy scans, rebuilt independently."""
+@st.composite
+def ec_free_particles(draw):
+    p = ModelParams(eta0=draw(st.floats(0.05, 2.0)), theta0=0.1,
+                    alpha_exp=draw(st.floats(1.5, 3.0)),
+                    e_ref=draw(st.floats(0.5, 20.0)), mechanism=Mechanism.EC)
+    return p, QuantumNumbers(n=draw(level_index), m_phi=draw(level_index))
+
+
+def default_scan(bracket):
+    """The grid size ec_solve_energy scans a bracket with, and its points,
+    rebuilt independently."""
     lo, hi = bracket
     n_pts = max(2, int(math.log10(hi / lo) * SCAN_PER_DECADE))
-    return lo * ((hi / lo) ** (1.0 / n_pts)) ** np.arange(n_pts + 1)
+    return n_pts, lo * ((hi / lo) ** (1.0 / n_pts)) ** np.arange(n_pts + 1)
 
 
 @PROPERTY_SETTINGS
@@ -59,7 +79,7 @@ def test_root_is_the_first_sign_change_within_tol(case):
     assert abs(res.residual) <= TOL
     assert abs(f(energy)) <= TOL
     assert f(energy * (1.0 - 1e-9)) * f(energy * (1.0 + 1e-9)) < 0
-    below = np.array([f(e) for e in scan_grid(bracket) if e < energy])
+    below = np.array([f(e) for e in default_scan(bracket)[1] if e < energy])
     assert len(below) > 0
     assert np.all(below != 0.0)
     assert np.all(np.sign(below) == np.sign(below[0]))
@@ -77,3 +97,134 @@ def test_free_closed_form_equals_root(eta0, alpha, e_ref, n, m_phi):
     closed = ec_free_energy_closed(qn, p)
     root = ec_solve_energy(qn, p, (closed / 1e4, closed * 1e4), tol=TOL)
     assert root.energy == pytest.approx(closed, rel=1e-9)
+
+
+def scalar_scan_brackets(values):
+    """Index brackets of a point-by-point scan: a zero sample opens (i, i),
+    a strict sign change between neighbours opens (i, i + 1)."""
+    found = []
+    for i in range(len(values) - 1):
+        if values[i] == 0.0:
+            found.append((i, i))
+        elif values[i] * values[i + 1] < 0:
+            found.append((i, i + 1))
+    return found
+
+
+@PROPERTY_SETTINGS
+@given(st.lists(st.sampled_from([-2.0, -1.0, -0.0, 0.0, 0.5, 3.0,
+                                 math.nan]), max_size=12))
+def test_bracket_rule_matches_scalar_scan(values):
+    assert sign_change_brackets(values) == scalar_scan_brackets(values)
+
+
+@settings(PROPERTY_SETTINGS, max_examples=25)
+@given(st.one_of(ec_oscillators(), ec_free_particles()))
+def test_array_scan_matches_scalar_scan(case):
+    p, qn = case
+    lo, hi = ec_default_bracket(qn, p)
+    n_pts, grid = default_scan((lo, hi))
+    assert np.array_equal(scan_grid(lo, hi, n_pts, np.arange(n_pts + 1)),
+                          grid)
+    values = ec_quantization_residual(grid, qn, p)
+    assert values.shape == grid.shape
+    hbar = p.constants.hbar
+    scalar = []
+    for e, v in zip(grid.tolist(), values.tolist()):
+        coeff = effective_coefficients(p, e)
+        lhs = hbar / math.sqrt(coeff.m_star) * qn.radial_weight
+        rhs = (e + qn.m_phi * hbar * coeff.b_h) / math.sqrt(coeff.k_h)
+        s = ec_quantization_residual(e, qn, p)
+        assert abs(v - s) <= 4.0 * sys.float_info.epsilon * (abs(lhs)
+                                                              + abs(rhs))
+        scalar.append(s)
+    brackets = sign_change_brackets(values)
+    assert brackets == scalar_scan_brackets(scalar)
+    # the lazy scan stops at the same first bracket, with scalar endpoints
+    lazy = first_bracket(lambda e: ec_quantization_residual(e, qn, p),
+                         lo, hi, n_pts)
+    if brackets:
+        assert lazy == tuple(scan_grid(lo, hi, n_pts, i)
+                             for i in brackets[0])
+    else:
+        assert lazy is None
+
+
+@PROPERTY_SETTINGS
+@given(theta=st.floats(0.0, 4.0), eta=st.floats(0.0, 4.0),
+       hbar=st.floats(0.5, 2.0))
+def test_k_factor_inverts_one_minus_zeta(theta, eta, hbar):
+    c = PhysicalConstants(hbar=hbar)
+    zeta = theta * eta / (4.0 * hbar ** 2)
+    assume(zeta != 1.0)
+    assert k_factor(theta, eta, c) * (1.0 - zeta) == pytest.approx(
+        1.0, rel=4.0 * sys.float_info.epsilon)
+
+
+FOCK = build_heisenberg_rep(8, PhysicalConstants())
+
+
+@PROPERTY_SETTINGS
+@given(theta=st.floats(0.0, 1.5), eta=st.floats(0.0, 1.5))
+def test_exact_k_round_trip(theta, eta):
+    back = sw_inverse(sw_forward(FOCK, theta, eta), exact_k=True)
+    for key in ("x", "y", "px", "py"):
+        ref = getattr(FOCK, key)
+        err = np.max(np.abs(back[key] - ref)) / np.max(np.abs(ref))
+        assert err <= 1e-12
+
+
+@PROPERTY_SETTINGS
+@given(eta0=st.floats(0.05, 2.0), theta0=st.floats(0.05, 2.0),
+       alpha=st.floats(0.5, 3.0), beta=st.floats(0.5, 3.0),
+       e_ref=st.floats(0.5, 20.0), spring_k=st.floats(0.5, 2.0),
+       n_alpha=level_index, n_beta=level_index)
+def test_sqf_oscillator_tends_to_commutative(eta0, theta0, alpha, beta,
+                                             e_ref, spring_k, n_alpha,
+                                             n_beta):
+    # every coefficient grows with the fluctuation scale eps, so the level
+    # falls monotonically onto the commutative one as eps -> 0
+    c = PhysicalConstants(spring_k=spring_k)
+    p = ModelParams(eta0=eta0, theta0=theta0, alpha_exp=alpha,
+                    beta_exp=beta, e_ref=e_ref, mechanism=Mechanism.SQF,
+                    constants=c)
+    qn = QuantumNumbers(n_alpha=n_alpha, n_beta=n_beta)
+    e_com = commutative_spectrum(QuantumNumbers(m_phi=n_alpha + n_beta),
+                                 c.omega, c)
+    levels = [sqf_oscillator_spectrum(p, eps * e_ref, qn)
+              for eps in (1.0, 1e-2, 1e-4, 1e-8, 1e-16)]
+    assert all(a >= b >= e_com for a, b in zip(levels, levels[1:]))
+    assert levels[-1] == pytest.approx(e_com, rel=1e-7)
+    assert sqf_oscillator_spectrum(p, 0.0, qn) == e_com
+
+
+def ring_at(frac, radius, alpha):
+    base = RingSpec(radius=radius, alpha_param=alpha)
+    return RingSpec(radius=radius, alpha_param=alpha,
+                    flux_ext=frac * base.flux_quantum)
+
+
+@PROPERTY_SETTINGS
+@given(frac=st.floats(-1.0, 1.0), eta=st.floats(0.0, 0.5),
+       radius=st.floats(0.5, 2.0), alpha=st.floats(0.5, 1.0),
+       l=st.integers(-3, 3))
+def test_ring_periodic_in_flux_quantum(frac, eta, radius, alpha, l):
+    # one flux quantum more relabels l -> l - 1 and changes nothing else
+    here, there = ring_at(frac, radius, alpha), ring_at(frac + 1.0, radius,
+                                                          alpha)
+    fields = nc_flux(here, eta)
+    shift = abs(frac) + 1.0 + abs(fields.phi_nc / fields.flux_quantum)
+    kin = here.constants.hbar ** 2 / (here.m_star * radius ** 2)
+    slack = 16.0 * sys.float_info.epsilon * shift
+    assert ring_levels(there, eta, l - 1) == pytest.approx(
+        ring_levels(here, eta, l), abs=kin * slack * (abs(l) + shift))
+    assert persistent_current(there, eta, l - 1) == pytest.approx(
+        persistent_current(here, eta, l), abs=kin / fields.flux_quantum
+        * slack)
+    # the ground branch switches at half-integer shifts; stay off them
+    offset = (here.flux_ext - fields.phi_nc) / fields.flux_quantum
+    assume(abs(abs(offset % 1.0) - 0.5) > 1e-9)
+    assert ground_level_index(there, eta) == ground_level_index(here, eta) - 1
+    assert ground_persistent_current(there, eta) == pytest.approx(
+        ground_persistent_current(here, eta),
+        abs=kin / fields.flux_quantum * slack)

@@ -1,11 +1,12 @@
+import logging
 import math
 
 import numpy as np
 import pytest
 from scipy import integrate
 
-from ncqm.errors import (BracketingError, DomainError, UsageError,
-                         ValidationError)
+from ncqm.errors import (BracketingError, DomainError, SingularityError,
+                         UsageError, ValidationError)
 from ncqm.params import (Mechanism, ModelParams, PhysicalConstants,
                          effective_coefficients)
 from ncqm.spectra import (FractionalOscSpec, QuantumNumbers,
@@ -169,6 +170,68 @@ class TestEcResidualAndRoot:
         p = ec_params(eta0=0.0, theta0=0.0)
         with pytest.raises(DomainError):
             ec_solve_energy(QuantumNumbers(), p, (1e-6, 1e6))
+
+
+class TestArrayResidual:
+    """The residual of an energy array raises what the scalar residual
+    raises at the first failing point, and equals it where it succeeds."""
+
+    @staticmethod
+    def scalar_error(energies, qn, p):
+        for e in energies:
+            try:
+                ec_quantization_residual(float(e), qn, p)
+            except (DomainError, ValidationError) as exc:
+                return type(exc)
+        return None
+
+    @pytest.mark.parametrize("params, energies, expected", [
+        (ec_params(constants={"spring_k": 1.0}), [1.0, -0.5, 2.0],
+         DomainError),
+        (ec_params(alpha_exp=-1.0, constants={"spring_k": 1.0}), [1.0, 0.0],
+         SingularityError),
+        # free particle: eta(0) = 0 leaves K_h(0) = 0
+        (ec_params(alpha_exp=2.0), [2.0, 0.0, 1.0], DomainError),
+    ], ids=["negative_energy", "zero_energy_negative_exponent", "k_h_zero"])
+    def test_same_error_as_scalar(self, params, energies, expected):
+        qn = QuantumNumbers(n=1, m_phi=1)
+        assert self.scalar_error(energies, qn, params) is expected
+        with pytest.raises(expected) as info:
+            ec_quantization_residual(np.array(energies), qn, params)
+        assert type(info.value) is expected
+
+    def test_lo_zero_bracket_raises_like_scalar(self):
+        # lo = 0 is clamped to 1e-300: 60k grid points in one array call,
+        # where eta underflows to 0 and leaves a free particle's K_h = 0
+        p = ec_params(eta0=1.0, theta0=0.0, alpha_exp=2.0, beta_exp=2.0)
+        qn = QuantumNumbers()
+        with pytest.raises(DomainError):
+            ec_quantization_residual(1e-300, qn, p)
+        with pytest.raises(DomainError):
+            ec_solve_energy(qn, p, (0.0, 10.0))
+
+    def test_lo_zero_bracket_oscillator_solves(self):
+        p = ec_params(constants={"spring_k": 1.0})
+        qn = QuantumNumbers(n=1, m_phi=1)
+        clamped = ec_solve_energy(qn, p, (0.0, 1e3))
+        assert clamped.energy == pytest.approx(
+            ec_solve_energy(qn, p, (1e-3, 1e3)).energy, rel=1e-13)
+
+    def test_scalar_stays_python_float(self):
+        p = ec_params(constants={"spring_k": 1.0})
+        assert type(ec_quantization_residual(1.5, QuantumNumbers(), p)) \
+            is float
+
+    def test_debug_record_per_solve(self, caplog):
+        p = ec_params(constants={"spring_k": 1.0})
+        qn = QuantumNumbers(n=0, m_phi=0)
+        with caplog.at_level(logging.DEBUG, logger="ncqm.spectra"):
+            res = ec_solve_energy(qn, p, ec_default_bracket(qn, p))
+        (record,) = caplog.records
+        msg = record.getMessage()
+        assert "2401 grid points" in msg
+        assert f"{res.roots_found} sign changes" in msg
+        assert "brentq calls" in msg
 
 
 class TestEcFreeClosed:
