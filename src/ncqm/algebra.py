@@ -127,18 +127,17 @@ def sw_forward(rep: FockRep, theta: float, eta: float) -> MappedRep:
     )
 
 
-def sw_inverse(mapped: MappedRep, theta: float | None = None,
-               eta: float | None = None, exact_k: bool = True) -> dict:
+def sw_inverse(mapped: MappedRep, exact_k: bool = True) -> dict:
     """Invert sw_forward, returning the canonical operator matrices.
 
-    x = k [x^ + (theta/2hbar) p^_y], etc. With exact_k the prefactor is
-    k = 1/(1 - theta*eta/4hbar^2) and the round trip is an identity to
-    roundoff; with exact_k=False the small-strength approximation k = 1
-    is used and the round trip picks up a relative error theta*eta/4hbar^2.
+    x = k [x^ + (theta/2hbar) p^_y], etc., with the map's own theta and
+    eta. With exact_k the prefactor is k = 1/(1 - theta*eta/4hbar^2) and
+    the round trip is an identity to roundoff; with exact_k=False the
+    small-strength approximation k = 1 is used and the round trip picks
+    up a relative error theta*eta/4hbar^2.
     """
     rep = mapped.rep
-    theta = mapped.theta if theta is None else theta
-    eta = mapped.eta if eta is None else eta
+    theta, eta = mapped.theta, mapped.eta
     c = PhysicalConstants(hbar=rep.hbar, mass=rep.mass)
     k = k_factor(theta, eta, c) if exact_k else 1.0
     ct = theta / (2.0 * rep.hbar)

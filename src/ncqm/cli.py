@@ -17,14 +17,12 @@ import json
 import math
 import os
 import sys
+from dataclasses import replace
 
 from . import algebra, fractional, ring, spectra, verify, wavefunctions
 from .errors import ConvergenceError
-from .params import (Mechanism, ModelParams, PhysicalConstants,
+from .params import (_JSON_FIELDS, Mechanism, ModelParams, PhysicalConstants,
                      params_from_dict)
-
-_PARAM_FLAGS = ("eta0", "theta0", "alpha", "beta", "e_ref", "mechanism",
-                "hbar", "mass", "charge", "spring_k")
 
 
 def _add_param_flags(parser):
@@ -42,7 +40,7 @@ def _load_params(args) -> ModelParams:
     if path:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
-    for name in _PARAM_FLAGS:
+    for name in _JSON_FIELDS:
         val = getattr(args, name, None)
         if val is not None:
             doc[name] = val
@@ -175,13 +173,11 @@ def _cmd_fractional(args) -> int:
 
 def _cmd_ring(args) -> int:
     rows = []
-    constants = PhysicalConstants()
-    flux_quantum = 2.0 * math.pi * constants.hbar / constants.charge
+    base = ring.RingSpec(radius=args.radius, alpha_param=args.alpha_param)
     for i in range(args.phi_steps):
         frac = args.phi_start + (args.phi_stop - args.phi_start) * i \
             / max(1, args.phi_steps - 1)
-        spec = ring.RingSpec(radius=args.radius, alpha_param=args.alpha_param,
-                             flux_ext=frac * flux_quantum, constants=constants)
+        spec = replace(base, flux_ext=frac * base.flux_quantum)
         for l in _parse_range(args.l):
             rows.append([frac, l,
                          ring.ring_levels(spec, args.eta, l),

@@ -22,8 +22,7 @@ from scipy import integrate
 
 from .errors import ConvergenceError, DomainError, ValidationError
 from .params import Mechanism, ModelParams, PhysicalConstants
-from .specfun import (DEFAULT_SERIES, SeriesControl, gamma_fn, log_gamma,
-                      mittag_leffler)
+from .specfun import gamma_fn, log_gamma, mittag_leffler
 
 
 @dataclass(frozen=True)
@@ -81,8 +80,7 @@ def caputo_series_derivative(f: PowerSeriesFn, x: float) -> float:
     return acc
 
 
-def caputo_exp(order: float, x: float,
-               ctl: SeriesControl = DEFAULT_SERIES) -> float:
+def caputo_exp(order: float, x: float) -> float:
     """Caputo derivative of exp at order in (0, 1]:  x^(1-a) E_{1,2-a}(x)."""
     if not 0.0 < order <= 1.0:
         raise DomainError(f"order must be in (0, 1], got {order}")
@@ -90,7 +88,7 @@ def caputo_exp(order: float, x: float,
         raise DomainError(f"x must be >= 0, got {x}")
     if x == 0.0:
         return 1.0 if order == 1.0 else 0.0
-    return x ** (1.0 - order) * mittag_leffler(1.0, 2.0 - order, x, ctl)
+    return x ** (1.0 - order) * mittag_leffler(1.0, 2.0 - order, x)
 
 
 def liouville_exp(order: float, k: float, x: float) -> float:
@@ -104,8 +102,7 @@ def liouville_exp(order: float, k: float, x: float) -> float:
     return k ** order * math.exp(k * x)
 
 
-def riemann_liouville(f, order: float, x: float,
-                      ctl: SeriesControl = DEFAULT_SERIES) -> float:
+def riemann_liouville(f, order: float, x: float) -> float:
     """Left-sided Riemann-Liouville differintegral of order nu at x > 0.
 
     Computes (1/Gamma(n-nu)) d^n/dx^n  Int_0^x f(t) (x-t)^(n-nu-1) dt with
@@ -131,10 +128,8 @@ def riemann_liouville(f, order: float, x: float,
         def integrand(s):
             return f(y - s ** (1.0 / mu))
 
-        val, err = integrate.quad(integrand, 0.0, top,
-                                  epsabs=ctl.abs_tol * 10,
-                                  epsrel=ctl.rel_tol * 10,
-                                  limit=ctl.max_terms)
+        val, err = integrate.quad(integrand, 0.0, top, epsabs=1e-15,
+                                  epsrel=1e-13, limit=500)
         if not math.isfinite(val):
             raise ConvergenceError("riemann_liouville inner quadrature failed")
         return val / mu
@@ -193,8 +188,7 @@ def plane_wave_eigenvalue(order: float, energy: float,
 
 
 def caputo_plane_wave(order: float, energy: float, t: float,
-                      c: PhysicalConstants,
-                      ctl: SeriesControl = DEFAULT_SERIES) -> complex:
+                      c: PhysicalConstants) -> complex:
     """Caputo derivative (terminal 0) of exp(-i E t / hbar) at time t.
 
     Equals (-iE/hbar) t^(1-a) E_{1,2-a}(-iE t/hbar). For order < 1 this is
@@ -211,11 +205,10 @@ def caputo_plane_wave(order: float, energy: float, t: float,
     if t == 0.0:
         return lam if order == 1.0 else 0.0 + 0.0j
     return lam * t ** (1.0 - order) * mittag_leffler(1.0, 2.0 - order,
-                                                     lam * t, ctl)
+                                                     lam * t)
 
 
-def eo_coefficients(p: ModelParams, case: str | None = None
-                    ) -> tuple[complex, complex]:
+def eo_coefficients(p: ModelParams) -> tuple[complex, complex]:
     """Complex strength coefficients of the energy-operator representation.
 
     Case I  (energy -> i hbar d/dt):    eta0 (i hbar/e_ref)^alpha,
@@ -223,24 +216,18 @@ def eo_coefficients(p: ModelParams, case: str | None = None
     Case II (energy -> -hbar^2/2m Lap): eta0 (-hbar^2/2m e_ref)^alpha,
                                         theta0 (-hbar^2/2m e_ref)^beta.
 
-    Principal branches throughout. The accompanying fractional operator
-    (D_t or the Laplacian power) multiplies these; at alpha = 1 case I the
-    product with the plane-wave eigenvalue is real and reduces to the
+    The case follows p.mechanism (EO_I or EO_II). Principal branches
+    throughout. The accompanying fractional operator (D_t or the
+    Laplacian power) multiplies these; at alpha = 1 case I the product
+    with the plane-wave eigenvalue is real and reduces to the
     energy-coupling value eta0 * E / e_ref.
     """
-    if case is None:
-        case = {Mechanism.EO_I: "I", Mechanism.EO_II: "II"}.get(p.mechanism)
-        if case is None:
-            raise ValidationError(
-                f"mechanism {p.mechanism.value} is not an energy-operator case")
-    elif p.mechanism not in (Mechanism.EO_I, Mechanism.EO_II):
-        raise ValidationError(
-            f"mechanism {p.mechanism.value} is not an energy-operator case")
     c = p.constants
-    if case == "I":
+    if p.mechanism is Mechanism.EO_I:
         base = complex(0.0, c.hbar / p.e_ref)
-    elif case == "II":
+    elif p.mechanism is Mechanism.EO_II:
         base = complex(-c.hbar ** 2 / (2.0 * c.mass * p.e_ref), 0.0)
     else:
-        raise ValidationError(f"case must be 'I' or 'II', got {case!r}")
+        raise ValidationError(
+            f"mechanism {p.mechanism.value} is not an energy-operator case")
     return p.eta0 * base ** p.alpha_exp, p.theta0 * base ** p.beta_exp

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import json
 import math
-import warnings
 
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
@@ -81,8 +80,7 @@ def radial_fd_eigensolve(m_star: float, b_field: float, k_elastic: float,
 
 def fock_matrix_eigensolve(n_trunc: int, m_star: float, b_field: float,
                            k_elastic: float, c: PhysicalConstants, count: int,
-                           with_labels: bool = False,
-                           check_convergence: bool = False):
+                           with_labels: bool = False):
     """Lowest eigenvalues of the dense two-mode Fock Hamiltonian.
 
     The representation is built at the natural frequency sqrt(K/m*), in
@@ -100,37 +98,22 @@ def fock_matrix_eigensolve(n_trunc: int, m_star: float, b_field: float,
     if m_star <= 0 or k_elastic <= 0:
         raise ValidationError("m_star and k_elastic must be positive")
 
-    def build(n):
-        rep = build_heisenberg_rep(
-            n, PhysicalConstants(hbar=c.hbar, mass=m_star),
-            ref_frequency=math.sqrt(k_elastic / m_star))
-        lz = rep.x @ rep.py - rep.y @ rep.px
-        ham = ((rep.px @ rep.px + rep.py @ rep.py) / (2.0 * m_star)
-               - b_field * lz
-               + 0.5 * k_elastic * (rep.x @ rep.x + rep.y @ rep.y))
-        return ham, lz
-
-    ham, lz = build(n_trunc)
-    if with_labels:
-        vals, vecs = np.linalg.eigh(ham)
-        order = np.argsort(vals)[:count]
-        energies = vals[order]
-        labels = np.array([
-            round(float((vecs[:, i].conj() @ (lz @ vecs[:, i])).real / c.hbar))
-            for i in order])
-    else:
-        energies = np.sort(np.linalg.eigvalsh(ham))[:count]
-        labels = None
-    if check_convergence:
-        bigger, _ = build(n_trunc + 5)
-        ref = np.sort(np.linalg.eigvalsh(bigger))[:count]
-        shift = float(np.max(np.abs(ref - energies)))
-        if shift > 1e-8:
-            warnings.warn(f"truncation not converged: max level shift "
-                          f"{shift:.2e} under n_trunc + 5", stacklevel=2)
-    if with_labels:
-        return energies, labels
-    return energies
+    rep = build_heisenberg_rep(
+        n_trunc, PhysicalConstants(hbar=c.hbar, mass=m_star),
+        ref_frequency=math.sqrt(k_elastic / m_star))
+    lz = rep.x @ rep.py - rep.y @ rep.px
+    ham = ((rep.px @ rep.px + rep.py @ rep.py) / (2.0 * m_star)
+           - b_field * lz
+           + 0.5 * k_elastic * (rep.x @ rep.x + rep.y @ rep.y))
+    del rep  # free its six dense operators before the eigensolver runs
+    if not with_labels:
+        return np.sort(np.linalg.eigvalsh(ham))[:count]
+    vals, vecs = np.linalg.eigh(ham)
+    order = np.argsort(vals)[:count]
+    labels = np.array([
+        round(float((vecs[:, i].conj() @ (lz @ vecs[:, i])).real / c.hbar))
+        for i in order])
+    return vals[order], labels
 
 
 # Fixed-point stage of self_consistent_wrap: iteration budget and the

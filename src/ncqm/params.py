@@ -107,23 +107,17 @@ class EffectiveCoefficients:
     noncommutativity alone; b_h, k_h and m_star include the oscillator
     potential's contribution through the coordinate strength. omega_h is
     the generalized frequency sqrt(k_h/m_star); omega_eps = sqrt(k_e/m)
-    is the free-particle effective frequency.
+    is the free-particle effective frequency. The rescaled algebra and
+    the inverse-map factor k(E) are rescaled_strengths and k_factor of
+    nc_strengths(p, E).
     """
 
-    energy: float
-    theta: float
-    eta: float
     b_e: float
     k_e: float
     b_h: float
     k_h: float
     m_star: float
     hbar_eff: float
-    theta_eff: float
-    eta_eff: float
-    xi_scale: float
-    k_of_e: float
-    omega: float
     omega_h: float
     omega_eps: float
 
@@ -167,7 +161,11 @@ def _power(amplitude: float, ratio, exponent: float, name: str):
     if exponent < 0 and _any(ratio == 0.0):
         raise SingularityError(f"E=0 with negative exponent {name}={exponent}")
     # 0**0 = 1 and 0**exponent = 0 for exponent > 0, as the limits require
-    return amplitude * ratio ** exponent
+    try:
+        return amplitude * ratio ** exponent
+    except OverflowError:  # float ** raises where an array carries inf
+        raise SingularityError(f"{name}={exponent} strength overflows at "
+                               f"E/e_ref={ratio!r}") from None
 
 
 def effective_planck(theta: float, eta: float, c: PhysicalConstants) -> float:
@@ -205,33 +203,25 @@ def k_factor(theta: float, eta: float, c: PhysicalConstants) -> float:
     mode (see algebra.sw_inverse); this function always returns the exact
     value and raises on the pole theta*eta = 4 hbar^2.
     """
-    k = _inverse_map_factor(theta, eta, c)
-    if k == math.inf:
-        raise SingularityError("k(E) pole: theta*eta = 4*hbar^2")
-    return k
-
-
-def _inverse_map_factor(theta, eta, c: PhysicalConstants):
-    """1 / (1 - theta*eta/4hbar^2) of scalars or arrays, inf on the pole."""
     zeta = theta * eta / (4.0 * c.hbar ** 2)
-    if isinstance(zeta, np.ndarray):
-        with np.errstate(divide="ignore"):
-            return 1.0 / (1.0 - zeta)
-    return math.inf if zeta == 1.0 else 1.0 / (1.0 - zeta)
+    if zeta == 1.0:
+        raise SingularityError("k(E) pole: theta*eta = 4*hbar^2")
+    return 1.0 / (1.0 - zeta)
 
 
-def rescaled_strengths(theta, eta, c: PhysicalConstants) -> tuple:
+def rescaled_strengths(theta: float, eta: float,
+                       c: PhysicalConstants) -> tuple:
     """Rescaling that restores a constant Planck coefficient.
 
-    Returns (theta_eff, eta_eff, xi) with xi = (1 + theta*eta/4hbar^2)^(-1/2)
-    and theta_eff = xi^2 * theta, eta_eff = xi^2 * eta. By construction
-    hbar * xi^2 * (1 + theta*eta/4hbar^2) = hbar. Scalars or arrays of
-    strengths; the denominator must be positive everywhere.
+    Returns (theta', eta', xi) with xi = (1 + theta*eta/4hbar^2)^(-1/2)
+    and theta' = xi^2 * theta, eta' = xi^2 * eta. By construction
+    hbar * xi^2 * (1 + theta*eta/4hbar^2) = hbar. The denominator must be
+    positive.
     """
     denom = 1.0 + theta * eta / (4.0 * c.hbar ** 2)
-    if _any(denom <= 0):
+    if denom <= 0:
         raise DomainError(f"1 + theta*eta/4hbar^2 must be positive, got "
-                          f"{np.min(denom)}")
+                          f"{denom}")
     xi = denom ** -0.5
     return theta / denom, eta / denom, xi
 
@@ -252,32 +242,25 @@ def effective_coefficients(p: ModelParams, energy) -> EffectiveCoefficients:
     theta, eta = nc_strengths(p, energy)
     c = p.constants
     hbar, m, k = c.hbar, c.mass, c.spring_k
+    try:
+        theta2, eta2 = theta ** 2, eta ** 2
+    except OverflowError:  # float ** raises where an array carries inf
+        raise SingularityError(f"the strengths theta={theta!r}, eta={eta!r} "
+                               f"at E={energy!r} overflow when squared"
+                               ) from None
     b_e = eta / (2.0 * m * hbar)
-    k_e = eta ** 2 / (8.0 * m * hbar ** 2)
-    inv_m_star = 1.0 / m + k * theta ** 2 / (4.0 * hbar ** 2)
+    k_e = eta2 / (8.0 * m * hbar ** 2)
+    inv_m_star = 1.0 / m + k * theta2 / (4.0 * hbar ** 2)
     m_star = 1.0 / inv_m_star
     b_h = b_e + k * theta / (2.0 * hbar)
     k_h = k + k_e
-    theta_eff, eta_eff, xi = rescaled_strengths(theta, eta, c)
-    omega = math.sqrt(k / m)
     return EffectiveCoefficients(
-        energy=energy,
-        theta=theta,
-        eta=eta,
         b_e=b_e,
         k_e=k_e,
         b_h=b_h,
         k_h=k_h,
         m_star=m_star,
         hbar_eff=effective_planck(theta, eta, c),
-        theta_eff=theta_eff,
-        eta_eff=eta_eff,
-        xi_scale=xi,
-        # the inverse-map factor has a pole at theta*eta = 4 hbar^2; the
-        # other coefficients stay finite there, so it records inf there
-        k_of_e=_inverse_map_factor(theta, eta, c),
-        omega=np.full(np.shape(energy), omega)
-        if isinstance(energy, np.ndarray) else omega,
         omega_h=_sqrt(k_h / m_star),
         omega_eps=_sqrt(k_e / m),
     )

@@ -285,12 +285,13 @@ def ec_solve_energy(qn: QuantumNumbers, p: ModelParams,
                           bracket=bracket, roots_found=len(brackets))
 
 
-def ec_default_bracket(qn: QuantumNumbers, p: ModelParams,
-                       span: float = 1e6) -> tuple[float, float]:
-    """A generous bracket around the commutative scale of the level."""
+def ec_default_bracket(qn: QuantumNumbers,
+                       p: ModelParams) -> tuple[float, float]:
+    """A generous bracket, six decades either side of the commutative
+    scale of the level."""
     c = p.constants
     scale = max(p.e_ref, c.hbar * max(c.omega, 1.0 / p.e_ref) * qn.radial_weight)
-    return (scale / span, scale * span)
+    return (scale / 1e6, scale * 1e6)
 
 
 def ec_free_energy_closed(qn: QuantumNumbers, p: ModelParams) -> float:
@@ -390,8 +391,8 @@ def eo_alpha1_radial_params(energy: float, qn: QuantumNumbers, b_i: float,
                             ) -> tuple[float, float]:
     """Radial-equation parameters of the energy-operator model at order 1.
 
-    Returns (xi_scale, sigma): the dimensionless radial coordinate is
-    xi = xi_scale * r with xi_scale = (m K_I E^2)^(1/4) / hbar, and
+    Returns (xi_per_r, sigma): the dimensionless radial coordinate is
+    xi = xi_per_r * r with xi_per_r = (m K_I E^2)^(1/4) / hbar, and
     sigma = 2 sqrt(m) (1 + m_phi B_I) / sqrt(K_I) plays the role of the
     quantization combination. sigma is energy-independent, so the bound
     condition sigma = 2 (2n + m_phi + 1) constrains the parameters rather
@@ -401,9 +402,9 @@ def eo_alpha1_radial_params(energy: float, qn: QuantumNumbers, b_i: float,
         raise DomainError(f"K_I must be positive, got {k_i}")
     if energy <= 0:
         raise DomainError(f"energy must be positive, got {energy}")
-    xi_scale = (c.mass * k_i * energy ** 2) ** 0.25 / c.hbar
+    xi_per_r = (c.mass * k_i * energy ** 2) ** 0.25 / c.hbar
     sigma = 2.0 * math.sqrt(c.mass) * (1.0 + qn.m_phi * b_i) / math.sqrt(k_i)
-    return xi_scale, sigma
+    return xi_per_r, sigma
 
 
 def eo_alpha1_constraint_residual(sigma: float, qn: QuantumNumbers) -> float:

@@ -52,19 +52,20 @@ class RadialSolution:
         return self.c_norm * radial_bessel(self.m_phi, self.c_big, xi)
 
 
-def radial_bessel(m_phi: int, c_big: float, xi, window: float = BESSEL_WINDOW):
+def radial_bessel(m_phi: int, c_big: float, xi):
     """Small-xi branch J_m(sqrt(C) xi) of the radial equation.
 
     The singular second-kind branch is excluded by regularity at the
-    origin. Outside the validity window xi^2 <= window * C a warning is
-    emitted (evaluation still proceeds).
+    origin. Outside the validity window xi^2 <= BESSEL_WINDOW * C a
+    warning is emitted (evaluation still proceeds).
     """
     if c_big <= 0:
         raise DomainError(f"C must be positive, got {c_big}")
     xi_arr = np.asarray(xi, dtype=float)
-    if np.any(xi_arr ** 2 > window * c_big):
+    if np.any(xi_arr ** 2 > BESSEL_WINDOW * c_big):
         warnings.warn(
-            f"xi^2 exceeds the Bessel-branch window xi^2 <= {window:g}*C",
+            f"xi^2 exceeds the Bessel-branch window xi^2 <= "
+            f"{BESSEL_WINDOW:g}*C",
             stacklevel=2)
     return bessel_j(m_phi, math.sqrt(c_big) * np.abs(xi_arr))
 
@@ -81,24 +82,14 @@ def normalization_constant(n: int, m_phi: int, lambda_scale: float) -> float:
     """Amplitude c making int_0^inf [c R_n^(m)(r)]^2 r dr = 1.
 
     c = sqrt(2 lambda n! / (n + m_phi)!), evaluated in log space so that
-    n + m_phi up to ~150 stays finite. The squared value is exposed as
-    paper_normalization.
+    n + m_phi up to ~150 stays finite. The closed form fixes the squared
+    amplitude 2 lambda n!/(n+m_phi)!; quadrature needs its square root.
     """
     if lambda_scale <= 0:
         raise DomainError(f"lambda_scale must be positive, got {lambda_scale}")
     log_c2 = (math.log(2.0 * lambda_scale)
               + log_gamma(n + 1.0) - log_gamma(n + m_phi + 1.0))
     return math.exp(0.5 * log_c2)
-
-
-def paper_normalization(n: int, m_phi: int, lambda_scale: float) -> float:
-    """The literal constant 2 lambda n!/(n+m_phi)! (square of the amplitude).
-
-    Dimensionally this is c^2 of normalization_constant; it is kept as a
-    documented secondary accessor because the displayed closed form fixes
-    the squared amplitude, while quadrature tests need the square root.
-    """
-    return normalization_constant(n, m_phi, lambda_scale) ** 2
 
 
 def ec_radial_solution(qn, p: ModelParams, energy: float,

@@ -7,6 +7,7 @@ which every default-table level is bound. Examples are derandomized so
 that the suite checks the same draws on every run.
 """
 
+import dataclasses
 import math
 import sys
 
@@ -19,8 +20,9 @@ from hypothesis import strategies as st  # noqa: E402
 
 from ncqm.algebra import (build_heisenberg_rep, sw_forward,  # noqa: E402
                           sw_inverse)
-from ncqm.params import (Mechanism, ModelParams,  # noqa: E402
-                         PhysicalConstants, effective_coefficients, k_factor)
+from ncqm.params import (EffectiveCoefficients, Mechanism,  # noqa: E402
+                         ModelParams, PhysicalConstants,
+                         effective_coefficients, k_factor)
 from ncqm.ring import (RingSpec, ground_level_index,  # noqa: E402
                        ground_persistent_current, nc_flux, persistent_current,
                        ring_levels)
@@ -129,9 +131,18 @@ def test_array_scan_matches_scalar_scan(case):
     values = ec_quantization_residual(grid, qn, p)
     assert values.shape == grid.shape
     hbar = p.constants.hbar
+    # every coefficient of the array call is the scalar call's within a
+    # few ulp (numpy's and libm's pow may round the strengths differently)
+    coeffs = effective_coefficients(p, grid)
+    points = [effective_coefficients(p, e) for e in grid.tolist()]
+    for field in dataclasses.fields(EffectiveCoefficients):
+        column = getattr(coeffs, field.name)
+        assert column.shape == grid.shape, field.name
+        np.testing.assert_allclose(
+            column, [getattr(c, field.name) for c in points],
+            rtol=8.0 * sys.float_info.epsilon, atol=0.0, err_msg=field.name)
     scalar = []
-    for e, v in zip(grid.tolist(), values.tolist()):
-        coeff = effective_coefficients(p, e)
+    for e, v, coeff in zip(grid.tolist(), values.tolist(), points):
         lhs = hbar / math.sqrt(coeff.m_star) * qn.radial_weight
         rhs = (e + qn.m_phi * hbar * coeff.b_h) / math.sqrt(coeff.k_h)
         s = ec_quantization_residual(e, qn, p)

@@ -217,6 +217,23 @@ class TestArrayResidual:
         assert clamped.energy == pytest.approx(
             ec_solve_energy(qn, p, (1e-3, 1e3)).energy, rel=1e-13)
 
+    @pytest.mark.parametrize("exponents", [{"alpha_exp": -2.0},
+                                           {"beta_exp": -1.0}],
+                             ids=["alpha_strength", "beta_square"])
+    def test_float_overflow_near_zero_is_singular(self, exponents):
+        # at E = 1e-300 eta = eta0 (E/e_ref)^-2, or theta^2 with
+        # theta = theta0 (E/e_ref)^-1, leaves the float range: a float
+        # energy raises the typed error, while the scan of a lo = 0
+        # bracket carries inf there and still finds the level
+        p = ec_params(constants={"spring_k": 1.0}, **exponents)
+        qn = QuantumNumbers(n=1, m_phi=1)
+        with pytest.raises(SingularityError):
+            ec_quantization_residual(1e-300, qn, p)
+        with np.errstate(all="ignore"):
+            clamped = ec_solve_energy(qn, p, (0.0, 1e3))
+        assert clamped.energy == pytest.approx(
+            ec_solve_energy(qn, p, (1e-6, 1e3)).energy, rel=1e-13)
+
     def test_scalar_stays_python_float(self):
         p = ec_params(constants={"spring_k": 1.0})
         assert type(ec_quantization_residual(1.5, QuantumNumbers(), p)) \

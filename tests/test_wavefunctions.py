@@ -12,7 +12,7 @@ from ncqm.specfun import gamma_fn
 from ncqm.wavefunctions import (GridField, divergence, ec_radial_solution,
                                 ground_state_free, ground_state_oscillator,
                                 modified_norm, nonlocality_bound, omega_eff,
-                                orthogonality_kernel, paper_normalization,
+                                orthogonality_kernel,
                                 probability_current, normalization_constant,
                                 radial_bessel, radial_laguerre)
 
@@ -107,11 +107,6 @@ class TestNormalization:
     def test_m2_amplitude(self):
         assert normalization_constant(0, 2, 1.0) == pytest.approx(1.0,
                                                                   rel=1e-14)
-
-    def test_paper_value_is_square(self):
-        for (n, m_phi, lam) in ((0, 0, 1.0), (2, 3, 0.4)):
-            assert paper_normalization(n, m_phi, lam) == pytest.approx(
-                normalization_constant(n, m_phi, lam) ** 2, rel=1e-13)
 
     @pytest.mark.parametrize("n", range(5))
     @pytest.mark.parametrize("m_phi", range(5))
