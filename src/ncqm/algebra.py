@@ -43,8 +43,6 @@ class FockRep:
     ref_frequency: float
     hbar: float
     mass: float
-    a: np.ndarray
-    b: np.ndarray
     x: np.ndarray
     y: np.ndarray
     px: np.ndarray
@@ -98,8 +96,6 @@ def build_heisenberg_rep(n_trunc: int, c: PhysicalConstants,
         ref_frequency=ref_frequency,
         hbar=c.hbar,
         mass=c.mass,
-        a=a1,
-        b=b1,
         x=x_scale * (a1 + a1.conj().T),
         y=x_scale * (b1 + b1.conj().T),
         px=1j * p_scale * (a1.conj().T - a1),
@@ -191,28 +187,22 @@ class ResidualEntry:
         }
 
 
-def commutator_residuals(mapped: MappedRep,
-                         targets: tuple[float, float, float] | None = None
-                         ) -> list[ResidualEntry]:
+def commutator_residuals(mapped: MappedRep) -> list[ResidualEntry]:
     """Interior-block residuals of the mapped commutators.
 
-    targets is (theta, eta, hbar_eff); when omitted, theta and eta are
-    taken from the map and hbar_eff from the symmetric-map formula. The
-    off-diagonal coordinate-momentum commutators [x^, p^_y] and [y^, p^_x]
-    vanish identically for a single noncommutative plane, so their target
-    is 0. Residuals are max absolute entries of C - i*target*I restricted
-    to the interior block.
+    The targets are the map's theta and eta and the symmetric-map hbar_eff
+    (so a one-sided map shows its missing Planck shift in [x,px]). The
+    off-diagonal [x^, p^_y] and [y^, p^_x] vanish identically for a single
+    noncommutative plane, so their target is 0. Residuals are max absolute
+    entries of C - i*target*I restricted to the interior block.
     """
     rep = mapped.rep
-    if targets is None:
-        c = PhysicalConstants(hbar=rep.hbar, mass=rep.mass)
-        targets = (mapped.theta, mapped.eta,
-                   effective_planck(mapped.theta, mapped.eta, c))
-    theta_t, eta_t, hbar_eff = targets
+    c = PhysicalConstants(hbar=rep.hbar, mass=rep.mass)
+    hbar_eff = effective_planck(mapped.theta, mapped.eta, c)
     mask = rep.interior_mask()
     checks = [
-        ("[x,y]", theta_t, _commutator(mapped.x, mapped.y)),
-        ("[px,py]", eta_t, _commutator(mapped.px, mapped.py)),
+        ("[x,y]", mapped.theta, _commutator(mapped.x, mapped.y)),
+        ("[px,py]", mapped.eta, _commutator(mapped.px, mapped.py)),
         ("[x,px]", hbar_eff, _commutator(mapped.x, mapped.px)),
         ("[y,py]", hbar_eff, _commutator(mapped.y, mapped.py)),
         ("[x,py]", 0.0, _commutator(mapped.x, mapped.py)),

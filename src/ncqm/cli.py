@@ -31,7 +31,7 @@ def _add_param_flags(parser):
     parser.add_argument("--mechanism", choices=[m.value for m in Mechanism])
     for name in ("eta0", "theta0", "alpha", "beta", "e-ref", "hbar", "mass",
                  "charge", "spring-k"):
-        parser.add_argument(f"--{name}", type=float, dest=name.replace("-", "_"))
+        parser.add_argument(f"--{name}", type=real, dest=name.replace("-", "_"))
 
 
 def _load_params(args) -> ModelParams:
@@ -47,11 +47,21 @@ def _load_params(args) -> ModelParams:
     return params_from_dict(doc)
 
 
+def real(text: str) -> float:
+    """Type of the float flags and --x items: NaN and infinities fail
+    (argparse reports "invalid real value", hence the plain name)."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"not a finite number: {text!r}")
+    return value
+
+
 def _parse_range(text: str) -> list[int]:
-    if ".." in text:
-        lo, hi = text.split("..", 1)
-        return list(range(int(lo), int(hi) + 1))
-    return [int(text)]
+    lo, sep, hi = text.partition("..")
+    values = list(range(int(lo), int(hi if sep else lo) + 1))
+    if not values:
+        raise ValueError(f"empty range {text!r}: lo..hi needs hi >= lo")
+    return values
 
 
 def _write_text(path: str | None, text: str):
@@ -142,7 +152,7 @@ def _cmd_commutators(args) -> int:
 
 
 def _cmd_fractional(args) -> int:
-    xs = [float(t) for t in args.x.split(",")]
+    xs = [real(t) for t in args.x.split(",")]
     rows = []
     c = PhysicalConstants()
     for x in xs:
@@ -209,9 +219,9 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--mphi", default="0..3", help="angular range")
     sp.add_argument("--n-alpha", default="0..2", dest="n_alpha")
     sp.add_argument("--n-beta", default="0..2", dest="n_beta")
-    sp.add_argument("--eps", type=float, help="fluctuation scale (sqf)")
-    sp.add_argument("--bracket", type=float, nargs=2, metavar=("LO", "HI"))
-    sp.add_argument("--tol", type=float, default=1e-12)
+    sp.add_argument("--eps", type=real, help="fluctuation scale (sqf)")
+    sp.add_argument("--bracket", type=real, nargs=2, metavar=("LO", "HI"))
+    sp.add_argument("--tol", type=real, default=1e-12)
     sp.add_argument("--out", default="-")
     sp.set_defaults(fn=_cmd_spectrum)
 
@@ -219,17 +229,17 @@ def build_parser() -> argparse.ArgumentParser:
     _add_param_flags(wv)
     wv.add_argument("--n", type=int, default=0)
     wv.add_argument("--mphi", type=int, default=0)
-    wv.add_argument("--energy", type=float,
+    wv.add_argument("--energy", type=real,
                     help="evaluate at this energy (default: solve)")
-    wv.add_argument("--r-max", type=float, default=6.0, dest="r_max")
+    wv.add_argument("--r-max", type=real, default=6.0, dest="r_max")
     wv.add_argument("--points", type=int, default=200)
     wv.add_argument("--out", default="-")
     wv.set_defaults(fn=_cmd_wavefunction)
 
     cm = sub.add_parser("commutators", help="deformed-algebra residuals")
-    cm.add_argument("--theta", type=float, required=True)
-    cm.add_argument("--eta", type=float, required=True)
-    cm.add_argument("--hbar", type=float, default=1.0)
+    cm.add_argument("--theta", type=real, required=True)
+    cm.add_argument("--eta", type=real, required=True)
+    cm.add_argument("--hbar", type=real, default=1.0)
     cm.add_argument("--n-trunc", type=int, default=30, dest="n_trunc")
     cm.add_argument("--out", default="-")
     cm.set_defaults(fn=_cmd_commutators)
@@ -239,21 +249,21 @@ def build_parser() -> argparse.ArgumentParser:
                     choices=["caputo_exp", "half_derivative_x",
                              "gl_half_derivative_x", "mittag_leffler",
                              "plane_wave"])
-    fr.add_argument("--order", type=float, default=0.5)
-    fr.add_argument("--ml-beta", type=float, default=1.0, dest="ml_beta")
-    fr.add_argument("--step", type=float, default=1e-3)
+    fr.add_argument("--order", type=real, default=0.5)
+    fr.add_argument("--ml-beta", type=real, default=1.0, dest="ml_beta")
+    fr.add_argument("--step", type=real, default=1e-3)
     fr.add_argument("--x", default="1.0", help="comma-separated points")
     fr.add_argument("--out", default="-")
     fr.set_defaults(fn=_cmd_fractional)
 
     rg = sub.add_parser("ring", help="mesoscopic-ring flux sweep")
-    rg.add_argument("--radius", type=float, default=1.0)
-    rg.add_argument("--alpha-param", type=float, default=1.0,
+    rg.add_argument("--radius", type=real, default=1.0)
+    rg.add_argument("--alpha-param", type=real, default=1.0,
                     dest="alpha_param")
-    rg.add_argument("--eta", type=float, default=0.1)
+    rg.add_argument("--eta", type=real, default=0.1)
     rg.add_argument("--l", default="-2..2")
-    rg.add_argument("--phi-start", type=float, default=-1.0, dest="phi_start")
-    rg.add_argument("--phi-stop", type=float, default=1.0, dest="phi_stop")
+    rg.add_argument("--phi-start", type=real, default=-1.0, dest="phi_start")
+    rg.add_argument("--phi-stop", type=real, default=1.0, dest="phi_stop")
     rg.add_argument("--phi-steps", type=int, default=41, dest="phi_steps")
     rg.add_argument("--out", default="-")
     rg.set_defaults(fn=_cmd_ring)

@@ -6,13 +6,19 @@ difference) and records a pass/fail against a fixed tolerance. Known
 model-level disagreements are reported as expected-divergence entries:
 they are part of the model's documented behavior, so they neither fail
 the suite nor silently pass.
+
+Each route below takes its samples and returns raw measurements; the
+check_* functions bind the report's samples and the tolerance constants,
+and the acceptance criteria run the routes on wider samples.
 """
 
 from __future__ import annotations
 
 import cmath
+import itertools
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 from scipy import integrate
@@ -26,6 +32,24 @@ PASS = "pass"
 FAIL = "fail"
 DIVERGENCE = "expected_divergence"
 
+# Tolerances of the cross-checks.
+COMMUTATOR_TOL = 1e-10       # interior residual of a mapped commutator
+ROUND_TRIP_TOL = 1e-12       # exact-k round trip, absolute
+ROUND_TRIP_BAND = (0.5, 2.0)  # k~1 relative error over theta*eta/4hbar^2
+HBAR_EFF_TOL = 1e-12         # measured [x,px] vs effective_planck
+CLOSED_VS_ROOT_TOL = 1e-9    # relative
+ROOT_VS_ORACLE_TOL = 1e-6    # relative
+HALF_DERIVATIVE_TOL = 1e-8   # power-series route, absolute
+GL_RICHARDSON_TOL = 1e-6     # Richardson-extrapolated GL route, absolute
+CAPUTO_EXP_TOL = 1e-10       # scaled by max(1, |series|)
+PLANE_WAVE_TOL = 1e-14       # |a_2 + E^2| (a_1 = -iE is exact)
+BETA_QUADRATURE_TOL = 1e-8   # relative
+RING_FD_TOL = 1e-10          # finite-difference current
+RING_PERIOD_TOL = 1e-14      # relative, flux-quantum periodicity
+
+N_TRUNC = 30  # samples of check_sw_commutators
+SW_PAIRS = ((0.1, 0.05), (0.7, 0.3), (1.0, 1.0))
+
 
 def _check(name, ok, detail, **data):
     return {"name": name, "status": PASS if ok else FAIL,
@@ -37,33 +61,155 @@ def _divergence(name, detail, **data):
             "data": data}
 
 
-def check_sw_commutators(n_trunc=30, pairs=((0.1, 0.05), (0.7, 0.3), (1.0, 1.0)),
-                         tol=1e-10):
-    c = PhysicalConstants()
-    rep = algebra.build_heisenberg_rep(n_trunc, c)
-    worst = 0.0
+def sw_commutator_residuals(n_trunc, pairs) -> list[float]:
+    """Per (theta, eta): the largest interior residual of the six mapped
+    commutators, formed by direct matrix products."""
+    rep = algebra.build_heisenberg_rep(n_trunc, PhysicalConstants())
+    return [max(e.max_residual for e in algebra.commutator_residuals(
+        algebra.sw_forward(rep, theta, eta))) for theta, eta in pairs]
+
+
+def sw_round_trip(n_trunc, pairs) -> list[tuple[float, float, float]]:
+    """Per (theta, eta): the exact-k round-trip absolute error, the k~1
+    relative error of x, and zeta = theta*eta/4hbar^2 that it tracks."""
+    rep = algebra.build_heisenberg_rep(n_trunc, PhysicalConstants())
+    out = []
     for theta, eta in pairs:
         mapped = algebra.sw_forward(rep, theta, eta)
-        for entry in algebra.commutator_residuals(mapped):
-            worst = max(worst, entry.max_residual)
-    return _check("sw_map_commutators", worst <= tol,
-                  f"max interior residual {worst:.3e} (tol {tol:g})",
-                  max_residual=worst, tol=tol, n_trunc=n_trunc)
+        exact = algebra.sw_inverse(mapped, exact_k=True)
+        err_exact = max(float(np.max(np.abs(exact[k] - getattr(rep, k))))
+                        for k in ("x", "y", "px", "py"))
+        approx = algebra.sw_inverse(mapped, exact_k=False)["x"]
+        rel = float(np.max(np.abs(approx - rep.x)) / np.max(np.abs(rep.x)))
+        out.append((err_exact, rel, theta * eta / (4.0 * rep.hbar ** 2)))
+    return out
 
 
-def check_sw_round_trip(tol=1e-12):
-    c = PhysicalConstants()
-    rep = algebra.build_heisenberg_rep(24, c)
-    theta, eta = 0.1, 0.05
-    mapped = algebra.sw_forward(rep, theta, eta)
-    exact = algebra.sw_inverse(mapped, exact_k=True)
-    err_exact = max(float(np.max(np.abs(exact[k] - getattr(rep, k))))
-                    for k in ("x", "y", "px", "py"))
-    approx = algebra.sw_inverse(mapped, exact_k=False)
-    zeta = theta * eta / (4.0 * c.hbar ** 2)
-    rel = float(np.max(np.abs(approx["x"] - rep.x)) / np.max(np.abs(rep.x)))
+def ec_closed_vs_root(alphas, eta0s, e_refs, levels) -> list[float]:
+    """Relative gap of the EC free-particle root from its closed form, on
+    the grid alphas x eta0s x e_refs x levels (beta = alpha, theta0 = 0)."""
+    out = []
+    for alpha, eta0, e_ref in itertools.product(alphas, eta0s, e_refs):
+        p = ModelParams(eta0=eta0, theta0=0.0, alpha_exp=alpha,
+                        beta_exp=alpha, e_ref=e_ref, mechanism=Mechanism.EC)
+        for n, m_phi in levels:
+            qn = spectra.QuantumNumbers(n=n, m_phi=m_phi)
+            closed = spectra.ec_free_energy_closed(qn, p)
+            res = spectra.ec_solve_energy(qn, p, (closed * 1e-5, closed * 1e5),
+                                          tol=1e-14)
+            out.append(abs(res.energy - closed) / closed)
+    return out
+
+
+def ec_root_vs_oracle(p, levels) -> list[float]:
+    """Relative gap of the radial self-consistent oracle from the EC root."""
+    out = []
+    for n, m_phi in levels:
+        qn = spectra.QuantumNumbers(n=n, m_phi=m_phi)
+        root = spectra.ec_solve_energy(qn, p, (1e-4, 1e3), tol=1e-13)
+        sc = oracle.self_consistent_wrap("radial", p, qn, tol=1e-9)
+        out.append(abs(root.energy - sc) / root.energy)
+    return out
+
+
+def commutative_recovery(c, ec_levels, eps, sqf_levels):
+    """(level, commutative level) pairs at zero strengths, equal exactly:
+    EC roots per (n, m_phi), then SQF levels per (n_alpha, n_beta) at eps."""
+    zero = dict(eta0=0.0, theta0=0.0, constants=c)
+    ec = ModelParams(mechanism=Mechanism.EC, **zero)
+    sqf = ModelParams(mechanism=Mechanism.SQF, **zero)
+    out = []
+    for n, m_phi in ec_levels:
+        qn = spectra.QuantumNumbers(n=n, m_phi=m_phi)
+        out.append((spectra.ec_solve_energy(qn, ec, (1e-6, 1e6)).energy,
+                    spectra.commutative_spectrum(qn, c.omega, c)))
+    for n_a, n_b in sqf_levels:
+        occupation = spectra.QuantumNumbers(n_alpha=n_a, n_beta=n_b)
+        radial = spectra.QuantumNumbers(n=0, m_phi=n_a + n_b)
+        out.append((spectra.sqf_oscillator_spectrum(sqf, eps, occupation),
+                    spectra.commutative_spectrum(radial, c.omega, c)))
+    return out
+
+
+def half_derivative_of_x(xs, step) -> list[tuple[float, float, float]]:
+    """Caputo half-derivative of f(t) = t at each x: (power series,
+    Richardson-extrapolated Grunwald-Letnikov at step, exact 2 sqrt(x/pi))."""
+    f = fractional.PowerSeriesFn(alpha_step=0.5, coeffs=(0.0, 0.0, 1.0))
+    gl = fractional.grunwald_letnikov_richardson
+    return [(fractional.caputo_series_derivative(f, x),
+             gl(lambda t: t, 0.5, x, step), 2.0 * math.sqrt(x / math.pi))
+            for x in xs]
+
+
+def caputo_exp_deviations(orders, xs) -> list[float]:
+    """caputo_exp against its defining series sum_{n>=1} x^(n-a) /
+    Gamma(1+n-a), scaled by max(1, |series|), per order and x."""
+    out = []
+    for order in orders:
+        for x in xs:
+            ref = 0.0
+            for n in range(1, 401):  # at most 400 terms
+                term = x ** (n - order) * math.exp(-log_gamma(1 + n - order))
+                ref += term
+                if term < 1e-17 * ref:
+                    break
+            out.append(abs(fractional.caputo_exp(order, x) - ref)
+                       / max(1.0, abs(ref)))
+    return out
+
+
+def plane_wave_integer_orders(energy):
+    """(a_1, a_2, |a_1 + iE|, |a_2 + E^2|) of the plane wave at hbar = 1."""
+    a1, a2 = (fractional.plane_wave_eigenvalue(
+        order, energy, PhysicalConstants()).value for order in (1.0, 2.0))
+    return a1, a2, abs(a1 - complex(0.0, -energy)), abs(a2 + energy ** 2)
+
+
+def beta_vs_quadrature(a, b):
+    """(beta_fn(a, b), its defining integral by quadrature, relative gap)."""
+    quad, _ = integrate.quad(
+        lambda u: u ** (a - 1.0) * (1.0 - u) ** (b - 1.0), 0.0, 1.0)
+    mine = beta_fn(a, b)
+    return mine, quad, abs(mine - quad) / quad
+
+
+def ring_current_route(spec, eta, fluxes, steps, levels):
+    """(fd, period, at_match): (analytic current, |central difference -
+    analytic|) per flux, level and step; the relative gap of E_{l-1}(flux +
+    phi_0) from E_l(flux) per flux and level; the l = 0 current at phi_nc."""
+    def level(flux, l):
+        return ring.ring_levels(replace(spec, flux_ext=flux), eta, l)
+
+    fd, period = [], []
+    for flux in fluxes:
+        for l in levels:
+            analytic = ring.persistent_current(replace(spec, flux_ext=flux),
+                                               eta, l)
+            for step in steps:
+                slope = -(level(flux + step, l) - level(flux - step, l)) \
+                    / (2.0 * step)
+                fd.append((analytic, abs(slope - analytic)))
+            shifted = level(flux + spec.flux_quantum, l - 1)
+            here = level(flux, l)
+            period.append(0.0 if shifted == here else abs(shifted - here)
+                          / max(abs(shifted), abs(here)))
+    matched = replace(spec, flux_ext=ring.nc_flux(spec, eta).phi_nc)
+    return fd, period, ring.persistent_current(matched, eta, 0)
+
+
+def check_sw_commutators():
+    worst = max(sw_commutator_residuals(N_TRUNC, SW_PAIRS))
+    return _check("sw_map_commutators", worst <= COMMUTATOR_TOL,
+                  f"max interior residual {worst:.3e} "
+                  f"(tol {COMMUTATOR_TOL:g})",
+                  max_residual=worst, tol=COMMUTATOR_TOL, n_trunc=N_TRUNC)
+
+
+def check_sw_round_trip():
+    (err_exact, rel, zeta), = sw_round_trip(24, [(0.1, 0.05)])
     ratio = rel / zeta
-    ok = err_exact <= tol and 0.5 <= ratio <= 2.0
+    lo, hi = ROUND_TRIP_BAND
+    ok = err_exact <= ROUND_TRIP_TOL and lo <= ratio <= hi
     return _check("sw_round_trip", ok,
                   f"exact-k error {err_exact:.3e}; k~1 relative error "
                   f"{rel:.3e} = {ratio:.3f} x (theta*eta/4hbar^2)",
@@ -71,128 +217,75 @@ def check_sw_round_trip(tol=1e-12):
                   zeta=zeta, ratio=ratio)
 
 
-def check_ec_free_closed_vs_root(tol=1e-9):
-    worst = 0.0
-    for alpha in (1.5, 2.0, 3.0):
-        p = ModelParams(eta0=1.2, theta0=0.0, alpha_exp=alpha, beta_exp=alpha,
-                        e_ref=2.0, mechanism=Mechanism.EC)
-        for (n, m_phi) in ((0, 0), (1, 0), (0, 1)):
-            qn = spectra.QuantumNumbers(n=n, m_phi=m_phi)
-            closed = spectra.ec_free_energy_closed(qn, p)
-            res = spectra.ec_solve_energy(qn, p, (closed * 1e-5, closed * 1e5),
-                                          tol=1e-14)
-            worst = max(worst, abs(res.energy - closed) / closed)
-    return _check("ec_free_closed_vs_root", worst <= tol,
-                  f"max relative difference {worst:.3e} (tol {tol:g})",
-                  max_rel_diff=worst, tol=tol)
+def check_ec_free_closed_vs_root():
+    worst = max(ec_closed_vs_root((1.5, 2.0, 3.0), (1.2,), (2.0,),
+                                  ((0, 0), (1, 0), (0, 1))))
+    return _check("ec_free_closed_vs_root", worst <= CLOSED_VS_ROOT_TOL,
+                  f"max relative difference {worst:.3e} "
+                  f"(tol {CLOSED_VS_ROOT_TOL:g})",
+                  max_rel_diff=worst, tol=CLOSED_VS_ROOT_TOL)
 
 
-def check_ec_root_vs_self_consistent(tol=1e-6):
+def check_ec_root_vs_self_consistent():
     p = ModelParams(eta0=0.1, theta0=0.1, alpha_exp=1.0, beta_exp=1.0,
                     e_ref=10.0, mechanism=Mechanism.EC,
                     constants=PhysicalConstants(spring_k=1.0))
-    worst = 0.0
-    for (n, m_phi) in ((0, 0), (0, 1), (1, 0)):
-        qn = spectra.QuantumNumbers(n=n, m_phi=m_phi)
-        root = spectra.ec_solve_energy(qn, p, (1e-4, 1e3), tol=1e-13)
-        sc = oracle.self_consistent_wrap("radial", p, qn, tol=1e-9)
-        worst = max(worst, abs(root.energy - sc) / root.energy)
-    return _check("ec_root_vs_self_consistent", worst <= tol,
-                  f"max relative difference {worst:.3e} (tol {tol:g})",
-                  max_rel_diff=worst, tol=tol)
+    worst = max(ec_root_vs_oracle(p, ((0, 0), (0, 1), (1, 0))))
+    return _check("ec_root_vs_self_consistent", worst <= ROOT_VS_ORACLE_TOL,
+                  f"max relative difference {worst:.3e} "
+                  f"(tol {ROOT_VS_ORACLE_TOL:g})",
+                  max_rel_diff=worst, tol=ROOT_VS_ORACLE_TOL)
 
 
 def check_commutative_recovery():
-    c = PhysicalConstants(spring_k=1.0)
-    p = ModelParams(eta0=0.0, theta0=0.0, mechanism=Mechanism.EC, constants=c)
-    qn = spectra.QuantumNumbers(n=1, m_phi=2)
-    expected = spectra.commutative_spectrum(qn, c.omega, c)
-    root = spectra.ec_solve_energy(qn, p, (1e-6, 1e6))
-    sqf = ModelParams(eta0=0.0, theta0=0.0, mechanism=Mechanism.SQF,
-                      constants=c)
-    osc = spectra.sqf_oscillator_spectrum(
-        sqf, 1.0, spectra.QuantumNumbers(n_alpha=2, n_beta=2))
-    ok = root.energy == expected and osc == expected
-    return _check("commutative_recovery", ok,
-                  f"EC root {root.energy!r} and SQF value {osc!r} vs "
+    (ec, expected), (osc, expected_osc) = commutative_recovery(
+        PhysicalConstants(spring_k=1.0), [(1, 2)], 1.0, [(2, 2)])
+    return _check("commutative_recovery",
+                  ec == expected and osc == expected_osc,
+                  f"EC root {ec!r} and SQF value {osc!r} vs "
                   f"commutative {expected!r}",
-                  ec=root.energy, sqf=osc, expected=expected)
+                  ec=ec, sqf=osc, expected=expected)
 
 
-def check_fractional_half_derivative(tol=1e-8):
-    exact = 2.0 / math.sqrt(math.pi)
-    series = fractional.caputo_series_derivative(
-        fractional.PowerSeriesFn(alpha_step=0.5, coeffs=(0.0, 0.0, 1.0)), 1.0)
-    gl = fractional.grunwald_letnikov_richardson(lambda t: t, 0.5, 1.0, 1e-3)
-    ok = abs(series - exact) <= tol and abs(gl - exact) <= 1e-5
+def check_fractional_half_derivative():
+    (series, gl, exact), = half_derivative_of_x([1.0], 1e-3)
+    ok = (abs(series - exact) <= HALF_DERIVATIVE_TOL
+          and abs(gl - exact) <= GL_RICHARDSON_TOL)
     return _check("fractional_half_derivative", ok,
                   f"series error {abs(series - exact):.3e}, GL(Richardson) "
                   f"error {abs(gl - exact):.3e}",
                   series=series, gl=gl, exact=exact)
 
 
-def check_caputo_exp_series(tol=1e-10):
-    worst = 0.0
-    for order in (0.25, 0.5, 0.75):
-        for x in (0.5, 2.0, 10.0):
-            val = fractional.caputo_exp(order, x)
-            ref, n = 0.0, 1
-            while n < 300:
-                term = x ** (n - order) * math.exp(-log_gamma(1 + n - order))
-                ref += term
-                if term < 1e-17 * ref:
-                    break
-                n += 1
-            worst = max(worst, abs(val - ref) / max(1.0, abs(ref)))
-    return _check("caputo_exp_series", worst <= tol,
+def check_caputo_exp_series():
+    worst = max(caputo_exp_deviations((0.25, 0.5, 0.75), (0.5, 2.0, 10.0)))
+    return _check("caputo_exp_series", worst <= CAPUTO_EXP_TOL,
                   f"max scaled deviation from the defining series "
-                  f"{worst:.3e} (tol {tol:g})", max_dev=worst, tol=tol)
+                  f"{worst:.3e} (tol {CAPUTO_EXP_TOL:g})",
+                  max_dev=worst, tol=CAPUTO_EXP_TOL)
 
 
 def check_plane_wave_orders():
-    c = PhysicalConstants()
-    a1 = fractional.plane_wave_eigenvalue(1.0, 3.0, c).value
-    a2 = fractional.plane_wave_eigenvalue(2.0, 3.0, c).value
-    ok = a1 == complex(0, -3.0) and abs(a2 - (-9.0 + 0j)) < 1e-14
-    return _check("plane_wave_orders", ok,
+    a1, a2, dev1, dev2 = plane_wave_integer_orders(3.0)
+    return _check("plane_wave_orders", dev1 == 0.0 and dev2 < PLANE_WAVE_TOL,
                   f"a_1 = {a1}, a_2 = {a2}", a1_im=a1.imag, a2_re=a2.real)
 
 
-def check_fractional_oscillator_prefactor(tol=1e-8):
-    quad_beta, _ = integrate.quad(
-        lambda u: u ** (1.0 / 2.0 - 1.0) * (1.0 - u) ** (3.0 / 2.0 - 1.0),
-        0.0, 1.0)
-    mine = beta_fn(0.5, 1.5)
-    rel = abs(mine - quad_beta) / quad_beta
-    return _check("fractional_oscillator_prefactor", rel <= tol,
+def check_fractional_oscillator_prefactor():
+    mine, quad, rel = beta_vs_quadrature(0.5, 1.5)
+    return _check("fractional_oscillator_prefactor",
+                  rel <= BETA_QUADRATURE_TOL,
                   f"beta_fn(1/2, 3/2) vs quadrature: rel diff {rel:.3e}",
-                  beta_fn=mine, quadrature=quad_beta, rel=rel)
+                  beta_fn=mine, quadrature=quad, rel=rel)
 
 
-def check_ring_current(tol=1e-10):
+def check_ring_current():
     spec = ring.RingSpec(radius=1.5, flux_ext=0.8, alpha_param=0.9)
-    eta, l = 0.2, 1
-    analytic = ring.persistent_current(spec, eta, l)
-    d_phi = 1e-4 * spec.flux_quantum
-    e_plus = ring.ring_levels(
-        ring.RingSpec(radius=1.5, flux_ext=0.8 + d_phi, alpha_param=0.9),
-        eta, l)
-    e_minus = ring.ring_levels(
-        ring.RingSpec(radius=1.5, flux_ext=0.8 - d_phi, alpha_param=0.9),
-        eta, l)
-    fd = -(e_plus - e_minus) / (2.0 * d_phi)
-    scale = max(1.0, abs(analytic))
-    err = abs(fd - analytic) / scale
-    # periodicity and the zero at phi = phi_nc
-    fields = ring.nc_flux(spec, eta)
-    shifted = ring.RingSpec(radius=1.5, flux_ext=0.8 + spec.flux_quantum,
-                            alpha_param=0.9)
-    periodic = ring.ring_levels(shifted, eta, l - 1) == ring.ring_levels(
-        spec, eta, l)
-    at_min = ring.persistent_current(
-        ring.RingSpec(radius=1.5, flux_ext=fields.phi_nc, alpha_param=0.9),
-        eta, 0)
-    ok = err <= tol and periodic and at_min == 0.0
+    ((analytic, dev),), (gap,), at_min = ring_current_route(
+        spec, 0.2, (0.8,), (1e-4 * spec.flux_quantum,), (1,))
+    err = dev / max(1.0, abs(analytic))
+    periodic = gap == 0.0
+    ok = err <= RING_FD_TOL and periodic and at_min == 0.0
     return _check("ring_current", ok,
                   f"FD vs analytic scaled error {err:.3e}; periodicity "
                   f"{periodic}; current at phi=phi_nc is {at_min!r}",
@@ -249,7 +342,7 @@ def check_caputo_oscillatory_mismatch():
         mismatch=gap, order=order, t=t)
 
 
-def check_hbar_eff_identity(tol=1e-12):
+def check_hbar_eff_identity():
     c = PhysicalConstants()
     rep = algebra.build_heisenberg_rep(20, c)
     theta, eta = 0.4, 0.9
@@ -257,7 +350,7 @@ def check_hbar_eff_identity(tol=1e-12):
     entries = {e.commutator: e for e in algebra.commutator_residuals(mapped)}
     measured = entries["[x,px]"].measured.imag
     formula = effective_planck(theta, eta, c)
-    ok = abs(measured - formula) <= tol
+    ok = abs(measured - formula) <= HBAR_EFF_TOL
     return _check("hbar_eff_identity", ok,
                   f"measured {measured!r} vs formula {formula!r}",
                   measured=measured, formula=formula)

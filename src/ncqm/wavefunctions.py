@@ -126,6 +126,8 @@ def ground_state_free(r, energy: float, p: ModelParams):
     """
     if p.mechanism is not Mechanism.EC or p.constants.spring_k != 0:
         raise UsageError("ground_state_free is the EC free-particle form")
+    if energy < 0:
+        raise DomainError(f"energy must be non-negative, got {energy}")
     c = p.constants
     k0 = p.eta0 ** 2 / (4.0 * c.mass * c.hbar ** 2)
     ratio = (energy / p.e_ref) ** p.alpha_exp if energy > 0 else \
@@ -145,6 +147,8 @@ def omega_eff(energy: float, p: ModelParams) -> float:
     """
     if p.mechanism is not Mechanism.EC or p.constants.spring_k <= 0:
         raise UsageError("omega_eff is the EC oscillator form")
+    if energy < 0:
+        raise DomainError(f"energy must be non-negative, got {energy}")
     c = p.constants
     hbar, m = c.hbar, c.mass
     w2 = c.spring_k / m

@@ -119,6 +119,23 @@ class TestSpectrumCommand:
         assert out_a.read_bytes() == out_b.read_bytes()
 
 
+@pytest.mark.parametrize("args", [
+    ["ring", "--radius", "nan"],
+    ["wavefunction", "--r-max", "nan"],
+    ["commutators", "--theta", "nan", "--eta", "0.1"],
+    ["fractional", "--op", "caputo_exp", "--x", "1.0,inf"],
+    ["spectrum", "--n", "3..1"],
+])
+def test_non_finite_or_empty_input_exit_2(args, capsys):
+    # argparse exits on a bad flag value; the range check returns 2
+    try:
+        code = main(args)
+    except SystemExit as exc:
+        code = exc.code
+    assert code == 2
+    assert "error" in capsys.readouterr().err
+
+
 class TestWavefunctionCommand:
     def test_samples(self, capsys):
         code, out, _ = run_cli(["wavefunction", *EC_FLAGS, "--n", "0",

@@ -177,6 +177,10 @@ class TestGroundStates:
         via_laguerre = radial_laguerre(0, 0, math.sqrt(lam) * r)
         assert np.max(np.abs(direct - via_laguerre)) < 1e-13
 
+    def test_free_negative_energy_rejected(self):
+        with pytest.raises(DomainError):
+            ground_state_free(np.linspace(0, 3, 7), -3.0, ec_params())
+
     def test_oscillator_matches_omega_eff_profile(self):
         p = ec_params(constants={"spring_k": 1.0})
         energy = 3.0
@@ -200,6 +204,12 @@ class TestOmegaEff:
     def test_guard(self):
         with pytest.raises(UsageError):
             omega_eff(1.0, ec_params())
+
+    def test_negative_energy_rejected(self):
+        # a fractional exponent would otherwise make the power complex
+        p = ec_params(alpha_exp=0.75, constants={"spring_k": 1.0})
+        with pytest.raises(DomainError):
+            omega_eff(-1.0, p)
 
 
 class TestNonlocality:
