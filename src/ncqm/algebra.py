@@ -11,24 +11,34 @@ which the residual report checks entry by entry. Truncating the ladder
 operators corrupts the two highest Fock levels of each mode, so all
 residual norms are taken on the interior block (first n_trunc - 2 levels
 per mode), where the identities hold to roundoff.
+
+Every operator is a scipy.sparse CSR array: a tridiagonal single-mode
+quadrature Kronecker-multiplied with the identity of the other mode, so
+each of the n_trunc^2 rows holds at most two entries and every commutator
+is a sparse product.
 """
 
 from __future__ import annotations
 
 import json
+import logging
 import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import sparse
 
 from .errors import ValidationError
 from .params import PhysicalConstants, effective_planck, k_factor
 
+log = logging.getLogger("ncqm.algebra")
+
 _MAX_TRUNC = 120
 
 
-def _ladder(n: int) -> np.ndarray:
-    return np.diag(np.sqrt(np.arange(1.0, n)), 1).astype(complex)
+def _ladder(n: int) -> sparse.csr_array:
+    return sparse.diags_array(np.sqrt(np.arange(1.0, n)), offsets=1,
+                              format="csr", dtype=complex)
 
 
 @dataclass(frozen=True)
@@ -36,17 +46,18 @@ class FockRep:
     """Canonical operators on a two-mode truncated Fock space.
 
     Mode dimensions are n_trunc each (total n_trunc^2); interior_dim is
-    the per-mode size of the truncation-safe sub-block.
+    the per-mode size of the truncation-safe sub-block. The operators
+    are sparse CSR arrays.
     """
 
     n_trunc: int
     ref_frequency: float
     hbar: float
     mass: float
-    x: np.ndarray
-    y: np.ndarray
-    px: np.ndarray
-    py: np.ndarray
+    x: sparse.csr_array
+    y: sparse.csr_array
+    px: sparse.csr_array
+    py: sparse.csr_array
 
     @property
     def interior_dim(self) -> int:
@@ -66,10 +77,10 @@ class MappedRep:
     rep: FockRep
     theta: float
     eta: float
-    x: np.ndarray
-    y: np.ndarray
-    px: np.ndarray
-    py: np.ndarray
+    x: sparse.csr_array
+    y: sparse.csr_array
+    px: sparse.csr_array
+    py: sparse.csr_array
 
 
 def build_heisenberg_rep(n_trunc: int, c: PhysicalConstants,
@@ -78,7 +89,9 @@ def build_heisenberg_rep(n_trunc: int, c: PhysicalConstants,
 
     x = sqrt(hbar/2m w)(a + a+), p_x = i sqrt(m w hbar/2)(a+ - a), and the
     same for (y, p_y) with the second mode. Commutators are exact on the
-    interior block; n_trunc must be at least 4 (capped at 120).
+    interior block; n_trunc must be at least 4 (capped at 120). Logs one
+    DEBUG record on "ncqm.algebra": n_trunc, the dimension, the stored
+    entries per operator and the bytes of the four operators.
     """
     if n_trunc < 4:
         raise ValidationError(f"n_trunc must be >= 4, got {n_trunc}")
@@ -86,21 +99,30 @@ def build_heisenberg_rep(n_trunc: int, c: PhysicalConstants,
         raise ValidationError(f"n_trunc capped at {_MAX_TRUNC}, got {n_trunc}")
     if ref_frequency <= 0:
         raise ValidationError("ref_frequency must be positive")
-    eye = np.eye(n_trunc, dtype=complex)
-    a1 = np.kron(_ladder(n_trunc), eye)
-    b1 = np.kron(eye, _ladder(n_trunc))
+    a = _ladder(n_trunc)
+    a_dag = a.T  # the ladder is real, so a+ is its transpose
+    eye = sparse.eye_array(n_trunc, dtype=complex, format="csr")
     x_scale = math.sqrt(c.hbar / (2.0 * c.mass * ref_frequency))
     p_scale = math.sqrt(c.mass * ref_frequency * c.hbar / 2.0)
-    return FockRep(
+    q = x_scale * (a + a_dag)
+    p = 1j * p_scale * (a_dag - a)
+    rep = FockRep(
         n_trunc=n_trunc,
         ref_frequency=ref_frequency,
         hbar=c.hbar,
         mass=c.mass,
-        x=x_scale * (a1 + a1.conj().T),
-        y=x_scale * (b1 + b1.conj().T),
-        px=1j * p_scale * (a1.conj().T - a1),
-        py=1j * p_scale * (b1.conj().T - b1),
+        x=sparse.kron(q, eye, format="csr"),
+        y=sparse.kron(eye, q, format="csr"),
+        px=sparse.kron(p, eye, format="csr"),
+        py=sparse.kron(eye, p, format="csr"),
     )
+    ops = (rep.x, rep.y, rep.px, rep.py)
+    log.debug("build_heisenberg_rep: n_trunc %d, dimension %d, nnz per "
+              "operator %s, %d operator bytes", n_trunc, n_trunc ** 2,
+              [m.nnz for m in ops],
+              sum(m.data.nbytes + m.indices.nbytes + m.indptr.nbytes
+                  for m in ops))
+    return rep
 
 
 def sw_forward(rep: FockRep, theta: float, eta: float) -> MappedRep:
@@ -158,16 +180,17 @@ def alternative_maps(rep: FockRep, theta: float, eta: float,
     ce = eta / rep.hbar
     if variant == "asym_1":
         return MappedRep(rep=rep, theta=theta, eta=eta,
-                         x=rep.x - ct * rep.py, y=rep.y.copy(),
-                         px=rep.px.copy(), py=rep.py - ce * rep.x)
+                         x=rep.x - ct * rep.py, y=rep.y,
+                         px=rep.px, py=rep.py - ce * rep.x)
     if variant == "asym_2":
         return MappedRep(rep=rep, theta=theta, eta=eta,
-                         x=rep.x.copy(), y=rep.y + ct * rep.px,
-                         px=rep.px + ce * rep.y, py=rep.py.copy())
+                         x=rep.x, y=rep.y + ct * rep.px,
+                         px=rep.px + ce * rep.y, py=rep.py)
     raise ValidationError(f"unknown variant {variant!r}; use asym_1 or asym_2")
 
 
-def _commutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+def _commutator(a: sparse.csr_array,
+                b: sparse.csr_array) -> sparse.csr_array:
     return a @ b - b @ a
 
 
@@ -194,12 +217,15 @@ def commutator_residuals(mapped: MappedRep) -> list[ResidualEntry]:
     (so a one-sided map shows its missing Planck shift in [x,px]). The
     off-diagonal [x^, p^_y] and [y^, p^_x] vanish identically for a single
     noncommutative plane, so their target is 0. Residuals are max absolute
-    entries of C - i*target*I restricted to the interior block.
+    entries of C - i*target*I restricted to the interior block; measured
+    is the mean of the block's diagonal.
     """
     rep = mapped.rep
     c = PhysicalConstants(hbar=rep.hbar, mass=rep.mass)
     hbar_eff = effective_planck(mapped.theta, mapped.eta, c)
-    mask = rep.interior_mask()
+    keep = np.flatnonzero(rep.interior_mask())
+    dim = keep.size
+    eye = sparse.eye_array(dim, dtype=complex, format="csr")
     checks = [
         ("[x,y]", mapped.theta, _commutator(mapped.x, mapped.y)),
         ("[px,py]", mapped.eta, _commutator(mapped.px, mapped.py)),
@@ -210,14 +236,12 @@ def commutator_residuals(mapped: MappedRep) -> list[ResidualEntry]:
     ]
     out = []
     for name, coeff, comm in checks:
-        block = comm[np.ix_(mask, mask)]
-        dim = block.shape[0]
-        resid = block - 1j * coeff * np.eye(dim)
+        block = comm[np.ix_(keep, keep)]
         out.append(ResidualEntry(
             commutator=name,
             target=complex(0.0, coeff),
-            measured=complex(np.trace(block) / dim),
-            max_residual=float(np.max(np.abs(resid))),
+            measured=complex(block.diagonal().sum() / dim),
+            max_residual=float(abs(block - 1j * coeff * eye).max()),
         ))
     return out
 

@@ -56,6 +56,15 @@ def real(text: str) -> float:
     return value
 
 
+def positive_int(text: str) -> int:
+    """Type of the count flags (--points, --phi-steps, --n-trunc): zero
+    or a negative count fails instead of writing an empty table."""
+    value = int(text)
+    if value < 1:
+        raise ValueError(f"not a positive integer: {text!r}")
+    return value
+
+
 def _parse_range(text: str) -> list[int]:
     lo, sep, hi = text.partition("..")
     values = list(range(int(lo), int(hi if sep else lo) + 1))
@@ -184,11 +193,12 @@ def _cmd_fractional(args) -> int:
 def _cmd_ring(args) -> int:
     rows = []
     base = ring.RingSpec(radius=args.radius, alpha_param=args.alpha_param)
+    levels = _parse_range(args.l)
     for i in range(args.phi_steps):
         frac = args.phi_start + (args.phi_stop - args.phi_start) * i \
             / max(1, args.phi_steps - 1)
         spec = replace(base, flux_ext=frac * base.flux_quantum)
-        for l in _parse_range(args.l):
+        for l in levels:
             rows.append([frac, l,
                          ring.ring_levels(spec, args.eta, l),
                          ring.persistent_current(spec, args.eta, l)])
@@ -232,7 +242,7 @@ def build_parser() -> argparse.ArgumentParser:
     wv.add_argument("--energy", type=real,
                     help="evaluate at this energy (default: solve)")
     wv.add_argument("--r-max", type=real, default=6.0, dest="r_max")
-    wv.add_argument("--points", type=int, default=200)
+    wv.add_argument("--points", type=positive_int, default=200)
     wv.add_argument("--out", default="-")
     wv.set_defaults(fn=_cmd_wavefunction)
 
@@ -240,7 +250,8 @@ def build_parser() -> argparse.ArgumentParser:
     cm.add_argument("--theta", type=real, required=True)
     cm.add_argument("--eta", type=real, required=True)
     cm.add_argument("--hbar", type=real, default=1.0)
-    cm.add_argument("--n-trunc", type=int, default=30, dest="n_trunc")
+    cm.add_argument("--n-trunc", type=positive_int, default=30,
+                    dest="n_trunc")
     cm.add_argument("--out", default="-")
     cm.set_defaults(fn=_cmd_commutators)
 
@@ -264,7 +275,8 @@ def build_parser() -> argparse.ArgumentParser:
     rg.add_argument("--l", default="-2..2")
     rg.add_argument("--phi-start", type=real, default=-1.0, dest="phi_start")
     rg.add_argument("--phi-stop", type=real, default=1.0, dest="phi_stop")
-    rg.add_argument("--phi-steps", type=int, default=41, dest="phi_steps")
+    rg.add_argument("--phi-steps", type=positive_int, default=41,
+                    dest="phi_steps")
     rg.add_argument("--out", default="-")
     rg.set_defaults(fn=_cmd_ring)
 

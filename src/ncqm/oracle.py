@@ -5,8 +5,10 @@ Two oracles solve H = p^2/2m* - B L_z + K r^2/2 at frozen coefficients:
 * a finite-volume discretization of the radial equation (cell-centered
   grid, symmetric tridiagonal eigenproblem, optional Richardson
   extrapolation in the grid spacing), and
-* a dense truncated-Fock diagonalization of the full 2D Hamiltonian,
-  which also labels levels by their angular momentum.
+* a truncated-Fock diagonalization of the full 2D Hamiltonian, which
+  also labels levels by their angular momentum: H and L_z are built from
+  the sparse Fock operators, and H is made dense once for the
+  eigensolver.
 
 Energy-dependent coefficients are handled by an outer fixed point
 (self_consistent_wrap), with a fallback to the spectra module's scan +
@@ -81,7 +83,7 @@ def radial_fd_eigensolve(m_star: float, b_field: float, k_elastic: float,
 def fock_matrix_eigensolve(n_trunc: int, m_star: float, b_field: float,
                            k_elastic: float, c: PhysicalConstants, count: int,
                            with_labels: bool = False):
-    """Lowest eigenvalues of the dense two-mode Fock Hamiltonian.
+    """Lowest eigenvalues of the truncated two-mode Fock Hamiltonian.
 
     The representation is built at the natural frequency sqrt(K/m*), in
     which the total-quanta blocks of H are exact; requested levels must
@@ -104,8 +106,7 @@ def fock_matrix_eigensolve(n_trunc: int, m_star: float, b_field: float,
     lz = rep.x @ rep.py - rep.y @ rep.px
     ham = ((rep.px @ rep.px + rep.py @ rep.py) / (2.0 * m_star)
            - b_field * lz
-           + 0.5 * k_elastic * (rep.x @ rep.x + rep.y @ rep.y))
-    del rep  # free its six dense operators before the eigensolver runs
+           + 0.5 * k_elastic * (rep.x @ rep.x + rep.y @ rep.y)).toarray()
     if not with_labels:
         return np.sort(np.linalg.eigvalsh(ham))[:count]
     vals, vecs = np.linalg.eigh(ham)

@@ -24,7 +24,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, NormalizabilityError, UsageError, ValidationError
-from .params import Mechanism, ModelParams, effective_coefficients
+from .params import (Mechanism, ModelParams, effective_coefficients,
+                     nc_strengths)
 from .specfun import bessel_j, laguerre, log_gamma
 
 # Bessel-branch validity: keep xi^2 below this fraction of C.
@@ -121,18 +122,18 @@ def ec_radial_solution(qn, p: ModelParams, energy: float,
 def ground_state_free(r, energy: float, p: ModelParams):
     """Unnormalized ground-state profile of the energy-coupled free particle.
 
-    R ~ exp[-sqrt(m k0 / 8 hbar^2) (E/E0)^alpha r^2], which is the n =
-    m_phi = 0 Laguerre branch under the lambda-scale identification.
+    R ~ exp[-sqrt(m k0 / 8 hbar^2) (E/E0)^alpha r^2] with k0 = eta0^2 /
+    (4 m hbar^2), i.e. exp[-|eta(E)| r^2 / (4 sqrt(2) hbar^2)], which is
+    the n = m_phi = 0 Laguerre branch under the lambda-scale
+    identification. eta(E) comes from nc_strengths, so E = 0 with a
+    negative alpha raises SingularityError as it does there.
     """
     if p.mechanism is not Mechanism.EC or p.constants.spring_k != 0:
         raise UsageError("ground_state_free is the EC free-particle form")
     if energy < 0:
         raise DomainError(f"energy must be non-negative, got {energy}")
-    c = p.constants
-    k0 = p.eta0 ** 2 / (4.0 * c.mass * c.hbar ** 2)
-    ratio = (energy / p.e_ref) ** p.alpha_exp if energy > 0 else \
-        (1.0 if p.alpha_exp == 0 else 0.0)
-    coeff = math.sqrt(c.mass * k0 / (8.0 * c.hbar ** 2)) * ratio
+    _, eta = nc_strengths(p, energy)
+    coeff = abs(eta) / (math.sqrt(32.0) * p.constants.hbar ** 2)
     return np.exp(-coeff * np.asarray(r, dtype=float) ** 2)
 
 

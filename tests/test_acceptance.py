@@ -11,9 +11,7 @@ import numpy as np
 from scipy import integrate
 
 from ncqm import verify
-from ncqm.algebra import build_heisenberg_rep
-from ncqm.params import (Mechanism, ModelParams, PhysicalConstants,
-                         effective_planck)
+from ncqm.params import Mechanism, ModelParams, PhysicalConstants
 from ncqm.fractional import grunwald_letnikov
 from ncqm.ring import RingSpec
 from ncqm.spectra import (FractionalOscSpec, QuantumNumbers,
@@ -34,43 +32,14 @@ def report(num: int, name: str, ok: bool, detail: str):
 def test_criterion_1_algebra_fidelity():
     tol = verify.COMMUTATOR_TOL
     n_trunc = 30
-    c = PhysicalConstants()
-    rep = build_heisenberg_rep(n_trunc, c)
-    base = (rep.x, rep.y, rep.px, rep.py)
-    # all pairwise products once; commutators of mapped operators are
-    # exact bilinear combinations of these
-    prods = [[a @ b for b in base] for a in base]
-    kmat = [[prods[i][j] - prods[j][i] for j in range(4)] for i in range(4)]
-    mask = rep.interior_mask()
-    eye = np.eye(int(mask.sum()))
-
-    def assembled_residual(u, v, target):
-        comm = sum((u[i] * v[j] - u[j] * v[i]) * kmat[i][j]
-                   for i in range(4) for j in range(i + 1, 4))
-        block = comm[np.ix_(mask, mask)]
-        return float(np.max(np.abs(block - 1j * target * eye)))
-
     rng = np.random.default_rng(2024)
-    worst = 0.0
     pairs = rng.uniform(1e-3, 1.0, size=(50, 2))
-    for theta, eta in pairs:
-        ct, ce = theta / 2.0, eta / 2.0
-        ux = (1.0, 0.0, 0.0, -ct)   # x - (theta/2) py
-        uy = (0.0, 1.0, ct, 0.0)    # y + (theta/2) px
-        upx = (0.0, ce, 1.0, 0.0)   # px + (eta/2) y
-        upy = (-ce, 0.0, 0.0, 1.0)  # py - (eta/2) x
-        hbar_eff = effective_planck(theta, eta, c)
-        worst = max(worst,
-                    assembled_residual(ux, uy, theta),
-                    assembled_residual(upx, upy, eta),
-                    assembled_residual(ux, upx, hbar_eff),
-                    assembled_residual(uy, upy, hbar_eff))
-    # anchor a deterministic subset against the direct-matmul route
-    anchor_gap = max(verify.sw_commutator_residuals(n_trunc, pairs[:5]))
-    ok = worst <= tol and anchor_gap <= tol
+    # all six mapped commutators of every pair, by direct sparse products
+    worst = max(verify.sw_commutator_residuals(n_trunc, pairs))
+    ok = worst <= tol
     report(1, "algebra fidelity", ok,
            f"50 pairs, n_trunc={n_trunc}: max interior residual "
-           f"{worst:.3e} (tol {tol:g}); direct-route anchor {anchor_gap:.3e}")
+           f"{worst:.3e} over six commutators (tol {tol:g})")
 
 
 # --- 2: round trip ---------------------------------------------------------

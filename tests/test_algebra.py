@@ -1,3 +1,4 @@
+import logging
 import math
 
 import numpy as np
@@ -30,6 +31,25 @@ class TestHeisenbergRep:
         with pytest.raises(ValidationError):
             build_heisenberg_rep(3, PhysicalConstants())
 
+    def test_truncation_cap(self):
+        with pytest.raises(ValidationError):
+            build_heisenberg_rep(121, PhysicalConstants())
+
+    def test_operators_are_sparse(self, rep):
+        # each row of a quadrature-times-identity holds at most two entries
+        for m in (rep.x, rep.y, rep.px, rep.py):
+            assert m.format == "csr"
+            assert m.nnz == 2 * 20 * 19
+
+    def test_debug_record(self, caplog):
+        with caplog.at_level(logging.DEBUG, logger="ncqm.algebra"):
+            build_heisenberg_rep(12, PhysicalConstants())
+        (record,) = caplog.records
+        msg = record.getMessage()
+        assert "n_trunc 12, dimension 144" in msg
+        assert "nnz per operator [264, 264, 264, 264]" in msg
+        assert "operator bytes" in msg
+
     def test_modes_commute_exactly(self, rep):
         assert np.max(np.abs(comm(rep.x, rep.y))) == 0.0
         assert np.max(np.abs(comm(rep.px, rep.py))) == 0.0
@@ -51,8 +71,8 @@ class TestHeisenbergRep:
 class TestSwForward:
     def test_zero_strengths_identity(self, rep):
         mapped = sw_forward(rep, 0.0, 0.0)
-        assert np.array_equal(mapped.x, rep.x)
-        assert np.array_equal(mapped.py, rep.py)
+        assert (mapped.x != rep.x).nnz == 0
+        assert (mapped.py != rep.py).nnz == 0
 
     def test_coordinate_commutator(self, rep):
         mapped = sw_forward(rep, 0.25, 0.1)
@@ -75,7 +95,7 @@ class TestSwForward:
             entries = commutator_residuals(sw_forward(rep, theta, eta))
             assert max(e.max_residual for e in entries) < 1e-10
 
-    @pytest.mark.parametrize("n_trunc", [8, 16, 30])
+    @pytest.mark.parametrize("n_trunc", [8, 16, 30, 60, 120])
     def test_residuals_across_truncations(self, n_trunc):
         r = build_heisenberg_rep(n_trunc, PhysicalConstants())
         entries = commutator_residuals(sw_forward(r, 0.7, 0.9))
@@ -110,7 +130,7 @@ class TestSwInverse:
 class TestAlternativeMaps:
     def test_zero_identity(self, rep):
         mapped = alternative_maps(rep, 0.0, 0.0, "asym_1")
-        assert np.array_equal(mapped.x, rep.x)
+        assert (mapped.x != rep.x).nnz == 0
 
     @pytest.mark.parametrize("variant", ["asym_1", "asym_2"])
     def test_strength_commutators(self, rep, variant):

@@ -136,6 +136,27 @@ def test_non_finite_or_empty_input_exit_2(args, capsys):
     assert "error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("args", [
+    ["ring", "--phi-steps", "0"],
+    ["ring", "--phi-steps", "-3"],
+    ["ring", "--phi-steps", "0", "--l", "abc"],
+    ["ring", "--l", "abc"],
+    ["wavefunction", "--mechanism", "ec", "--spring-k", "1", "--points", "0"],
+    ["commutators", "--theta", "0.1", "--eta", "0.1", "--n-trunc", "0"],
+    ["commutators", "--theta", "0.1", "--eta", "0.1", "--n-trunc", "121"],
+])
+def test_non_positive_count_or_bad_level_exit_2(args, capsys):
+    # an empty flux sweep or sample grid used to exit 0 with a bare header
+    try:
+        code = main(args)
+    except SystemExit as exc:
+        code = exc.code
+    assert code == 2
+    captured = capsys.readouterr()
+    assert "error" in captured.err
+    assert captured.out == ""
+
+
 class TestWavefunctionCommand:
     def test_samples(self, capsys):
         code, out, _ = run_cli(["wavefunction", *EC_FLAGS, "--n", "0",

@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 from scipy import integrate
 
-from ncqm.errors import (DomainError, NormalizabilityError, UsageError,
-                         ValidationError)
-from ncqm.params import Mechanism, ModelParams, PhysicalConstants
+from ncqm.errors import (DomainError, NormalizabilityError, SingularityError,
+                         UsageError, ValidationError)
+from ncqm.params import (Mechanism, ModelParams, PhysicalConstants,
+                         nc_strengths)
 from ncqm.spectra import QuantumNumbers, ec_solve_energy
 from ncqm.specfun import gamma_fn
 from ncqm.wavefunctions import (GridField, divergence, ec_radial_solution,
@@ -176,6 +177,14 @@ class TestGroundStates:
         direct = ground_state_free(r, energy, p)
         via_laguerre = radial_laguerre(0, 0, math.sqrt(lam) * r)
         assert np.max(np.abs(direct - via_laguerre)) < 1e-13
+
+    def test_free_zero_energy_negative_alpha_is_singular(self):
+        # nc_strengths raises for the same input; the flat profile hid it
+        p = ec_params(alpha_exp=-1.0, e_ref=10.0)
+        with pytest.raises(SingularityError):
+            nc_strengths(p, 0.0)
+        with pytest.raises(SingularityError):
+            ground_state_free(np.linspace(0, 3, 7), 0.0, p)
 
     def test_free_negative_energy_rejected(self):
         with pytest.raises(DomainError):
