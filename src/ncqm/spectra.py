@@ -15,7 +15,7 @@ in one array call (2401 points on the default 12-decade bracket), so a
 level costs one array evaluation plus a handful of scalar Brent steps,
 a fraction of a millisecond. The grid (scan_grid), the bracket rule
 (sign_change_brackets) and the refinement (brent_root) are the package's
-one root-finding kernel, which the self-consistent oracle uses too.
+one root-finding kernel, which the self-consistent oracle falls back to.
 """
 
 from __future__ import annotations

@@ -1,12 +1,13 @@
-import json
+import logging
 import math
 
 import numpy as np
 import pytest
 
+from ncqm.algebra import build_heisenberg_rep
 from ncqm.errors import GridError, ValidationError
-from ncqm.oracle import (comparison_report, fock_matrix_eigensolve,
-                         radial_fd_eigensolve, self_consistent_wrap)
+from ncqm.oracle import (fock_matrix_eigensolve, radial_fd_eigensolve,
+                         self_consistent_wrap)
 from ncqm.params import Mechanism, ModelParams, PhysicalConstants
 from ncqm.spectra import (QuantumNumbers, ec_free_energy_closed,
                           ec_quantization_residual, ec_solve_energy)
@@ -60,6 +61,16 @@ class TestRadialFd:
             radial_fd_eigensolve(1.0, 0.0, 1.0, 0, (9.0, 400), 1)
 
 
+def shell_hamiltonian(n_trunc, m_star, b, k):
+    """Sparse H and L_z of the Fock oracle at the natural frequency."""
+    rep = build_heisenberg_rep(n_trunc, PhysicalConstants(mass=m_star),
+                               ref_frequency=math.sqrt(k / m_star))
+    lz = rep.x @ rep.py - rep.y @ rep.px
+    ham = ((rep.px @ rep.px + rep.py @ rep.py) / (2.0 * m_star) - b * lz
+           + 0.5 * k * (rep.x @ rep.x + rep.y @ rep.y))
+    return ham, lz
+
+
 class TestFockOracle:
     def test_commutative_degeneracies(self):
         c = PhysicalConstants()
@@ -111,6 +122,45 @@ class TestFockOracle:
                                               3))[:6]
             assert np.allclose(fock, radial, rtol=1e-6)
 
+    @pytest.mark.parametrize("b, count", [(0.4, 128), (0.0, 276),
+                                          (0.1234567, 200)])
+    def test_levels_are_shell_eigenpairs(self, b, count):
+        # hbar = m* = K = 1 (omega = 1): every (E, m) is a joint eigenpair
+        # of H and L_z on a shell N with E = N + 1 - B m, |m| <= N, N - m
+        # even, and the values are the lowest count levels of the closed
+        # form (at a rational B/omega the shells are exactly degenerate)
+        n_trunc = 24
+        vals, labels = fock_matrix_eigensolve(
+            n_trunc, 1.0, b, 1.0, PhysicalConstants(), count,
+            with_labels=True)
+        assert len(vals) == count
+        closed = sorted(n_q + 1 - b * m for n_q in range(2 * n_trunc)
+                        for m in range(-n_q, n_q + 1, 2))
+        np.testing.assert_allclose(vals, closed[:count], rtol=0, atol=1e-9)
+        ham, lz = shell_hamiltonian(n_trunc, 1.0, b, 1.0)
+        for energy, m in zip(vals, labels):
+            quanta = energy + b * m - 1.0
+            n_q = round(quanta)
+            assert abs(quanta - n_q) <= 1e-9
+            assert abs(m) <= n_q and (n_q - m) % 2 == 0
+            shell = np.arange(n_q + 1) * (n_trunc - 1) + n_q
+            m_hbar, vecs = np.linalg.eigh(lz[shell][:, shell].toarray())
+            j = np.argmin(np.abs(m_hbar - m))
+            assert abs(m_hbar[j] - m) <= 1e-9
+            h = ham[shell][:, shell].toarray()
+            assert np.linalg.norm(h @ vecs[:, j]
+                                  - energy * vecs[:, j]) <= 1e-9
+
+    def test_count_beyond_certified_window(self):
+        # (24, B/omega = 0.4): shells N >= 23 reach down to 24 - 0.4*23,
+        # below which the complete shells hold 128 levels
+        c = PhysicalConstants()
+        assert len(fock_matrix_eigensolve(24, 1.0, 0.4, 1.0, c, 128)) == 128
+        with pytest.raises(ValidationError, match="certified window"):
+            fock_matrix_eigensolve(24, 1.0, 0.4, 1.0, c, 129)
+        with pytest.raises(ValidationError, match="certified window"):
+            fock_matrix_eigensolve(24, 1.0, 1.0, 1.0, c, 1)
+
     def test_truncation_guards(self):
         c = PhysicalConstants()
         with pytest.raises(ValidationError):
@@ -155,6 +205,32 @@ class TestSelfConsistent:
         sc = self_consistent_wrap("fock", p, qn, tol=1e-8)
         assert sc == pytest.approx(root, rel=1e-6)
 
+    def test_repulsive_free_particle_takes_scan_fallback(self, caplog):
+        # the first secant step goes negative, so the scan + Brent kernel
+        # finds the level
+        p = ModelParams(eta0=1.0, theta0=0.0, alpha_exp=2.0, beta_exp=2.0,
+                        e_ref=1.0, mechanism=Mechanism.EC)
+        qn = QuantumNumbers(n=0, m_phi=0)
+        with caplog.at_level(logging.DEBUG, logger="ncqm.oracle"):
+            sc = self_consistent_wrap("radial", p, qn, tol=1e-9)
+        assert sc == pytest.approx(ec_free_energy_closed(qn, p), rel=1e-6)
+        (record,) = [r for r in caplog.records if r.name == "ncqm.oracle"]
+        assert "stage scan_fallback" in record.getMessage()
+
+    def test_debug_record_of_a_secant_solve(self, caplog):
+        p = ModelParams(eta0=0.1, theta0=0.1, alpha_exp=1.0, beta_exp=1.0,
+                        e_ref=10.0, mechanism=Mechanism.EC,
+                        constants=PhysicalConstants(spring_k=1.0))
+        with caplog.at_level(logging.DEBUG, logger="ncqm.oracle"):
+            self_consistent_wrap("radial", p, QuantumNumbers(n=1, m_phi=1))
+        (record,) = [r for r in caplog.records if r.name == "ncqm.oracle"]
+        message = record.getMessage()
+        assert "stage secant" in message
+        solves = int(message.split(" frozen solves")[0].rsplit(" ", 1)[1])
+        assert solves <= 5
+        residual = float(message.rsplit(" ", 1)[1])
+        assert residual <= 1e-8
+
     def test_residual_vanishes_at_fixed_point(self):
         p = ModelParams(eta0=0.2, theta0=0.05, alpha_exp=1.0, beta_exp=1.0,
                         e_ref=5.0, mechanism=Mechanism.EC,
@@ -162,14 +238,3 @@ class TestSelfConsistent:
         qn = QuantumNumbers(n=0, m_phi=0)
         sc = self_consistent_wrap("radial", p, qn, tol=1e-10)
         assert abs(ec_quantization_residual(sc, qn, p)) < 1e-7
-
-
-class TestComparisonReport:
-    def test_json_shape(self):
-        p = ModelParams(mechanism=Mechanism.EC,
-                        constants=PhysicalConstants(spring_k=1.0))
-        doc = json.loads(comparison_report(p, [
-            {"level_index": 0, "oracle_a": 1.0, "oracle_b": 1.0 + 1e-9,
-             "closed_form": 1.0, "max_rel_diff": 1e-9}]))
-        assert doc["max_rel_diff"] == 1e-9
-        assert doc["params"]["mechanism"] == "ec"

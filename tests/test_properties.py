@@ -1,6 +1,6 @@
-"""Property tests of the root kernel (geometric scan + Brent refinement)
-and of parameter-wide invariants of the algebra, the SQF spectrum and the
-ring.
+"""Property tests of the root kernel (geometric scan + Brent refinement),
+of the self-consistent oracle, and of parameter-wide invariants of the
+algebra, the SQF spectrum and the ring.
 
 Oscillator parameters are drawn from the ranges of the benchmark pool, in
 which every default-table level is bound. Examples are derandomized so
@@ -20,6 +20,7 @@ from hypothesis import strategies as st  # noqa: E402
 
 from ncqm.algebra import (build_heisenberg_rep, sw_forward,  # noqa: E402
                           sw_inverse)
+from ncqm.oracle import self_consistent_wrap  # noqa: E402
 from ncqm.params import (EffectiveCoefficients, Mechanism,  # noqa: E402
                          ModelParams, PhysicalConstants,
                          effective_coefficients, k_factor)
@@ -159,6 +160,17 @@ def test_array_scan_matches_scalar_scan(case):
                              for i in brackets[0])
     else:
         assert lazy is None
+
+
+@settings(PROPERTY_SETTINGS, max_examples=12)
+@given(ec_oscillators())
+def test_radial_self_consistent_matches_root(case):
+    # the secant solve of E = level(E) on frozen radial solves reaches the
+    # root of the quantization condition (about 15 ms a level)
+    p, qn = case
+    root = ec_solve_energy(qn, p, ec_default_bracket(qn, p)).energy
+    assert self_consistent_wrap("radial", p, qn) == pytest.approx(root,
+                                                                  rel=1e-6)
 
 
 @PROPERTY_SETTINGS
