@@ -51,7 +51,6 @@ class FockRep:
     """
 
     n_trunc: int
-    ref_frequency: float
     hbar: float
     mass: float
     x: sparse.csr_array
@@ -108,7 +107,6 @@ def build_heisenberg_rep(n_trunc: int, c: PhysicalConstants,
     p = 1j * p_scale * (a_dag - a)
     rep = FockRep(
         n_trunc=n_trunc,
-        ref_frequency=ref_frequency,
         hbar=c.hbar,
         mass=c.mass,
         x=sparse.kron(q, eye, format="csr"),

@@ -21,7 +21,7 @@ from dataclasses import replace
 
 from . import algebra, fractional, ring, spectra, verify, wavefunctions
 from .errors import ConvergenceError
-from .params import (_JSON_FIELDS, Mechanism, ModelParams, PhysicalConstants,
+from .params import (PARAM_KEYS, Mechanism, ModelParams, PhysicalConstants,
                      params_from_dict)
 
 
@@ -29,9 +29,10 @@ def _add_param_flags(parser):
     parser.add_argument("--config", help="JSON parameter file "
                         "(default: $NCQM_CONFIG when set)")
     parser.add_argument("--mechanism", choices=[m.value for m in Mechanism])
-    for name in ("eta0", "theta0", "alpha", "beta", "e-ref", "hbar", "mass",
-                 "charge", "spring-k"):
-        parser.add_argument(f"--{name}", type=real, dest=name.replace("-", "_"))
+    for key in PARAM_KEYS:
+        if key != "mechanism":
+            parser.add_argument(f"--{key.replace('_', '-')}", type=real,
+                                dest=key)
 
 
 def _load_params(args) -> ModelParams:
@@ -40,10 +41,9 @@ def _load_params(args) -> ModelParams:
     if path:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
-    for name in _JSON_FIELDS:
-        val = getattr(args, name, None)
-        if val is not None:
-            doc[name] = val
+    if isinstance(doc, dict):  # anything else fails in params_from_dict
+        doc.update((key, getattr(args, key)) for key in PARAM_KEYS
+                   if getattr(args, key) is not None)
     return params_from_dict(doc)
 
 

@@ -22,7 +22,8 @@ from __future__ import annotations
 import enum
 import json
 import math
-from dataclasses import dataclass, replace
+import numbers
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -93,9 +94,6 @@ class ModelParams:
             raise ValidationError("e_ref must be positive")
         if self.eta0 < 0 or self.theta0 < 0:
             raise ValidationError("eta0 and theta0 must be non-negative")
-
-    def with_constants(self, **kwargs) -> "ModelParams":
-        return replace(self, constants=replace(self.constants, **kwargs))
 
 
 @dataclass(frozen=True)
@@ -173,11 +171,12 @@ def effective_planck(theta: float, eta: float, c: PhysicalConstants) -> float:
     return c.hbar * (1.0 + theta * eta / (4.0 * c.hbar ** 2))
 
 
-def effective_planck_4d(theta_matrix, eta_matrix, c: PhysicalConstants,
-                        atol: float = 1e-12) -> float:
+def effective_planck_4d(theta_matrix, eta_matrix,
+                        c: PhysicalConstants) -> float:
     """Trace form of the effective Planck constant for 4x4 strengths.
 
-    Both matrices must be antisymmetric. Returns
+    Both matrices must be antisymmetric, to 1e-12 relative to their largest
+    entry (or absolute, below 1). Returns
     hbar * (1 + Tr[theta @ eta] / 4 hbar^2).
 
     For a single noncommutative plane embedded block-diagonally the trace
@@ -190,7 +189,7 @@ def effective_planck_4d(theta_matrix, eta_matrix, c: PhysicalConstants,
         if m.shape != (4, 4):
             raise ValidationError(f"{name} matrix must be 4x4, got {m.shape}")
         scale = max(1.0, float(np.max(np.abs(m))))
-        if np.max(np.abs(m + m.T)) > atol * scale:
+        if np.max(np.abs(m + m.T)) > 1e-12 * scale:
             raise ValidationError(f"{name} matrix is not antisymmetric")
     trace = float(np.trace(th @ et))
     return c.hbar * (1.0 + trace / (4.0 * c.hbar ** 2))
@@ -266,49 +265,53 @@ def effective_coefficients(p: ModelParams, energy) -> EffectiveCoefficients:
     )
 
 
-# JSON document schema: flat object with the field names below.
-_JSON_FIELDS = ("eta0", "theta0", "alpha", "beta", "e_ref", "mechanism",
-                "hbar", "mass", "charge", "spring_k")
+# JSON document schema: a flat object whose keys are the fields of
+# ModelParams (alpha_exp and beta_exp under the short names below) followed
+# by those of PhysicalConstants; a key left out takes the field's default.
+_ALIASES = {"alpha_exp": "alpha", "beta_exp": "beta"}
+_MODEL_KEYS = {_ALIASES.get(f.name, f.name): f.name
+               for f in fields(ModelParams) if f.name != "constants"}
+_CONSTANT_KEYS = tuple(f.name for f in fields(PhysicalConstants))
+PARAM_KEYS = (*_MODEL_KEYS, *_CONSTANT_KEYS)
 
 
 def params_to_dict(p: ModelParams) -> dict:
-    return {
-        "eta0": p.eta0,
-        "theta0": p.theta0,
-        "alpha": p.alpha_exp,
-        "beta": p.beta_exp,
-        "e_ref": p.e_ref,
-        "mechanism": p.mechanism.value,
-        "hbar": p.constants.hbar,
-        "mass": p.constants.mass,
-        "charge": p.constants.charge,
-        "spring_k": p.constants.spring_k,
-    }
+    doc = {key: getattr(p, name) for key, name in _MODEL_KEYS.items()}
+    doc.update((key, getattr(p.constants, key)) for key in _CONSTANT_KEYS)
+    doc["mechanism"] = p.mechanism.value
+    return doc
+
+
+def _number(key: str, value) -> float:
+    """A numeric document value as a float; ints are accepted, bools and
+    strings are not."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValidationError(f"{key} must be a number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:
+        raise ValidationError(f"{key} must be finite, got {value}") from None
 
 
 def params_from_dict(doc: dict) -> ModelParams:
-    unknown = set(doc) - set(_JSON_FIELDS)
+    if not isinstance(doc, dict):
+        raise ValidationError(f"a config must be a JSON object, got "
+                              f"{type(doc).__name__}")
+    unknown = set(doc) - set(PARAM_KEYS)
     if unknown:
         raise ValidationError(f"unknown config fields: {sorted(unknown)}")
-    try:
-        mechanism = Mechanism(doc.get("mechanism", "ec"))
-    except ValueError as exc:
-        raise ValidationError(str(exc)) from None
-    constants = PhysicalConstants(
-        hbar=float(doc.get("hbar", 1.0)),
-        mass=float(doc.get("mass", 1.0)),
-        charge=float(doc.get("charge", 1.0)),
-        spring_k=float(doc.get("spring_k", 0.0)),
-    )
-    return ModelParams(
-        eta0=float(doc.get("eta0", 0.0)),
-        theta0=float(doc.get("theta0", 0.0)),
-        alpha_exp=float(doc.get("alpha", 1.0)),
-        beta_exp=float(doc.get("beta", 1.0)),
-        e_ref=float(doc.get("e_ref", 1.0)),
-        mechanism=mechanism,
-        constants=constants,
-    )
+    model, constants = {}, {}
+    for key, value in doc.items():
+        if key == "mechanism":
+            try:
+                model[key] = Mechanism(value)
+            except ValueError as exc:
+                raise ValidationError(str(exc)) from None
+        elif key in _MODEL_KEYS:
+            model[_MODEL_KEYS[key]] = _number(key, value)
+        else:
+            constants[key] = _number(key, value)
+    return ModelParams(**model, constants=PhysicalConstants(**constants))
 
 
 def params_to_json(p: ModelParams) -> str:

@@ -28,15 +28,13 @@ class RingSpec:
     """Geometry and map parameters of the ring.
 
     alpha_param is the map scale with theta*eta = 2 hbar^2 alpha^2 (1 -
-    alpha^2); m_star defaults to mass/alpha_param^2 (the quadratic kinetic
-    rescale) but can be overridden, since the literature also uses
-    mass/alpha.
+    alpha^2); the effective mass m_star is mass/alpha_param^2 (the
+    quadratic kinetic rescale).
     """
 
     radius: float
     flux_ext: float = 0.0
     alpha_param: float = 1.0
-    m_star: float | None = None
     constants: PhysicalConstants = PhysicalConstants()
 
     def __post_init__(self):
@@ -44,11 +42,10 @@ class RingSpec:
             raise ValidationError("radius must be positive")
         if not 0.0 < self.alpha_param <= 1.0:
             raise ValidationError("alpha_param must lie in (0, 1]")
-        if self.m_star is None:
-            object.__setattr__(
-                self, "m_star", self.constants.mass / self.alpha_param ** 2)
-        elif self.m_star <= 0:
-            raise ValidationError("m_star must be positive")
+
+    @property
+    def m_star(self) -> float:
+        return self.constants.mass / self.alpha_param ** 2
 
     @property
     def flux_quantum(self) -> float:

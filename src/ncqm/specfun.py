@@ -17,7 +17,7 @@ suite):
 * bessel_y      error <= 1e-10 * max(1, |Y|) on the same envelope (x > 0)
 * laguerre      error <= 1e-12 times the sum of the absolute terms of the
                 explicit sum, for n <= 20, a in [0, 20], 0 <= x <= 50
-* mittag_leffler  series summation, |z| <= ~30 by default
+* mittag_leffler  series summation, |z| <= ~30 in a fixed 500-term budget
 
 bessel_j, bessel_y and laguerre also take an array of x and return an
 array. All functions are pure and reentrant.
@@ -26,7 +26,6 @@ array. All functions are pure and reentrant.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 from scipy import special
@@ -34,22 +33,11 @@ from scipy import special
 from .errors import ConvergenceError, DomainError, SingularityError
 
 
-@dataclass(frozen=True)
-class SeriesControl:
-    """Budget and tolerances for series summation / quadrature loops."""
-
-    max_terms: int = 500
-    abs_tol: float = 1e-16
-    rel_tol: float = 1e-14
-
-    def __post_init__(self):
-        if self.max_terms < 1:
-            raise DomainError("max_terms must be >= 1")
-        if self.abs_tol <= 0 or self.rel_tol <= 0:
-            raise DomainError("tolerances must be positive")
-
-
-DEFAULT_SERIES = SeriesControl()
+# Budget of the Mittag-Leffler series: at most _ML_MAX_TERMS terms, ended
+# by three terms in a row below max(_ML_ABS_TOL, _ML_REL_TOL * |sum|).
+_ML_MAX_TERMS = 500
+_ML_ABS_TOL = 1e-16
+_ML_REL_TOL = 1e-14
 
 
 def _is_nonpositive_int(x: float) -> bool:
@@ -150,21 +138,20 @@ def laguerre(n: int, a: float, x):
     return _real(special.eval_genlaguerre(int(n), a, x))
 
 
-def mittag_leffler(alpha: float, beta: float, z,
-                   ctl: SeriesControl = DEFAULT_SERIES):
+def mittag_leffler(alpha: float, beta: float, z):
     """Two-parameter Mittag-Leffler function E_{alpha,beta}(z).
 
     Summed as sum_n z^n / Gamma(n*alpha + beta); poles of Gamma contribute
     vanishing terms. Works for real or complex z inside the series-friendly
-    region (|z| <= ~30 with the default control). Raises ConvergenceError
-    if the tail has not dropped below tolerance within ctl.max_terms.
+    region (|z| <= ~30). Raises ConvergenceError if the tail has not
+    dropped below tolerance within the fixed budget of 500 terms.
     """
     if alpha <= 0:
         raise DomainError(f"mittag_leffler requires alpha > 0, got {alpha}")
     acc = 0.0 + 0.0j if isinstance(z, complex) else 0.0
     z_pow = 1.0 + 0.0j if isinstance(z, complex) else 1.0
     small_streak = 0
-    for n in range(ctl.max_terms):
+    for n in range(_ML_MAX_TERMS):
         term = z_pow * recip_gamma(n * alpha + beta)
         acc += term
         mag = abs(term)
@@ -172,8 +159,8 @@ def mittag_leffler(alpha: float, beta: float, z,
             raise ConvergenceError(f"mittag_leffler overflow at term {n}")
         # the gamma argument must be past its minimum before small terms
         # can be trusted as a tail bound
-        if n * alpha + beta > 2.0 and mag <= max(ctl.abs_tol,
-                                                 ctl.rel_tol * abs(acc)):
+        if n * alpha + beta > 2.0 and mag <= max(_ML_ABS_TOL,
+                                                 _ML_REL_TOL * abs(acc)):
             small_streak += 1
             if small_streak >= 3:
                 return acc
@@ -181,5 +168,5 @@ def mittag_leffler(alpha: float, beta: float, z,
             small_streak = 0
         z_pow = z_pow * z
     raise ConvergenceError(
-        f"mittag_leffler did not converge in {ctl.max_terms} terms "
+        f"mittag_leffler did not converge in {_ML_MAX_TERMS} terms "
         f"(alpha={alpha}, beta={beta}, |z|={abs(z):.3g})")

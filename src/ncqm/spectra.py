@@ -64,7 +64,6 @@ class SpectrumResult:
     energy: float
     method: str  # "closed_form" | "root_find" | "first_order"
     residual: float
-    bracket: tuple[float, float]
     roots_found: int = 1
 
 
@@ -254,7 +253,7 @@ def ec_solve_energy(qn: QuantumNumbers, p: ModelParams,
         energy = _linear_level(coeff, qn, hbar)
         resid = ec_quantization_residual(energy, qn, p)
         return SpectrumResult(energy=energy, method="closed_form",
-                              residual=resid, bracket=(energy, energy))
+                              residual=resid)
 
     lo, hi = bracket
     if not 0 <= lo < hi:
@@ -282,7 +281,7 @@ def ec_solve_energy(qn: QuantumNumbers, p: ModelParams,
         raise ConvergenceError(f"refined root E={energy!r} for {qn} leaves "
                                f"|residual| {abs(residual):.3e} > tol {tol:g}")
     return SpectrumResult(energy=energy, method="root_find", residual=residual,
-                          bracket=bracket, roots_found=len(brackets))
+                          roots_found=len(brackets))
 
 
 def ec_default_bracket(qn: QuantumNumbers,

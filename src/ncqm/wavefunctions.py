@@ -171,7 +171,6 @@ def nonlocality_bound(energy: float, p: ModelParams) -> float:
     """Lower bound theta(E)/2 on the coordinate uncertainty product."""
     if energy < 0:
         raise DomainError("energy must be non-negative")
-    from .params import nc_strengths
     theta, _ = nc_strengths(p, energy)
     return 0.5 * theta
 

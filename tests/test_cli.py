@@ -1,8 +1,10 @@
+import argparse
 import json
 
 import pytest
 
-from ncqm.cli import main
+from ncqm.cli import _load_params, build_parser, main
+from ncqm.params import PARAM_KEYS, params_to_dict
 
 
 def run_cli(args, capsys):
@@ -155,6 +157,47 @@ def test_non_positive_count_or_bad_level_exit_2(args, capsys):
     captured = capsys.readouterr()
     assert "error" in captured.err
     assert captured.out == ""
+
+
+@pytest.mark.parametrize("text,reason", [
+    ("[]", "JSON object"), ('"x"', "JSON object"), ("0.5", "JSON object"),
+    ("null", "JSON object"), ('{"eta0": null}', "eta0 must be a number"),
+    ('{"eta0": true}', "eta0 must be a number"),
+    ('{"eta0": "0.5"}', "eta0 must be a number"),
+    ('{"eta0": [0.1]}', "eta0 must be a number"),
+    ('{"spring_k": {"k": 1}}', "spring_k must be a number"),
+    ('{"mechanism": "xyz"}', "not a valid Mechanism"),
+])
+@pytest.mark.parametrize("command", ["spectrum", "wavefunction"])
+def test_malformed_config_exit_2(command, text, reason, tmp_path, capsys):
+    cfg = tmp_path / "bad.json"
+    cfg.write_text(text)
+    for extra in ([], ["--theta0", "0.1"]):  # a flag does not mask the fault
+        code, out, err = run_cli([command, "--config", str(cfg), *extra],
+                                 capsys)
+        assert code == 2
+        assert err.startswith("error: ") and reason in err
+        assert out == ""
+
+
+@pytest.mark.parametrize("command", ["spectrum", "wavefunction"])
+def test_one_flag_per_document_key(command, monkeypatch):
+    monkeypatch.delenv("NCQM_CONFIG", raising=False)
+    sub = next(a for a in build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    actions = [a for a in sub.choices[command]._actions
+               if a.dest in PARAM_KEYS]
+    assert sorted(a.dest for a in actions) == sorted(PARAM_KEYS)
+    for a in actions:
+        assert a.option_strings == ["--" + a.dest.replace("_", "-")]
+    # each flag lands on its own key of the document
+    values = {key: 1.0 + i / 16 for i, key in enumerate(PARAM_KEYS)}
+    values["mechanism"] = "sqf"
+    argv = [command]
+    for key, value in values.items():
+        argv += ["--" + key.replace("_", "-"), str(value)]
+    p = _load_params(build_parser().parse_args(argv))
+    assert params_to_dict(p) == values
 
 
 class TestWavefunctionCommand:

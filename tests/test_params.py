@@ -8,7 +8,8 @@ from ncqm.errors import (DomainError, SingularityError, ValidationError)
 from ncqm.params import (Mechanism, ModelParams, PhysicalConstants,
                          effective_coefficients, effective_planck,
                          effective_planck_4d, k_factor, nc_strengths,
-                         params_from_json, params_to_json, rescaled_strengths)
+                         params_from_dict, params_from_json, params_to_json,
+                         rescaled_strengths)
 
 
 def make_params(**kw):
@@ -229,3 +230,31 @@ class TestJsonRoundTrip:
             for bad in ("NaN", "Infinity", "-Infinity"):
                 with pytest.raises(ValidationError):
                     params_from_json(f'{{"{field}": {bad}}}')
+
+    @pytest.mark.parametrize("text", ["[]", '"x"', "0.5", "null"])
+    def test_non_object_document_rejected(self, text):
+        with pytest.raises(ValidationError, match="JSON object"):
+            params_from_json(text)
+
+    @pytest.mark.parametrize("key", ["eta0", "alpha", "e_ref", "spring_k"])
+    @pytest.mark.parametrize("bad", [None, [0.5], {"v": 0.5}, "0.5", True,
+                                     False])
+    def test_non_numeric_field_rejected(self, key, bad):
+        with pytest.raises(ValidationError, match=f"{key} must be a number"):
+            params_from_dict({key: bad})
+
+    @pytest.mark.parametrize("bad", ["xyz", "EC", None, 1, ["ec"]])
+    def test_unknown_mechanism_rejected(self, bad):
+        with pytest.raises(ValidationError, match="Mechanism"):
+            params_from_dict({"mechanism": bad})
+
+    def test_integers_read_as_floats(self):
+        p = params_from_json('{"eta0": 1, "e_ref": 10, "spring_k": 2}')
+        assert p == make_params(eta0=1.0, theta0=0.0, alpha_exp=1.0,
+                                beta_exp=1.0, e_ref=10.0,
+                                constants={"spring_k": 2.0})
+        assert type(p.eta0) is float and type(p.constants.spring_k) is float
+
+    def test_integer_beyond_float_range_rejected(self):
+        with pytest.raises(ValidationError, match="e_ref"):
+            params_from_dict({"e_ref": 10 ** 400})

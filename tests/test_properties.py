@@ -23,7 +23,8 @@ from ncqm.algebra import (build_heisenberg_rep, sw_forward,  # noqa: E402
 from ncqm.oracle import self_consistent_wrap  # noqa: E402
 from ncqm.params import (EffectiveCoefficients, Mechanism,  # noqa: E402
                          ModelParams, PhysicalConstants,
-                         effective_coefficients, k_factor)
+                         effective_coefficients, k_factor, params_from_dict,
+                         params_from_json, params_to_dict, params_to_json)
 from ncqm.ring import (RingSpec, ground_level_index,  # noqa: E402
                        ground_persistent_current, nc_flux, persistent_current,
                        ring_levels)
@@ -251,3 +252,20 @@ def test_ring_periodic_in_flux_quantum(frac, eta, radius, alpha, l):
     assert ground_persistent_current(there, eta) == pytest.approx(
         ground_persistent_current(here, eta),
         abs=kin / fields.flux_quantum * slack)
+
+
+finite = st.floats(allow_nan=False, allow_infinity=False)
+non_negative = st.floats(min_value=0.0, allow_infinity=False)
+positive = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+
+
+@PROPERTY_SETTINGS
+@given(st.builds(ModelParams, eta0=non_negative, theta0=non_negative,
+                 alpha_exp=finite, beta_exp=finite, e_ref=positive,
+                 mechanism=st.sampled_from(Mechanism),
+                 constants=st.builds(PhysicalConstants, hbar=positive,
+                                     mass=positive, charge=finite,
+                                     spring_k=non_negative)))
+def test_config_document_round_trip(p):
+    assert params_from_dict(params_to_dict(p)) == p
+    assert params_from_json(params_to_json(p)) == p

@@ -26,10 +26,6 @@ class TestRingSpec:
         spec = RingSpec(radius=1.0, alpha_param=0.5)
         assert spec.m_star == pytest.approx(4.0, rel=1e-15)
 
-    def test_override(self):
-        spec = RingSpec(radius=1.0, alpha_param=0.5, m_star=2.0)
-        assert spec.m_star == 2.0
-
 
 class TestNcFlux:
     def test_zero_strength(self):
