@@ -134,6 +134,8 @@ def _cmd_spectrum(args) -> int:
 
 
 def _cmd_wavefunction(args) -> int:
+    if args.r_max <= 0:
+        raise ValueError(f"--r-max must be positive, got {args.r_max!r}")
     p = _load_params(args)
     qn = spectra.QuantumNumbers(n=args.n, m_phi=args.mphi)
     if args.energy is not None:

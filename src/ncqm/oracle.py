@@ -12,9 +12,9 @@ Two oracles solve H = p^2/2m* - B L_z + K r^2/2 at frozen coefficients:
   eigenbasis of L_z, so the labels are integers by construction.
 
 Energy-dependent coefficients are handled by self_consistent_wrap, a
-secant solve of E = level(E) with a fallback to the spectra module's scan
-+ Brent root kernel, so the closed forms and the root-finder in the
-spectra module can be cross-checked end to end.
+secant solve of E = level(E) in E and, where that fails, in ln E. It
+shares no code with the spectra module, so the closed forms and the
+root-finder there can be cross-checked end to end.
 """
 
 from __future__ import annotations
@@ -30,7 +30,6 @@ from scipy.optimize import root_scalar
 from .errors import ConvergenceError, GridError, ValidationError
 from .algebra import build_heisenberg_rep
 from .params import ModelParams, PhysicalConstants, effective_coefficients
-from .spectra import brent_root, first_bracket
 
 log = logging.getLogger("ncqm.oracle")
 
@@ -169,11 +168,8 @@ def fock_matrix_eigensolve(n_trunc: int, m_star: float, b_field: float,
     return values[order], np.concatenate(labels)[order]
 
 
-# Fallback scan of g(E) = E - level(E): grid points over the energy span
-# scale/_SCAN_SPAN .. scale*_SCAN_SPAN around the commutative scale; the
-# secant stage must stay inside the same span.
-_SCAN_POINTS = 48
-_SCAN_SPAN = 1e4
+# The secant on E stays in scale/_SPAN .. scale*_SPAN.
+_SPAN = 1e4
 # Radial finite-volume grid of the frozen solves.
 _FD_POINTS = 1200
 # Fock truncation of the frozen solves.
@@ -210,33 +206,22 @@ def _frozen_level(p: ModelParams, qn, energy: float, solver: str) -> float:
     raise ValidationError(f"unknown solver {solver!r}; use radial or fock")
 
 
-class _LeftSpan(Exception):
-    """A secant iterate left the scan span (or was not positive)."""
+class _Leave(Exception):
+    """A secant iterate left the region where its function is defined."""
 
 
-def _secant_root(g, scale: float, span: tuple[float, float], tol: float):
-    """Secant root of g started from (scale, scale - g(scale)), or None.
-
-    None means the iteration did not converge to tol relative, or one of
-    its iterates (the converged one included) left the span.
-    """
-    lo, hi = span
-
-    def g_in_span(e):
-        if not lo <= e <= hi:
-            raise _LeftSpan
-        return g(e)
-
-    first = scale - g(scale)
-    if first == scale:
-        return scale
+def _secant(h, x0: float, x1: float, xtol: float, rtol: float):
+    """Secant root of h from x0, x1, or None if it does not converge or h
+    raises _Leave at an iterate (the converged root is evaluated too)."""
+    if x1 == x0:
+        return x0
     try:
-        sol = root_scalar(g_in_span, x0=scale, x1=first, method="secant",
-                          xtol=sys.float_info.min, rtol=tol)
+        sol = root_scalar(h, x0=x0, x1=x1, method="secant", xtol=xtol,
+                          rtol=rtol)
         if sol.converged:
-            g_in_span(sol.root)
+            h(sol.root)
             return sol.root
-    except _LeftSpan:
+    except _Leave:
         pass
     return None
 
@@ -248,30 +233,32 @@ def self_consistent_wrap(solver: str, p: ModelParams, qn,
     E* is the root of g(E) = E - level(E), where level(E) solves the
     Hamiltonian with its coefficients frozen at E (solver "radial" or
     "fock"). The secant method (scipy root_scalar) starts from the
-    commutative scale and its frozen level; constant coefficients converge
-    in one step. When the secant does not converge, or an iterate is not
-    positive or leaves the scan span around the scale (the repulsive free
-    particle's first step is negative), the solve falls back to the
-    spectra root kernel: the first sign change of g on a geometric scan of
-    that span, refined by Brent's method to tol relative (never below the
-    float floor). Frozen levels are memoized within the call, so the
-    fallback repeats no solve. The energy is accepted when
-    |E - level(E)| <= tol level(E); otherwise, or when the scan finds no
-    sign change, ConvergenceError is raised with the trace of frozen
-    solves. Each call logs one DEBUG record on "ncqm.oracle": the stage
-    (secant or scan_fallback), the number of frozen solves and the final
-    relative residual.
+    commutative scale and its frozen level, every iterate inside
+    scale/1e4 .. scale*1e4; constant coefficients converge in one step.
+    If it fails (the repulsive free particle's first step is negative),
+    the secant solves u - ln level(e^u) = 0 to tol from ln scale and
+    ln level(scale) with no span, guarded only by a positive, finite
+    level (level <= 0: no bound state); power-law strengths make a
+    free-particle level linear in u = ln E. Frozen levels are memoized
+    within the call. E is accepted when |E - level(E)| <= tol level(E);
+    otherwise, or when both secants fail, ConvergenceError is raised with
+    the trace of frozen solves. Each call logs one DEBUG record on
+    "ncqm.oracle": stage (secant or log_secant), frozen solves, residual.
     """
     c = p.constants
     scale = c.hbar * max(c.omega, 1.0 / p.e_ref) * qn.radial_weight
     scale = max(scale, 1e-6 * p.e_ref)
-    span = (scale / _SCAN_SPAN, scale * _SCAN_SPAN)
     levels = {}
 
-    def g(e):
+    def level(e):
         if e not in levels:
             levels[e] = _frozen_level(p, qn, e, solver)
-        return e - levels[e]
+        return levels[e]
+
+    def g(e):
+        if not scale / _SPAN <= e <= scale * _SPAN:
+            raise _Leave
+        return e - level(e)
 
     def failure(why):
         return ConvergenceError(
@@ -280,14 +267,28 @@ def self_consistent_wrap(solver: str, p: ModelParams, qn,
                         for a, b in list(levels.items())[-6:]))
 
     stage = "secant"
-    energy = _secant_root(g, scale, span, tol)
+    energy = _secant(g, scale, scale - g(scale), sys.float_info.min, tol)
     if energy is None:
-        stage = "scan_fallback"
-        bracket = first_bracket(g, *span, _SCAN_POINTS)
-        if bracket is None:
-            raise failure("no sign change of E - level(E) on the scan")
-        energy = brent_root(g, bracket, tol).root
-    residual = abs(g(energy) / levels[energy])
+        stage = "log_secant"
+        if not levels[scale] > 0.0:
+            raise failure("level(scale) <= 0, no bound state")
+        # the energies solved so far, by logarithm, so that h reuses them
+        solved = {math.log(e): e for e in levels}
+
+        def h(u):
+            try:  # e^u or a strength overflows, K_h <= 0 or level <= 0
+                lev = level(solved.get(u) or math.exp(u))
+                if lev < math.inf:
+                    return u - math.log(lev)
+            except (ArithmeticError, ValueError):
+                pass
+            raise _Leave
+
+        u = _secant(h, math.log(scale), math.log(levels[scale]), tol, 0.0)
+        if u is None:
+            raise failure("no secant root of E - level(E) in E or in ln E")
+        energy = solved.get(u) or math.exp(u)
+    residual = abs((energy - levels[energy]) / levels[energy])
     log.debug("self_consistent_wrap %s (n=%d, m_phi=%d): stage %s, %d frozen "
               "solves, relative residual %.3e", solver, qn.n, qn.m_phi, stage,
               len(levels), residual)

@@ -17,7 +17,9 @@ suite):
 * bessel_y      error <= 1e-10 * max(1, |Y|) on the same envelope (x > 0)
 * laguerre      error <= 1e-12 times the sum of the absolute terms of the
                 explicit sum, for n <= 20, a in [0, 20], 0 <= x <= 50
-* mittag_leffler  series summation, |z| <= ~30 in a fixed 500-term budget
+* mittag_leffler  relative error <= 1e-10 where it returns, alpha in [0.5, 1],
+                |z| <= 30; ConvergenceError when the 500-term budget runs
+                out, the value overflows or the terms cancel (see README)
 
 bessel_j, bessel_y and laguerre also take an array of x and return an
 array. All functions are pure and reentrant.
@@ -34,10 +36,12 @@ from .errors import ConvergenceError, DomainError, SingularityError
 
 
 # Budget of the Mittag-Leffler series: at most _ML_MAX_TERMS terms, ended
-# by three terms in a row below max(_ML_ABS_TOL, _ML_REL_TOL * |sum|).
+# by three terms in a row below max(_ML_ABS_TOL, _ML_REL_TOL * |sum|); a
+# sum whose largest term exceeds _ML_MAX_CANCELLATION |sum| is refused.
 _ML_MAX_TERMS = 500
 _ML_ABS_TOL = 1e-16
 _ML_REL_TOL = 1e-14
+_ML_MAX_CANCELLATION = 1e3
 
 
 def _is_nonpositive_int(x: float) -> bool:
@@ -142,27 +146,38 @@ def mittag_leffler(alpha: float, beta: float, z):
     """Two-parameter Mittag-Leffler function E_{alpha,beta}(z).
 
     Summed as sum_n z^n / Gamma(n*alpha + beta); poles of Gamma contribute
-    vanishing terms. Works for real or complex z inside the series-friendly
-    region (|z| <= ~30). Raises ConvergenceError if the tail has not
-    dropped below tolerance within the fixed budget of 500 terms.
+    vanishing terms. At real z > 0 the terms past the overflow of z^n are
+    exp(n ln z - ln Gamma), inf above e^709.78 (the largest double). Raises
+    ConvergenceError if the tail is not below tolerance within the fixed
+    500 terms, if the sum overflows, or if a term exceeds 1e3 |sum|
+    (cancellation past 1e-10 relative).
     """
     if alpha <= 0:
         raise DomainError(f"mittag_leffler requires alpha > 0, got {alpha}")
-    acc = 0.0 + 0.0j if isinstance(z, complex) else 0.0
-    z_pow = 1.0 + 0.0j if isinstance(z, complex) else 1.0
-    small_streak = 0
+    positive = not isinstance(z, complex) and z > 0
+    acc, z_pow = (0j, 1 + 0j) if isinstance(z, complex) else (0.0, 1.0)
+    largest = small_streak = 0
     for n in range(_ML_MAX_TERMS):
-        term = z_pow * recip_gamma(n * alpha + beta)
+        arg = n * alpha + beta
+        if positive and math.isinf(z_pow) and arg > 0:
+            log_term = n * math.log(z) - log_gamma(arg)
+            term = math.exp(log_term) if log_term < 709.78 else math.inf
+        else:
+            term = z_pow * recip_gamma(arg)
         acc += term
-        mag = abs(term)
-        if not math.isfinite(mag):
+        if not math.isfinite(abs(acc)):
             raise ConvergenceError(f"mittag_leffler overflow at term {n}")
+        largest = max(largest, abs(term))
         # the gamma argument must be past its minimum before small terms
         # can be trusted as a tail bound
-        if n * alpha + beta > 2.0 and mag <= max(_ML_ABS_TOL,
-                                                 _ML_REL_TOL * abs(acc)):
+        if arg > 2.0 and abs(term) <= max(_ML_ABS_TOL,
+                                          _ML_REL_TOL * abs(acc)):
             small_streak += 1
             if small_streak >= 3:
+                if largest > _ML_MAX_CANCELLATION * abs(acc):
+                    raise ConvergenceError(
+                        f"mittag_leffler cancellation: largest term "
+                        f"{largest:.3g}, |sum| {abs(acc):.3g}")
                 return acc
         else:
             small_streak = 0

@@ -15,7 +15,7 @@ in one array call (2401 points on the default 12-decade bracket), so a
 level costs one array evaluation plus a handful of scalar Brent steps,
 a fraction of a millisecond. The grid (scan_grid), the bracket rule
 (sign_change_brackets) and the refinement (brent_root) are the package's
-one root-finding kernel, which the self-consistent oracle falls back to.
+one root-finding kernel; the self-consistent oracle shares none of it.
 """
 
 from __future__ import annotations
@@ -185,34 +185,15 @@ def sign_change_brackets(values) -> list[tuple[int, int]]:
     return [(i, i if zero[i] else i + 1) for i in hits]
 
 
-def first_bracket(f, lo: float, hi: float, n_pts: int):
-    """The first sign-change bracket (a, b) of f on the scan grid, or None.
-
-    f is evaluated one grid point at a time and only up to that bracket,
-    for callers whose f is too costly to evaluate on the whole grid.
-    """
-    values = [f(scan_grid(lo, hi, n_pts, 0))]
-    for i in range(1, n_pts + 1):
-        values.append(f(scan_grid(lo, hi, n_pts, i)))
-        for a, b in sign_change_brackets(values[-2:]):
-            return (scan_grid(lo, hi, n_pts, i - 1 + a),
-                    scan_grid(lo, hi, n_pts, i - 1 + b))
-    return None
-
-
-def brent_root(f, bracket: tuple[float, float], rtol: float):
-    """Refine a sign-change bracket of f by Brent's method.
-
-    The bracket shrinks until it is rtol relative to the root (never
-    below the float floor 4 eps); there is no absolute floor, so roots of
-    any magnitude keep full relative accuracy. Returns scipy's
-    RootResults (root, iterations, function_calls). Raises
-    ConvergenceError if brentq exhausts its iteration budget.
-    """
+def brent_root(f, bracket: tuple[float, float]):
+    """Refine a sign-change bracket of f by Brent's method to the float
+    floor, 4 eps relative to the root, with no absolute floor: roots of any
+    magnitude keep full relative accuracy. Returns scipy's RootResults
+    (root, iterations, function_calls); raises ConvergenceError if brentq
+    exhausts its iteration budget."""
     a, b = bracket
-    _, info = brentq(f, a, b, xtol=sys.float_info.min,
-                     rtol=max(rtol, _RTOL_FLOOR), full_output=True,
-                     disp=False)
+    _, info = brentq(f, a, b, xtol=sys.float_info.min, rtol=_RTOL_FLOOR,
+                     full_output=True, disp=False)
     if not info.converged:
         raise ConvergenceError(f"brentq did not converge on {bracket}: "
                                f"{info.flag}")
@@ -271,7 +252,7 @@ def ec_solve_energy(qn: QuantumNumbers, p: ModelParams,
     def resid(e):
         return ec_quantization_residual(e, qn, p)
 
-    info = brent_root(resid, chosen, _RTOL_FLOOR)
+    info = brent_root(resid, chosen)
     energy = info.root
     residual = resid(energy)
     log.debug("ec_solve_energy %s: %d grid points, %d sign changes, "

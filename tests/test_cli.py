@@ -144,6 +144,8 @@ def test_non_finite_or_empty_input_exit_2(args, capsys):
     ["ring", "--phi-steps", "0", "--l", "abc"],
     ["ring", "--l", "abc"],
     ["wavefunction", "--mechanism", "ec", "--spring-k", "1", "--points", "0"],
+    ["wavefunction", "--mechanism", "ec", "--spring-k", "1", "--r-max", "0"],
+    ["wavefunction", "--mechanism", "ec", "--spring-k", "1", "--r-max", "-2"],
     ["commutators", "--theta", "0.1", "--eta", "0.1", "--n-trunc", "0"],
     ["commutators", "--theta", "0.1", "--eta", "0.1", "--n-trunc", "121"],
 ])
@@ -232,6 +234,14 @@ class TestFractionalCommand:
             parts = row.split(",")
             assert float(parts[3]) == pytest.approx(float(parts[4]),
                                                     rel=1e-12)
+
+    def test_mittag_leffler_cancellation_exit_2(self, capsys):
+        # E_1(-30) = e^-30 is summed from terms up to 8e11: no digit is left
+        code, out, err = run_cli(["fractional", "--op", "mittag_leffler",
+                                  "--order", "1", "--x", "-30"], capsys)
+        assert code == 2
+        assert "error: mittag_leffler cancellation" in err
+        assert out == ""
 
 
 class TestRingCommand:

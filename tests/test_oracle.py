@@ -5,12 +5,13 @@ import numpy as np
 import pytest
 
 from ncqm.algebra import build_heisenberg_rep
-from ncqm.errors import GridError, ValidationError
+from ncqm.errors import ConvergenceError, GridError, ValidationError
 from ncqm.oracle import (fock_matrix_eigensolve, radial_fd_eigensolve,
                          self_consistent_wrap)
 from ncqm.params import Mechanism, ModelParams, PhysicalConstants
 from ncqm.spectra import (QuantumNumbers, ec_free_energy_closed,
                           ec_quantization_residual, ec_solve_energy)
+from ncqm.verify import ROOT_VS_ORACLE_TOL
 
 
 class TestRadialFd:
@@ -205,9 +206,9 @@ class TestSelfConsistent:
         sc = self_consistent_wrap("fock", p, qn, tol=1e-8)
         assert sc == pytest.approx(root, rel=1e-6)
 
-    def test_repulsive_free_particle_takes_scan_fallback(self, caplog):
-        # the first secant step goes negative, so the scan + Brent kernel
-        # finds the level
+    def test_repulsive_free_particle_takes_log_secant(self, caplog):
+        # the first secant step goes negative, so the secant on ln E finds
+        # the level; the free-particle level is a power of E, linear in ln E
         p = ModelParams(eta0=1.0, theta0=0.0, alpha_exp=2.0, beta_exp=2.0,
                         e_ref=1.0, mechanism=Mechanism.EC)
         qn = QuantumNumbers(n=0, m_phi=0)
@@ -215,7 +216,34 @@ class TestSelfConsistent:
             sc = self_consistent_wrap("radial", p, qn, tol=1e-9)
         assert sc == pytest.approx(ec_free_energy_closed(qn, p), rel=1e-6)
         (record,) = [r for r in caplog.records if r.name == "ncqm.oracle"]
-        assert "stage scan_fallback" in record.getMessage()
+        message = record.getMessage()
+        assert "stage log_secant" in message
+        solves = int(message.split(" frozen solves")[0].rsplit(" ", 1)[1])
+        assert solves <= 6
+
+    @pytest.mark.parametrize("alpha,n,m_phi", [(1.5, 0, 0), (1.5, 0, 1),
+                                               (0.75, 0, 1)])
+    def test_free_root_decades_from_the_scale(self, alpha, n, m_phi):
+        # closed forms 1.1e4, 3.2e4 and 1.2e-7 lie outside the span
+        # scale/1e4 .. scale*1e4 of the secant on E
+        p = ModelParams(eta0=0.3, alpha_exp=alpha, beta_exp=alpha, e_ref=5.0,
+                        mechanism=Mechanism.EC)
+        qn = QuantumNumbers(n=n, m_phi=m_phi)
+        assert self_consistent_wrap("radial", p, qn, tol=1e-9) == \
+            pytest.approx(ec_free_energy_closed(qn, p),
+                          rel=ROOT_VS_ORACLE_TOL)
+
+    @pytest.mark.parametrize("alpha,eta0,m_phi,reason", [
+        (2.0, 1.0, 3, "no bound state"),       # 1 + (1 - sqrt 2) 3 < 0
+        (1.001, 1.0, 0, "in E or in ln E"),    # root beyond float range
+        (0.999, 1.0, 0, "in E or in ln E"),    # root below it, K_h -> 0
+    ])
+    def test_no_representable_level_raises(self, alpha, eta0, m_phi, reason):
+        p = ModelParams(eta0=eta0, alpha_exp=alpha, beta_exp=alpha,
+                        e_ref=1.0, mechanism=Mechanism.EC)
+        with pytest.raises(ConvergenceError, match=reason):
+            self_consistent_wrap("radial", p, QuantumNumbers(m_phi=m_phi),
+                                 tol=1e-9)
 
     def test_debug_record_of_a_secant_solve(self, caplog):
         p = ModelParams(eta0=0.1, theta0=0.1, alpha_exp=1.0, beta_exp=1.0,

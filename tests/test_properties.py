@@ -31,8 +31,9 @@ from ncqm.ring import (RingSpec, ground_level_index,  # noqa: E402
 from ncqm.spectra import (SCAN_PER_DECADE, QuantumNumbers,  # noqa: E402
                           commutative_spectrum, ec_default_bracket,
                           ec_free_energy_closed, ec_quantization_residual,
-                          ec_solve_energy, first_bracket, scan_grid,
-                          sign_change_brackets, sqf_oscillator_spectrum)
+                          ec_solve_energy, scan_grid, sign_change_brackets,
+                          sqf_oscillator_spectrum)
+from ncqm.verify import ROOT_VS_ORACLE_TOL  # noqa: E402
 
 TOL = 1e-12
 PROPERTY_SETTINGS = settings(max_examples=40, deadline=None,
@@ -151,16 +152,23 @@ def test_array_scan_matches_scalar_scan(case):
         assert abs(v - s) <= 4.0 * sys.float_info.epsilon * (abs(lhs)
                                                               + abs(rhs))
         scalar.append(s)
-    brackets = sign_change_brackets(values)
-    assert brackets == scalar_scan_brackets(scalar)
-    # the lazy scan stops at the same first bracket, with scalar endpoints
-    lazy = first_bracket(lambda e: ec_quantization_residual(e, qn, p),
-                         lo, hi, n_pts)
-    if brackets:
-        assert lazy == tuple(scan_grid(lo, hi, n_pts, i)
-                             for i in brackets[0])
-    else:
-        assert lazy is None
+    assert sign_change_brackets(values) == scalar_scan_brackets(scalar)
+
+
+@settings(PROPERTY_SETTINGS, max_examples=25)
+@given(eta0=st.floats(0.3, 3.0),
+       alpha=st.one_of(st.floats(0.5, 0.9), st.floats(1.5, 3.0)),
+       e_ref=st.floats(0.5, 5.0), n=level_index, m_phi=level_index)
+def test_radial_self_consistent_matches_free_closed_form(eta0, alpha, e_ref,
+                                                         n, m_phi):
+    # the level is a power of E, so the secant on ln E reaches it even
+    # where the secant on E leaves its span (roots decades from the scale)
+    assume(2 * n + (1.0 - math.sqrt(2.0)) * m_phi + 1.0 > 0)
+    p = ModelParams(eta0=eta0, alpha_exp=alpha, beta_exp=alpha, e_ref=e_ref,
+                    mechanism=Mechanism.EC)
+    qn = QuantumNumbers(n=n, m_phi=m_phi)
+    assert self_consistent_wrap("radial", p, qn, tol=1e-9) == pytest.approx(
+        ec_free_energy_closed(qn, p), rel=ROOT_VS_ORACLE_TOL)
 
 
 @settings(PROPERTY_SETTINGS, max_examples=12)

@@ -229,6 +229,46 @@ class TestMittagLeffler:
             mittag_leffler(0.01, 1.0, 1.0)
 
 
+def ml_log10_largest_term(alpha, beta, z):
+    return max(n * math.log10(abs(z)) - math.lgamma(n * alpha + beta)
+               / math.log(10.0) for n in range(1, 20000))
+
+
+def ml_series_mp(alpha, beta, z):
+    """E_{alpha,beta}(z) summed in mpmath with 60 digits beyond the
+    largest term, so that cancellation costs no accuracy."""
+    mpmath = pytest.importorskip("mpmath")
+    digits = 60 + max(0, math.ceil(ml_log10_largest_term(alpha, beta, z)))
+    with mpmath.workdps(digits):
+        z_mp, a = mpmath.mpmathify(z), mpmath.mpf(alpha)
+        acc, power, n, small = mpmath.mpf(0), mpmath.mpf(1), 0, 0
+        while small < 3:
+            term = power * mpmath.rgamma(n * a + beta)
+            acc += term
+            small = (small + 1 if abs(term) < mpmath.mpf(10) ** -digits
+                     * abs(acc) else 0)
+            power *= z_mp
+            n += 1
+        return complex(acc) if isinstance(z, complex) else float(acc)
+
+
+@pytest.mark.parametrize("alpha", [0.5, 0.7, 0.9, 1.0])
+@pytest.mark.parametrize("z", [5.0, -5.0, 10.0, -10.0, 30.0, -30.0, 10j,
+                               -10j])
+def test_mittag_leffler_accurate_or_refused(alpha, z):
+    # a value comes back within 1e-10 relative, or ConvergenceError; at
+    # real z > 0 the terms are positive, so only a sum beyond the float
+    # range may be refused
+    try:
+        value = mittag_leffler(alpha, 1.0, z)
+    except ConvergenceError:
+        assert (isinstance(z, complex) or z < 0
+                or ml_log10_largest_term(alpha, 1.0, z) > 308.3)
+        return
+    ref = ml_series_mp(alpha, 1.0, z)
+    assert abs(value - ref) <= 1e-10 * abs(ref)
+
+
 class TestMpmathReference:
     """Every scipy-backed wrapper against mpmath at 30 digits, on grids
     inside the accuracy envelopes the module docstring states."""
