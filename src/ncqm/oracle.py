@@ -12,16 +12,22 @@ Two oracles solve H = p^2/2m* - B L_z + K r^2/2 at frozen coefficients:
   eigenbasis of L_z, so the labels are integers by construction.
 
 Energy-dependent coefficients are handled by self_consistent_wrap, a
-secant solve of E = level(E) in E and, where that fails, in ln E. It
-shares no code with the spectra module, so the closed forms and the
-root-finder there can be cross-checked end to end.
+secant solve of E = level(E) in E and, where that fails, in ln E. Frozen
+at E the Hamiltonian is an oscillator of frequency omega_h(E), so the
+radial level there is hbar(omega_h(E) eps - m_phi B_h(E)): the unit level
+eps is solved by the finite-volume eigensolver once per (|m_phi|, n) per
+process and only rescaled afterwards. The Fock level is solved at every
+frozen energy. The module shares no code with the spectra module, so the
+closed forms and the root-finder there can be cross-checked end to end.
 """
 
 from __future__ import annotations
 
+import functools
 import logging
 import math
 import sys
+import time
 
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
@@ -50,13 +56,20 @@ def radial_fd_eigensolve(m_star: float, b_field: float, k_elastic: float,
     grid is (r_max, points); points >= 500 and r_max must satisfy the
     boundary-decay condition exp(-xi_max^2/2) < 1e-8. With richardson the
     solve is repeated at doubled resolution and extrapolated, giving
-    O(h^4) eigenvalues.
+    O(h^4) eigenvalues. m_star, k_elastic, hbar and r_max must be finite
+    and positive, b_field finite and count in 1..points (ValidationError).
     """
     r_max, points = grid
     if points < 500:
         raise GridError(f"points must be >= 500, got {points}")
-    if m_star <= 0 or k_elastic <= 0:
-        raise ValidationError("m_star and k_elastic must be positive")
+    if not all(0.0 < v < math.inf for v in (m_star, k_elastic, hbar, r_max)):
+        raise ValidationError(
+            "m_star, k_elastic, hbar and r_max must be finite and positive, "
+            f"got {m_star}, {k_elastic}, {hbar}, {r_max}")
+    if not math.isfinite(b_field):
+        raise ValidationError(f"b_field must be finite, got {b_field}")
+    if not 1 <= count <= points:
+        raise ValidationError(f"count must be in 1..{points}, got {count}")
     lam = math.sqrt(m_star * k_elastic) / hbar
     if lam * r_max ** 2 / 2.0 < _DECAY_LOG:
         raise GridError(
@@ -176,22 +189,42 @@ _FD_POINTS = 1200
 _FOCK_TRUNC = 24
 
 
+@functools.lru_cache(maxsize=256)
+def _unit_radial_levels(m_abs: int, n: int) -> float:
+    """Radial level n at |m_phi| = m_abs in units of hbar omega, B = 0.
+
+    In xi = r sqrt(lambda), lambda = sqrt(m* K)/hbar, every entry of the
+    finite-volume matrix is hbar omega times its entry at m* = K = hbar = 1,
+    so the level is solved there once per (m_abs, n) and rescaled by the
+    caller. The grid reaches xi_max = max(sqrt(2.2 ln 1e8),
+    3 sqrt(2n + m_abs + 2)): past the boundary-decay bound and three times
+    the level's turning point. Logs one DEBUG record on "ncqm.oracle".
+    """
+    start = time.perf_counter()
+    xi_max = max(math.sqrt(2.2 * _DECAY_LOG),
+                 3.0 * math.sqrt(2 * n + m_abs + 2))
+    level = float(radial_fd_eigensolve(1.0, 0.0, 1.0, m_abs,
+                                       (xi_max, _FD_POINTS), n + 1)[n])
+    log.debug("unit radial level (n=%d, |m_phi|=%d): xi_max %.6g, level "
+              "%.15g, %.3g s", n, m_abs, xi_max, level,
+              time.perf_counter() - start)
+    return level
+
+
 def _frozen_level(p: ModelParams, qn, energy: float, solver: str) -> float:
-    """Level (n, m_phi) of the Hamiltonian frozen at the given energy."""
+    """Level (n, m_phi) of the Hamiltonian frozen at the given energy.
+
+    The radial level is hbar(omega_h eps - m_phi B_h), with eps the unit
+    level of _unit_radial_levels; the Fock level is solved at the frozen
+    coefficients and picked by its L_z label.
+    """
     coeff = effective_coefficients(p, energy)
     c = p.constants
     if coeff.k_h <= 0:
         raise ValidationError("frozen K_h must be positive")
     if solver == "radial":
-        lam = math.sqrt(coeff.m_star * coeff.k_h) / c.hbar
-        r_max = math.sqrt(2.2 * _DECAY_LOG / lam)
-        # widen until the target level's turning point is well inside
-        scale = math.sqrt((2 * qn.n + abs(qn.m_phi) + 2) / lam)
-        r_max = max(r_max, 3.0 * scale)
-        levels = radial_fd_eigensolve(coeff.m_star, coeff.b_h, coeff.k_h,
-                                      qn.m_phi, (r_max, _FD_POINTS), qn.n + 1,
-                                      hbar=c.hbar, richardson=True)
-        return float(levels[qn.n])
+        unit = _unit_radial_levels(abs(qn.m_phi), qn.n)
+        return c.hbar * (coeff.omega_h * unit - qn.m_phi * coeff.b_h)
     if solver == "fock":
         certified = _certified_count(
             _FOCK_TRUNC, math.sqrt(coeff.k_h / coeff.m_star), coeff.b_h)

@@ -18,8 +18,9 @@ suite):
 * laguerre      error <= 1e-12 times the sum of the absolute terms of the
                 explicit sum, for n <= 20, a in [0, 20], 0 <= x <= 50
 * mittag_leffler  relative error <= 1e-10 where it returns, alpha in [0.5, 1],
-                |z| <= 30; ConvergenceError when the 500-term budget runs
-                out, the value overflows or the terms cancel (see README)
+                |z| <= 30, and at real z > 0 wherever the value is a finite
+                double; ConvergenceError when the term budget runs out, the
+                value overflows or the terms cancel (see README)
 
 bessel_j, bessel_y and laguerre also take an array of x and return an
 array. All functions are pure and reentrant.
@@ -35,10 +36,12 @@ from scipy import special
 from .errors import ConvergenceError, DomainError, SingularityError
 
 
-# Budget of the Mittag-Leffler series: at most _ML_MAX_TERMS terms, ended
-# by three terms in a row below max(_ML_ABS_TOL, _ML_REL_TOL * |sum|); a
-# sum whose largest term exceeds _ML_MAX_CANCELLATION |sum| is refused.
+# Budget of the Mittag-Leffler series: at most _ML_MAX_TERMS terms (at
+# real z > 1, that many past the peak and tail of the terms), ended by
+# three terms in a row below max(_ML_ABS_TOL, _ML_REL_TOL * |sum|); a sum
+# whose largest term exceeds _ML_MAX_CANCELLATION |sum| is refused.
 _ML_MAX_TERMS = 500
+_LOG_MAX_DOUBLE = 709.78  # just below ln of the largest double
 _ML_ABS_TOL = 1e-16
 _ML_REL_TOL = 1e-14
 _ML_MAX_CANCELLATION = 1e3
@@ -147,21 +150,39 @@ def mittag_leffler(alpha: float, beta: float, z):
 
     Summed as sum_n z^n / Gamma(n*alpha + beta); poles of Gamma contribute
     vanishing terms. At real z > 0 the terms past the overflow of z^n are
-    exp(n ln z - ln Gamma), inf above e^709.78 (the largest double). Raises
-    ConvergenceError if the tail is not below tolerance within the fixed
-    500 terms, if the sum overflows, or if a term exceeds 1e3 |sum|
-    (cancellation past 1e-10 relative).
+    exp(n ln z - ln Gamma), inf above e^709.78 (the largest double). The
+    budget is 500 terms; at real z > 1 the terms peak near
+    n = z^(1/alpha)/alpha with width sqrt(n/alpha), and the budget adds the
+    peak and ten widths. Raises ConvergenceError if the tail is not below
+    tolerance within the budget, if the sum (or, at real z > 1, the term at
+    the peak) overflows, or if a term exceeds 1e3 |sum| (cancellation past
+    1e-10 relative).
     """
     if alpha <= 0:
         raise DomainError(f"mittag_leffler requires alpha > 0, got {alpha}")
     positive = not isinstance(z, complex) and z > 0
+    budget = _ML_MAX_TERMS
+    if positive and z > 1.0:
+        log_peak = math.log(z) / alpha - math.log(alpha)
+        peak = math.exp(min(log_peak, _LOG_MAX_DOUBLE))
+        n_peak = math.floor(peak)
+        # the positive terms sum past their largest, so a peak term beyond
+        # the double range means the value is too
+        if not (log_peak < _LOG_MAX_DOUBLE and n_peak * math.log(z)
+                - log_gamma(n_peak * alpha + beta) < _LOG_MAX_DOUBLE):
+            raise ConvergenceError(
+                f"mittag_leffler overflow: the terms peak near n = {peak:.3g} "
+                f"above the double range (alpha={alpha}, beta={beta}, "
+                f"z={z:.3g})")
+        budget += math.ceil(peak + 10.0 * math.sqrt(peak / alpha))
     acc, z_pow = (0j, 1 + 0j) if isinstance(z, complex) else (0.0, 1.0)
     largest = small_streak = 0
-    for n in range(_ML_MAX_TERMS):
+    for n in range(budget):
         arg = n * alpha + beta
         if positive and math.isinf(z_pow) and arg > 0:
             log_term = n * math.log(z) - log_gamma(arg)
-            term = math.exp(log_term) if log_term < 709.78 else math.inf
+            term = (math.exp(log_term) if log_term < _LOG_MAX_DOUBLE
+                    else math.inf)
         else:
             term = z_pow * recip_gamma(arg)
         acc += term
@@ -183,5 +204,5 @@ def mittag_leffler(alpha: float, beta: float, z):
             small_streak = 0
         z_pow = z_pow * z
     raise ConvergenceError(
-        f"mittag_leffler did not converge in {_ML_MAX_TERMS} terms "
+        f"mittag_leffler did not converge in {budget} terms "
         f"(alpha={alpha}, beta={beta}, |z|={abs(z):.3g})")

@@ -1,9 +1,11 @@
 import logging
 import math
+import warnings
 
 import numpy as np
 import pytest
 
+from ncqm import oracle
 from ncqm.algebra import build_heisenberg_rep
 from ncqm.errors import ConvergenceError, GridError, ValidationError
 from ncqm.oracle import (fock_matrix_eigensolve, radial_fd_eigensolve,
@@ -60,6 +62,30 @@ class TestRadialFd:
     def test_points_guard(self):
         with pytest.raises(GridError):
             radial_fd_eigensolve(1.0, 0.0, 1.0, 0, (9.0, 400), 1)
+
+    @pytest.mark.parametrize("m_star,b,k,hbar,r_max,count", [
+        (1.0, math.nan, 1.0, 1.0, 9.0, 2),
+        (1.0, math.inf, 1.0, 1.0, 9.0, 1),
+        (1.0, 0.0, 1.0, 1.0, 9.0, 0),
+        (1.0, 0.0, 1.0, 1.0, 9.0, -1),
+        (1.0, 0.0, 1.0, 1.0, 9.0, 1001),
+        (1.0, 0.0, 1.0, 0.0, 9.0, 1),
+        (1.0, 0.0, 1.0, -1.0, 9.0, 1),
+        (1.0, 0.0, 1.0, math.nan, 9.0, 1),
+        (1.0, 0.0, 1.0, 1.0, math.nan, 1),
+        (1.0, 0.0, 1.0, 1.0, math.inf, 1),
+        (1.0, 0.0, 1.0, 1.0, -9.0, 1),
+        (math.nan, 0.0, 1.0, 1.0, 9.0, 1),
+        (math.inf, 0.0, 1.0, 1.0, 9.0, 1),
+        (-1.0, 0.0, 1.0, 1.0, 9.0, 1),
+        (1.0, 0.0, math.inf, 1.0, 9.0, 1),
+        (1.0, 0.0, 0.0, 1.0, 9.0, 1),
+    ])
+    def test_bad_input_raises_validation_error(self, m_star, b, k, hbar,
+                                               r_max, count):
+        with pytest.raises(ValidationError):
+            radial_fd_eigensolve(m_star, b, k, 0, (r_max, 1000), count,
+                                 hbar=hbar)
 
 
 def shell_hamiltonian(n_trunc, m_star, b, k):
@@ -258,6 +284,62 @@ class TestSelfConsistent:
         assert solves <= 5
         residual = float(message.rsplit(" ", 1)[1])
         assert residual <= 1e-8
+
+    def test_unit_levels_solved_once_per_level(self, monkeypatch):
+        # the frozen radial level rescales one unit-level solve per
+        # (|m_phi|, n): 16 levels on two parameter points take at most
+        # 16 finite-volume solves, whatever the frozen energies
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return radial_fd_eigensolve(*args, **kwargs)
+
+        oracle._unit_radial_levels.cache_clear()
+        monkeypatch.setattr(oracle, "radial_fd_eigensolve", counted)
+        for p in (ModelParams(eta0=0.1, theta0=0.1, alpha_exp=1.0,
+                              beta_exp=1.0, e_ref=10.0,
+                              mechanism=Mechanism.EC,
+                              constants=PhysicalConstants(spring_k=1.0)),
+                  ModelParams(eta0=0.17, theta0=0.16, alpha_exp=1.07,
+                              beta_exp=0.79, e_ref=16.5,
+                              mechanism=Mechanism.EC,
+                              constants=PhysicalConstants(spring_k=1.13))):
+            for n in range(4):
+                for m_phi in range(4):
+                    qn = QuantumNumbers(n=n, m_phi=m_phi)
+                    root = ec_solve_energy(qn, p, (1e-4, 1e3),
+                                           tol=1e-13).energy
+                    assert self_consistent_wrap("radial", p, qn) == \
+                        pytest.approx(root, rel=1e-6)
+        assert 0 < len(calls) <= 16
+
+    def test_unit_level_debug_record(self, caplog):
+        oracle._unit_radial_levels.cache_clear()
+        p = ModelParams(eta0=0.0, theta0=0.0, mechanism=Mechanism.EC,
+                        constants=PhysicalConstants(spring_k=1.0))
+        with caplog.at_level(logging.DEBUG, logger="ncqm.oracle"):
+            for _ in range(2):
+                self_consistent_wrap("radial", p, QuantumNumbers(n=1,
+                                                                 m_phi=2))
+        unit = [r.getMessage() for r in caplog.records
+                if r.getMessage().startswith("unit radial level")]
+        assert len(unit) == 1  # the second solve reuses the cached level
+        assert "(n=1, |m_phi|=2)" in unit[0]
+        assert float(unit[0].split("level ")[2].split(",")[0]) == \
+            pytest.approx(5.0, rel=1e-9)  # 2n + |m_phi| + 1
+
+    def test_rootless_oscillator_level_raises_without_overflow(self):
+        # the level has no self-consistent root and its frozen coefficients
+        # grow as E^6 along the secant, up to inf without a numpy overflow
+        p = ModelParams(eta0=0.1, theta0=0.5, alpha_exp=3.0, beta_exp=3.0,
+                        e_ref=1.0, mechanism=Mechanism.EC,
+                        constants=PhysicalConstants(spring_k=1.0))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(ConvergenceError):
+                self_consistent_wrap("radial", p, QuantumNumbers(n=1,
+                                                                 m_phi=0))
 
     def test_residual_vanishes_at_fixed_point(self):
         p = ModelParams(eta0=0.2, theta0=0.05, alpha_exp=1.0, beta_exp=1.0,

@@ -10,6 +10,7 @@ that the suite checks the same draws on every run.
 import dataclasses
 import math
 import sys
+import types
 
 import numpy as np
 import pytest
@@ -20,7 +21,8 @@ from hypothesis import strategies as st  # noqa: E402
 
 from ncqm.algebra import (build_heisenberg_rep, sw_forward,  # noqa: E402
                           sw_inverse)
-from ncqm.oracle import self_consistent_wrap  # noqa: E402
+from ncqm.oracle import (_frozen_level, radial_fd_eigensolve,  # noqa: E402
+                         self_consistent_wrap)
 from ncqm.params import (EffectiveCoefficients, Mechanism,  # noqa: E402
                          ModelParams, PhysicalConstants,
                          effective_coefficients, k_factor, params_from_dict,
@@ -169,6 +171,32 @@ def test_radial_self_consistent_matches_free_closed_form(eta0, alpha, e_ref,
     qn = QuantumNumbers(n=n, m_phi=m_phi)
     assert self_consistent_wrap("radial", p, qn, tol=1e-9) == pytest.approx(
         ec_free_energy_closed(qn, p), rel=ROOT_VS_ORACLE_TOL)
+
+
+@settings(PROPERTY_SETTINGS, max_examples=30)
+@given(case=ec_oscillators(), mass=st.floats(math.exp(-5.0), math.exp(5.0)),
+       hbar=st.floats(math.exp(-3.0), math.exp(3.0)),
+       energy=st.floats(0.1, 100.0), sign=st.sampled_from([1, -1]))
+def test_rescaled_radial_level_matches_physical_solve(case, mass, hbar,
+                                                      energy, sign):
+    # the frozen level, a unit level times hbar omega_h, equals the
+    # finite-volume solve at the physical coefficients on the grid
+    # r_max = max(sqrt(2.2 ln 1e8 / lambda), 3 sqrt((2n + |m| + 2)/lambda))
+    p, qn = case
+    k = p.constants.spring_k
+    p = dataclasses.replace(p, constants=PhysicalConstants(
+        hbar=hbar, mass=mass, spring_k=k))
+    # QuantumNumbers takes m_phi >= 0; the frozen level reads n and m_phi
+    qn = types.SimpleNamespace(n=qn.n, m_phi=sign * qn.m_phi)
+    coeff = effective_coefficients(p, energy)
+    lam = math.sqrt(coeff.m_star * coeff.k_h) / hbar
+    r_max = max(math.sqrt(2.2 * math.log(1e8) / lam),
+                3.0 * math.sqrt((2 * qn.n + abs(qn.m_phi) + 2) / lam))
+    physical = radial_fd_eigensolve(coeff.m_star, coeff.b_h, coeff.k_h,
+                                    qn.m_phi, (r_max, 1200), qn.n + 1,
+                                    hbar=hbar)[qn.n]
+    assert abs(_frozen_level(p, qn, energy, "radial") - physical) <= \
+        1e-9 * hbar * coeff.omega_h
 
 
 @settings(PROPERTY_SETTINGS, max_examples=12)

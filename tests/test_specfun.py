@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from scipy import integrate
+from scipy import integrate, special
 
 from ncqm.errors import ConvergenceError, DomainError, SingularityError
 from ncqm.specfun import (bessel_j, bessel_j_asymptotic, bessel_y, beta_fn,
@@ -267,6 +267,37 @@ def test_mittag_leffler_accurate_or_refused(alpha, z):
         return
     ref = ml_series_mp(alpha, 1.0, z)
     assert abs(value - ref) <= 1e-10 * abs(ref)
+
+
+@pytest.mark.parametrize("alpha,z,closed", [
+    (0.5, 15.0, lambda z: special.erfcx(-z)),   # e^{z^2} erfc(-z)
+    (0.5, 20.0, lambda z: special.erfcx(-z)),
+    (0.5, 26.5, lambda z: special.erfcx(-z)),   # ~ 1.9e305
+    (1.0, 300.0, math.exp),
+    (1.0, 700.0, math.exp),
+    (2.0, 1e4, lambda z: math.cosh(math.sqrt(z))),
+    (2.0, 4e5, lambda z: math.cosh(math.sqrt(z))),  # ~ 1e274
+])
+def test_mittag_leffler_closed_forms_at_large_positive_z(alpha, z, closed):
+    # the terms peak near n = z^(1/alpha)/alpha, and their tail reaches
+    # past 500 terms for E_{1/2,1}(15) and E_{1,1}(700)
+    assert mittag_leffler(alpha, 1.0, z) == pytest.approx(closed(z),
+                                                          rel=1e-12)
+
+
+@pytest.mark.parametrize("alpha,z", [(0.5, 15.0), (0.7, 50.0), (0.3, 5.0),
+                                     (0.9, 300.0), (0.1, 1.9), (0.01, 1.01)])
+def test_mittag_leffler_large_positive_z_matches_series(alpha, z):
+    # finite doubles whose terms reach past 500
+    value = mittag_leffler(alpha, 1.0, z)
+    assert value == pytest.approx(ml_series_mp(alpha, 1.0, z), rel=1e-10)
+
+
+@pytest.mark.parametrize("alpha,z", [(0.5, 27.0), (0.3, 8.0), (1.0, 710.0),
+                                     (1e-4, 2.0)])
+def test_mittag_leffler_beyond_double_range_is_overflow(alpha, z):
+    with pytest.raises(ConvergenceError, match="overflow"):
+        mittag_leffler(alpha, 1.0, z)
 
 
 class TestMpmathReference:
