@@ -12,10 +12,11 @@ operators corrupts the two highest Fock levels of each mode, so all
 residual norms are taken on the interior block (first n_trunc - 2 levels
 per mode), where the identities hold to roundoff.
 
-Every operator is a scipy.sparse CSR array: a tridiagonal single-mode
-quadrature Kronecker-multiplied with the identity of the other mode, so
-each of the n_trunc^2 rows holds at most two entries and every commutator
-is a sparse product.
+Every operator is a scipy.sparse CSR array assembled directly from its
+index arrays: product-basis row i*n_trunc + j couples to (i +- 1, j) for
+a first-mode operator and to (i, j +- 1) for a second-mode one, so each
+row holds at most two entries. Every commutator is a sparse product, and
+its residuals are read straight from the commutator's CSR arrays.
 """
 
 from __future__ import annotations
@@ -34,11 +35,34 @@ from .params import PhysicalConstants, effective_planck, k_factor
 log = logging.getLogger("ncqm.algebra")
 
 _MAX_TRUNC = 120
+# Largest entry a map may add to an operator: products of two such entries
+# stay far inside the double range.
+_MAX_SHIFT = 1e150
 
 
-def _ladder(n: int) -> sparse.csr_array:
-    return sparse.diags_array(np.sqrt(np.arange(1.0, n)), offsets=1,
-                              format="csr", dtype=complex)
+def _mode_operators(n: int, stride: int,
+                    *values: tuple[np.ndarray, np.ndarray]
+                    ) -> list[sparse.csr_array]:
+    """Tridiagonal single-mode quadratures on the two-mode product basis.
+
+    Row r = i*n + j sits at level k = i of the first mode (stride n) or
+    k = j of the second (stride 1). For each (lower, upper) pair, row r
+    couples to r - stride with lower[k - 1] (k >= 1) and to r + stride
+    with upper[k] (k <= n - 2), in that column order. The operators share
+    one pattern but not its arrays.
+    """
+    rows = np.arange(n * n, dtype=np.int32)
+    level = rows // stride % n
+    valid = np.stack([level >= 1, level <= n - 2], axis=1)
+    cols = np.stack([rows - stride, rows + stride], axis=1)[valid]
+    indptr = np.zeros(n * n + 1, dtype=np.int32)
+    np.cumsum(valid.sum(axis=1), out=indptr[1:])
+    return [sparse.csr_array(
+                (np.stack([np.append(0.0, lower)[level],
+                           np.append(upper, 0.0)[level]], axis=1)[valid],
+                 cols.copy(), indptr.copy()),
+                shape=(n * n, n * n))
+            for lower, upper in values]
 
 
 @dataclass(frozen=True)
@@ -98,22 +122,16 @@ def build_heisenberg_rep(n_trunc: int, c: PhysicalConstants,
         raise ValidationError(f"n_trunc capped at {_MAX_TRUNC}, got {n_trunc}")
     if ref_frequency <= 0:
         raise ValidationError("ref_frequency must be positive")
-    a = _ladder(n_trunc)
-    a_dag = a.T  # the ladder is real, so a+ is its transpose
-    eye = sparse.eye_array(n_trunc, dtype=complex, format="csr")
     x_scale = math.sqrt(c.hbar / (2.0 * c.mass * ref_frequency))
     p_scale = math.sqrt(c.mass * ref_frequency * c.hbar / 2.0)
-    q = x_scale * (a + a_dag)
-    p = 1j * p_scale * (a_dag - a)
-    rep = FockRep(
-        n_trunc=n_trunc,
-        hbar=c.hbar,
-        mass=c.mass,
-        x=sparse.kron(q, eye, format="csr"),
-        y=sparse.kron(eye, q, format="csr"),
-        px=sparse.kron(p, eye, format="csr"),
-        py=sparse.kron(eye, p, format="csr"),
-    )
+    root = np.sqrt(np.arange(1.0, n_trunc))
+    # <k-1|q|k> = <k|q|k-1> = x_scale sqrt(k); <k-1|p|k> = -i p_scale sqrt(k)
+    q = (x_scale * root).astype(complex)
+    p = 1j * (p_scale * root)
+    x, px = _mode_operators(n_trunc, n_trunc, (q, q), (p, p.conj()))
+    y, py = _mode_operators(n_trunc, 1, (q, q), (p, p.conj()))
+    rep = FockRep(n_trunc=n_trunc, hbar=c.hbar, mass=c.mass,
+                  x=x, y=y, px=px, py=py)
     ops = (rep.x, rep.y, rep.px, rep.py)
     log.debug("build_heisenberg_rep: n_trunc %d, dimension %d, nnz per "
               "operator %s, %d operator bytes", n_trunc, n_trunc ** 2,
@@ -123,6 +141,19 @@ def build_heisenberg_rep(n_trunc: int, c: PhysicalConstants,
     return rep
 
 
+def _check_shift(rep: FockRep, theta: float, eta: float, ct: float,
+                 ce: float) -> None:
+    """Refuse a map whose shifted entries, ct max|p| or ce max|x|, would
+    overflow the commutator products (ValidationError)."""
+    for shift in (abs(ct) * float(np.abs(rep.px.data).max()),
+                  abs(ce) * float(np.abs(rep.x.data).max())):
+        if not shift <= _MAX_SHIFT:
+            raise ValidationError(
+                f"theta={theta}, eta={eta} shift operator entries by "
+                f"{shift:.3g}, past {_MAX_SHIFT:g}: the commutator products "
+                "would overflow")
+
+
 def sw_forward(rep: FockRep, theta: float, eta: float) -> MappedRep:
     """Symmetric linear map from canonical to noncommutative operators.
 
@@ -130,10 +161,12 @@ def sw_forward(rep: FockRep, theta: float, eta: float) -> MappedRep:
     p^_x = p_x + (eta/2hbar) y,  p^_y = p_y - (eta/2hbar) x.
 
     The coordinate-momentum commutator picks up the factor
-    1 + theta*eta/4hbar^2 (an effective Planck constant).
+    1 + theta*eta/4hbar^2 (an effective Planck constant). Strengths that
+    would shift an entry past 1e150 raise ValidationError.
     """
     ct = theta / (2.0 * rep.hbar)
     ce = eta / (2.0 * rep.hbar)
+    _check_shift(rep, theta, eta, ct, ce)
     return MappedRep(
         rep=rep, theta=theta, eta=eta,
         x=rep.x - ct * rep.py,
@@ -172,10 +205,12 @@ def alternative_maps(rep: FockRep, theta: float, eta: float,
 
     Variant "asym_1" shifts only (x, p_y); "asym_2" shifts only (y, p_x).
     Both leave [x^_i, p^_j] = i hbar delta_ij exact (no effective-Planck
-    shift), in contrast with sw_forward.
+    shift), in contrast with sw_forward. Strengths that would shift an
+    entry past 1e150 raise ValidationError.
     """
     ct = theta / rep.hbar
     ce = eta / rep.hbar
+    _check_shift(rep, theta, eta, ct, ce)
     if variant == "asym_1":
         return MappedRep(rep=rep, theta=theta, eta=eta,
                          x=rep.x - ct * rep.py, y=rep.y,
@@ -215,15 +250,17 @@ def commutator_residuals(mapped: MappedRep) -> list[ResidualEntry]:
     (so a one-sided map shows its missing Planck shift in [x,px]). The
     off-diagonal [x^, p^_y] and [y^, p^_x] vanish identically for a single
     noncommutative plane, so their target is 0. Residuals are max absolute
-    entries of C - i*target*I restricted to the interior block; measured
-    is the mean of the block's diagonal.
+    entries of C - i*target*I restricted to the interior block, read from
+    the CSR arrays of C (an unstored diagonal entry counts as 0); measured
+    is the mean of the block's diagonal. A residual that is not finite
+    raises ValidationError.
     """
     rep = mapped.rep
     c = PhysicalConstants(hbar=rep.hbar, mass=rep.mass)
     hbar_eff = effective_planck(mapped.theta, mapped.eta, c)
-    keep = np.flatnonzero(rep.interior_mask())
+    inside = rep.interior_mask()
+    keep = np.flatnonzero(inside)
     dim = keep.size
-    eye = sparse.eye_array(dim, dtype=complex, format="csr")
     checks = [
         ("[x,y]", mapped.theta, _commutator(mapped.x, mapped.y)),
         ("[px,py]", mapped.eta, _commutator(mapped.px, mapped.py)),
@@ -234,12 +271,22 @@ def commutator_residuals(mapped: MappedRep) -> list[ResidualEntry]:
     ]
     out = []
     for name, coeff, comm in checks:
-        block = comm[np.ix_(keep, keep)]
+        rows = np.repeat(np.arange(comm.shape[0]), np.diff(comm.indptr))
+        in_block = inside[rows] & inside[comm.indices]
+        on_diag = in_block & (rows == comm.indices)
+        diag = np.zeros(comm.shape[0], dtype=complex)
+        diag[rows[on_diag]] = comm.data[on_diag]
+        diag = diag[keep]
+        off = np.abs(comm.data[in_block & ~on_diag]).max(initial=0.0)
+        worst = float(np.maximum(off, np.abs(diag - 1j * coeff).max()))
+        if not math.isfinite(worst):
+            raise ValidationError(f"{name} residual is not finite at "
+                                  f"theta={mapped.theta}, eta={mapped.eta}")
         out.append(ResidualEntry(
             commutator=name,
             target=complex(0.0, coeff),
-            measured=complex(block.diagonal().sum() / dim),
-            max_residual=float(abs(block - 1j * coeff * eye).max()),
+            measured=complex(diag.sum() / dim),
+            max_residual=worst,
         ))
     return out
 

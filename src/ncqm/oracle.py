@@ -143,12 +143,20 @@ def fock_matrix_eigensolve(n_trunc: int, m_star: float, b_field: float,
     that basis. Labels are therefore the integer L_z eigenvalues, in units
     of hbar. Only levels below the lowest energy an excluded shell can
     reach are certified; count beyond that window raises ValidationError.
-    Levels equal to roundoff are ordered by shell.
+    Levels equal to roundoff are ordered by shell. m_star and k_elastic
+    must be finite and positive (PhysicalConstants holds hbar to the
+    same), b_field finite and count at least 1 (ValidationError).
     """
     if n_trunc < 20:
         raise ValidationError(f"n_trunc must be >= 20, got {n_trunc}")
-    if m_star <= 0 or k_elastic <= 0:
-        raise ValidationError("m_star and k_elastic must be positive")
+    if not all(0.0 < v < math.inf for v in (m_star, k_elastic)):
+        raise ValidationError(
+            "m_star and k_elastic must be finite and positive, "
+            f"got {m_star}, {k_elastic}")
+    if not math.isfinite(b_field):
+        raise ValidationError(f"b_field must be finite, got {b_field}")
+    if count < 1:
+        raise ValidationError(f"count must be >= 1, got {count}")
     omega = math.sqrt(k_elastic / m_star)
     certified = _certified_count(n_trunc, omega, b_field)
     if count > certified:

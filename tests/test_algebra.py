@@ -1,15 +1,21 @@
+import dataclasses
 import logging
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy import sparse
 
-from ncqm.algebra import (FockRep, alternative_maps, bogoliubov_frequency,
-                          build_heisenberg_rep, commutator_residuals,
-                          residual_report_json, sw_forward, sw_inverse)
+from ncqm.algebra import (FockRep, ResidualEntry, alternative_maps,
+                          bogoliubov_frequency, build_heisenberg_rep,
+                          commutator_residuals, residual_report_json,
+                          sw_forward, sw_inverse)
 from ncqm.errors import ValidationError
 from ncqm.params import (Mechanism, ModelParams, PhysicalConstants,
                          effective_coefficients, effective_planck)
+from ncqm.verify import SW_PAIRS
 
 
 def comm(a, b):
@@ -19,6 +25,43 @@ def comm(a, b):
 def interior(rep: FockRep, m: np.ndarray) -> np.ndarray:
     mask = rep.interior_mask()
     return m[np.ix_(mask, mask)]
+
+
+def kron_reference(n_trunc, c, ref_frequency):
+    """(x, y, p_x, p_y) as Kronecker products of the single-mode ladder
+    quadratures with the identity: the construction the CSR assembly of
+    build_heisenberg_rep must reproduce bit for bit."""
+    a = sparse.diags_array(np.sqrt(np.arange(1.0, n_trunc)), offsets=1,
+                           format="csr", dtype=complex)
+    eye = sparse.eye_array(n_trunc, dtype=complex, format="csr")
+    q = math.sqrt(c.hbar / (2.0 * c.mass * ref_frequency)) * (a + a.T)
+    p = 1j * math.sqrt(c.mass * ref_frequency * c.hbar / 2.0) * (a.T - a)
+    return (sparse.kron(q, eye, format="csr"), sparse.kron(eye, q, format="csr"),
+            sparse.kron(p, eye, format="csr"), sparse.kron(eye, p, format="csr"))
+
+
+def residuals_reference(mapped):
+    """commutator_residuals by slicing the interior block out of each
+    commutator with np.ix_ and subtracting a sparse identity."""
+    rep = mapped.rep
+    hbar_eff = effective_planck(mapped.theta, mapped.eta,
+                                PhysicalConstants(hbar=rep.hbar, mass=rep.mass))
+    keep = np.flatnonzero(rep.interior_mask())
+    eye = sparse.eye_array(keep.size, dtype=complex, format="csr")
+    m = mapped
+    out = []
+    for name, coeff, a, b in (("[x,y]", m.theta, m.x, m.y),
+                              ("[px,py]", m.eta, m.px, m.py),
+                              ("[x,px]", hbar_eff, m.x, m.px),
+                              ("[y,py]", hbar_eff, m.y, m.py),
+                              ("[x,py]", 0.0, m.x, m.py),
+                              ("[y,px]", 0.0, m.y, m.px)):
+        block = comm(a, b)[np.ix_(keep, keep)]
+        out.append(ResidualEntry(
+            commutator=name, target=complex(0.0, coeff),
+            measured=complex(block.diagonal().sum() / keep.size),
+            max_residual=float(abs(block - 1j * coeff * eye).max())))
+    return out
 
 
 @pytest.fixture(scope="module")
@@ -49,6 +92,24 @@ class TestHeisenbergRep:
         assert "n_trunc 12, dimension 144" in msg
         assert "nnz per operator [264, 264, 264, 264]" in msg
         assert "operator bytes" in msg
+
+    @settings(max_examples=40, deadline=None, derandomize=True,
+              database=None)
+    @given(n_trunc=st.integers(4, 120),
+           hbar=st.floats(math.exp(-3.0), math.exp(3.0)),
+           mass=st.floats(math.exp(-3.0), math.exp(3.0)),
+           ref_frequency=st.floats(math.exp(-3.0), math.exp(3.0)))
+    def test_matches_kronecker_construction(self, n_trunc, hbar, mass,
+                                            ref_frequency):
+        c = PhysicalConstants(hbar=hbar, mass=mass)
+        r = build_heisenberg_rep(n_trunc, c, ref_frequency)
+        for got, want in zip((r.x, r.y, r.px, r.py),
+                             kron_reference(n_trunc, c, ref_frequency)):
+            assert got.shape == want.shape
+            for name in ("indptr", "indices", "data"):
+                g, w = getattr(got, name), getattr(want, name)
+                # bytes, so that a signed zero would count as a change
+                assert g.dtype == w.dtype and g.tobytes() == w.tobytes()
 
     def test_modes_commute_exactly(self, rep):
         assert np.max(np.abs(comm(rep.x, rep.y))) == 0.0
@@ -158,12 +219,49 @@ class TestAlternativeMaps:
         expected = 1j * theta * eta / 4.0 * np.eye(diff.shape[0])
         assert np.max(np.abs(diff - expected)) < 1e-12
 
+    @pytest.mark.parametrize("theta,eta", [(1e200, 0.1), (0.1, 1e200),
+                                           (1e300, 1e300), (math.inf, 0.0),
+                                           (0.0, math.nan)])
+    @pytest.mark.parametrize("variant", ["sw", "asym_1", "asym_2"])
+    def test_overflowing_shift_raises(self, rep, theta, eta, variant):
+        # the products of such entries overflow to inf and NaN residuals
+        with pytest.raises(ValidationError, match="would overflow"):
+            if variant == "sw":
+                sw_forward(rep, theta, eta)
+            else:
+                alternative_maps(rep, theta, eta, variant)
+
+    def test_large_finite_shift_is_kept(self, rep):
+        entries = commutator_residuals(sw_forward(rep, 1e140, 1e-3))
+        assert all(math.isfinite(e.max_residual) for e in entries)
+
     def test_unknown_variant(self, rep):
         with pytest.raises(ValidationError):
             alternative_maps(rep, 0.1, 0.1, "bogus")
 
 
 class TestResiduals:
+    @pytest.mark.parametrize("n_trunc,hbar,mass", [(4, 1.0, 1.0),
+                                                   (12, 3.0, 0.5),
+                                                   (30, 1.0, 1.0)])
+    @pytest.mark.parametrize("theta,eta", [*SW_PAIRS, (0.0, 0.0),
+                                           (-0.4, 0.25), (1e3, -2e2)])
+    @pytest.mark.parametrize("variant", ["sw", "asym_1", "asym_2"])
+    def test_matches_interior_block_slicing(self, n_trunc, hbar, mass,
+                                            theta, eta, variant):
+        r = build_heisenberg_rep(n_trunc, PhysicalConstants(hbar=hbar,
+                                                            mass=mass))
+        mapped = (sw_forward(r, theta, eta) if variant == "sw"
+                  else alternative_maps(r, theta, eta, variant))
+        assert commutator_residuals(mapped) == residuals_reference(mapped)
+
+    def test_non_finite_residual_raises(self, rep):
+        mapped = sw_forward(rep, 0.1, 0.2)
+        x = mapped.x.copy()
+        x.data[5] = math.nan
+        with pytest.raises(ValidationError, match=r"\[x,y\] residual"):
+            commutator_residuals(dataclasses.replace(mapped, x=x))
+
     def test_identity_map_clean(self, rep):
         entries = commutator_residuals(sw_forward(rep, 0.0, 0.0))
         assert max(e.max_residual for e in entries) < 1e-12

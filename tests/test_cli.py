@@ -224,6 +224,17 @@ class TestCommutatorsCommand:
         assert all(d["max_residual"] < 1e-10 for d in doc)
 
 
+    @pytest.mark.parametrize("theta,eta", [("1e200", "0.1"),
+                                           ("1e300", "1e300")])
+    def test_overflowing_strengths_exit_2(self, theta, eta, capsys):
+        # once exit 0 with "max_residual": NaN, or an overflow warning
+        code, out, err = run_cli(["commutators", "--theta", theta,
+                                  "--eta", eta], capsys)
+        assert code == 2
+        assert out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+
 class TestFractionalCommand:
     def test_half_derivative_table(self, capsys):
         code, out, _ = run_cli(["fractional", "--op", "half_derivative_x",

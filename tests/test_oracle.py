@@ -188,6 +188,32 @@ class TestFockOracle:
         with pytest.raises(ValidationError, match="certified window"):
             fock_matrix_eigensolve(24, 1.0, 1.0, 1.0, c, 1)
 
+    @pytest.mark.parametrize("m_star,b,k,hbar,count", [
+        (1.0, 0.0, 1.0, 1.0, -3),
+        (1.0, 0.0, 1.0, 1.0, 0),
+        (math.inf, 0.0, 1.0, 1.0, 1),
+        (math.nan, 0.0, 1.0, 1.0, 1),
+        (0.0, 0.0, 1.0, 1.0, 1),
+        (1.0, 0.0, math.inf, 1.0, 1),
+        (1.0, 0.0, math.nan, 1.0, 1),
+        (1.0, 0.0, -1.0, 1.0, 1),
+        (1.0, math.nan, 1.0, 1.0, 1),
+        (1.0, math.inf, 1.0, 1.0, 1),
+        (1.0, 0.0, 1.0, 0.0, 1),
+        (1.0, 0.0, 1.0, math.inf, 1),
+        (1.0, 0.0, 1.0, math.nan, 1),
+    ])
+    def test_bad_input_raises_validation_error(self, m_star, b, k, hbar,
+                                               count):
+        # count -3 once returned 273 levels, count 0 an empty array,
+        # m* = inf a ZeroDivisionError, and K = inf or a NaN B an
+        # "outside the certified window (0 levels)"; a bad hbar is refused
+        # by PhysicalConstants before the solve starts
+        with pytest.raises(ValidationError) as info:
+            fock_matrix_eigensolve(24, m_star, b, k,
+                                   PhysicalConstants(hbar=hbar), count)
+        assert "certified window" not in str(info.value)
+
     def test_truncation_guards(self):
         c = PhysicalConstants()
         with pytest.raises(ValidationError):
