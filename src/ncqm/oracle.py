@@ -12,13 +12,14 @@ Two oracles solve H = p^2/2m* - B L_z + K r^2/2 at frozen coefficients:
   eigenbasis of L_z, so the labels are integers by construction.
 
 Energy-dependent coefficients are handled by self_consistent_wrap, a
-secant solve of E = level(E) in E and, where that fails, in ln E. Frozen
-at E the Hamiltonian is an oscillator of frequency omega_h(E), so the
-radial level there is hbar(omega_h(E) eps - m_phi B_h(E)): the unit level
-eps is solved by the finite-volume eigensolver once per (|m_phi|, n) per
-process and only rescaled afterwards. The Fock level is solved at every
-frozen energy. The module shares no code with the spectra module, so the
-closed forms and the root-finder there can be cross-checked end to end.
+secant solve of E = level(E) in ln E. Frozen at E the Hamiltonian is an
+oscillator of frequency omega_h(E), so the radial level there is
+hbar(omega_h(E) eps - m_phi B_h(E)): the unit level eps is solved by the
+finite-volume eigensolver once per (|m_phi|, n) per process and only
+rescaled afterwards. The Fock level is solved at every frozen energy
+where the frozen Hamiltonian is bounded below (|B_h| < omega_h). The
+module shares no code with the spectra module, so the closed forms and
+the root-finder there can be cross-checked end to end.
 """
 
 from __future__ import annotations
@@ -26,7 +27,6 @@ from __future__ import annotations
 import functools
 import logging
 import math
-import sys
 import time
 
 import numpy as np
@@ -189,8 +189,6 @@ def fock_matrix_eigensolve(n_trunc: int, m_star: float, b_field: float,
     return values[order], np.concatenate(labels)[order]
 
 
-# The secant on E stays in scale/_SPAN .. scale*_SPAN.
-_SPAN = 1e4
 # Radial finite-volume grid of the frozen solves.
 _FD_POINTS = 1200
 # Fock truncation of the frozen solves.
@@ -224,7 +222,9 @@ def _frozen_level(p: ModelParams, qn, energy: float, solver: str) -> float:
 
     The radial level is hbar(omega_h eps - m_phi B_h), with eps the unit
     level of _unit_radial_levels; the Fock level is solved at the frozen
-    coefficients and picked by its L_z label.
+    coefficients and picked by its L_z label. A frozen Hamiltonian that is
+    unbounded below (|B_h| >= omega_h) has no certified Fock level
+    (ValidationError).
     """
     coeff = effective_coefficients(p, energy)
     c = p.constants
@@ -234,6 +234,11 @@ def _frozen_level(p: ModelParams, qn, energy: float, solver: str) -> float:
         unit = _unit_radial_levels(abs(qn.m_phi), qn.n)
         return c.hbar * (coeff.omega_h * unit - qn.m_phi * coeff.b_h)
     if solver == "fock":
+        if abs(coeff.b_h) >= coeff.omega_h:
+            raise ValidationError(
+                f"the Hamiltonian frozen at E={energy:.6g} is unbounded "
+                f"below: |B_h| = {abs(coeff.b_h):.6g} >= omega_h = "
+                f"{coeff.omega_h:.6g}, so no Fock level is certified")
         certified = _certified_count(
             _FOCK_TRUNC, math.sqrt(coeff.k_h / coeff.m_star), coeff.b_h)
         energies, labels = fock_matrix_eigensolve(
@@ -247,92 +252,71 @@ def _frozen_level(p: ModelParams, qn, energy: float, solver: str) -> float:
     raise ValidationError(f"unknown solver {solver!r}; use radial or fock")
 
 
-class _Leave(Exception):
-    """A secant iterate left the region where its function is defined."""
-
-
-def _secant(h, x0: float, x1: float, xtol: float, rtol: float):
-    """Secant root of h from x0, x1, or None if it does not converge or h
-    raises _Leave at an iterate (the converged root is evaluated too)."""
-    if x1 == x0:
-        return x0
-    try:
-        sol = root_scalar(h, x0=x0, x1=x1, method="secant", xtol=xtol,
-                          rtol=rtol)
-        if sol.converged:
-            h(sol.root)
-            return sol.root
-    except _Leave:
-        pass
-    return None
-
-
 def self_consistent_wrap(solver: str, p: ModelParams, qn,
                          tol: float = 1e-8) -> float:
     """Self-consistent energy E* with eigenvalue(E*) = E*.
 
-    E* is the root of g(E) = E - level(E), where level(E) solves the
-    Hamiltonian with its coefficients frozen at E (solver "radial" or
-    "fock"). The secant method (scipy root_scalar) starts from the
-    commutative scale and its frozen level, every iterate inside
-    scale/1e4 .. scale*1e4; constant coefficients converge in one step.
-    If it fails (the repulsive free particle's first step is negative),
-    the secant solves u - ln level(e^u) = 0 to tol from ln scale and
-    ln level(scale) with no span, guarded only by a positive, finite
-    level (level <= 0: no bound state); power-law strengths make a
-    free-particle level linear in u = ln E. Frozen levels are memoized
-    within the call. E is accepted when |E - level(E)| <= tol level(E);
-    otherwise, or when both secants fail, ConvergenceError is raised with
-    the trace of frozen solves. Each call logs one DEBUG record on
-    "ncqm.oracle": stage (secant or log_secant), frozen solves, residual.
+    level(E) solves the Hamiltonian with its coefficients frozen at E
+    (solver "radial" or "fock"). The secant method (scipy root_scalar)
+    solves h(u) = u - ln level(e^u) = 0 to xtol tol in u = ln E, starting
+    from ln scale and ln level(scale) at the commutative scale: constant
+    coefficients converge in one step, and power-law strengths make a
+    free-particle level linear in u, so roots decades from the scale are
+    reached. level(scale) <= 0 means no bound state. Frozen levels are
+    memoized within the call. E is accepted when |E - level(E)| <=
+    tol level(E); otherwise, or when the secant does not converge or a
+    frozen solve fails (e^u overflows, K_h <= 0, a level that is not
+    positive and finite), ConvergenceError is raised with the cause and
+    the last frozen solves. solver and tol (finite, positive) are checked
+    first (ValidationError). Each call logs one DEBUG record on
+    "ncqm.oracle": frozen solves and relative residual.
     """
+    if solver not in ("radial", "fock"):
+        raise ValidationError(f"unknown solver {solver!r}; use radial or fock")
+    if not 0.0 < tol < math.inf:
+        raise ValidationError(f"tol must be finite and positive, got {tol}")
     c = p.constants
     scale = c.hbar * max(c.omega, 1.0 / p.e_ref) * qn.radial_weight
     scale = max(scale, 1e-6 * p.e_ref)
-    levels = {}
-
-    def level(e):
-        if e not in levels:
-            levels[e] = _frozen_level(p, qn, e, solver)
-        return levels[e]
-
-    def g(e):
-        if not scale / _SPAN <= e <= scale * _SPAN:
-            raise _Leave
-        return e - level(e)
+    levels = {}  # frozen level by u = ln E
 
     def failure(why):
         return ConvergenceError(
             f"self-consistency failed for {qn}: {why}; frozen solves: "
-            + "; ".join(f"E={a:.6g}->{b:.6g}"
-                        for a, b in list(levels.items())[-6:]))
+            + ("; ".join(f"E={math.exp(a):.6g}->{b:.6g}"
+                         for a, b in list(levels.items())[-6:]) or "none"))
 
-    stage = "secant"
-    energy = _secant(g, scale, scale - g(scale), sys.float_info.min, tol)
-    if energy is None:
-        stage = "log_secant"
-        if not levels[scale] > 0.0:
-            raise failure("level(scale) <= 0, no bound state")
-        # the energies solved so far, by logarithm, so that h reuses them
-        solved = {math.log(e): e for e in levels}
+    def level(u):
+        if u not in levels:
+            try:
+                levels[u] = _frozen_level(p, qn, math.exp(u), solver)
+            except (ArithmeticError, ValueError) as exc:
+                raise failure(f"frozen solve at E = e^{u:.6g} failed: {exc}"
+                              ) from exc
+        return levels[u]
 
-        def h(u):
-            try:  # e^u or a strength overflows, K_h <= 0 or level <= 0
-                lev = level(solved.get(u) or math.exp(u))
-                if lev < math.inf:
-                    return u - math.log(lev)
-            except (ArithmeticError, ValueError):
-                pass
-            raise _Leave
+    def h(u):
+        lev = level(u)
+        if not 0.0 < lev < math.inf:
+            raise failure(f"frozen level {lev:.6g} at E = e^{u:.6g} is not "
+                          "positive and finite")
+        return u - math.log(lev)
 
-        u = _secant(h, math.log(scale), math.log(levels[scale]), tol, 0.0)
-        if u is None:
-            raise failure("no secant root of E - level(E) in E or in ln E")
-        energy = solved.get(u) or math.exp(u)
-    residual = abs((energy - levels[energy]) / levels[energy])
-    log.debug("self_consistent_wrap %s (n=%d, m_phi=%d): stage %s, %d frozen "
-              "solves, relative residual %.3e", solver, qn.n, qn.m_phi, stage,
-              len(levels), residual)
+    u = math.log(scale)
+    if not level(u) > 0.0:
+        raise failure("level(scale) <= 0, no bound state")
+    if h(u) != 0.0:  # else the scale is the root
+        sol = root_scalar(h, x0=u, x1=math.log(level(u)), method="secant",
+                          xtol=tol, rtol=0.0)
+        if not sol.converged:
+            raise failure(f"the secant on ln E stopped: {sol.flag}")
+        u = sol.root
+    h(u)  # the level at the root is positive and finite too
+    energy = math.exp(u)
+    residual = abs(energy - levels[u]) / levels[u]
+    log.debug("self_consistent_wrap %s (n=%d, m_phi=%d): %d frozen solves, "
+              "relative residual %.3e", solver, qn.n, qn.m_phi, len(levels),
+              residual)
     if not residual <= tol:
         raise failure(f"relative residual {residual:.3e} above tol {tol:g}")
-    return float(energy)
+    return energy

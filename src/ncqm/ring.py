@@ -11,7 +11,8 @@ on top of the external flux phi (phi_0 = h/e is the flux quantum). The
 resulting levels support a persistent current even at phi = 0, which is
 the proposed experimental signature. SI-style constants (charge e, h =
 2 pi hbar) enter only in this module; everything else stays in natural
-units.
+units. A strength that drives a flux, level or current past the float
+range raises DomainError.
 """
 
 from __future__ import annotations
@@ -61,6 +62,15 @@ class RingFields:
     flux_quantum: float
 
 
+def _finite(what: str, value: float, eta: float) -> float:
+    """value, or DomainError when a strength or flux has driven it past
+    the float range (inf or NaN)."""
+    if not math.isfinite(value):
+        raise DomainError(f"ring {what} at eta={eta!r} is {value}, past the "
+                          "float range")
+    return value
+
+
 def nc_flux(spec: RingSpec, eta: float) -> RingFields:
     """Effective field B_z = eta/(e alpha^2 hbar) and flux
     phi_nc = 2 pi R^2 eta/(e hbar alpha^2).
@@ -72,7 +82,9 @@ def nc_flux(spec: RingSpec, eta: float) -> RingFields:
     b_z = eta / (c.charge * spec.alpha_param ** 2 * c.hbar)
     phi_nc = 2.0 * math.pi * spec.radius ** 2 * eta \
         / (c.charge * c.hbar * spec.alpha_param ** 2)
-    return RingFields(b_z=b_z, phi_nc=phi_nc, flux_quantum=spec.flux_quantum)
+    return RingFields(b_z=_finite("effective field", b_z, eta),
+                      phi_nc=_finite("effective flux", phi_nc, eta),
+                      flux_quantum=spec.flux_quantum)
 
 
 def ring_levels(spec: RingSpec, eta: float, l: int) -> float:
@@ -85,8 +97,12 @@ def ring_levels(spec: RingSpec, eta: float, l: int) -> float:
     c = spec.constants
     kin = c.hbar ** 2 / (2.0 * spec.m_star * spec.radius ** 2)
     shift = (spec.flux_ext - fields.phi_nc) / fields.flux_quantum
-    return kin * (l + shift) ** 2 \
-        - 0.75 * kin * (fields.phi_nc / fields.flux_quantum) ** 2
+    try:
+        energy = kin * (l + shift) ** 2 \
+            - 0.75 * kin * (fields.phi_nc / fields.flux_quantum) ** 2
+    except OverflowError:  # float ** raises where * gives inf
+        energy = math.inf
+    return _finite(f"level l={l}", energy, eta)
 
 
 def persistent_current(spec: RingSpec, eta: float, l: int) -> float:
@@ -97,8 +113,10 @@ def persistent_current(spec: RingSpec, eta: float, l: int) -> float:
     fields = nc_flux(spec, eta)
     c = spec.constants
     shift = (spec.flux_ext - fields.phi_nc) / fields.flux_quantum
-    return -(c.hbar ** 2 / (spec.m_star * spec.radius ** 2
-                            * fields.flux_quantum)) * (l + shift)
+    return _finite(f"current l={l}",
+                   -(c.hbar ** 2 / (spec.m_star * spec.radius ** 2
+                                    * fields.flux_quantum)) * (l + shift),
+                   eta)
 
 
 def ground_level_index(spec: RingSpec, eta: float) -> int:

@@ -210,7 +210,9 @@ def ec_solve_energy(qn: QuantumNumbers, p: ModelParams,
     change on it is located; the smallest root is refined by Brent's
     method to the float floor. tol is the acceptance bound on the refined
     residual: a root whose |residual| exceeds it raises ConvergenceError.
-    Deterministic for fixed inputs.
+    Deterministic for fixed inputs. The bracket needs 0 <= lo < hi and a
+    finite hi/lo once lo is clamped to 1e-300, and tol must be finite and
+    positive (ValidationError).
 
     The smallest root is the physical level. A later sign change is the
     high-energy spurious branch that the energy-dependent coefficients
@@ -225,6 +227,15 @@ def ec_solve_energy(qn: QuantumNumbers, p: ModelParams,
     directly (method "closed_form").
     """
     _require(p, Mechanism.EC, "ec_solve_energy")
+    lo, hi = bracket
+    if not 0 <= lo < hi:
+        raise ValidationError(f"bad bracket {bracket}")
+    lo = max(lo, 1e-300)
+    if not math.isfinite(hi / lo):
+        raise ValidationError(f"bracket {bracket} spans more decades than a "
+                              "float ratio holds")
+    if not 0.0 < tol < math.inf:
+        raise ValidationError(f"tol must be finite and positive, got {tol}")
     hbar = p.constants.hbar
     if p.eta0 == 0.0 and p.theta0 == 0.0:
         if p.constants.spring_k == 0:
@@ -236,10 +247,6 @@ def ec_solve_energy(qn: QuantumNumbers, p: ModelParams,
         return SpectrumResult(energy=energy, method="closed_form",
                               residual=resid)
 
-    lo, hi = bracket
-    if not 0 <= lo < hi:
-        raise ValidationError(f"bad bracket {bracket}")
-    lo = max(lo, 1e-300)
     n_pts = max(2, int(math.log10(hi / lo) * SCAN_PER_DECADE))
     grid = scan_grid(lo, hi, n_pts, np.arange(n_pts + 1))
     brackets = sign_change_brackets(ec_quantization_residual(grid, qn, p))

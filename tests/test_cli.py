@@ -235,6 +235,23 @@ class TestCommutatorsCommand:
         assert len(err.splitlines()) == 1 and err.startswith("error: ")
 
 
+@pytest.mark.parametrize("args", [
+    ["spectrum", *EC_FLAGS, "--bracket", "0", "1e308"],
+    ["spectrum", *EC_FLAGS, "--bracket", "1e-300", "1e300"],
+    ["spectrum", *EC_FLAGS, "--tol", "-1"],
+    ["ring", "--eta", "1e308"],
+    ["ring", "--eta", "1e200"],
+])
+def test_overflowing_bracket_tol_or_ring_strength_exit_2(args, capsys):
+    # the brackets and --eta 1e200 once exited 1 with an OverflowError
+    # traceback, --eta 1e308 exited 0 with nan,inf rows, and --tol -1
+    # blamed the residual
+    code, out, err = run_cli(args, capsys)
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+
 class TestFractionalCommand:
     def test_half_derivative_table(self, capsys):
         code, out, _ = run_cli(["fractional", "--op", "half_derivative_x",

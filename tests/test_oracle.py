@@ -222,13 +222,30 @@ class TestFockOracle:
             fock_matrix_eigensolve(20, 1.0, 0.0, 1.0, c, 10000)
 
 
+def count_frozen_solves(monkeypatch) -> list:
+    """Record the energy of every frozen solve the oracle makes."""
+    solves = []
+
+    def counted(p, qn, energy, solver):
+        solves.append(energy)
+        return frozen_level(p, qn, energy, solver)
+
+    frozen_level = oracle._frozen_level
+    monkeypatch.setattr(oracle, "_frozen_level", counted)
+    return solves
+
+
 class TestSelfConsistent:
     def test_commutative_immediate(self):
+        # the Fock level is the scale 3 to the last bit, where the secant
+        # would have no second starting point
         p = ModelParams(eta0=0.0, theta0=0.0, mechanism=Mechanism.EC,
                         constants=PhysicalConstants(spring_k=1.0))
-        val = self_consistent_wrap("radial", p, QuantumNumbers(n=1, m_phi=0),
-                                   tol=1e-9)
-        assert val == pytest.approx(3.0, rel=1e-9)
+        for solver in ("radial", "fock"):
+            val = self_consistent_wrap(solver, p, QuantumNumbers(n=1,
+                                                                 m_phi=0),
+                                       tol=1e-9)
+            assert val == pytest.approx(3.0, rel=1e-9)
 
     def test_oscillator_matches_root_finder(self):
         p = ModelParams(eta0=0.1, theta0=0.1, alpha_exp=1.0, beta_exp=1.0,
@@ -249,18 +266,37 @@ class TestSelfConsistent:
             sc = self_consistent_wrap("radial", p, qn, tol=1e-9)
             assert sc == pytest.approx(closed, rel=1e-6)
 
-    def test_fock_route(self):
+    def test_fock_route(self, monkeypatch):
         p = ModelParams(eta0=0.1, theta0=0.1, alpha_exp=1.0, beta_exp=1.0,
                         e_ref=10.0, mechanism=Mechanism.EC,
                         constants=PhysicalConstants(spring_k=1.0))
         qn = QuantumNumbers(n=0, m_phi=1)
         root = ec_solve_energy(qn, p, (1e-4, 1e3), tol=1e-13).energy
+        solves = count_frozen_solves(monkeypatch)
         sc = self_consistent_wrap("fock", p, qn, tol=1e-8)
         assert sc == pytest.approx(root, rel=1e-6)
+        assert len(solves) <= 5
+
+    @pytest.mark.parametrize("params,qn", [
+        (ModelParams(eta0=1.0, alpha_exp=2.0, beta_exp=2.0, e_ref=1.0,
+                     mechanism=Mechanism.EC), QuantumNumbers(n=0, m_phi=0)),
+        (ModelParams(eta0=0.1, theta0=0.5, alpha_exp=3.0, beta_exp=3.0,
+                     e_ref=1.0, mechanism=Mechanism.EC,
+                     constants=PhysicalConstants(spring_k=1.0)),
+         QuantumNumbers(n=1, m_phi=0)),
+    ])
+    def test_fock_level_without_certified_window(self, params, qn):
+        # |B_h| >= omega_h leaves the frozen Hamiltonian unbounded below:
+        # the free particle at every energy, the rootless oscillator at
+        # its third frozen energy; the error once read "count must be >= 1"
+        with pytest.raises(ConvergenceError, match="unbounded below") as info:
+            self_consistent_wrap("fock", params, qn)
+        assert isinstance(info.value.__cause__, ValidationError)
+        assert "unbounded below" in str(info.value.__cause__)
 
     def test_repulsive_free_particle_takes_log_secant(self, caplog):
-        # the first secant step goes negative, so the secant on ln E finds
-        # the level; the free-particle level is a power of E, linear in ln E
+        # the free-particle level is a power of E, linear in ln E, so the
+        # secant on ln E reaches it in few frozen solves
         p = ModelParams(eta0=1.0, theta0=0.0, alpha_exp=2.0, beta_exp=2.0,
                         e_ref=1.0, mechanism=Mechanism.EC)
         qn = QuantumNumbers(n=0, m_phi=0)
@@ -269,15 +305,14 @@ class TestSelfConsistent:
         assert sc == pytest.approx(ec_free_energy_closed(qn, p), rel=1e-6)
         (record,) = [r for r in caplog.records if r.name == "ncqm.oracle"]
         message = record.getMessage()
-        assert "stage log_secant" in message
         solves = int(message.split(" frozen solves")[0].rsplit(" ", 1)[1])
         assert solves <= 6
 
     @pytest.mark.parametrize("alpha,n,m_phi", [(1.5, 0, 0), (1.5, 0, 1),
                                                (0.75, 0, 1)])
     def test_free_root_decades_from_the_scale(self, alpha, n, m_phi):
-        # closed forms 1.1e4, 3.2e4 and 1.2e-7 lie outside the span
-        # scale/1e4 .. scale*1e4 of the secant on E
+        # closed forms 1.1e4, 3.2e4 and 1.2e-7 lie more than four decades
+        # from the scale the secant on ln E starts at
         p = ModelParams(eta0=0.3, alpha_exp=alpha, beta_exp=alpha, e_ref=5.0,
                         mechanism=Mechanism.EC)
         qn = QuantumNumbers(n=n, m_phi=m_phi)
@@ -286,9 +321,9 @@ class TestSelfConsistent:
                           rel=ROOT_VS_ORACLE_TOL)
 
     @pytest.mark.parametrize("alpha,eta0,m_phi,reason", [
-        (2.0, 1.0, 3, "no bound state"),       # 1 + (1 - sqrt 2) 3 < 0
-        (1.001, 1.0, 0, "in E or in ln E"),    # root beyond float range
-        (0.999, 1.0, 0, "in E or in ln E"),    # root below it, K_h -> 0
+        (2.0, 1.0, 3, "no bound state"),  # 1 + (1 - sqrt 2) 3 < 0
+        (1.001, 1.0, 0, "range error"),   # root beyond float range
+        (0.999, 1.0, 0, "frozen K_h"),    # root below it, K_h -> 0
     ])
     def test_no_representable_level_raises(self, alpha, eta0, m_phi, reason):
         p = ModelParams(eta0=eta0, alpha_exp=alpha, beta_exp=alpha,
@@ -305,11 +340,25 @@ class TestSelfConsistent:
             self_consistent_wrap("radial", p, QuantumNumbers(n=1, m_phi=1))
         (record,) = [r for r in caplog.records if r.name == "ncqm.oracle"]
         message = record.getMessage()
-        assert "stage secant" in message
         solves = int(message.split(" frozen solves")[0].rsplit(" ", 1)[1])
         assert solves <= 5
         residual = float(message.rsplit(" ", 1)[1])
         assert residual <= 1e-8
+
+    @pytest.mark.parametrize("solver,tol", [
+        ("matrix", 1e-8), ("Radial", 1e-8), ("radial", 0.0),
+        ("radial", -1e-8), ("fock", math.nan), ("fock", math.inf),
+    ])
+    def test_bad_solver_or_tol_raises_before_solving(self, monkeypatch,
+                                                     solver, tol):
+        # frozen-solve failures end the secant as a ConvergenceError, so a
+        # bad argument must be refused before the first frozen solve
+        p = ModelParams(eta0=0.1, theta0=0.1, mechanism=Mechanism.EC,
+                        constants=PhysicalConstants(spring_k=1.0))
+        solves = count_frozen_solves(monkeypatch)
+        with pytest.raises(ValidationError):
+            self_consistent_wrap(solver, p, QuantumNumbers(), tol=tol)
+        assert solves == []
 
     def test_unit_levels_solved_once_per_level(self, monkeypatch):
         # the frozen radial level rescales one unit-level solve per

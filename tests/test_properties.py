@@ -164,7 +164,7 @@ def test_array_scan_matches_scalar_scan(case):
 def test_radial_self_consistent_matches_free_closed_form(eta0, alpha, e_ref,
                                                          n, m_phi):
     # the level is a power of E, so the secant on ln E reaches it even
-    # where the secant on E leaves its span (roots decades from the scale)
+    # where the root lies decades from the scale it starts at
     assume(2 * n + (1.0 - math.sqrt(2.0)) * m_phi + 1.0 > 0)
     p = ModelParams(eta0=eta0, alpha_exp=alpha, beta_exp=alpha, e_ref=e_ref,
                     mechanism=Mechanism.EC)

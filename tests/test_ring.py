@@ -147,6 +147,33 @@ class TestEnergyDependentMode:
         assert abs(i_high) > abs(i_low)
 
 
+class TestOverflow:
+    """A strength or flux past the float range raises DomainError instead
+    of returning inf or NaN or raising OverflowError."""
+
+    def test_flux_overflow(self):
+        # phi_nc = 2 pi eta overflows: "ncqm ring --eta 1e308" once wrote
+        # nan energies and inf currents
+        spec = RingSpec(radius=1.0)
+        for call in (nc_flux, ground_persistent_current):
+            with pytest.raises(DomainError, match="effective flux"):
+                call(spec, 1e308)
+        with pytest.raises(DomainError, match="effective flux"):
+            ring_levels(spec, 1e308, 0)
+
+    def test_level_overflow(self):
+        # the squared shift overflows: once an OverflowError from float **
+        spec = RingSpec(radius=1.0)
+        with pytest.raises(DomainError, match="level l=1"):
+            ring_levels(spec, 1e200, 1)
+        assert math.isfinite(persistent_current(spec, 1e200, 1))
+
+    def test_current_overflow(self):
+        spec = RingSpec(radius=1e-10, flux_ext=1e308)
+        with pytest.raises(DomainError, match="current l=0"):
+            persistent_current(spec, 0.0, 0)
+
+
 class TestAlphaInversion:
     def test_both_roots_recovered(self):
         hbar = 1.0

@@ -171,6 +171,22 @@ class TestEcResidualAndRoot:
         with pytest.raises(DomainError):
             ec_solve_energy(QuantumNumbers(), p, (1e-6, 1e6))
 
+    @pytest.mark.parametrize("bracket,tol", [
+        ((0.0, 1e308), 1e-12),     # hi / clamped lo overflows
+        ((1e-300, 1e300), 1e-12),
+        ((1e-3, math.inf), 1e-12),
+        ((1e-3, 1e3), -1.0),
+        ((1e-3, 1e3), 0.0),
+        ((1e-3, 1e3), math.nan),
+        ((1e-3, 1e3), math.inf),
+    ])
+    def test_bracket_ratio_and_tol_checked_first(self, bracket, tol):
+        # the two wide brackets once raised OverflowError from the grid
+        # size, and tol -1 a "leaves |residual| 0.000e+00 > tol -1"
+        p = ec_params(constants={"spring_k": 1.0})
+        with pytest.raises(ValidationError):
+            ec_solve_energy(QuantumNumbers(), p, bracket, tol=tol)
+
 
 class TestArrayResidual:
     """The residual of an energy array raises what the scalar residual
