@@ -20,7 +20,7 @@ import sys
 from dataclasses import replace
 
 from . import algebra, fractional, ring, spectra, verify, wavefunctions
-from .errors import ConvergenceError
+from .errors import ConvergenceError, UsageError
 from .params import (PARAM_KEYS, Mechanism, ModelParams, PhysicalConstants,
                      params_from_dict)
 
@@ -137,6 +137,9 @@ def _cmd_wavefunction(args) -> int:
     if args.r_max <= 0:
         raise ValueError(f"--r-max must be positive, got {args.r_max!r}")
     p = _load_params(args)
+    if p.mechanism is not Mechanism.EC:  # checked before the default solve
+        raise UsageError("wavefunction samples the EC radial solution and "
+                         f"requires mechanism=ec, got {p.mechanism.value}")
     qn = spectra.QuantumNumbers(n=args.n, m_phi=args.mphi)
     if args.energy is not None:
         energy = args.energy

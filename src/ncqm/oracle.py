@@ -268,8 +268,9 @@ def self_consistent_wrap(solver: str, p: ModelParams, qn,
     frozen solve fails (e^u overflows, K_h <= 0, a level that is not
     positive and finite), ConvergenceError is raised with the cause and
     the last frozen solves. solver and tol (finite, positive) are checked
-    first (ValidationError). Each call logs one DEBUG record on
-    "ncqm.oracle": frozen solves and relative residual.
+    first (ValidationError). Each call past those checks logs one DEBUG
+    record on "ncqm.oracle": frozen solves and the relative residual, or
+    the cause when it raises ConvergenceError.
     """
     if solver not in ("radial", "fock"):
         raise ValidationError(f"unknown solver {solver!r}; use radial or fock")
@@ -281,6 +282,9 @@ def self_consistent_wrap(solver: str, p: ModelParams, qn,
     levels = {}  # frozen level by u = ln E
 
     def failure(why):
+        log.debug("self_consistent_wrap %s (n=%d, m_phi=%d): %d frozen "
+                  "solves, failed: %s", solver, qn.n, qn.m_phi, len(levels),
+                  why)
         return ConvergenceError(
             f"self-consistency failed for {qn}: {why}; frozen solves: "
             + ("; ".join(f"E={math.exp(a):.6g}->{b:.6g}"
@@ -314,9 +318,9 @@ def self_consistent_wrap(solver: str, p: ModelParams, qn,
     h(u)  # the level at the root is positive and finite too
     energy = math.exp(u)
     residual = abs(energy - levels[u]) / levels[u]
+    if not residual <= tol:
+        raise failure(f"relative residual {residual:.3e} above tol {tol:g}")
     log.debug("self_consistent_wrap %s (n=%d, m_phi=%d): %d frozen solves, "
               "relative residual %.3e", solver, qn.n, qn.m_phi, len(levels),
               residual)
-    if not residual <= tol:
-        raise failure(f"relative residual {residual:.3e} above tol {tol:g}")
     return energy

@@ -43,6 +43,14 @@ class RingSpec:
             raise ValidationError("radius must be positive")
         if not 0.0 < self.alpha_param <= 1.0:
             raise ValidationError("alpha_param must lie in (0, 1]")
+        # the flux and the effective mass divide by or multiply with the
+        # squares, so a square that under- or overflows (or a NaN or
+        # infinite radius) is refused here
+        for name, value in (("radius", self.radius),
+                            ("alpha_param", self.alpha_param)):
+            if not 0.0 < value * value < math.inf:
+                raise ValidationError(f"{name}^2 is {value * value!r}, outside "
+                                      f"the float range ({name} = {value!r})")
 
     @property
     def m_star(self) -> float:

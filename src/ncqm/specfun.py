@@ -1,19 +1,24 @@
 """Special functions used by spectra, wave functions and the fractional
 operators.
 
-Gamma, log-gamma, reciprocal gamma, beta, Bessel J/Y and the generalized
+Gamma, log-gamma, reciprocal gamma, beta, Bessel Y and the generalized
 Laguerre polynomials are validated wrappers over ``scipy.special``: each
 checks its domain, raises the package's typed errors where scipy would
 return inf or nan, and returns a Python float (or complex) for scalar
-input. The Mittag-Leffler function, which scipy does not provide, is
-summed here. Accuracy envelopes (checked against mpmath by the test
-suite):
+input. Bessel J is summed here by its ascending series for
+0 <= x <= 12 (where the radial states sample it) and is scipy's ``jv``
+beyond; ``jv`` runs the general complex-order routine at every point,
+about ten times slower than the series on the radial-state grids. The
+Mittag-Leffler function, which scipy does not provide, is summed here
+too. Accuracy envelopes (checked against mpmath by the test suite):
 
 * gamma_fn      relative error <= 1e-12 for real z in (0, 170];
                 <= 1e-13 for complex z with Re z in [-5, 20], |Im z| <= 10
 * log_gamma     error <= max(1e-13 |ln Gamma(z)|, 1e-15) for z in (0, 1000]
 * beta_fn       relative error <= 1e-12 for a, b in (0, 50]
 * bessel_j      absolute error <= 1e-10 for 0 <= x <= 50, integer order <= 20
+                (the series' cancellation error, about eps I_0(x), peaks
+                near 6e-13 at x = 12)
 * bessel_y      error <= 1e-10 * max(1, |Y|) on the same envelope (x > 0)
 * laguerre      error <= 1e-12 times the sum of the absolute terms of the
                 explicit sum, for n <= 20, a in [0, 20], 0 <= x <= 50
@@ -23,11 +28,13 @@ suite):
                 value overflows or the terms cancel (see README)
 
 bessel_j, bessel_y and laguerre also take an array of x and return an
-array. All functions are pure and reentrant.
+array; an array result equals the scalar results element by element, bit
+for bit. All functions are pure and reentrant.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -45,6 +52,14 @@ _LOG_MAX_DOUBLE = 709.78  # just below ln of the largest double
 _ML_ABS_TOL = 1e-16
 _ML_REL_TOL = 1e-14
 _ML_MAX_CANCELLATION = 1e3
+
+# Bessel J is summed by its ascending series for 0 <= x <= _J_SERIES_MAX_X;
+# past it the alternating terms cancel (error about eps I_0(x)) and scipy's
+# jv is used. The series in -x^2/4 keeps its terms up to the first one
+# past the largest whose size at _J_SERIES_MAX_X is <= _J_SERIES_TAIL
+# (relative to its first term, 1).
+_J_SERIES_MAX_X = 12.0
+_J_SERIES_TAIL = 1e-17
 
 
 def _is_nonpositive_int(x: float) -> bool:
@@ -105,12 +120,55 @@ def _check_bessel_args(order: int, x, fn: str) -> np.ndarray:
     return x
 
 
+@functools.lru_cache(maxsize=128)
+def _j_series_coefficients(order: int) -> tuple[float, ...]:
+    """c_k = 1/(k! (m+1)_k) of J_m(x) = (x/2)^m/m! sum_k c_k (-x^2/4)^k.
+
+    The count is fixed by the cutoff, never by the arguments of a call, so
+    an array and each of its elements are summed by the same terms.
+    """
+    coeffs, term, k = [1.0], 1.0, 0
+    quarter_x2 = 0.25 * _J_SERIES_MAX_X ** 2
+    while True:
+        k += 1
+        denominator = k * (order + k)
+        coeffs.append(coeffs[-1] / denominator)
+        term *= quarter_x2 / denominator
+        if denominator > quarter_x2 and term <= _J_SERIES_TAIL:
+            return tuple(coeffs)
+
+
+def _bessel_j_series(order: int, x: np.ndarray) -> np.ndarray:
+    """J_m(x) for 0 <= x <= _J_SERIES_MAX_X: the series in -x^2/4 by
+    Horner, times (x/2)^m/m! as the product of the m factors x/(2j)."""
+    coeffs = _j_series_coefficients(order)
+    t = -0.25 * x * x
+    acc = np.full(x.shape, coeffs[-1])
+    for c in coeffs[-2::-1]:
+        acc *= t
+        acc += c
+    half_x = 0.5 * x
+    for j in range(1, order + 1):
+        acc *= half_x / j
+    return acc
+
+
 def bessel_j(order: int, x):
-    """Bessel function of the first kind, integer order >= 0, x >= 0."""
+    """Bessel function of the first kind, integer order >= 0, x >= 0.
+
+    Summed by its ascending series for x <= 12, scipy's jv beyond.
+    """
     x = _check_bessel_args(order, x, "bessel_j")
     if np.any(x < 0):
         raise DomainError(f"bessel_j requires x >= 0, got {x}")
-    return _real(special.jv(int(order), x))
+    order = int(order)
+    near = x <= _J_SERIES_MAX_X
+    if np.all(near):
+        return _real(_bessel_j_series(order, x))
+    out = np.empty_like(x)
+    out[~near] = special.jv(order, x[~near])
+    out[near] = _bessel_j_series(order, x[near])
+    return _real(out)
 
 
 def bessel_j_asymptotic(order: int, x: float) -> float:

@@ -101,8 +101,12 @@ def ec_radial_solution(qn, p: ModelParams, energy: float,
     energy; at a quantized energy C equals 2(2n + m_phi + 1) up to solver
     tolerance. The bound (laguerre) branch carries the unit-norm
     amplitude; the bessel branch keeps amplitude 1 (its normalization
-    lives on a finite window and stays caller-defined).
+    lives on a finite window and stays caller-defined). The EC mechanism
+    is the only one whose coefficients these are (UsageError otherwise).
     """
+    if p.mechanism is not Mechanism.EC:
+        raise UsageError("ec_radial_solution requires mechanism=ec, got "
+                         f"{p.mechanism.value}")
     if regime not in ("bessel", "laguerre"):
         raise ValidationError(f"regime must be bessel or laguerre, got {regime}")
     coeff = effective_coefficients(p, energy)

@@ -146,6 +146,9 @@ def test_non_finite_or_empty_input_exit_2(args, capsys):
     ["wavefunction", "--mechanism", "ec", "--spring-k", "1", "--points", "0"],
     ["wavefunction", "--mechanism", "ec", "--spring-k", "1", "--r-max", "0"],
     ["wavefunction", "--mechanism", "ec", "--spring-k", "1", "--r-max", "-2"],
+    ["ring", "--radius", "1e200", "--l", "0..0"],
+    ["ring", "--radius", "1e-200", "--l", "0..0"],
+    ["ring", "--alpha-param", "1e-200", "--l", "0..0"],
     ["commutators", "--theta", "0.1", "--eta", "0.1", "--n-trunc", "0"],
     ["commutators", "--theta", "0.1", "--eta", "0.1", "--n-trunc", "121"],
 ])
@@ -212,6 +215,19 @@ class TestWavefunctionCommand:
         assert len(lines) == 51
         first = [float(v) for v in lines[1].split(",")]
         assert first[3] == pytest.approx(first[2] ** 2, rel=1e-12)
+
+
+    @pytest.mark.parametrize("mechanism", ["eo_i", "sqf"])
+    @pytest.mark.parametrize("energy", [["--energy", "3"], []])
+    def test_non_ec_mechanism_exit_2(self, mechanism, energy, capsys):
+        # with --energy the EC wave functions were once printed (exit 0);
+        # without it the error named ec_solve_energy
+        code, out, err = run_cli(["wavefunction", "--mechanism", mechanism,
+                                  "--spring-k", "1", *energy], capsys)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: wavefunction ")
+        assert f"requires mechanism=ec, got {mechanism}" in err
 
 
 class TestCommutatorsCommand:

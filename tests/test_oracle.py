@@ -303,7 +303,8 @@ class TestSelfConsistent:
         with caplog.at_level(logging.DEBUG, logger="ncqm.oracle"):
             sc = self_consistent_wrap("radial", p, qn, tol=1e-9)
         assert sc == pytest.approx(ec_free_energy_closed(qn, p), rel=1e-6)
-        (record,) = [r for r in caplog.records if r.name == "ncqm.oracle"]
+        (record,) = [r for r in caplog.records if r.name == "ncqm.oracle"
+                     and r.getMessage().startswith("self_consistent_wrap")]
         message = record.getMessage()
         solves = int(message.split(" frozen solves")[0].rsplit(" ", 1)[1])
         assert solves <= 6
@@ -338,7 +339,8 @@ class TestSelfConsistent:
                         constants=PhysicalConstants(spring_k=1.0))
         with caplog.at_level(logging.DEBUG, logger="ncqm.oracle"):
             self_consistent_wrap("radial", p, QuantumNumbers(n=1, m_phi=1))
-        (record,) = [r for r in caplog.records if r.name == "ncqm.oracle"]
+        (record,) = [r for r in caplog.records if r.name == "ncqm.oracle"
+                     and r.getMessage().startswith("self_consistent_wrap")]
         message = record.getMessage()
         solves = int(message.split(" frozen solves")[0].rsplit(" ", 1)[1])
         assert solves <= 5
@@ -415,6 +417,26 @@ class TestSelfConsistent:
             with pytest.raises(ConvergenceError):
                 self_consistent_wrap("radial", p, QuantumNumbers(n=1,
                                                                  m_phi=0))
+
+    def test_failed_solve_logs_its_record(self, caplog):
+        # a level that raises leaves the same DEBUG record as one that
+        # converges, with the cause in place of the residual
+        p = ModelParams(eta0=0.1, theta0=0.5, alpha_exp=3.0, beta_exp=3.0,
+                        e_ref=1.0, mechanism=Mechanism.EC,
+                        constants=PhysicalConstants(spring_k=1.0))
+        with caplog.at_level(logging.DEBUG, logger="ncqm.oracle"):
+            with pytest.raises(ConvergenceError) as info:
+                self_consistent_wrap("radial", p, QuantumNumbers(n=1,
+                                                                 m_phi=0))
+        (record,) = [r for r in caplog.records if r.name == "ncqm.oracle"
+                     and r.getMessage().startswith("self_consistent_wrap")]
+        head, cause = record.getMessage().split(", failed: ")
+        assert head.startswith("self_consistent_wrap radial (n=1, m_phi=0): ")
+        solves = int(head.split(" frozen solves")[0].rsplit(" ", 1)[1])
+        assert solves >= 2
+        assert str(info.value).startswith(
+            f"self-consistency failed for {QuantumNumbers(n=1, m_phi=0)}: "
+            f"{cause}; frozen solves: ")
 
     def test_residual_vanishes_at_fixed_point(self):
         p = ModelParams(eta0=0.2, theta0=0.05, alpha_exp=1.0, beta_exp=1.0,

@@ -22,6 +22,17 @@ class TestRingSpec:
         with pytest.raises(ValidationError):
             RingSpec(radius=1.0, alpha_param=1.5)
 
+    @pytest.mark.parametrize("kwargs", [
+        {"radius": 1e200},        # radius^2 overflows: once OverflowError
+        {"radius": 1e-200},       # radius^2 underflows to 0
+        {"radius": 1.0, "alpha_param": 1e-200},  # alpha^2 -> 0: once
+        {"radius": math.inf},                    # ZeroDivisionError
+        {"radius": math.nan},
+    ])
+    def test_square_outside_float_range(self, kwargs):
+        with pytest.raises(ValidationError, match=r"\^2 is"):
+            RingSpec(**kwargs)
+
     def test_default_effective_mass_quadratic_convention(self):
         spec = RingSpec(radius=1.0, alpha_param=0.5)
         assert spec.m_star == pytest.approx(4.0, rel=1e-15)

@@ -1,13 +1,22 @@
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import integrate, special
 
+from ncqm import specfun
 from ncqm.errors import ConvergenceError, DomainError, SingularityError
 from ncqm.specfun import (bessel_j, bessel_j_asymptotic, bessel_y, beta_fn,
                           gamma_fn, laguerre, log_gamma, mittag_leffler)
+from ncqm.wavefunctions import BESSEL_WINDOW, radial_bessel
+
+# the series cutoff of bessel_j and its two neighbouring doubles
+CUTOFF = specfun._J_SERIES_MAX_X
+NEAR_CUTOFF = [np.nextafter(CUTOFF, 0.0), CUTOFF, np.nextafter(CUTOFF, 50.0)]
 
 
 class TestGamma:
@@ -356,7 +365,7 @@ class TestMpmathReference:
                                                                   abs(ref_y))
 
     def test_bessel_array_matches_scalar(self):
-        xs = np.linspace(0.0, 50.0, 33)
+        xs = np.concatenate([np.linspace(0.0, 50.0, 33), NEAR_CUTOFF])
         for m in (0, 3, 20):
             assert np.array_equal(bessel_j(m, xs),
                                   [bessel_j(m, x) for x in xs])
@@ -381,3 +390,62 @@ class TestMpmathReference:
                   bessel_j(1, 2.0), bessel_y(1, 2.0), laguerre(3, 1.0, 0.5)):
             assert type(v) is float
         assert type(gamma_fn(complex(1.0, 1.0))) is complex
+
+
+class TestBesselJSeries:
+    """bessel_j sums its ascending series up to the cutoff and calls
+    scipy's jv only beyond it."""
+
+    @pytest.fixture(autouse=True)
+    def _precision(self):
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(30):
+            yield
+
+    @staticmethod
+    def check_against_mpmath(order, x):
+        import mpmath
+        ref = float(mpmath.besselj(order, mpmath.mpf(float(x))))
+        assert abs(bessel_j(order, x) - ref) <= 1e-10
+
+    @settings(max_examples=300, deadline=None, derandomize=True,
+              database=None)
+    @given(order=st.integers(0, 20), x=st.floats(0.0, 50.0))
+    def test_within_envelope_of_mpmath(self, order, x):
+        self.check_against_mpmath(order, x)
+
+    @pytest.mark.parametrize("order", [0, 1, 2, 7, 20])
+    @pytest.mark.parametrize("x", NEAR_CUTOFF)
+    def test_within_envelope_at_the_cutoff(self, order, x):
+        self.check_against_mpmath(order, x)
+
+    def test_relative_accuracy_at_small_argument(self):
+        # no cancellation here; (x/2)^m/m! takes 2m roundings, at most
+        # 4.4e-15 at order 20
+        import mpmath
+        for order in range(0, 21):
+            for x in np.geomspace(1e-12, 1.0, 25):
+                ref = float(mpmath.besselj(order, mpmath.mpf(float(x))))
+                assert bessel_j(order, x) == pytest.approx(ref, rel=5e-15)
+
+    def test_jv_not_reached_up_to_the_cutoff(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("scipy.special.jv reached")
+
+        monkeypatch.setattr(specfun.special, "jv", refuse)
+        xs = np.concatenate([np.linspace(0.0, CUTOFF, 257), NEAR_CUTOFF[:2]])
+        for order in range(0, 21):
+            bessel_j(order, xs)
+            bessel_j(order, CUTOFF)
+        # radial states sample sqrt(C) xi <= sqrt(BESSEL_WINDOW) C inside
+        # the window, which stays below 12 for C = 2(2n + |m_phi| + 1) <= 36
+        for weight in range(1, 19):
+            c_big = 2.0 * weight
+            xi = (np.arange(2048) + 0.5) / 2048 * math.sqrt(BESSEL_WINDOW
+                                                            * c_big)
+            for m_phi in range(0, weight):
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")  # inside the window
+                    radial_bessel(m_phi, c_big, xi)
+        with pytest.raises(AssertionError, match="jv reached"):
+            bessel_j(0, NEAR_CUTOFF[2])

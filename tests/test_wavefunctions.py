@@ -155,6 +155,17 @@ class TestEcRadialSolution:
         assert sol.regime == "laguerre"
 
 
+    @pytest.mark.parametrize("mechanism", [Mechanism.SQF, Mechanism.EO_I,
+                                           Mechanism.EO_II])
+    def test_non_ec_mechanism_raises(self, mechanism):
+        p = ec_params(mechanism=mechanism, constants={"spring_k": 1.0})
+        for regime in ("laguerre", "bessel"):
+            with pytest.raises(UsageError, match="ec_radial_solution "
+                               "requires mechanism=ec"):
+                ec_radial_solution(QuantumNumbers(n=0, m_phi=0), p, 3.0,
+                                   regime)
+
+
 class TestGroundStates:
     def test_free_profile_peaks_at_origin(self):
         p = ec_params(theta0=0.0)
