@@ -122,6 +122,10 @@ def build_heisenberg_rep(n_trunc: int, c: PhysicalConstants,
         raise ValidationError(f"n_trunc capped at {_MAX_TRUNC}, got {n_trunc}")
     if ref_frequency <= 0:
         raise ValidationError("ref_frequency must be positive")
+    if not 0.0 < c.hbar * c.hbar < math.inf:
+        raise ValidationError(f"hbar={c.hbar!r} squares to "
+                              f"{c.hbar * c.hbar!r}, outside the positive "
+                              "double range")
     x_scale = math.sqrt(c.hbar / (2.0 * c.mass * ref_frequency))
     p_scale = math.sqrt(c.mass * ref_frequency * c.hbar / 2.0)
     root = np.sqrt(np.arange(1.0, n_trunc))

@@ -6,6 +6,13 @@ ring (flux sweep) and verify (full cross-check suite). Model parameters
 come from a JSON config (--config or the NCQM_CONFIG environment
 variable) with individual flags overriding config fields; outputs are
 deterministic for identical inputs.
+
+At module level this imports only the standard library, ``errors`` and
+``params`` (numpy). Each ``_cmd_*`` function imports the modules it runs
+when it is dispatched, so ``--help`` and ``ring`` load no scipy,
+``commutators`` loads ``scipy.sparse`` only, ``spectrum`` and
+``wavefunction`` load ``scipy.optimize`` and ``scipy.special`` but not
+``scipy.integrate``, and only ``fractional`` and ``verify`` load all three.
 """
 
 from __future__ import annotations
@@ -19,7 +26,6 @@ import os
 import sys
 from dataclasses import replace
 
-from . import algebra, fractional, ring, spectra, verify, wavefunctions
 from .errors import ConvergenceError, UsageError
 from .params import (PARAM_KEYS, Mechanism, ModelParams, PhysicalConstants,
                      params_from_dict)
@@ -91,6 +97,7 @@ def _csv_text(header: list[str], rows: list[list]) -> str:
 
 
 def _cmd_spectrum(args) -> int:
+    from . import spectra
     p = _load_params(args)
     rows = []
     multi_root = 0
@@ -134,6 +141,7 @@ def _cmd_spectrum(args) -> int:
 
 
 def _cmd_wavefunction(args) -> int:
+    from . import spectra, wavefunctions
     if args.r_max <= 0:
         raise ValueError(f"--r-max must be positive, got {args.r_max!r}")
     p = _load_params(args)
@@ -157,6 +165,7 @@ def _cmd_wavefunction(args) -> int:
 
 
 def _cmd_commutators(args) -> int:
+    from . import algebra
     c = PhysicalConstants(hbar=args.hbar)
     rep = algebra.build_heisenberg_rep(args.n_trunc, c)
     mapped = algebra.sw_forward(rep, args.theta, args.eta)
@@ -166,6 +175,8 @@ def _cmd_commutators(args) -> int:
 
 
 def _cmd_fractional(args) -> int:
+    from . import fractional
+    from .specfun import mittag_leffler
     xs = [real(t) for t in args.x.split(",")]
     rows = []
     c = PhysicalConstants()
@@ -184,7 +195,6 @@ def _cmd_fractional(args) -> int:
                                                       args.step),
                          2.0 * math.sqrt(x / math.pi)])
         elif args.op == "mittag_leffler":
-            from .specfun import mittag_leffler
             rows.append([args.op, args.order, x,
                          mittag_leffler(args.order, args.ml_beta, x), ""])
         else:  # plane_wave
@@ -196,6 +206,7 @@ def _cmd_fractional(args) -> int:
 
 
 def _cmd_ring(args) -> int:
+    from . import ring
     rows = []
     base = ring.RingSpec(radius=args.radius, alpha_param=args.alpha_param)
     levels = _parse_range(args.l)
@@ -214,6 +225,7 @@ def _cmd_ring(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    from . import verify
     report = verify.run_verification()
     _write_text(args.out, verify.report_to_json(report) + "\n")
     for check in report["checks"]:

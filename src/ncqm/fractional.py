@@ -24,6 +24,10 @@ from .errors import ConvergenceError, DomainError, ValidationError
 from .params import Mechanism, ModelParams, PhysicalConstants
 from .specfun import gamma_fn, log_gamma, mittag_leffler
 
+# Most grid steps one Grünwald-Letnikov sum may take: about 0.4 s of
+# Python loop at 10^6 (the tests and verify take at most ~2*10^4).
+GL_MAX_STEPS = 10**6
+
 
 @dataclass(frozen=True)
 class PowerSeriesFn:
@@ -150,13 +154,19 @@ def grunwald_letnikov(f, order: float, x: float, h: float) -> float:
 
     sum_j (-1)^j C(alpha, j) f(x - j h) / h^alpha over the grid reaching
     back to 0. Converges O(h) for smooth f; serves as the independent
-    numeric oracle for the closed-form fractional operators.
+    numeric oracle for the closed-form fractional operators. A grid of
+    more than GL_MAX_STEPS steps (x/h not finite included) raises
+    DomainError.
     """
     if order <= 0:
         raise DomainError(f"order must be positive, got {order}")
     if h <= 0:
         raise DomainError(f"step must be positive, got {h}")
-    n_steps = int(math.floor(x / h + 1e-12))
+    steps = x / h + 1e-12
+    if not steps <= GL_MAX_STEPS:
+        raise DomainError(f"x={x!r} with step {h!r} needs {x / h:.10g} grid "
+                          f"steps, past the limit of {GL_MAX_STEPS}")
+    n_steps = int(math.floor(steps))
     weight = 1.0
     acc = f(x)
     for j in range(1, n_steps + 1):

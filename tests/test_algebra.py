@@ -78,6 +78,19 @@ class TestHeisenbergRep:
         with pytest.raises(ValidationError):
             build_heisenberg_rep(121, PhysicalConstants())
 
+    @pytest.mark.parametrize("hbar", [1e-300, 1e-162, 5e-324, 1e160, 1e300])
+    def test_hbar_squared_outside_float_range(self, hbar):
+        # hbar^2 underflowed to 0 (ZeroDivisionError in effective_planck)
+        # or overflowed (OverflowError from hbar ** 2) downstream
+        with pytest.raises(ValidationError, match="squares to"):
+            build_heisenberg_rep(8, PhysicalConstants(hbar=hbar))
+
+    @pytest.mark.parametrize("hbar", [1e-150, 1e150])
+    def test_hbar_squared_inside_float_range(self, hbar):
+        rep = build_heisenberg_rep(8, PhysicalConstants(hbar=hbar))
+        entries = commutator_residuals(sw_forward(rep, 0.0, 0.0))
+        assert all(math.isfinite(e.max_residual) for e in entries)
+
     def test_operators_are_sparse(self, rep):
         # each row of a quadrature-times-identity holds at most two entries
         for m in (rep.x, rep.y, rep.px, rep.py):

@@ -257,11 +257,19 @@ class TestCommutatorsCommand:
     ["spectrum", *EC_FLAGS, "--tol", "-1"],
     ["ring", "--eta", "1e308"],
     ["ring", "--eta", "1e200"],
+    ["commutators", "--theta", "0.1", "--eta", "0.1", "--hbar", "1e-300"],
+    ["commutators", "--theta", "0.1", "--eta", "0.1", "--hbar", "1e300"],
+    ["fractional", "--op", "gl_half_derivative_x", "--step", "1e-300",
+     "--x", "1"],
+    ["fractional", "--op", "gl_half_derivative_x", "--step", "1e-300",
+     "--x", "1e308"],
 ])
 def test_overflowing_bracket_tol_or_ring_strength_exit_2(args, capsys):
     # the brackets and --eta 1e200 once exited 1 with an OverflowError
     # traceback, --eta 1e308 exited 0 with nan,inf rows, and --tol -1
-    # blamed the residual
+    # blamed the residual; --hbar 1e-300 (1e300) exited 1 with a
+    # ZeroDivisionError (OverflowError) traceback, and the Grünwald-Letnikov
+    # step 1e-300 never returned at --x 1 and overflowed at --x 1e308
     code, out, err = run_cli(args, capsys)
     assert code == 2
     assert out == ""

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from ncqm.errors import DomainError, ValidationError
-from ncqm.fractional import (PowerSeriesFn,
+from ncqm.fractional import (GL_MAX_STEPS, PowerSeriesFn,
                              caputo_exp, caputo_plane_wave,
                              caputo_series_derivative, eo_coefficients,
                              grunwald_letnikov, grunwald_letnikov_richardson,
@@ -179,6 +179,20 @@ class TestGrunwaldLetnikov:
     def test_second_order_on_quadratic(self):
         assert grunwald_letnikov(lambda t: t * t, 2.0, 1.0, 1e-3) == \
             pytest.approx(2.0, abs=1e-9)
+
+    @pytest.mark.parametrize("x,h", [(1.0, 1e-300), (1e308, 1e-300),
+                                     (1.0, 1.0 / (GL_MAX_STEPS + 1)),
+                                     (math.nan, 1e-3)])
+    def test_step_count_limit(self, x, h):
+        # 1e300 steps never returned; an infinite x/h raised OverflowError
+        calls = []
+        with pytest.raises(DomainError, match="grid steps"):
+            grunwald_letnikov(lambda t: calls.append(t) or t, 0.5, x, h)
+        assert calls == []
+
+    def test_step_count_limit_is_met(self):
+        val = grunwald_letnikov(lambda t: t, 0.5, 1.0, 1.0 / GL_MAX_STEPS)
+        assert val == pytest.approx(HALF_DERIV_X_AT_1, rel=1e-5)
 
 
 class TestPlaneWave:
