@@ -9,10 +9,11 @@ deterministic for identical inputs.
 
 At module level this imports only the standard library, ``errors`` and
 ``params`` (numpy). Each ``_cmd_*`` function imports the modules it runs
-when it is dispatched, so ``--help`` and ``ring`` load no scipy,
-``commutators`` loads ``scipy.sparse`` only, ``spectrum`` and
-``wavefunction`` load ``scipy.optimize`` and ``scipy.special`` but not
-``scipy.integrate``, and only ``fractional`` and ``verify`` load all three.
+when it is dispatched, so ``--help``, ``ring`` and the EC and SQF
+``spectrum`` tables load no scipy (Brent's method is in ``spectra``),
+``commutators`` loads ``scipy.sparse`` only, ``wavefunction`` loads
+``scipy.special`` only, and only ``fractional`` and ``verify`` load
+``scipy.optimize`` and ``scipy.integrate``.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ import os
 import sys
 from dataclasses import replace
 
-from .errors import ConvergenceError, UsageError
+from .errors import ConvergenceError, UsageError, ValidationError
 from .params import (PARAM_KEYS, Mechanism, ModelParams, PhysicalConstants,
                      params_from_dict)
 
@@ -155,6 +156,11 @@ def _cmd_wavefunction(args) -> int:
         bracket = spectra.ec_default_bracket(qn, p)
         energy = spectra.ec_solve_energy(qn, p, bracket).energy
     sol = wavefunctions.ec_radial_solution(qn, p, energy)
+    xi_max = math.sqrt(sol.lambda_scale) * args.r_max  # sol.xi(r_max)
+    if not math.isfinite(xi_max * xi_max):
+        raise ValidationError(f"--r-max {args.r_max!r} puts xi^2 = lambda "
+                              "r^2 past the float range (lambda = "
+                              f"{sol.lambda_scale!r})")
     rows = []
     for i in range(args.points):
         r = args.r_max * (i + 0.5) / args.points

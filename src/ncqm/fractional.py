@@ -154,14 +154,17 @@ def grunwald_letnikov(f, order: float, x: float, h: float) -> float:
 
     sum_j (-1)^j C(alpha, j) f(x - j h) / h^alpha over the grid reaching
     back to 0. Converges O(h) for smooth f; serves as the independent
-    numeric oracle for the closed-form fractional operators. A grid of
-    more than GL_MAX_STEPS steps (x/h not finite included) raises
-    DomainError.
+    numeric oracle for the closed-form fractional operators. An x below
+    the terminal, or a grid of more than GL_MAX_STEPS steps (x/h not
+    finite included), raises DomainError.
     """
     if order <= 0:
         raise DomainError(f"order must be positive, got {order}")
     if h <= 0:
         raise DomainError(f"step must be positive, got {h}")
+    if x < 0:
+        raise DomainError(f"grunwald_letnikov: x={x!r} outside [0, inf), "
+                          "below the terminal at 0")
     steps = x / h + 1e-12
     if not steps <= GL_MAX_STEPS:
         raise DomainError(f"x={x!r} with step {h!r} needs {x / h:.10g} grid "

@@ -9,13 +9,15 @@ whose left side carries the energy dependence through m*(E) and the right
 side through B_h(E), K_h(E). Closed forms exist for the vacuum-fluctuation
 (SQF) model, for the energy-coupled (EC) free particle with alpha != 1,
 and to first order for the EC oscillator; everything else is root-found by
-a deterministic geometric sign-change scan refined by Brent's method
-(scipy.optimize.brentq). The scan evaluates the residual on the whole grid
-in one array call (2401 points on the default 12-decade bracket), so a
-level costs one array evaluation plus a handful of scalar Brent steps,
-a fraction of a millisecond. The grid (scan_grid), the bracket rule
-(sign_change_brackets) and the refinement (brent_root) are the package's
-one root-finding kernel; the self-consistent oracle shares none of it.
+a deterministic geometric sign-change scan refined by Brent's method.
+The scan evaluates the residual on the whole grid in one array call (2401
+points on the default 12-decade bracket), so a level costs one array
+evaluation plus a handful of scalar Brent steps, a fraction of a
+millisecond. The grid (scan_grid), the bracket rule (sign_change_brackets)
+and the refinement (brent_root, a port of scipy's brentq kernel that takes
+the same steps) are the package's one root-finding kernel; the
+self-consistent oracle shares none of it. The module needs numpy only: no
+scipy.optimize, and scipy.special only inside fractional_oscillator_levels.
 """
 
 from __future__ import annotations
@@ -26,13 +28,11 @@ import sys
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .errors import (BracketingError, ConvergenceError, DomainError,
                      UsageError, ValidationError)
 from .params import (EffectiveCoefficients, Mechanism, ModelParams,
                      PhysicalConstants, _any, _sqrt, effective_coefficients)
-from .specfun import beta_fn
 
 log = logging.getLogger("ncqm.spectra")
 
@@ -161,6 +161,9 @@ SCAN_PER_DECADE = 200
 # Smallest relative tolerance brentq accepts: the float floor.
 _RTOL_FLOOR = 4.0 * sys.float_info.epsilon
 
+# Iteration budget of brent_root (brentq's default maxiter).
+BRENT_MAX_ITER = 100
+
 
 def scan_grid(lo: float, hi: float, n_pts: int, i):
     """Point i of the geometric scan grid over [lo, hi]: lo * step**i with
@@ -185,19 +188,84 @@ def sign_change_brackets(values) -> list[tuple[int, int]]:
     return [(i, i if zero[i] else i + 1) for i in hits]
 
 
-def brent_root(f, bracket: tuple[float, float]):
+@dataclass(frozen=True)
+class BrentResult:
+    """A root refined by brent_root and what it took: the counts are
+    those scipy's brentq reports in RootResults for the same call, except
+    that iterations is 0 where an endpoint is a root (brentq leaves it
+    unset there)."""
+
+    root: float
+    iterations: int
+    function_calls: int
+    converged: bool = True
+
+
+def brent_root(f, bracket: tuple[float, float]) -> BrentResult:
     """Refine a sign-change bracket of f by Brent's method to the float
     floor, 4 eps relative to the root, with no absolute floor: roots of any
-    magnitude keep full relative accuracy. Returns scipy's RootResults
-    (root, iterations, function_calls); raises ConvergenceError if brentq
-    exhausts its iteration budget."""
-    a, b = bracket
-    _, info = brentq(f, a, b, xtol=sys.float_info.min, rtol=_RTOL_FLOOR,
-                     full_output=True, disp=False)
-    if not info.converged:
-        raise ConvergenceError(f"brentq did not converge on {bracket}: "
-                               f"{info.flag}")
-    return info
+    magnitude keep full relative accuracy.
+
+    A line-for-line port of scipy's brentq kernel (Zeros/brentq.c) with
+    xtol = the smallest normal double and rtol = _RTOL_FLOOR: it takes the
+    same steps, so root, iterations and function_calls equal
+    scipy.optimize.brentq's. An endpoint where f is exactly zero is
+    returned after the two endpoint calls. Raises BracketingError when
+    f(a) and f(b) have the same sign, DomainError when f is NaN, and
+    ConvergenceError when BRENT_MAX_ITER iterations do not converge.
+    """
+    xtol, rtol = sys.float_info.min, _RTOL_FLOOR
+    xpre, xcur = float(bracket[0]), float(bracket[1])
+    fpre, fcur = float(f(xpre)), float(f(xcur))
+    if fpre != fpre or fcur != fcur:
+        raise DomainError(f"f is NaN at an endpoint of {bracket}")
+    if fpre == 0.0:
+        return BrentResult(root=xpre, iterations=0, function_calls=2)
+    if fcur == 0.0:
+        return BrentResult(root=xcur, iterations=0, function_calls=2)
+    if (fpre < 0.0) == (fcur < 0.0):
+        raise BracketingError(f"f has the same sign at both ends of {bracket}")
+    xblk = fblk = spre = scur = 0.0
+    for iterations in range(1, BRENT_MAX_ITER + 1):
+        if fpre != 0.0 and fcur != 0.0 and (fpre < 0.0) != (fcur < 0.0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        # the tolerance is 2 delta
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0.0 or abs(sbis) < delta:
+            return BrentResult(root=xcur, iterations=iterations,
+                               function_calls=iterations + 1)
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            try:
+                if xpre == xblk:  # interpolate
+                    stry = -fcur * (xcur - xpre) / (fcur - fpre)
+                else:  # extrapolate
+                    dpre = (fpre - fcur) / (xpre - xcur)
+                    dblk = (fblk - fcur) / (xblk - xcur)
+                    stry = -fcur * (fblk * dblk - fpre * dpre) \
+                        / (dblk * dpre * (fblk - fpre))
+            except ZeroDivisionError:  # C gets inf or nan, which bisects
+                stry = math.nan
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+                spre, scur = scur, stry  # good short step
+            else:
+                spre = scur = sbis  # bisect
+        else:
+            spre = scur = sbis  # bisect
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0 else -delta
+        fcur = float(f(xcur))
+        if fcur != fcur:
+            raise DomainError(f"f is NaN at {xcur!r}")
+    raise ConvergenceError(f"Brent's method did not converge on {bracket} "
+                           f"in {BRENT_MAX_ITER} iterations")
 
 
 def ec_solve_energy(qn: QuantumNumbers, p: ModelParams,
@@ -363,6 +431,7 @@ def fractional_oscillator_levels(spec: FractionalOscSpec, n: int,
     E_n = [pi hbar b D^(1/a) q^(2/b) / 2 B(1/b, 1/a + 1)]^(ab/(a+b))
           * (n + 1/2)^(ab/(a+b)).
     """
+    from .specfun import beta_fn  # scipy.special, needed by this form alone
     if n != int(n) or n < 0:
         raise DomainError(f"n must be a non-negative integer, got {n}")
     a, b = spec.alpha_p, spec.beta_p

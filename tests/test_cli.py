@@ -1,5 +1,6 @@
 import argparse
 import json
+import math
 
 import pytest
 
@@ -216,6 +217,25 @@ class TestWavefunctionCommand:
         first = [float(v) for v in lines[1].split(",")]
         assert first[3] == pytest.approx(first[2] ** 2, rel=1e-12)
 
+    @pytest.mark.parametrize("r_max", ["1e308", "1e200"])
+    def test_r_max_past_float_range_exit_2(self, r_max, capsys):
+        # once exit 0 with inf,inf,0.0,0.0 (1e308) or 0.0 rows (1e200) and
+        # two overflow warnings from xi^2
+        code, out, err = run_cli(["wavefunction", *EC_FLAGS, "--r-max",
+                                  r_max, "--points", "3"], capsys)
+        assert code == 2
+        assert out == ""
+        assert len(err.splitlines()) == 1
+        assert err.startswith(f"error: --r-max {float(r_max)!r} puts xi^2")
+
+    def test_r_max_inside_float_range(self, capsys):
+        code, out, _ = run_cli(["wavefunction", *EC_FLAGS, "--r-max", "1e150",
+                                "--points", "3"], capsys)
+        assert code == 0
+        rows = [[float(v) for v in line.split(",")]
+                for line in out.strip().splitlines()[1:]]
+        assert len(rows) == 3
+        assert all(math.isfinite(v) for row in rows for v in row)
 
     @pytest.mark.parametrize("mechanism", ["eo_i", "sqf"])
     @pytest.mark.parametrize("energy", [["--energy", "3"], []])
@@ -286,6 +306,15 @@ class TestFractionalCommand:
             parts = row.split(",")
             assert float(parts[3]) == pytest.approx(float(parts[4]),
                                                     rel=1e-12)
+
+    def test_gl_x_below_the_terminal_exit_2(self, capsys):
+        # once a bare "math domain error" from the reference column
+        code, out, err = run_cli(["fractional", "--op",
+                                  "gl_half_derivative_x", "--x", "-1"], capsys)
+        assert code == 2
+        assert out == ""
+        assert err == ("error: grunwald_letnikov: x=-1.0 outside [0, inf), "
+                       "below the terminal at 0\n")
 
     def test_mittag_leffler_cancellation_exit_2(self, capsys):
         # E_1(-30) = e^-30 is summed from terms up to 8e11: no digit is left

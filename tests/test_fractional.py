@@ -190,6 +190,16 @@ class TestGrunwaldLetnikov:
             grunwald_letnikov(lambda t: calls.append(t) or t, 0.5, x, h)
         assert calls == []
 
+    @pytest.mark.parametrize("fn", [grunwald_letnikov,
+                                    grunwald_letnikov_richardson])
+    def test_x_below_the_terminal(self, fn):
+        # x = -1 once gave an empty grid and returned f(x)/h^alpha = -31.6
+        calls = []
+        with pytest.raises(DomainError, match=r"x=-1\.0 outside \[0, inf\)"):
+            fn(lambda t: calls.append(t) or t, 0.5, -1.0, 1e-3)
+        assert calls == []
+        assert grunwald_letnikov(lambda t: t, 0.5, 0.0, 1e-3) == 0.0
+
     def test_step_count_limit_is_met(self):
         val = grunwald_letnikov(lambda t: t, 0.5, 1.0, 1.0 / GL_MAX_STEPS)
         assert val == pytest.approx(HALF_DERIV_X_AT_1, rel=1e-5)

@@ -1,8 +1,9 @@
 """What importing ncqm and running a subcommand loads.
 
 Structural checks on sys.modules in fresh interpreters, not timings:
-``import ncqm.cli`` loads only errors and params, ``--help`` and ``ring``
-load no scipy, and the README spectrum loads no ``scipy.integrate``.
+``import ncqm.cli`` loads only errors and params, ``--help``, ``ring`` and
+the README spectrum load no scipy, and ``wavefunction`` loads
+``scipy.special`` but not ``scipy.optimize``.
 """
 
 import json
@@ -38,6 +39,9 @@ README_SPECTRUM = ["spectrum", "--mechanism", "ec", "--eta0", "0.1",
                    "--e-ref", "10", "--spring-k", "1", "--n", "0..4",
                    "--mphi", "0..3"]
 
+README_WAVEFUNCTION = ["wavefunction", *README_SPECTRUM[1:-4], "--n", "1",
+                       "--mphi", "1", "--points", "3"]
+
 
 def loaded_after(argv):
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
@@ -65,9 +69,20 @@ def test_help_and_ring_load_no_scipy(argv):
     assert under(loaded_after(argv), "scipy") == []
 
 
-def test_readme_spectrum_loads_no_integrate():
+def test_readme_spectrum_loads_no_scipy():
+    # Brent's method is in spectra itself and beta_fn is imported only by
+    # fractional_oscillator_levels, so solving the levels needs numpy alone
     loaded = loaded_after(README_SPECTRUM)
     assert "ncqm.spectra" in loaded
+    assert "ncqm.specfun" not in loaded
+    assert under(loaded, "scipy") == []
+
+
+def test_wavefunction_loads_special_but_not_optimize():
+    loaded = loaded_after(README_WAVEFUNCTION)
+    assert "ncqm.wavefunctions" in loaded
+    assert "scipy.special" in loaded
+    assert under(loaded, "scipy.optimize") == []
     assert under(loaded, "scipy.integrate") == []
 
 

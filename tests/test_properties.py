@@ -1,5 +1,6 @@
-"""Property tests of the root kernel (geometric scan + Brent refinement),
-of the self-consistent oracle, and of parameter-wide invariants of the
+"""Property tests of the root kernel (geometric scan + Brent refinement,
+with scipy's brentq as the reference for the Brent step), of the
+self-consistent oracle, and of parameter-wide invariants of the
 algebra, the SQF spectrum and the ring.
 
 Oscillator parameters are drawn from the ranges of the benchmark pool, in
@@ -18,7 +19,10 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import assume, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
+from scipy.optimize import brentq  # noqa: E402
 
+from ncqm.errors import (BracketingError, ConvergenceError,  # noqa: E402
+                         DomainError)
 from ncqm.algebra import (build_heisenberg_rep, sw_forward,  # noqa: E402
                           sw_inverse)
 from ncqm.oracle import (_frozen_level, radial_fd_eigensolve,  # noqa: E402
@@ -30,7 +34,8 @@ from ncqm.params import (EffectiveCoefficients, Mechanism,  # noqa: E402
 from ncqm.ring import (RingSpec, ground_level_index,  # noqa: E402
                        ground_persistent_current, nc_flux, persistent_current,
                        ring_levels)
-from ncqm.spectra import (SCAN_PER_DECADE, QuantumNumbers,  # noqa: E402
+from ncqm.spectra import (_RTOL_FLOOR, BRENT_MAX_ITER,  # noqa: E402
+                          SCAN_PER_DECADE, QuantumNumbers, brent_root,
                           commutative_spectrum, ec_default_bracket,
                           ec_free_energy_closed, ec_quantization_residual,
                           ec_solve_energy, scan_grid, sign_change_brackets,
@@ -155,6 +160,106 @@ def test_array_scan_matches_scalar_scan(case):
                                                               + abs(rhs))
         scalar.append(s)
     assert sign_change_brackets(values) == scalar_scan_brackets(scalar)
+
+
+def brentq_info(f, bracket):
+    """scipy's brentq at brent_root's tolerances and budget."""
+    _, info = brentq(f, *bracket, xtol=sys.float_info.min, rtol=_RTOL_FLOOR,
+                     maxiter=BRENT_MAX_ITER, full_output=True, disp=False)
+    return info
+
+
+def assert_brentq_steps(f, bracket):
+    """brent_root ends where brentq ends, after as many iterations and
+    calls, or raises ConvergenceError where brentq runs out of budget.
+    Returns whether brentq converged."""
+    info = brentq_info(f, bracket)
+    if not info.converged:
+        with pytest.raises(ConvergenceError):
+            brent_root(f, bracket)
+        return False
+    res = brent_root(f, bracket)
+    assert res.converged
+    assert (res.root, res.iterations, res.function_calls) == \
+        (info.root, info.iterations, info.function_calls)
+    return True
+
+
+@PROPERTY_SETTINGS
+@given(st.one_of(ec_oscillators(), ec_free_particles()))
+def test_brent_root_takes_brentqs_steps_on_level_brackets(case):
+    # every sign change the scan of ec_solve_energy sees: the level's
+    # bracket and those of the spurious high-energy branch
+    p, qn = case
+    lo, hi = ec_default_bracket(qn, p)
+    n_pts, grid = default_scan((lo, hi))
+    brackets = sign_change_brackets(ec_quantization_residual(grid, qn, p))
+    # a free level with 2n + (1 - sqrt 2) m_phi + 1 <= 0 is not bound
+    assume(brackets)
+
+    def f(e):
+        return ec_quantization_residual(e, qn, p)
+
+    for ij in brackets:
+        chosen = tuple(scan_grid(lo, hi, n_pts, i) for i in ij)
+        assert assert_brentq_steps(f, chosen)
+    first = tuple(scan_grid(lo, hi, n_pts, i) for i in brackets[0])
+    assert ec_solve_energy(qn, p, (lo, hi)).energy == \
+        brentq_info(f, first).root
+
+
+@PROPERTY_SETTINGS
+@given(root=st.floats(-10.0, 10.0), left=st.floats(1e-6, 10.0),
+       right=st.floats(1e-6, 10.0), power=st.floats(0.2, 5.0),
+       tilt=st.sampled_from([0.0, 1e-3, 1.0]),
+       scale=st.sampled_from([1e-200, 1e-8, 1.0, 1e8, 1e200]),
+       sign=st.sampled_from([-1.0, 1.0]))
+def test_brent_root_takes_brentqs_steps_on_monotone_functions(
+        root, left, right, power, tilt, scale, sign):
+    def f(x):
+        d = x - root
+        return sign * scale * (math.copysign(abs(d) ** power, d) + tilt * d)
+
+    assert_brentq_steps(f, (root - left, root + right))
+
+
+@pytest.mark.parametrize("bracket", [(1.0, 2.0), (0.0, 1.0)])
+def test_brent_root_exact_zero_endpoint(bracket):
+    def f(x):
+        return x - 1.0
+
+    res = brent_root(f, bracket)
+    assert (res.root, res.iterations, res.function_calls) == (1.0, 0, 2)
+    # brentq returns before it sets its iteration count, so only the root
+    # and the two endpoint calls are compared
+    info = brentq_info(f, bracket)
+    assert info.converged
+    assert (info.root, info.function_calls) == (1.0, 2)
+
+
+def test_brent_root_budget_runs_out_without_a_root():
+    # a sign change with no root: the bracket halves towards 0 until the
+    # budget is spent, where brentq reports no convergence
+    calls = []
+
+    def f(x):
+        calls.append(x)
+        return math.copysign(1.0, x)
+
+    assert not brentq_info(f, (-1.0, 2.0)).converged
+    calls.clear()
+    with pytest.raises(ConvergenceError, match=f"{BRENT_MAX_ITER} iterations"):
+        brent_root(f, (-1.0, 2.0))
+    assert len(calls) == 2 + BRENT_MAX_ITER
+
+
+def test_brent_root_refuses_same_sign_and_nan():
+    with pytest.raises(BracketingError, match="same sign"):
+        brent_root(lambda x: x * x + 1.0, (-1.0, 2.0))
+    with pytest.raises(DomainError, match="NaN"):
+        brent_root(lambda x: math.nan, (-1.0, 2.0))
+    with pytest.raises(DomainError, match="NaN"):  # NaN inside the bracket
+        brent_root(lambda x: x if abs(x) > 0.1 else math.nan, (-1.0, 2.0))
 
 
 @settings(PROPERTY_SETTINGS, max_examples=25)
