@@ -9,11 +9,11 @@ deterministic for identical inputs.
 
 At module level this imports only the standard library, ``errors`` and
 ``params`` (numpy). Each ``_cmd_*`` function imports the modules it runs
-when it is dispatched, so ``--help``, ``ring`` and the EC and SQF
-``spectrum`` tables load no scipy (Brent's method is in ``spectra``),
-``commutators`` loads ``scipy.sparse`` only, ``wavefunction`` loads
-``scipy.special`` only, and only ``fractional`` and ``verify`` load
-``scipy.optimize`` and ``scipy.integrate``.
+when it is dispatched, so ``--help``, ``ring``, the EC and SQF
+``spectrum`` tables and ``wavefunction`` load no scipy (Brent's method
+is in ``spectra``, the radial-state special functions in ``specfun``),
+``commutators`` loads ``scipy.sparse`` only, and only ``fractional`` and
+``verify`` load ``scipy.optimize`` and ``scipy.integrate``.
 """
 
 from __future__ import annotations

@@ -1,16 +1,24 @@
 """Special functions used by spectra, wave functions and the fractional
 operators.
 
-Gamma, log-gamma, reciprocal gamma, beta, Bessel Y and the generalized
-Laguerre polynomials are validated wrappers over ``scipy.special``: each
-checks its domain, raises the package's typed errors where scipy would
-return inf or nan, and returns a Python float (or complex) for scalar
-input. Bessel J is summed here by its ascending series for
-0 <= x <= 12 (where the radial states sample it) and is scipy's ``jv``
-beyond; ``jv`` runs the general complex-order routine at every point,
-about ten times slower than the series on the radial-state grids. The
-Mittag-Leffler function, which scipy does not provide, is summed here
-too. Accuracy envelopes (checked against mpmath by the test suite):
+Every function checks its domain, raises the package's typed errors where
+a bare evaluation would return inf or nan, and returns a Python float (or
+complex) for scalar input. The radial states need numpy and ``math``
+alone, so this module imports no scipy at load time:
+
+* log_gamma is ``math.lgamma``;
+* laguerre runs the three-term recurrence in n for n <= 20, and calls
+  scipy's ``eval_genlaguerre`` (imported on call) beyond, where a Python
+  loop of n steps per call would be too slow;
+* bessel_j sums its ascending series for 0 <= x <= 12 (where the radial
+  states sample it) and calls scipy's ``jv`` (imported on call) beyond;
+  ``jv`` runs the general complex-order routine at every point, about ten
+  times slower than the series on the radial-state grids;
+* gamma_fn, recip_gamma, beta_fn and bessel_y are validated wrappers over
+  ``scipy.special``, imported on each call;
+* mittag_leffler, which scipy does not provide, is summed here.
+
+Accuracy envelopes (checked against mpmath by the test suite):
 
 * gamma_fn      relative error <= 1e-12 for real z in (0, 170];
                 <= 1e-13 for complex z with Re z in [-5, 20], |Im z| <= 10
@@ -38,7 +46,6 @@ import functools
 import math
 
 import numpy as np
-from scipy import special
 
 from .errors import ConvergenceError, DomainError, SingularityError
 
@@ -61,6 +68,11 @@ _ML_MAX_CANCELLATION = 1e3
 _J_SERIES_MAX_X = 12.0
 _J_SERIES_TAIL = 1e-17
 
+# Laguerre L_n^(a) runs its forward recurrence in n for n <= this, the
+# documented envelope; past it scipy's eval_genlaguerre is used, since the
+# recurrence is a Python loop of n array steps.
+_LAGUERRE_RECURRENCE_MAX_N = 20
+
 
 def _is_nonpositive_int(x: float) -> bool:
     return x <= 0 and x == math.floor(x)
@@ -81,6 +93,7 @@ def gamma_fn(z):
     Raises SingularityError at the poles (non-positive integers). Real
     input returns a float, complex input a complex.
     """
+    from scipy import special
     if isinstance(z, complex):
         if z.imag == 0.0 and _is_nonpositive_int(z.real):
             raise SingularityError(f"gamma pole at z={z}")
@@ -92,15 +105,19 @@ def gamma_fn(z):
 
 
 def log_gamma(z: float) -> float:
-    """ln Gamma(z) for real z > 0."""
+    """ln Gamma(z) for real z > 0; inf where it exceeds the double range."""
     z = float(z)
-    if z <= 0:
+    if not z > 0:
         raise DomainError(f"log_gamma requires z > 0, got {z}")
-    return float(special.gammaln(z))
+    try:
+        return math.lgamma(z)
+    except OverflowError:  # z above about 2.5e305
+        return math.inf
 
 
 def recip_gamma(x: float) -> float:
     """1/Gamma(x) for real x, returning 0 at the poles."""
+    from scipy import special
     return float(special.rgamma(x))
 
 
@@ -108,6 +125,7 @@ def beta_fn(a: float, b: float) -> float:
     """Euler beta function B(a, b) = Gamma(a)Gamma(b)/Gamma(a+b), a, b > 0."""
     if a <= 0 or b <= 0:
         raise DomainError(f"beta_fn requires positive arguments, got ({a}, {b})")
+    from scipy import special
     return float(special.beta(a, b))
 
 
@@ -165,6 +183,7 @@ def bessel_j(order: int, x):
     near = x <= _J_SERIES_MAX_X
     if np.all(near):
         return _real(_bessel_j_series(order, x))
+    from scipy import special
     out = np.empty_like(x)
     out[~near] = special.jv(order, x[~near])
     out[near] = _bessel_j_series(order, x[near])
@@ -191,16 +210,37 @@ def bessel_y(order: int, x):
         raise SingularityError("bessel_y is singular at x = 0")
     if np.any(x < 0):
         raise DomainError(f"bessel_y requires x > 0, got {x}")
+    from scipy import special
     return _real(special.yv(int(order), x))
 
 
 def laguerre(n: int, a: float, x):
-    """Generalized Laguerre polynomial L_n^(a)(x)."""
+    """Generalized Laguerre polynomial L_n^(a)(x), finite a > -1 and x.
+
+    For n <= 20 by the forward recurrence L_0 = 1, L_1 = 1 + a - x,
+    L_(k+1) = ((2k + 1 + a - x) L_k - (k + a) L_(k-1)) / (k + 1), whose
+    error stays near eps relative to the value, also near its zeros;
+    scipy's eval_genlaguerre beyond.
+    """
     if n != int(n) or n < 0:
         raise DomainError(f"laguerre requires integer n >= 0, got {n}")
+    if not math.isfinite(a):
+        raise DomainError(f"laguerre requires finite a, got {a}")
     if a <= -1:
         raise DomainError(f"laguerre requires a > -1, got {a}")
-    return _real(special.eval_genlaguerre(int(n), a, x))
+    x = np.asarray(x, dtype=float)
+    if not np.all(np.isfinite(x)):
+        raise DomainError(f"laguerre requires finite x, got {x}")
+    n = int(n)
+    if n > _LAGUERRE_RECURRENCE_MAX_N:
+        from scipy import special
+        return _real(special.eval_genlaguerre(n, a, x))
+    if n == 0:
+        return _real(np.ones_like(x))
+    prev, cur = 1.0, 1.0 + a - x
+    for k in range(1, n):
+        prev, cur = cur, ((2 * k + 1 + a - x) * cur - (k + a) * prev) / (k + 1)
+    return _real(cur)
 
 
 def mittag_leffler(alpha: float, beta: float, z):

@@ -431,7 +431,7 @@ def fractional_oscillator_levels(spec: FractionalOscSpec, n: int,
     E_n = [pi hbar b D^(1/a) q^(2/b) / 2 B(1/b, 1/a + 1)]^(ab/(a+b))
           * (n + 1/2)^(ab/(a+b)).
     """
-    from .specfun import beta_fn  # scipy.special, needed by this form alone
+    from .specfun import beta_fn  # needed by this form alone
     if n != int(n) or n < 0:
         raise DomainError(f"n must be a non-negative integer, got {n}")
     a, b = spec.alpha_p, spec.beta_p

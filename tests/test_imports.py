@@ -1,21 +1,24 @@
 """What importing ncqm and running a subcommand loads.
 
-Structural checks on sys.modules in fresh interpreters, not timings:
-``import ncqm.cli`` loads only errors and params, ``--help``, ``ring`` and
-the README spectrum load no scipy, and ``wavefunction`` loads
-``scipy.special`` but not ``scipy.optimize``.
+Structural checks on sys.modules, not timings. In fresh interpreters:
+``import ncqm.cli`` loads only errors and params, and ``--help``, ``ring``,
+the README spectrum and the README ``wavefunction`` load no scipy. In
+this process: sampling radial states imports no scipy.
 """
 
 import json
+import math
 import os
 import subprocess
 import sys
+import types
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import ncqm
-from ncqm import params, spectra
+from ncqm import params, spectra, specfun, wavefunctions
 
 SRC = Path(ncqm.__file__).resolve().parents[1]
 
@@ -78,12 +81,39 @@ def test_readme_spectrum_loads_no_scipy():
     assert under(loaded, "scipy") == []
 
 
-def test_wavefunction_loads_special_but_not_optimize():
+def test_readme_wavefunction_loads_no_scipy():
+    # log_gamma is math.lgamma and laguerre runs its numpy recurrence up to
+    # n = 20, so the README state needs no scipy
     loaded = loaded_after(README_WAVEFUNCTION)
     assert "ncqm.wavefunctions" in loaded
-    assert "scipy.special" in loaded
-    assert under(loaded, "scipy.optimize") == []
-    assert under(loaded, "scipy.integrate") == []
+    assert under(loaded, "scipy") == []
+
+
+def test_radial_states_import_no_scipy(monkeypatch):
+    # scipy is already loaded in this process, so block it: every import
+    # of scipy or a scipy submodule now raises ImportError
+    for name in ["scipy", *under(sys.modules, "scipy")]:
+        monkeypatch.setitem(sys.modules, name, None)
+    for module in (params, spectra, specfun, wavefunctions):
+        assert not [value for value in vars(module).values()
+                    if isinstance(value, types.ModuleType)
+                    and value.__name__.partition(".")[0] == "scipy"]
+    p = params.params_from_dict({"mechanism": "ec", "eta0": 0.1,
+                                 "theta0": 0.1, "alpha": 1.0, "beta": 1.0,
+                                 "e_ref": 10.0, "spring_k": 1.0})
+    for n in range(4):
+        for m_phi in range(4):
+            qn = spectra.QuantumNumbers(n=n, m_phi=m_phi)
+            energy = spectra.ec_solve_energy(
+                qn, p, spectra.ec_default_bracket(qn, p)).energy
+            for regime in ("laguerre", "bessel"):
+                sol = wavefunctions.ec_radial_solution(qn, p, energy, regime)
+                xi_max = (math.sqrt(2.0 * (2 * n + m_phi + 1)) + 4.0
+                          if regime == "laguerre" else
+                          math.sqrt(wavefunctions.BESSEL_WINDOW * sol.c_big))
+                xi = (np.arange(256) + 0.5) / 256 * xi_max
+                samples = sol(xi / math.sqrt(sol.lambda_scale))
+                assert np.all(np.isfinite(samples))
 
 
 class TestLazyNamespace:

@@ -1,4 +1,5 @@
 import math
+import time
 import warnings
 from fractions import Fraction
 
@@ -51,6 +52,24 @@ class TestGamma:
         for z in (0.0, -1.0, -7.0):
             with pytest.raises(SingularityError):
                 gamma_fn(z)
+
+    @pytest.mark.parametrize("z", [0.0, -2.5, math.nan, -math.inf])
+    def test_log_gamma_domain(self, z):
+        with pytest.raises(DomainError, match="z > 0"):
+            log_gamma(z)
+
+    def test_log_gamma_beyond_the_double_range_is_inf(self):
+        # ln Gamma(z) ~ z ln z passes the largest double near z = 2.5e305
+        assert log_gamma(2.5e305) == pytest.approx(
+            float(special.gammaln(2.5e305)), rel=1e-13)
+        for z in (3e305, 1e308, math.inf):
+            assert log_gamma(z) == math.inf
+
+    def test_log_gamma_at_subnormal_z(self):
+        # ln Gamma(z) = -ln z - gamma_E z + O(z^2) stays finite down to the
+        # smallest double
+        for z in (1e-310, 1e-320, 5e-324):
+            assert log_gamma(z) == pytest.approx(-math.log(z), rel=1e-15)
 
     def test_complex_reflection(self):
         z = complex(0.3, 0.4)
@@ -201,6 +220,66 @@ class TestLaguerre:
                     0.0, np.inf, limit=300)
                 expected = math.factorial(n + a) / math.factorial(n)
                 assert val == pytest.approx(expected, rel=1e-8)
+
+    @pytest.mark.parametrize("a", [math.nan, math.inf, -math.inf])
+    def test_non_finite_a_refused(self, a):
+        with pytest.raises(DomainError, match="finite a"):
+            laguerre(2, a, 1.0)
+
+    @pytest.mark.parametrize("x", [math.inf, math.nan, [0.5, math.inf]])
+    def test_non_finite_x_refused(self, x):
+        with pytest.raises(DomainError, match="finite x"):
+            laguerre(2, 0.0, x)
+
+
+def laguerre_abs_terms(n, a, x):
+    """Sum of the absolute terms of the explicit sum
+    sum_k (-1)^k C(n+a, n-k) x^k / k!, the scale of laguerre's envelope."""
+    return sum(special.binom(n + a, n - k) * abs(x) ** k / math.factorial(k)
+               for k in range(n + 1))
+
+
+class TestLaguerreRecurrence:
+    """laguerre runs its recurrence up to _LAGUERRE_RECURRENCE_MAX_N and is
+    scipy's eval_genlaguerre beyond."""
+
+    MAX_N = specfun._LAGUERRE_RECURRENCE_MAX_N
+
+    @settings(max_examples=400, deadline=None, derandomize=True,
+              database=None)
+    @given(n=st.integers(0, 20), a=st.floats(0.0, 20.0),
+           x=st.floats(0.0, 50.0))
+    def test_matches_scipy_within_envelope(self, n, a, x):
+        ref = special.eval_genlaguerre(n, a, x)
+        assert abs(laguerre(n, a, x) - ref) <= 1e-12 * laguerre_abs_terms(
+            n, a, x)
+
+    @settings(max_examples=200, deadline=None, derandomize=True,
+              database=None)
+    @given(n=st.integers(0, 30), a=st.floats(0.0, 20.0),
+           xs=st.lists(st.floats(0.0, 50.0), min_size=1, max_size=40))
+    def test_array_equals_scalars(self, n, a, xs):
+        values = laguerre(n, a, np.array(xs))
+        assert values.shape == (len(xs),)
+        assert np.array_equal(values, [laguerre(n, a, x) for x in xs])
+
+    @settings(max_examples=100, deadline=None, derandomize=True,
+              database=None)
+    @given(n=st.integers(MAX_N + 1, 400), a=st.floats(0.0, 20.0),
+           xs=st.lists(st.floats(0.0, 50.0), min_size=1, max_size=8))
+    def test_beyond_the_cutoff_is_scipy(self, n, a, xs):
+        assert np.array_equal(laguerre(n, a, np.array(xs)),
+                              special.eval_genlaguerre(n, a, np.array(xs)))
+
+    def test_huge_order_is_scipy_and_fast(self):
+        # a Python loop of 10^6 steps per call is what the cutoff avoids
+        xs = np.linspace(0.0, 50.0, 8)
+        start = time.perf_counter()
+        values = laguerre(10 ** 6, 1.0, xs)
+        assert time.perf_counter() - start < 1.0
+        assert np.array_equal(values, special.eval_genlaguerre(10 ** 6, 1.0,
+                                                               xs))
+        assert type(laguerre(10 ** 6, 1.0, 0.5)) is float
 
 
 class TestMittagLeffler:
@@ -432,7 +511,8 @@ class TestBesselJSeries:
         def refuse(*args):
             raise AssertionError("scipy.special.jv reached")
 
-        monkeypatch.setattr(specfun.special, "jv", refuse)
+        # bessel_j imports scipy.special on call and reads jv from it
+        monkeypatch.setattr(special, "jv", refuse)
         xs = np.concatenate([np.linspace(0.0, CUTOFF, 257), NEAR_CUTOFF[:2]])
         for order in range(0, 21):
             bessel_j(order, xs)
