@@ -31,6 +31,10 @@ from .errors import ConvergenceError, UsageError, ValidationError
 from .params import (PARAM_KEYS, Mechanism, ModelParams, PhysicalConstants,
                      params_from_dict)
 
+# Largest wavefunction --n: the cost of L_n grows with n at every sample
+# point, and 10^6 at the default 200 points takes about a second.
+WAVEFUNCTION_MAX_N = 10 ** 6
+
 
 def _add_param_flags(parser):
     parser.add_argument("--config", help="JSON parameter file "
@@ -145,6 +149,9 @@ def _cmd_wavefunction(args) -> int:
     from . import spectra, wavefunctions
     if args.r_max <= 0:
         raise ValueError(f"--r-max must be positive, got {args.r_max!r}")
+    if args.n > WAVEFUNCTION_MAX_N:
+        raise ValueError(f"--n must be at most {WAVEFUNCTION_MAX_N}, got "
+                         f"{args.n}")
     p = _load_params(args)
     if p.mechanism is not Mechanism.EC:  # checked before the default solve
         raise UsageError("wavefunction samples the EC radial solution and "

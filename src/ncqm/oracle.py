@@ -239,8 +239,7 @@ def _frozen_level(p: ModelParams, qn, energy: float, solver: str) -> float:
                 f"the Hamiltonian frozen at E={energy:.6g} is unbounded "
                 f"below: |B_h| = {abs(coeff.b_h):.6g} >= omega_h = "
                 f"{coeff.omega_h:.6g}, so no Fock level is certified")
-        certified = _certified_count(
-            _FOCK_TRUNC, math.sqrt(coeff.k_h / coeff.m_star), coeff.b_h)
+        certified = _certified_count(_FOCK_TRUNC, coeff.omega_h, coeff.b_h)
         energies, labels = fock_matrix_eigensolve(
             _FOCK_TRUNC, coeff.m_star, coeff.b_h, coeff.k_h, c,
             count=certified, with_labels=True)

@@ -103,11 +103,11 @@ class EffectiveCoefficients:
 
     b_e and k_e are the field/elastic terms injected by momentum
     noncommutativity alone; b_h, k_h and m_star include the oscillator
-    potential's contribution through the coordinate strength. omega_h is
-    the generalized frequency sqrt(k_h/m_star); omega_eps = sqrt(k_e/m)
-    is the free-particle effective frequency. The rescaled algebra and
-    the inverse-map factor k(E) are rescaled_strengths and k_factor of
-    nc_strengths(p, E).
+    potential's contribution through the coordinate strength. These five
+    are stored; the generalized frequency omega_h = sqrt(k_h/m_star) is
+    computed on access. The effective Planck constant, the rescaled
+    algebra and the inverse-map factor k(E) are effective_planck,
+    rescaled_strengths and k_factor of nc_strengths(p, E).
     """
 
     b_e: float
@@ -115,9 +115,11 @@ class EffectiveCoefficients:
     b_h: float
     k_h: float
     m_star: float
-    hbar_eff: float
-    omega_h: float
-    omega_eps: float
+
+    @property
+    def omega_h(self):
+        """Generalized oscillator frequency sqrt(k_h/m_star)."""
+        return _sqrt(self.k_h / self.m_star)
 
 
 def nc_strengths(p: ModelParams, energy):
@@ -253,16 +255,8 @@ def effective_coefficients(p: ModelParams, energy) -> EffectiveCoefficients:
     m_star = 1.0 / inv_m_star
     b_h = b_e + k * theta / (2.0 * hbar)
     k_h = k + k_e
-    return EffectiveCoefficients(
-        b_e=b_e,
-        k_e=k_e,
-        b_h=b_h,
-        k_h=k_h,
-        m_star=m_star,
-        hbar_eff=effective_planck(theta, eta, c),
-        omega_h=_sqrt(k_h / m_star),
-        omega_eps=_sqrt(k_e / m),
-    )
+    return EffectiveCoefficients(b_e=b_e, k_e=k_e, b_h=b_h, k_h=k_h,
+                                 m_star=m_star)
 
 
 # JSON document schema: a flat object whose keys are the fields of

@@ -62,7 +62,7 @@ class SpectrumResult:
     """A solved energy level and how it was obtained."""
 
     energy: float
-    method: str  # "closed_form" | "root_find" | "first_order"
+    method: str  # "closed_form" | "root_find"
     residual: float
     roots_found: int = 1
 
@@ -99,11 +99,11 @@ def sqf_free_spectrum(p: ModelParams, eps: float, qn: QuantumNumbers) -> float:
 
     E = hbar Omega (n_alpha + n_beta + 1) with the single quasiparticle
     frequency Omega = (eta0/2m hbar)(1 + 1/sqrt(2)) (eps/eps0)^alpha
-    composed from omega_eps = sqrt(k_e/m) and B_e.
+    composed from the free-particle frequency sqrt(k_e/m) and B_e.
     """
     _require(p, Mechanism.SQF, "sqf_free_spectrum", spring="zero")
     coeff = effective_coefficients(p, eps)
-    omega_big = coeff.omega_eps + coeff.b_e
+    omega_big = math.sqrt(coeff.k_e / p.constants.mass) + coeff.b_e
     return p.constants.hbar * omega_big * (qn.n_alpha + qn.n_beta + 1)
 
 
@@ -151,7 +151,7 @@ def ec_quantization_residual(energy, qn: QuantumNumbers, p: ModelParams):
 def _linear_level(coeff: EffectiveCoefficients, qn: QuantumNumbers,
                   hbar: float) -> float:
     """Exact root for frozen coefficients (condition linear in E)."""
-    return (hbar * math.sqrt(coeff.k_h / coeff.m_star) * qn.radial_weight
+    return (hbar * coeff.omega_h * qn.radial_weight
             - qn.m_phi * hbar * coeff.b_h)
 
 
@@ -193,12 +193,12 @@ class BrentResult:
     """A root refined by brent_root and what it took: the counts are
     those scipy's brentq reports in RootResults for the same call, except
     that iterations is 0 where an endpoint is a root (brentq leaves it
-    unset there)."""
+    unset there). brent_root raises ConvergenceError rather than return
+    an unconverged root."""
 
     root: float
     iterations: int
     function_calls: int
-    converged: bool = True
 
 
 def brent_root(f, bracket: tuple[float, float]) -> BrentResult:

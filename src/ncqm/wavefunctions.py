@@ -18,6 +18,7 @@ the orthogonality kernel and the probability current on uniform 2D grids
 from __future__ import annotations
 
 import math
+import sys
 import warnings
 from dataclasses import dataclass
 
@@ -72,25 +73,43 @@ def radial_bessel(m_phi: int, c_big: float, xi):
 
 
 def radial_laguerre(n: int, m_phi: int, xi):
-    """Bound-state branch exp(-xi^2/2) xi^m L_n^(m)(xi^2)."""
+    """Bound-state branch exp(-xi^2/2) xi^m L_n^(m)(xi^2).
+
+    Raises DomainError where a sample is not finite: at large m_phi,
+    xi^m overflows and meets an exp(-xi^2/2) that underflows to 0.
+    """
     xi_arr = np.asarray(xi, dtype=float)
-    lag = laguerre(n, m_phi, xi_arr * xi_arr)
-    out = np.exp(-0.5 * xi_arr ** 2) * np.abs(xi_arr) ** m_phi * lag
+    with np.errstate(over="ignore", invalid="ignore"):
+        lag = laguerre(n, m_phi, xi_arr * xi_arr)
+        out = np.exp(-0.5 * xi_arr ** 2) * np.abs(xi_arr) ** m_phi * lag
+    if not np.all(np.isfinite(out)):
+        raise DomainError(f"the radial state (n={n}, m_phi={m_phi}) is not "
+                          "finite in double precision at some xi")
     return out if out.shape else float(out)
 
 
 def normalization_constant(n: int, m_phi: int, lambda_scale: float) -> float:
     """Amplitude c making int_0^inf [c R_n^(m)(r)]^2 r dr = 1.
 
-    c = sqrt(2 lambda n! / (n + m_phi)!), evaluated in log space so that
-    n + m_phi up to ~150 stays finite. The closed form fixes the squared
-    amplitude 2 lambda n!/(n+m_phi)!; quadrature needs its square root.
+    c = sqrt(2 lambda n! / (n + m_phi)!), evaluated in log space. The
+    closed form fixes the squared amplitude 2 lambda n!/(n+m_phi)!;
+    quadrature needs its square root. Raises DomainError when c is not a
+    positive normal double: at lambda = 1/2 and n = 0 that is m_phi > 300,
+    where c underflows.
     """
     if lambda_scale <= 0:
         raise DomainError(f"lambda_scale must be positive, got {lambda_scale}")
     log_c2 = (math.log(2.0 * lambda_scale)
               + log_gamma(n + 1.0) - log_gamma(n + m_phi + 1.0))
-    return math.exp(0.5 * log_c2)
+    try:
+        amplitude = math.exp(0.5 * log_c2)
+    except OverflowError:
+        amplitude = math.inf
+    if not sys.float_info.min <= amplitude < math.inf:
+        raise DomainError(f"the amplitude of (n={n}, m_phi={m_phi}) at "
+                          f"lambda={lambda_scale!r} is exp({0.5 * log_c2:.6g}),"
+                          " not a positive normal double")
+    return amplitude
 
 
 def ec_radial_solution(qn, p: ModelParams, energy: float,

@@ -317,7 +317,8 @@ class TestBogoliubov:
         p = ModelParams(eta0=1.0, theta0=1.0, alpha_exp=1.0, beta_exp=1.0,
                         e_ref=1.0, mechanism=Mechanism.SQF)
         c = effective_coefficients(p, 1.0)
-        omega_big = bogoliubov_frequency(c.omega_eps, c.b_e)
+        omega_eps = math.sqrt(c.k_e / p.constants.mass)
+        omega_big = bogoliubov_frequency(omega_eps, c.b_e)
         assert omega_big == pytest.approx(0.5 * (1.0 + 1.0 / math.sqrt(2.0)),
                                           rel=1e-14)
 
@@ -326,8 +327,9 @@ class TestBogoliubov:
                         e_ref=1.0, mechanism=Mechanism.SQF)
         c1 = effective_coefficients(p, 1.0)
         c2 = effective_coefficients(p, 2.0)
-        w1 = bogoliubov_frequency(c1.omega_eps, c1.b_e)
-        w2 = bogoliubov_frequency(c2.omega_eps, c2.b_e)
+        m = p.constants.mass
+        w1 = bogoliubov_frequency(math.sqrt(c1.k_e / m), c1.b_e)
+        w2 = bogoliubov_frequency(math.sqrt(c2.k_e / m), c2.b_e)
         assert w2 == pytest.approx(2.0 * w1, rel=1e-14)
 
     def test_linear_in_each_argument(self):

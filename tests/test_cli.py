@@ -1,6 +1,7 @@
 import argparse
 import json
 import math
+import warnings
 
 import pytest
 
@@ -231,6 +232,35 @@ class TestWavefunctionCommand:
     def test_r_max_inside_float_range(self, capsys):
         code, out, _ = run_cli(["wavefunction", *EC_FLAGS, "--r-max", "1e150",
                                 "--points", "3"], capsys)
+        assert code == 0
+        rows = [[float(v) for v in line.split(",")]
+                for line in out.strip().splitlines()[1:]]
+        assert len(rows) == 3
+        assert all(math.isfinite(v) for row in rows for v in row)
+
+    @pytest.mark.parametrize("args,reason", [
+        (["--energy", "5", "--mphi", "1000", "--points", "3"],
+         "not a positive normal double"),
+        (["--energy", "5", "--mphi", "400", "--points", "3"],
+         "not a positive normal double"),
+        (["--n", "1000001"], "--n must be at most 1000000"),
+    ])
+    def test_unrepresentable_or_unbounded_level_exit_2(self, args, reason,
+                                                       capsys):
+        # --mphi 1000 once exited 0 with nan rows (a traceback under
+        # -W error), --mphi 400 with all-zero samples, and --n had no bound
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli(["wavefunction", *EC_FLAGS, *args],
+                                     capsys)
+        assert code == 2
+        assert out == ""
+        assert len(err.splitlines()) == 1
+        assert err.startswith("error: ") and reason in err
+
+    def test_n_at_the_bound(self, capsys):
+        code, out, _ = run_cli(["wavefunction", *EC_FLAGS, "--energy", "5",
+                                "--n", "1000000", "--points", "3"], capsys)
         assert code == 0
         rows = [[float(v) for v in line.split(",")]
                 for line in out.strip().splitlines()[1:]]

@@ -178,7 +178,8 @@ class TestEffectiveCoefficients:
             c = effective_coefficients(p, energy)
             assert c.k_h >= p.constants.spring_k
             assert c.m_star <= p.constants.mass
-            assert c.hbar_eff >= p.constants.hbar
+            assert effective_planck(*nc_strengths(p, energy),
+                                    p.constants) >= p.constants.hbar
 
     def test_mechanism_agnostic_in_the_ratio(self):
         ec = make_params(mechanism=Mechanism.EC, e_ref=2.0)

@@ -1,4 +1,6 @@
 import math
+import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -91,6 +93,15 @@ class TestRadialLaguerre:
     def test_first_excited_node_at_one(self):
         assert radial_laguerre(1, 0, 1.0) == pytest.approx(0.0, abs=1e-15)
 
+    @pytest.mark.parametrize("xi", [3.0, [1.0, 3.0, 5.0], 40.0])
+    def test_non_finite_samples_raise(self, xi):
+        # xi^1000 overflows to inf; past xi ~ 38.6 exp(-xi^2/2) is 0 too,
+        # and 0 * inf once came back as NaN with a RuntimeWarning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match="not finite"):
+                radial_laguerre(0, 1000, xi)
+
     @pytest.mark.parametrize("n,m_phi", [(0, 0), (1, 0), (2, 1), (3, 2),
                                          (4, 4)])
     def test_collocation_residual(self, n, m_phi):
@@ -123,6 +134,23 @@ class TestNormalization:
 
     def test_large_index_stays_finite(self):
         assert math.isfinite(normalization_constant(70, 80, 1.0))
+
+    def test_underflow_edge(self):
+        # at 2 lambda = 1 the amplitude is exp(-ln(m_phi!)/2): a normal
+        # double at m_phi = 300 and below the normal range at 301, where
+        # it once came back subnormal (0.0 from m_phi = 314 on)
+        c = normalization_constant(0, 300, 0.5)
+        assert c >= sys.float_info.min
+        assert math.log(c) == pytest.approx(-0.5 * math.lgamma(301.0),
+                                            rel=1e-14)
+        for m_phi in (301, 400, 1000):
+            with pytest.raises(DomainError, match="positive normal double"):
+                normalization_constant(0, m_phi, 0.5)
+
+    def test_overflow_raises(self):
+        # a negative m_phi shrinks (n + m_phi)! past what exp can return
+        with pytest.raises(DomainError, match="positive normal double"):
+            normalization_constant(10 ** 6, -10 ** 6, 1.0)
 
 
 class TestEcRadialSolution:
