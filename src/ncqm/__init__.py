@@ -29,8 +29,7 @@ _SOURCES = {
         "FractionalOscSpec", "QuantumNumbers", "SpectrumResult",
         "commutative_spectrum", "ec_free_energy_closed",
         "ec_oscillator_first_order", "ec_quantization_residual",
-        "ec_solve_energy", "fractional_oscillator_levels",
-        "sqf_free_spectrum", "sqf_oscillator_spectrum"),
+        "ec_solve_energy", "fractional_oscillator_levels", "sqf_spectrum"),
 }
 _MODULE_OF = {name: mod for mod, names in _SOURCES.items() for name in names}
 

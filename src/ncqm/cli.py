@@ -12,8 +12,11 @@ At module level this imports only the standard library, ``errors`` and
 when it is dispatched, so ``--help``, ``ring``, the EC and SQF
 ``spectrum`` tables and ``wavefunction`` load no scipy (Brent's method
 is in ``spectra``, the radial-state special functions in ``specfun``),
-``commutators`` loads ``scipy.sparse`` only, and only ``fractional`` and
-``verify`` load ``scipy.optimize`` and ``scipy.integrate``.
+``commutators`` loads ``scipy.sparse`` only, ``fractional`` loads
+``scipy.special`` only for the operators that take a gamma function, and
+only ``verify`` loads ``scipy.optimize`` and ``scipy.integrate``. No
+table has more than MAX_ROWS rows: a larger one is refused before any
+level is solved or any row is built.
 """
 
 from __future__ import annotations
@@ -34,6 +37,9 @@ from .params import (PARAM_KEYS, Mechanism, ModelParams, PhysicalConstants,
 # Largest wavefunction --n: the cost of L_n grows with n at every sample
 # point, and 10^6 at the default 200 points takes about a second.
 WAVEFUNCTION_MAX_N = 10 ** 6
+
+# Most rows one table may have; a larger one is refused before any work.
+MAX_ROWS = 10 ** 6
 
 
 def _add_param_flags(parser):
@@ -76,12 +82,22 @@ def positive_int(text: str) -> int:
     return value
 
 
-def _parse_range(text: str) -> list[int]:
+def _parse_range(text: str) -> range:
     lo, sep, hi = text.partition("..")
-    values = list(range(int(lo), int(hi if sep else lo) + 1))
-    if not values:
+    lo, hi = int(lo), int(hi if sep else lo)
+    if hi < lo:
         raise ValueError(f"empty range {text!r}: lo..hi needs hi >= lo")
-    return values
+    return range(lo, hi + 1)
+
+
+def _check_rows(*axes):
+    """Refuse a table of more than MAX_ROWS rows. Each axis is a range or
+    a count; a range is counted as stop - start, which cannot overflow."""
+    rows = math.prod(a.stop - a.start if isinstance(a, range) else a
+                     for a in axes)
+    if rows > MAX_ROWS:
+        raise ValueError(f"the table would have {rows} rows, more than "
+                         f"{MAX_ROWS}")
 
 
 def _write_text(path: str | None, text: str):
@@ -108,8 +124,10 @@ def _cmd_spectrum(args) -> int:
     multi_root = 0
     if p.mechanism is Mechanism.EC:
         tol = args.tol
-        for n in _parse_range(args.n):
-            for m_phi in _parse_range(args.mphi):
+        ns, m_phis = _parse_range(args.n), _parse_range(args.mphi)
+        _check_rows(ns, m_phis)
+        for n in ns:
+            for m_phi in m_phis:
                 qn = spectra.QuantumNumbers(n=n, m_phi=m_phi)
                 bracket = (tuple(args.bracket) if args.bracket
                            else spectra.ec_default_bracket(qn, p))
@@ -122,12 +140,13 @@ def _cmd_spectrum(args) -> int:
             print("error: --eps (fluctuation energy scale) is required for "
                   "the sqf mechanism", file=sys.stderr)
             return 2
-        osc = p.constants.spring_k > 0
-        fn = spectra.sqf_oscillator_spectrum if osc else spectra.sqf_free_spectrum
-        for n_a in _parse_range(args.n_alpha):
-            for n_b in _parse_range(args.n_beta):
+        n_alphas = _parse_range(args.n_alpha)
+        n_betas = _parse_range(args.n_beta)
+        _check_rows(n_alphas, n_betas)
+        for n_a in n_alphas:
+            for n_b in n_betas:
                 qn = spectra.QuantumNumbers(n_alpha=n_a, n_beta=n_b)
-                energy = fn(p, args.eps, qn)
+                energy = spectra.sqf_spectrum(p, args.eps, qn)
                 rows.append([p.mechanism.value, "", "", n_a, n_b,
                              energy, "closed_form", 0.0])
     else:
@@ -135,7 +154,6 @@ def _cmd_spectrum(args) -> int:
               "spectrum table (its order-1 bound condition constrains "
               "parameters, not the energy)", file=sys.stderr)
         return 2
-    rows.sort(key=lambda r: (r[1] != "", r[1], r[2], r[3], r[4]))
     header = ["mechanism", "n", "m_phi", "n_alpha", "n_beta", "energy",
               "method", "residual"]
     _write_text(args.out, _csv_text(header, rows))
@@ -152,6 +170,7 @@ def _cmd_wavefunction(args) -> int:
     if args.n > WAVEFUNCTION_MAX_N:
         raise ValueError(f"--n must be at most {WAVEFUNCTION_MAX_N}, got "
                          f"{args.n}")
+    _check_rows(args.points)
     p = _load_params(args)
     if p.mechanism is not Mechanism.EC:  # checked before the default solve
         raise UsageError("wavefunction samples the EC radial solution and "
@@ -168,11 +187,9 @@ def _cmd_wavefunction(args) -> int:
         raise ValidationError(f"--r-max {args.r_max!r} puts xi^2 = lambda "
                               "r^2 past the float range (lambda = "
                               f"{sol.lambda_scale!r})")
-    rows = []
-    for i in range(args.points):
-        r = args.r_max * (i + 0.5) / args.points
-        val = float(sol(r))
-        rows.append([r, float(sol.xi(r)), val, val * val])
+    r = [args.r_max * (i + 0.5) / args.points for i in range(args.points)]
+    rows = [[r_i, xi, val, val * val] for r_i, xi, val
+            in zip(r, sol.xi(r).tolist(), sol(r).tolist())]
     _write_text(args.out, _csv_text(["r", "xi", "R_value", "density"], rows))
     return 0
 
@@ -220,9 +237,10 @@ def _cmd_fractional(args) -> int:
 
 def _cmd_ring(args) -> int:
     from . import ring
+    levels = _parse_range(args.l)
+    _check_rows(args.phi_steps, levels)
     rows = []
     base = ring.RingSpec(radius=args.radius, alpha_param=args.alpha_param)
-    levels = _parse_range(args.l)
     for i in range(args.phi_steps):
         frac = args.phi_start + (args.phi_stop - args.phi_start) * i \
             / max(1, args.phi_steps - 1)

@@ -11,14 +11,16 @@ variable, and the complex coefficient pairs of the two operator cases.
 
 Complex powers are taken on the principal branch (argument in (-pi, pi]),
 which reproduces the plain first and second derivatives at order 1 and 2.
+
+The module imports no scipy at load time: riemann_liouville imports
+``scipy.integrate`` on call, and the gamma-function wrappers of
+``specfun`` import ``scipy.special`` on call.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-from scipy import integrate
 
 from .errors import ConvergenceError, DomainError, ValidationError
 from .params import Mechanism, ModelParams, PhysicalConstants
@@ -115,6 +117,7 @@ def riemann_liouville(f, order: float, x: float) -> float:
     adaptive quadrature; the outer derivative uses 5-point central
     differences. Supported for n <= 2.
     """
+    from scipy import integrate  # needed by this operator alone
     if x <= 0:
         raise DomainError(f"x must be positive, got {x}")
     n = math.floor(order) + 1

@@ -94,30 +94,17 @@ def _require(p: ModelParams, mechanism: Mechanism, fn: str,
         raise UsageError(f"{fn} needs an oscillator (spring_k > 0)")
 
 
-def sqf_free_spectrum(p: ModelParams, eps: float, qn: QuantumNumbers) -> float:
-    """Free-particle levels of the vacuum-fluctuation model.
-
-    E = hbar Omega (n_alpha + n_beta + 1) with the single quasiparticle
-    frequency Omega = (eta0/2m hbar)(1 + 1/sqrt(2)) (eps/eps0)^alpha
-    composed from the free-particle frequency sqrt(k_e/m) and B_e.
-    """
-    _require(p, Mechanism.SQF, "sqf_free_spectrum", spring="zero")
-    coeff = effective_coefficients(p, eps)
-    omega_big = math.sqrt(coeff.k_e / p.constants.mass) + coeff.b_e
-    return p.constants.hbar * omega_big * (qn.n_alpha + qn.n_beta + 1)
-
-
-def sqf_oscillator_spectrum(p: ModelParams, eps: float,
-                            qn: QuantumNumbers) -> float:
-    """Oscillator levels of the vacuum-fluctuation model.
+def sqf_spectrum(p: ModelParams, eps: float, qn: QuantumNumbers) -> float:
+    """Levels of the vacuum-fluctuation model, oscillator or free particle.
 
     E = hbar Omega (n_alpha + n_beta + 1) with
     Omega = sqrt(K_h/m*) + B_h evaluated at the fluctuation scale eps,
     K_h = k + eta^2/8m hbar^2 and B_h = eta/2m hbar + k theta/2 hbar.
-    Degenerates to sqf_free_spectrum as k -> 0 and to the commutative
-    oscillator as eps -> 0.
+    At k = 0 this is the free-particle frequency
+    Omega = (eta0/2m hbar)(1 + 1/sqrt(2)) (eps/eps0)^alpha; as eps -> 0 it
+    is the commutative oscillator.
     """
-    _require(p, Mechanism.SQF, "sqf_oscillator_spectrum", spring="positive")
+    _require(p, Mechanism.SQF, "sqf_spectrum")
     coeff = effective_coefficients(p, eps)
     omega_big = coeff.omega_h + coeff.b_h
     return p.constants.hbar * omega_big * (qn.n_alpha + qn.n_beta + 1)
@@ -193,12 +180,14 @@ class BrentResult:
     """A root refined by brent_root and what it took: the counts are
     those scipy's brentq reports in RootResults for the same call, except
     that iterations is 0 where an endpoint is a root (brentq leaves it
-    unset there). brent_root raises ConvergenceError rather than return
-    an unconverged root."""
+    unset there). residual is f(root), the last value Brent's method
+    computed. brent_root raises ConvergenceError rather than return an
+    unconverged root."""
 
     root: float
     iterations: int
     function_calls: int
+    residual: float
 
 
 def brent_root(f, bracket: tuple[float, float]) -> BrentResult:
@@ -220,9 +209,11 @@ def brent_root(f, bracket: tuple[float, float]) -> BrentResult:
     if fpre != fpre or fcur != fcur:
         raise DomainError(f"f is NaN at an endpoint of {bracket}")
     if fpre == 0.0:
-        return BrentResult(root=xpre, iterations=0, function_calls=2)
+        return BrentResult(root=xpre, iterations=0, function_calls=2,
+                           residual=fpre)
     if fcur == 0.0:
-        return BrentResult(root=xcur, iterations=0, function_calls=2)
+        return BrentResult(root=xcur, iterations=0, function_calls=2,
+                           residual=fcur)
     if (fpre < 0.0) == (fcur < 0.0):
         raise BracketingError(f"f has the same sign at both ends of {bracket}")
     xblk = fblk = spre = scur = 0.0
@@ -238,7 +229,7 @@ def brent_root(f, bracket: tuple[float, float]) -> BrentResult:
         sbis = (xblk - xcur) / 2
         if fcur == 0.0 or abs(sbis) < delta:
             return BrentResult(root=xcur, iterations=iterations,
-                               function_calls=iterations + 1)
+                               function_calls=iterations + 1, residual=fcur)
         if abs(spre) > delta and abs(fcur) < abs(fpre):
             try:
                 if xpre == xblk:  # interpolate
@@ -324,12 +315,8 @@ def ec_solve_energy(qn: QuantumNumbers, p: ModelParams,
     # endpoints from the scalar grid formula, bit-identical to a scalar scan
     chosen = tuple(scan_grid(lo, hi, n_pts, i) for i in brackets[0])
 
-    def resid(e):
-        return ec_quantization_residual(e, qn, p)
-
-    info = brent_root(resid, chosen)
-    energy = info.root
-    residual = resid(energy)
+    info = brent_root(lambda e: ec_quantization_residual(e, qn, p), chosen)
+    energy, residual = info.root, info.residual
     log.debug("ec_solve_energy %s: %d grid points, %d sign changes, "
               "bracket %r, %d brentq calls", qn, n_pts + 1, len(brackets),
               chosen, info.function_calls)
@@ -347,6 +334,13 @@ def ec_default_bracket(qn: QuantumNumbers,
     c = p.constants
     scale = max(p.e_ref, c.hbar * max(c.omega, 1.0 / p.e_ref) * qn.radial_weight)
     return (scale / 1e6, scale * 1e6)
+
+
+def _reference_coefficients(p: ModelParams) -> tuple[float, float]:
+    """(B0, k0) = (eta0/2m hbar, eta0^2/4m hbar^2): b_e and 2 k_e of the
+    effective coefficients at the reference energy, where eta = eta0."""
+    coeff = effective_coefficients(p, p.e_ref)
+    return coeff.b_e, 2.0 * coeff.k_e
 
 
 def ec_free_energy_closed(qn: QuantumNumbers, p: ModelParams) -> float:
@@ -367,8 +361,7 @@ def ec_free_energy_closed(qn: QuantumNumbers, p: ModelParams) -> float:
         raise DomainError("eta0 = 0 leaves the free particle unconfined")
     c = p.constants
     hbar, m = c.hbar, c.mass
-    b0 = p.eta0 / (2.0 * m * hbar)
-    k0 = p.eta0 ** 2 / (4.0 * m * hbar ** 2)
+    b0, k0 = _reference_coefficients(p)
     denom = 2 * qn.n + (1.0 - b0 * math.sqrt(2.0 * m / k0)) * qn.m_phi + 1.0
     if denom <= 0:
         raise DomainError(f"level bracket 2n + (1-sqrt(2)) m_phi + 1 = {denom} "
@@ -388,7 +381,7 @@ def ec_alpha1_constraint_residual(qn: QuantumNumbers, p: ModelParams) -> float:
     """
     _require(p, Mechanism.EC, "ec_alpha1_constraint_residual", spring="zero")
     c = p.constants
-    k0 = p.eta0 ** 2 / (4.0 * c.mass * c.hbar ** 2)
+    _, k0 = _reference_coefficients(p)
     rhs = c.hbar * math.sqrt(k0 / (2.0 * c.mass)) \
         * (2 * qn.n + (1.0 - math.sqrt(2.0)) * qn.m_phi + 1.0)
     return p.e_ref - rhs
@@ -474,7 +467,6 @@ def eo_alpha1_from_ec(p: ModelParams) -> tuple[float, float]:
     K_I = hbar^2 k0 / 2 E0^2.
     """
     c = p.constants
-    b0 = p.eta0 / (2.0 * c.mass * c.hbar)
-    k0 = p.eta0 ** 2 / (4.0 * c.mass * c.hbar ** 2)
+    b0, k0 = _reference_coefficients(p)
     return (c.hbar * b0 / p.e_ref,
             c.hbar ** 2 * k0 / (2.0 * p.e_ref ** 2))

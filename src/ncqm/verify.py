@@ -125,7 +125,7 @@ def commutative_recovery(c, ec_levels, eps, sqf_levels):
     for n_a, n_b in sqf_levels:
         occupation = spectra.QuantumNumbers(n_alpha=n_a, n_beta=n_b)
         radial = spectra.QuantumNumbers(n=0, m_phi=n_a + n_b)
-        out.append((spectra.sqf_oscillator_spectrum(sqf, eps, occupation),
+        out.append((spectra.sqf_spectrum(sqf, eps, occupation),
                     spectra.commutative_spectrum(radial, c.omega, c)))
     return out
 

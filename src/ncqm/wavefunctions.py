@@ -24,7 +24,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, NormalizabilityError, UsageError, ValidationError
+from .errors import (DomainError, NormalizabilityError, SingularityError,
+                     UsageError, ValidationError)
 from .params import (Mechanism, ModelParams, effective_coefficients,
                      nc_strengths)
 from .specfun import bessel_j, laguerre, log_gamma
@@ -153,8 +154,6 @@ def ground_state_free(r, energy: float, p: ModelParams):
     """
     if p.mechanism is not Mechanism.EC or p.constants.spring_k != 0:
         raise UsageError("ground_state_free is the EC free-particle form")
-    if energy < 0:
-        raise DomainError(f"energy must be non-negative, got {energy}")
     _, eta = nc_strengths(p, energy)
     coeff = abs(eta) / (math.sqrt(32.0) * p.constants.hbar ** 2)
     return np.exp(-coeff * np.asarray(r, dtype=float) ** 2)
@@ -163,23 +162,31 @@ def ground_state_free(r, energy: float, p: ModelParams):
 def omega_eff(energy: float, p: ModelParams) -> float:
     """Energy-dependent oscillator frequency of the energy-coupled model.
 
-    omega_eff = omega * sqrt[(1 + (eta0^2/8 m^2 w^2 hbar^2)(E/E0)^(2a)) /
-                             (1 + (m^2 w^2 theta0/4 hbar^2)(E/E0)^b)].
+    omega_eff = omega * sqrt[(1 + eta(E)^2/8 m^2 w^2 hbar^2) /
+                             (1 + m^2 w^2 theta(E)/4 hbar^2)],
 
-    Reduces to omega as E << E0 and is monotone increasing in E when
-    theta0 = 0.
+    theta to the first power as the paper displays it (this is not
+    omega_h). Reduces to omega as E << E0 and is monotone increasing in E
+    when theta0 = 0. SingularityError where nc_strengths raises or the
+    frequency leaves the float range.
     """
     if p.mechanism is not Mechanism.EC or p.constants.spring_k <= 0:
         raise UsageError("omega_eff is the EC oscillator form")
-    if energy < 0:
-        raise DomainError(f"energy must be non-negative, got {energy}")
+    theta, eta = nc_strengths(p, energy)
     c = p.constants
     hbar, m = c.hbar, c.mass
     w2 = c.spring_k / m
-    x = energy / p.e_ref
-    num = 1.0 + p.eta0 ** 2 / (8.0 * m ** 2 * w2 * hbar ** 2) * x ** (2 * p.alpha_exp)
-    den = 1.0 + m ** 2 * w2 * p.theta0 / (4.0 * hbar ** 2) * x ** p.beta_exp
-    return math.sqrt(w2) * math.sqrt(num / den)
+    try:
+        eta2 = eta ** 2
+    except OverflowError:
+        eta2 = math.inf
+    num = 1.0 + eta2 / (8.0 * m ** 2 * w2 * hbar ** 2)
+    den = 1.0 + m ** 2 * w2 * theta / (4.0 * hbar ** 2)
+    w_eff = math.sqrt(w2) * math.sqrt(num / den)
+    if not math.isfinite(w_eff):
+        raise SingularityError(f"omega_eff at E={energy!r} leaves the float "
+                               f"range (theta={theta!r}, eta={eta!r})")
+    return w_eff
 
 
 def ground_state_oscillator(r, energy: float, p: ModelParams):
@@ -192,8 +199,6 @@ def ground_state_oscillator(r, energy: float, p: ModelParams):
 
 def nonlocality_bound(energy: float, p: ModelParams) -> float:
     """Lower bound theta(E)/2 on the coordinate uncertainty product."""
-    if energy < 0:
-        raise DomainError("energy must be non-negative")
     theta, _ = nc_strengths(p, energy)
     return 0.5 * theta
 

@@ -17,7 +17,7 @@ from ncqm.ring import RingSpec
 from ncqm.spectra import (FractionalOscSpec, QuantumNumbers,
                           commutative_spectrum, ec_oscillator_first_order,
                           ec_solve_energy, fractional_oscillator_levels,
-                          sqf_free_spectrum)
+                          sqf_spectrum)
 from ncqm.specfun import laguerre, log_gamma
 from ncqm.wavefunctions import normalization_constant, radial_laguerre
 
@@ -93,7 +93,7 @@ def test_criterion_4_commutative_recovery():
     # SQF free, zero strengths
     p_free = ModelParams(eta0=0.0, theta0=0.0, mechanism=Mechanism.SQF)
     exact_hits.append(
-        sqf_free_spectrum(p_free, 1.0, QuantumNumbers(n_alpha=2)) == 0.0)
+        sqf_spectrum(p_free, 1.0, QuantumNumbers(n_alpha=2)) == 0.0)
     # small-ratio regime: E/E0 = 1e-6 with alpha = beta = 1
     qn = QuantumNumbers(0, 1)
     e_com = commutative_spectrum(qn, c.omega, c)

@@ -1,12 +1,16 @@
 import argparse
+import csv
+import io
 import json
 import math
 import warnings
 
 import pytest
 
-from ncqm.cli import _load_params, build_parser, main
+from ncqm.cli import MAX_ROWS, _check_rows, _load_params, build_parser, main
 from ncqm.params import PARAM_KEYS, params_to_dict
+from ncqm.spectra import QuantumNumbers
+from ncqm.wavefunctions import ec_radial_solution
 
 
 def run_cli(args, capsys):
@@ -267,6 +271,19 @@ class TestWavefunctionCommand:
         assert len(rows) == 3
         assert all(math.isfinite(v) for row in rows for v in row)
 
+    def test_r_column_is_one_array_call(self, capsys):
+        # at m_phi = 7 a scalar call per r differs from the array call in
+        # the last bit on some rows; the table holds the array call's values
+        argv = ["wavefunction", *EC_FLAGS, "--n", "0", "--mphi", "7",
+                "--energy", "9.5", "--points", "333"]
+        code, out, _ = run_cli(argv, capsys)
+        assert code == 0
+        rows = list(csv.reader(io.StringIO(out)))[1:]
+        p = _load_params(build_parser().parse_args(argv))
+        sol = ec_radial_solution(QuantumNumbers(m_phi=7), p, 9.5)
+        r = [float(row[0]) for row in rows]
+        assert [float(row[2]) for row in rows] == sol(r).tolist()
+
     @pytest.mark.parametrize("mechanism", ["eo_i", "sqf"])
     @pytest.mark.parametrize("energy", [["--energy", "3"], []])
     def test_non_ec_mechanism_exit_2(self, mechanism, energy, capsys):
@@ -324,6 +341,36 @@ def test_overflowing_bracket_tol_or_ring_strength_exit_2(args, capsys):
     assert code == 2
     assert out == ""
     assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+
+@pytest.mark.parametrize("args,rows", [
+    (["ring", "--l", "0..400000000", "--phi-steps", "1"], 400000001),
+    (["ring", "--l", "0..100000000000000000000", "--phi-steps", "1"],
+     10 ** 20 + 1),
+    (["ring", "--phi-steps", "100000000", "--l", "0..0"], 10 ** 8),
+    (["spectrum", "--mechanism", "sqf", "--eps", "1", "--n-alpha",
+      "0..100000000000000000000"], 3 * (10 ** 20 + 1)),
+    (["spectrum", *EC_FLAGS, "--n", "0..1000", "--mphi", "0..999"],
+     1001 * 1000),
+    (["wavefunction", *EC_FLAGS, "--points", "400000000"], 400000000),
+])
+def test_oversized_table_exit_2(args, rows, capsys):
+    # the ranges were lists: a MemoryError or an OverflowError from len, or
+    # a run of minutes, each ending in a traceback
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(args, capsys)
+    assert code == 2
+    assert out == ""
+    assert err == (f"error: the table would have {rows} rows, more than "
+                   f"{MAX_ROWS}\n")
+
+
+def test_row_bound_is_inclusive():
+    _check_rows(range(0, 1000), 1000)
+    _check_rows(range(5, 5 + MAX_ROWS))
+    with pytest.raises(ValueError, match=f"{MAX_ROWS + 1} rows"):
+        _check_rows(range(-1, MAX_ROWS))
 
 
 class TestFractionalCommand:

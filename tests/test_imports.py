@@ -1,9 +1,11 @@
 """What importing ncqm and running a subcommand loads.
 
 Structural checks on sys.modules, not timings. In fresh interpreters:
-``import ncqm.cli`` loads only errors and params, and ``--help``, ``ring``,
-the README spectrum and the README ``wavefunction`` load no scipy. In
-this process: sampling radial states imports no scipy.
+``import ncqm.cli`` loads only errors and params; ``--help``, ``ring``,
+the README spectrum, the README ``wavefunction`` and ``fractional --op
+half_derivative_x`` load no scipy; ``fractional --op caputo_exp`` loads
+no ``scipy.integrate``. In this process: sampling radial states imports
+no scipy.
 """
 
 import json
@@ -87,6 +89,21 @@ def test_readme_wavefunction_loads_no_scipy():
     loaded = loaded_after(README_WAVEFUNCTION)
     assert "ncqm.wavefunctions" in loaded
     assert under(loaded, "scipy") == []
+
+
+def test_fractional_half_derivative_loads_no_scipy():
+    # scipy.integrate is imported by riemann_liouville alone, and the
+    # power-series operator takes no gamma function from scipy.special
+    loaded = loaded_after(["fractional", "--op", "half_derivative_x",
+                           "--x", "0.5,1.0,2.0"])
+    assert "ncqm.fractional" in loaded
+    assert under(loaded, "scipy") == []
+
+
+def test_fractional_caputo_exp_loads_no_scipy_integrate():
+    loaded = loaded_after(["fractional", "--op", "caputo_exp"])
+    assert "scipy.special" in loaded
+    assert under(loaded, "scipy.integrate") == []
 
 
 def test_radial_states_import_no_scipy(monkeypatch):

@@ -39,7 +39,7 @@ from ncqm.spectra import (_RTOL_FLOOR, BRENT_MAX_ITER,  # noqa: E402
                           commutative_spectrum, ec_default_bracket,
                           ec_free_energy_closed, ec_quantization_residual,
                           ec_solve_energy, scan_grid, sign_change_brackets,
-                          sqf_oscillator_spectrum)
+                          sqf_spectrum)
 from ncqm.verify import ROOT_VS_ORACLE_TOL  # noqa: E402
 
 TOL = 1e-12
@@ -183,6 +183,7 @@ def assert_brentq_steps(f, bracket):
     res = brent_root(f, bracket)
     assert (res.root, res.iterations, res.function_calls) == \
         (info.root, info.iterations, info.function_calls)
+    assert res.residual == f(res.root)
     return True
 
 
@@ -230,7 +231,8 @@ def test_brent_root_exact_zero_endpoint(bracket):
         return x - 1.0
 
     res = brent_root(f, bracket)
-    assert (res.root, res.iterations, res.function_calls) == (1.0, 0, 2)
+    assert (res.root, res.iterations, res.function_calls, res.residual) == \
+        (1.0, 0, 2, 0.0)
     # brentq returns before it sets its iteration count, so only the root
     # and the two endpoint calls are compared
     info = brentq_info(f, bracket)
@@ -343,13 +345,15 @@ def test_exact_k_round_trip(theta, eta):
 @PROPERTY_SETTINGS
 @given(eta0=st.floats(0.05, 2.0), theta0=st.floats(0.05, 2.0),
        alpha=st.floats(0.5, 3.0), beta=st.floats(0.5, 3.0),
-       e_ref=st.floats(0.5, 20.0), spring_k=st.floats(0.5, 2.0),
+       e_ref=st.floats(0.5, 20.0),
+       spring_k=st.one_of(st.just(0.0), st.floats(0.5, 2.0)),
        n_alpha=level_index, n_beta=level_index)
 def test_sqf_oscillator_tends_to_commutative(eta0, theta0, alpha, beta,
                                              e_ref, spring_k, n_alpha,
                                              n_beta):
     # every coefficient grows with the fluctuation scale eps, so the level
-    # falls monotonically onto the commutative one as eps -> 0
+    # falls monotonically onto the commutative one as eps -> 0; for the
+    # free particle (spring_k = 0) that is 0, approached as eps^alpha
     c = PhysicalConstants(spring_k=spring_k)
     p = ModelParams(eta0=eta0, theta0=theta0, alpha_exp=alpha,
                     beta_exp=beta, e_ref=e_ref, mechanism=Mechanism.SQF,
@@ -357,11 +361,15 @@ def test_sqf_oscillator_tends_to_commutative(eta0, theta0, alpha, beta,
     qn = QuantumNumbers(n_alpha=n_alpha, n_beta=n_beta)
     e_com = commutative_spectrum(QuantumNumbers(m_phi=n_alpha + n_beta),
                                  c.omega, c)
-    levels = [sqf_oscillator_spectrum(p, eps * e_ref, qn)
+    levels = [sqf_spectrum(p, eps * e_ref, qn)
               for eps in (1.0, 1e-2, 1e-4, 1e-8, 1e-16)]
     assert all(a >= b >= e_com for a, b in zip(levels, levels[1:]))
-    assert levels[-1] == pytest.approx(e_com, rel=1e-7)
-    assert sqf_oscillator_spectrum(p, 0.0, qn) == e_com
+    if spring_k == 0.0:
+        assert levels[-1] == pytest.approx(levels[0] * 1e-16 ** alpha,
+                                           rel=1e-12)
+    else:
+        assert levels[-1] == pytest.approx(e_com, rel=1e-7)
+    assert sqf_spectrum(p, 0.0, qn) == e_com
 
 
 def ring_at(frac, radius, alpha):

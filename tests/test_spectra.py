@@ -15,8 +15,7 @@ from ncqm.spectra import (FractionalOscSpec, QuantumNumbers,
                           ec_oscillator_first_order, ec_quantization_residual,
                           ec_solve_energy, eo_alpha1_constraint_residual,
                           eo_alpha1_from_ec, eo_alpha1_radial_params,
-                          fractional_oscillator_levels, sqf_free_spectrum,
-                          sqf_oscillator_spectrum)
+                          fractional_oscillator_levels, sqf_spectrum)
 
 
 def ec_params(**kw):
@@ -52,29 +51,25 @@ class TestSqfFree:
         return ModelParams(**defaults)
 
     def test_reference_value(self):
-        # recomputed by composing omega_eps = sqrt(k_e/m) with B_e:
-        # k_e = 1/8, omega_eps = 1/(2 sqrt(2)), B_e = 1/2
+        # spring_k = 0, recomputed by composing the free-particle frequency
+        # sqrt(k_e/m) with B_e: k_e = 1/8, sqrt(k_e/m) = 1/(2 sqrt(2)),
+        # B_e = 1/2
         p = self.params()
-        value = sqf_free_spectrum(p, 1.0, QuantumNumbers())
+        value = sqf_spectrum(p, 1.0, QuantumNumbers())
         assert value == pytest.approx(0.8535533905932737, rel=1e-12)
 
     def test_vanishes_at_zero_scale(self):
-        assert sqf_free_spectrum(self.params(), 0.0, QuantumNumbers()) == 0.0
+        assert sqf_spectrum(self.params(), 0.0, QuantumNumbers()) == 0.0
 
     def test_occupancy_symmetry(self):
         p = self.params()
-        a = sqf_free_spectrum(p, 0.8, QuantumNumbers(n_alpha=1, n_beta=0))
-        b = sqf_free_spectrum(p, 0.8, QuantumNumbers(n_alpha=0, n_beta=1))
+        a = sqf_spectrum(p, 0.8, QuantumNumbers(n_alpha=1, n_beta=0))
+        b = sqf_spectrum(p, 0.8, QuantumNumbers(n_alpha=0, n_beta=1))
         assert a == b
 
     def test_mechanism_guard(self):
         with pytest.raises(UsageError):
-            sqf_free_spectrum(ec_params(), 1.0, QuantumNumbers())
-
-    def test_spring_guard(self):
-        p = self.params(constants=PhysicalConstants(spring_k=1.0))
-        with pytest.raises(UsageError):
-            sqf_free_spectrum(p, 1.0, QuantumNumbers())
+            sqf_spectrum(ec_params(), 1.0, QuantumNumbers())
 
 
 class TestSqfOscillator:
@@ -89,11 +84,12 @@ class TestSqfOscillator:
         p = self.params(alpha_exp=2.0, beta_exp=2.0)
         # n_alpha + n_beta = 2n + m_phi matches the radial labeling
         qn = QuantumNumbers(n_alpha=1, n_beta=1)
-        assert sqf_oscillator_spectrum(p, 0.0, qn) == \
+        assert sqf_spectrum(p, 0.0, qn) == \
             commutative_spectrum(QuantumNumbers(n=1, m_phi=0), 1.0,
                                  p.constants)
 
     def test_free_limit_degeneration(self):
+        # the spring_k -> 0 limit of the oscillator level is the free one
         eps = 0.7
         posc = ModelParams(eta0=1.0, theta0=1.0, alpha_exp=2.0, beta_exp=2.0,
                            e_ref=1.0, mechanism=Mechanism.SQF,
@@ -101,14 +97,14 @@ class TestSqfOscillator:
         pfree = ModelParams(eta0=1.0, theta0=1.0, alpha_exp=2.0, beta_exp=2.0,
                             e_ref=1.0, mechanism=Mechanism.SQF)
         qn = QuantumNumbers(n_alpha=1, n_beta=0)
-        assert sqf_oscillator_spectrum(posc, eps, qn) == pytest.approx(
-            sqf_free_spectrum(pfree, eps, qn), rel=1e-12)
+        assert sqf_spectrum(posc, eps, qn) == pytest.approx(
+            sqf_spectrum(pfree, eps, qn), rel=1e-12)
 
     def test_reference_value(self):
         # composed independently: 1/m* = 1.25, B_h = 0.5+0.5 = 1,
         # K_h = 1+0.125, Omega = sqrt(1.125*1.25) + 1
         p = self.params()
-        val = sqf_oscillator_spectrum(p, 1.0, QuantumNumbers())
+        val = sqf_spectrum(p, 1.0, QuantumNumbers())
         assert val == pytest.approx(2.185854122563142, rel=1e-13)
 
 

@@ -259,6 +259,31 @@ class TestOmegaEff:
         with pytest.raises(DomainError):
             omega_eff(-1.0, p)
 
+    @pytest.mark.parametrize("exponents", [{"alpha_exp": -1.0},
+                                           {"beta_exp": -0.5}])
+    def test_zero_energy_with_negative_exponent(self, exponents):
+        # once a bare ZeroDivisionError from (E/E0)**exponent
+        p = ec_params(constants={"spring_k": 1.0}, **exponents)
+        with pytest.raises(SingularityError):
+            omega_eff(0.0, p)
+
+    @pytest.mark.parametrize("alpha,energy", [(2.0, 1e100), (3.0, 1e120)])
+    def test_overflow_raises(self, alpha, energy):
+        # eta(E) = 1e197 squares past the float range at alpha = 2; at
+        # alpha = 3, eta(E) itself overflows; both were a bare OverflowError
+        p = ec_params(alpha_exp=alpha, constants={"spring_k": 1.0})
+        with pytest.raises(SingularityError):
+            omega_eff(energy, p)
+
+    def test_matches_the_displayed_form(self):
+        # theta to the first power in the denominator, eta squared above
+        p = ec_params(alpha_exp=1.5, beta_exp=0.5, constants={"spring_k": 2.0})
+        x = 3.0 / p.e_ref
+        num = 1.0 + (0.1 * x ** 1.5) ** 2 / (8.0 * 2.0)
+        den = 1.0 + 2.0 * 0.1 * x ** 0.5 / 4.0
+        assert omega_eff(3.0, p) == pytest.approx(
+            math.sqrt(2.0 * num / den), rel=1e-14)
+
 
 class TestNonlocality:
     def test_small_energy(self):
