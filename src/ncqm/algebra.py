@@ -12,11 +12,12 @@ operators corrupts the two highest Fock levels of each mode, so all
 residual norms are taken on the interior block (first n_trunc - 2 levels
 per mode), where the identities hold to roundoff.
 
-Every operator is a scipy.sparse CSR array assembled directly from its
-index arrays: product-basis row i*n_trunc + j couples to (i +- 1, j) for
-a first-mode operator and to (i, j +- 1) for a second-mode one, so each
-row holds at most two entries. Every commutator is a sparse product, and
-its residuals are read straight from the commutator's CSR arrays.
+Every operator is a DiagonalOperator: a few constant-offset diagonals of
+the product basis. Product-basis row i*n_trunc + j couples to (i +- 1, j)
+for a first-mode operator (offsets +-n_trunc) and to (i, j +- 1) for a
+second-mode one (offsets +-1), so a mapped operator holds four diagonals
+and a product of two of them nine. Every commutator is a product of
+diagonals, and its residuals are read straight from them.
 """
 
 from __future__ import annotations
@@ -24,10 +25,10 @@ from __future__ import annotations
 import json
 import logging
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import sparse
 
 from .errors import ValidationError
 from .params import PhysicalConstants, effective_planck, k_factor
@@ -40,28 +41,114 @@ _MAX_TRUNC = 120
 _MAX_SHIFT = 1e150
 
 
+@dataclass(frozen=True, eq=False)
+class DiagonalOperator:
+    """Square complex operator stored as constant-offset diagonals.
+
+    data[k][r] = M[r, r + offsets[k]]; offsets ascend, and the entries of
+    a row of data whose column r + offsets[k] falls outside the matrix are
+    zero. Supports +, -, multiplication and division by a scalar, @,
+    abs_max() and toarray(). A product sums, for each output entry, the
+    terms of ascending inner index, and a sum or difference takes a
+    missing diagonal as zeros.
+    """
+
+    offsets: np.ndarray
+    data: np.ndarray
+
+    __array_ufunc__ = None  # numpy scalars defer to __rmul__
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return (self.data.shape[1],) * 2
+
+    @property
+    def dtype(self) -> np.dtype:
+        return self.data.dtype
+
+    def _combine(self, other: DiagonalOperator, op) -> DiagonalOperator:
+        mine, theirs = self.offsets.tolist(), other.offsets.tolist()
+        if mine == theirs:
+            return DiagonalOperator(self.offsets, op(self.data, other.data))
+        offsets = sorted({*mine, *theirs})
+
+        def aligned(m: DiagonalOperator, own: list[int]) -> np.ndarray:
+            out = np.zeros((len(offsets), m.data.shape[1]), dtype=m.dtype)
+            out[[offsets.index(o) for o in own]] = m.data
+            return out
+
+        return DiagonalOperator(np.array(offsets),
+                                op(aligned(self, mine), aligned(other, theirs)))
+
+    def __add__(self, other: DiagonalOperator) -> DiagonalOperator:
+        return self._combine(other, np.add)
+
+    def __sub__(self, other: DiagonalOperator) -> DiagonalOperator:
+        return self._combine(other, np.subtract)
+
+    def __mul__(self, scalar) -> DiagonalOperator:
+        if not isinstance(scalar, numbers.Number):
+            return NotImplemented
+        return DiagonalOperator(self.offsets, self.data * scalar)
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, scalar) -> DiagonalOperator:
+        # by the reciprocal, as a CSR array divides, so the entries agree
+        # with a CSR reference bit for bit
+        if not isinstance(scalar, numbers.Number):
+            return NotImplemented
+        return self * (1 / scalar)
+
+    def __matmul__(self, other: DiagonalOperator) -> DiagonalOperator:
+        dim = self.shape[0]
+        mine, theirs = self.offsets.tolist(), other.offsets.tolist()
+        offsets = sorted({a + b for a in mine for b in theirs})
+        slot = {d: k for k, d in enumerate(offsets)}
+        data = np.zeros((len(offsets), dim),
+                        dtype=np.result_type(self.data, other.data))
+        term = np.empty(dim, dtype=data.dtype)
+        # ascending a, then b: each entry of diagonal a + b adds its terms
+        # in the order of the inner index r + a
+        for a, left in zip(mine, self.data):
+            for b, right in zip(theirs, other.data):
+                lo, hi = max(0, -a, -a - b), min(dim, dim - a, dim - a - b)
+                if lo >= hi:
+                    continue
+                out = data[slot[a + b], lo:hi]
+                np.add(out, np.multiply(left[lo:hi], right[lo + a:hi + a],
+                                        out=term[:hi - lo]), out=out)
+        return DiagonalOperator(np.array(offsets), data)
+
+    def abs_max(self) -> float:
+        """Largest absolute entry."""
+        return float(np.abs(self.data).max())
+
+    def toarray(self) -> np.ndarray:
+        """Dense matrix: dim^2 entries (3.3 GB at n_trunc 120)."""
+        dim = self.shape[0]
+        out = np.zeros(self.shape, dtype=self.dtype)
+        for offset, values in zip(self.offsets.tolist(), self.data):
+            rows = np.arange(max(0, -offset), min(dim, dim - offset))
+            out[rows, rows + offset] = values[rows]
+        return out
+
+
 def _mode_operators(n: int, stride: int,
                     *values: tuple[np.ndarray, np.ndarray]
-                    ) -> list[sparse.csr_array]:
+                    ) -> list[DiagonalOperator]:
     """Tridiagonal single-mode quadratures on the two-mode product basis.
 
     Row r = i*n + j sits at level k = i of the first mode (stride n) or
     k = j of the second (stride 1). For each (lower, upper) pair, row r
     couples to r - stride with lower[k - 1] (k >= 1) and to r + stride
-    with upper[k] (k <= n - 2), in that column order. The operators share
-    one pattern but not its arrays.
+    with upper[k] (k <= n - 2).
     """
-    rows = np.arange(n * n, dtype=np.int32)
-    level = rows // stride % n
-    valid = np.stack([level >= 1, level <= n - 2], axis=1)
-    cols = np.stack([rows - stride, rows + stride], axis=1)[valid]
-    indptr = np.zeros(n * n + 1, dtype=np.int32)
-    np.cumsum(valid.sum(axis=1), out=indptr[1:])
-    return [sparse.csr_array(
-                (np.stack([np.append(0.0, lower)[level],
-                           np.append(upper, 0.0)[level]], axis=1)[valid],
-                 cols.copy(), indptr.copy()),
-                shape=(n * n, n * n))
+    level = np.arange(n * n) // stride % n
+    offsets = np.array([-stride, stride])
+    return [DiagonalOperator(offsets,
+                             np.stack([np.append(0.0, lower)[level],
+                                       np.append(upper, 0.0)[level]]))
             for lower, upper in values]
 
 
@@ -70,17 +157,16 @@ class FockRep:
     """Canonical operators on a two-mode truncated Fock space.
 
     Mode dimensions are n_trunc each (total n_trunc^2); interior_dim is
-    the per-mode size of the truncation-safe sub-block. The operators
-    are sparse CSR arrays.
+    the per-mode size of the truncation-safe sub-block.
     """
 
     n_trunc: int
     hbar: float
     mass: float
-    x: sparse.csr_array
-    y: sparse.csr_array
-    px: sparse.csr_array
-    py: sparse.csr_array
+    x: DiagonalOperator
+    y: DiagonalOperator
+    px: DiagonalOperator
+    py: DiagonalOperator
 
     @property
     def interior_dim(self) -> int:
@@ -100,10 +186,10 @@ class MappedRep:
     rep: FockRep
     theta: float
     eta: float
-    x: sparse.csr_array
-    y: sparse.csr_array
-    px: sparse.csr_array
-    py: sparse.csr_array
+    x: DiagonalOperator
+    y: DiagonalOperator
+    px: DiagonalOperator
+    py: DiagonalOperator
 
 
 def build_heisenberg_rep(n_trunc: int, c: PhysicalConstants,
@@ -113,7 +199,7 @@ def build_heisenberg_rep(n_trunc: int, c: PhysicalConstants,
     x = sqrt(hbar/2m w)(a + a+), p_x = i sqrt(m w hbar/2)(a+ - a), and the
     same for (y, p_y) with the second mode. Commutators are exact on the
     interior block; n_trunc must be at least 4 (capped at 120). Logs one
-    DEBUG record on "ncqm.algebra": n_trunc, the dimension, the stored
+    DEBUG record on "ncqm.algebra": n_trunc, the dimension, the nonzero
     entries per operator and the bytes of the four operators.
     """
     if n_trunc < 4:
@@ -122,10 +208,6 @@ def build_heisenberg_rep(n_trunc: int, c: PhysicalConstants,
         raise ValidationError(f"n_trunc capped at {_MAX_TRUNC}, got {n_trunc}")
     if ref_frequency <= 0:
         raise ValidationError("ref_frequency must be positive")
-    if not 0.0 < c.hbar * c.hbar < math.inf:
-        raise ValidationError(f"hbar={c.hbar!r} squares to "
-                              f"{c.hbar * c.hbar!r}, outside the positive "
-                              "double range")
     x_scale = math.sqrt(c.hbar / (2.0 * c.mass * ref_frequency))
     p_scale = math.sqrt(c.mass * ref_frequency * c.hbar / 2.0)
     root = np.sqrt(np.arange(1.0, n_trunc))
@@ -139,9 +221,8 @@ def build_heisenberg_rep(n_trunc: int, c: PhysicalConstants,
     ops = (rep.x, rep.y, rep.px, rep.py)
     log.debug("build_heisenberg_rep: n_trunc %d, dimension %d, nnz per "
               "operator %s, %d operator bytes", n_trunc, n_trunc ** 2,
-              [m.nnz for m in ops],
-              sum(m.data.nbytes + m.indices.nbytes + m.indptr.nbytes
-                  for m in ops))
+              [int(np.count_nonzero(m.data)) for m in ops],
+              sum(m.data.nbytes + m.offsets.nbytes for m in ops))
     return rep
 
 
@@ -149,8 +230,7 @@ def _check_shift(rep: FockRep, theta: float, eta: float, ct: float,
                  ce: float) -> None:
     """Refuse a map whose shifted entries, ct max|p| or ce max|x|, would
     overflow the commutator products (ValidationError)."""
-    for shift in (abs(ct) * float(np.abs(rep.px.data).max()),
-                  abs(ce) * float(np.abs(rep.x.data).max())):
+    for shift in (abs(ct) * rep.px.abs_max(), abs(ce) * rep.x.abs_max()):
         if not shift <= _MAX_SHIFT:
             raise ValidationError(
                 f"theta={theta}, eta={eta} shift operator entries by "
@@ -226,8 +306,8 @@ def alternative_maps(rep: FockRep, theta: float, eta: float,
     raise ValidationError(f"unknown variant {variant!r}; use asym_1 or asym_2")
 
 
-def _commutator(a: sparse.csr_array,
-                b: sparse.csr_array) -> sparse.csr_array:
+def _commutator(a: DiagonalOperator,
+                b: DiagonalOperator) -> DiagonalOperator:
     return a @ b - b @ a
 
 
@@ -255,16 +335,14 @@ def commutator_residuals(mapped: MappedRep) -> list[ResidualEntry]:
     off-diagonal [x^, p^_y] and [y^, p^_x] vanish identically for a single
     noncommutative plane, so their target is 0. Residuals are max absolute
     entries of C - i*target*I restricted to the interior block, read from
-    the CSR arrays of C (an unstored diagonal entry counts as 0); measured
-    is the mean of the block's diagonal. A residual that is not finite
-    raises ValidationError.
+    the diagonals of C (a missing diagonal counts as zeros); measured is
+    the mean of the block's diagonal. A residual that is not finite raises
+    ValidationError.
     """
     rep = mapped.rep
     c = PhysicalConstants(hbar=rep.hbar, mass=rep.mass)
     hbar_eff = effective_planck(mapped.theta, mapped.eta, c)
-    inside = rep.interior_mask()
-    keep = np.flatnonzero(inside)
-    dim = keep.size
+    n, inner = rep.n_trunc, rep.interior_dim
     checks = [
         ("[x,y]", mapped.theta, _commutator(mapped.x, mapped.y)),
         ("[px,py]", mapped.eta, _commutator(mapped.px, mapped.py)),
@@ -275,21 +353,28 @@ def commutator_residuals(mapped: MappedRep) -> list[ResidualEntry]:
     ]
     out = []
     for name, coeff, comm in checks:
-        rows = np.repeat(np.arange(comm.shape[0]), np.diff(comm.indptr))
-        in_block = inside[rows] & inside[comm.indices]
-        on_diag = in_block & (rows == comm.indices)
-        diag = np.zeros(comm.shape[0], dtype=complex)
-        diag[rows[on_diag]] = comm.data[on_diag]
-        diag = diag[keep]
-        off = np.abs(comm.data[in_block & ~on_diag]).max(initial=0.0)
-        worst = float(np.maximum(off, np.abs(diag - 1j * coeff).max()))
+        diag = np.zeros(inner * inner, dtype=complex)
+        off = []
+        for offset, values in zip(comm.offsets.tolist(),
+                                  comm.data.reshape(-1, n, n)):
+            # the entries of diagonal offset = di*n + dj (|dj| < n/2) in the
+            # interior block couple (i, j) to (i + di, j + dj)
+            di, dj = divmod(offset + n // 2, n)
+            dj -= n // 2
+            block = values[max(0, -di):max(0, min(inner, inner - di)),
+                           max(0, -dj):max(0, min(inner, inner - dj))]
+            if offset == 0:
+                diag = block.reshape(-1)
+            elif block.size:
+                off.append(np.abs(block).max())
+        worst = float(np.max([np.abs(diag - 1j * coeff).max(), *off]))
         if not math.isfinite(worst):
             raise ValidationError(f"{name} residual is not finite at "
                                   f"theta={mapped.theta}, eta={mapped.eta}")
         out.append(ResidualEntry(
             commutator=name,
             target=complex(0.0, coeff),
-            measured=complex(diag.sum() / dim),
+            measured=complex(diag.sum() / diag.size),
             max_residual=worst,
         ))
     return out

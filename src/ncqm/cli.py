@@ -10,10 +10,11 @@ deterministic for identical inputs.
 At module level this imports only the standard library, ``errors`` and
 ``params`` (numpy). Each ``_cmd_*`` function imports the modules it runs
 when it is dispatched, so ``--help``, ``ring``, the EC and SQF
-``spectrum`` tables and ``wavefunction`` load no scipy (Brent's method
-is in ``spectra``, the radial-state special functions in ``specfun``),
-``commutators`` loads ``scipy.sparse`` only, ``fractional`` loads
-``scipy.special`` only for the operators that take a gamma function, and
+``spectrum`` tables, ``wavefunction`` and ``commutators`` load no scipy
+(Brent's method is in ``spectra``, the radial-state special functions in
+``specfun``, the operators as numpy diagonals in ``algebra``),
+``fractional`` loads ``scipy.special`` only for the operators that take
+a gamma function, and
 only ``verify`` loads ``scipy.optimize`` and ``scipy.integrate``. No
 table has more than MAX_ROWS rows: a larger one is refused before any
 level is solved or any row is built.

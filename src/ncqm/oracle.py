@@ -7,9 +7,10 @@ Two oracles solve H = p^2/2m* - B L_z + K r^2/2 at frozen coefficients:
   extrapolation in the grid spacing), and
 * a truncated-Fock diagonalization of the full 2D Hamiltonian, which
   also labels levels by their angular momentum: H and L_z are built from
-  the sparse Fock operators at the natural frequency, where H conserves
-  the total quanta, and each complete shell is solved on its own in the
-  eigenbasis of L_z, so the labels are integers by construction.
+  the Fock operators (constant-offset diagonals) at the natural
+  frequency, where H conserves the total quanta, and each complete shell
+  is solved on its own in the eigenbasis of L_z, so the labels are
+  integers by construction.
 
 Energy-dependent coefficients are handled by self_consistent_wrap, a
 secant solve of E = level(E) in ln E. Frozen at E the Hamiltonian is an
@@ -117,16 +118,19 @@ def _shell_blocks(op, n_trunc: int) -> np.ndarray:
     """Blocks of op on the complete total-quanta shells N <= n_trunc - 2.
 
     Entry [N, i, j] couples (n_x, n_y) = (i, N - i) and (j, N - j); rows
-    past N + 1 are zero padding. Entries between shells are dropped.
+    past N + 1 are zero padding. Moving t quanta from y to x keeps the
+    shell and the column offset t (n_trunc - 1), so only those diagonals
+    of op are read; their entries between shells are dropped.
     """
-    coo = op.tocoo()
-    coo.sum_duplicates()
-    row_x, row_y = np.divmod(coo.row, n_trunc)
-    col_x, col_y = np.divmod(coo.col, n_trunc)
+    row_x, row_y = np.divmod(np.arange(n_trunc * n_trunc), n_trunc)
     shell = row_x + row_y
-    keep = (shell == col_x + col_y) & (shell <= n_trunc - 2)
     blocks = np.zeros((n_trunc - 1,) * 3, dtype=complex)
-    blocks[shell[keep], row_x[keep], col_x[keep]] = coo.data[keep]
+    for offset, values in zip(op.offsets.tolist(), op.data):
+        t, rest = divmod(offset, n_trunc - 1)
+        if rest:
+            continue
+        keep = (shell <= n_trunc - 2) & (row_x + t >= 0) & (row_y - t >= 0)
+        blocks[shell[keep], row_x[keep], row_x[keep] + t] = values[keep]
     return blocks
 
 

@@ -52,7 +52,9 @@ class PhysicalConstants:
     """Dimensional constants of the underlying commutative problem.
 
     spring_k is the oscillator elastic constant; zero selects the free
-    particle. charge is only used by the mesoscopic-ring module.
+    particle. charge is only used by the mesoscopic-ring module. The
+    coefficients divide by hbar^2, so hbar^2 must be a positive double
+    (ValidationError otherwise).
     """
 
     hbar: float = 1.0
@@ -64,6 +66,10 @@ class PhysicalConstants:
         _require_finite(self, ("hbar", "mass", "charge", "spring_k"))
         if self.hbar <= 0:
             raise ValidationError("hbar must be positive")
+        if not 0.0 < self.hbar * self.hbar < math.inf:
+            raise ValidationError(f"hbar={self.hbar!r} squares to "
+                                  f"{self.hbar * self.hbar!r}, outside the "
+                                  "positive double range")
         if self.mass <= 0:
             raise ValidationError("mass must be positive")
         if self.spring_k < 0:

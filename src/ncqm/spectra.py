@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (BracketingError, ConvergenceError, DomainError,
-                     UsageError, ValidationError)
+                     SingularityError, UsageError, ValidationError)
 from .params import (EffectiveCoefficients, Mechanism, ModelParams,
                      PhysicalConstants, _any, _sqrt, effective_coefficients)
 
@@ -102,12 +102,17 @@ def sqf_spectrum(p: ModelParams, eps: float, qn: QuantumNumbers) -> float:
     K_h = k + eta^2/8m hbar^2 and B_h = eta/2m hbar + k theta/2 hbar.
     At k = 0 this is the free-particle frequency
     Omega = (eta0/2m hbar)(1 + 1/sqrt(2)) (eps/eps0)^alpha; as eps -> 0 it
-    is the commutative oscillator.
+    is the commutative oscillator. A level past the double range raises
+    SingularityError.
     """
     _require(p, Mechanism.SQF, "sqf_spectrum")
     coeff = effective_coefficients(p, eps)
     omega_big = coeff.omega_h + coeff.b_h
-    return p.constants.hbar * omega_big * (qn.n_alpha + qn.n_beta + 1)
+    level = p.constants.hbar * omega_big * (qn.n_alpha + qn.n_beta + 1)
+    if not math.isfinite(level):
+        raise SingularityError(f"SQF level at eps={eps!r} is {level!r}: the "
+                               "coefficients leave the double range")
+    return level
 
 
 def commutative_spectrum(qn: QuantumNumbers, omega: float,

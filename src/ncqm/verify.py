@@ -62,7 +62,7 @@ def _divergence(name, detail, **data):
 
 def sw_commutator_residuals(n_trunc, pairs) -> list[float]:
     """Per (theta, eta): the largest interior residual of the six mapped
-    commutators, formed by direct (sparse) matrix products."""
+    commutators, formed by direct products of the operators' diagonals."""
     rep = algebra.build_heisenberg_rep(n_trunc, PhysicalConstants())
     return [max(e.max_residual for e in algebra.commutator_residuals(
         algebra.sw_forward(rep, theta, eta))) for theta, eta in pairs]
@@ -76,10 +76,10 @@ def sw_round_trip(n_trunc, pairs) -> list[tuple[float, float, float]]:
     for theta, eta in pairs:
         mapped = algebra.sw_forward(rep, theta, eta)
         exact = algebra.sw_inverse(mapped, exact_k=True)
-        err_exact = max(float(abs(exact[k] - getattr(rep, k)).max())
+        err_exact = max((exact[k] - getattr(rep, k)).abs_max()
                         for k in ("x", "y", "px", "py"))
         approx = algebra.sw_inverse(mapped, exact_k=False)["x"]
-        rel = float(abs(approx - rep.x).max() / abs(rep.x).max())
+        rel = (approx - rep.x).abs_max() / rep.x.abs_max()
         out.append((err_exact, rel, theta * eta / (4.0 * rep.hbar ** 2)))
     return out
 

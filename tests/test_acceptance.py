@@ -34,7 +34,7 @@ def test_criterion_1_algebra_fidelity():
     n_trunc = 30
     rng = np.random.default_rng(2024)
     pairs = rng.uniform(1e-3, 1.0, size=(50, 2))
-    # all six mapped commutators of every pair, by direct sparse products
+    # all six mapped commutators of every pair, by direct products
     worst = max(verify.sw_commutator_residuals(n_trunc, pairs))
     ok = worst <= tol
     report(1, "algebra fidelity", ok,

@@ -8,10 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import sparse
 
-from ncqm.algebra import (FockRep, ResidualEntry, alternative_maps,
-                          bogoliubov_frequency, build_heisenberg_rep,
-                          commutator_residuals, residual_report_json,
-                          sw_forward, sw_inverse)
+from ncqm.algebra import (DiagonalOperator, FockRep, ResidualEntry,
+                          alternative_maps, bogoliubov_frequency,
+                          build_heisenberg_rep, commutator_residuals,
+                          residual_report_json, sw_forward, sw_inverse)
 from ncqm.errors import ValidationError
 from ncqm.params import (Mechanism, ModelParams, PhysicalConstants,
                          effective_coefficients, effective_planck)
@@ -22,14 +22,38 @@ def comm(a, b):
     return a @ b - b @ a
 
 
-def interior(rep: FockRep, m: np.ndarray) -> np.ndarray:
+def interior(rep: FockRep, m: DiagonalOperator) -> np.ndarray:
     mask = rep.interior_mask()
-    return m[np.ix_(mask, mask)]
+    return m.toarray()[np.ix_(mask, mask)]
+
+
+def csr(op: DiagonalOperator) -> sparse.csr_array:
+    """The operator's entries as a canonical CSR array (zeros dropped)."""
+    dim = op.shape[0]
+    diagonals = [values[max(0, -o):min(dim, dim - o)]
+                 for o, values in zip(op.offsets.tolist(), op.data)]
+    out = sparse.diags_array(diagonals, offsets=op.offsets.tolist(),
+                             shape=op.shape, format="csr")
+    out.eliminate_zeros()
+    out.sort_indices()
+    return out
+
+
+def same_entries(got: sparse.csr_array, want: sparse.csr_array) -> bool:
+    """Same stored entries, bit for bit (a signed zero counts as a change)."""
+    got, want = got.copy(), want.copy()
+    for m in (got, want):
+        m.sum_duplicates()
+        m.eliminate_zeros()
+        m.sort_indices()
+    return got.shape == want.shape and all(
+        getattr(got, name).tobytes() == getattr(want, name).tobytes()
+        for name in ("indptr", "indices", "data"))
 
 
 def kron_reference(n_trunc, c, ref_frequency):
     """(x, y, p_x, p_y) as Kronecker products of the single-mode ladder
-    quadratures with the identity: the construction the CSR assembly of
+    quadratures with the identity: the construction the diagonals of
     build_heisenberg_rep must reproduce bit for bit."""
     a = sparse.diags_array(np.sqrt(np.arange(1.0, n_trunc)), offsets=1,
                            format="csr", dtype=complex)
@@ -41,8 +65,9 @@ def kron_reference(n_trunc, c, ref_frequency):
 
 
 def residuals_reference(mapped):
-    """commutator_residuals by slicing the interior block out of each
-    commutator with np.ix_ and subtracting a sparse identity."""
+    """commutator_residuals by forming each commutator of the operators'
+    entries as CSR arrays, slicing its interior block out with np.ix_ and
+    subtracting a sparse identity."""
     rep = mapped.rep
     hbar_eff = effective_planck(mapped.theta, mapped.eta,
                                 PhysicalConstants(hbar=rep.hbar, mass=rep.mass))
@@ -56,7 +81,7 @@ def residuals_reference(mapped):
                               ("[y,py]", hbar_eff, m.y, m.py),
                               ("[x,py]", 0.0, m.x, m.py),
                               ("[y,px]", 0.0, m.y, m.px)):
-        block = comm(a, b)[np.ix_(keep, keep)]
+        block = comm(csr(a), csr(b))[np.ix_(keep, keep)]
         out.append(ResidualEntry(
             commutator=name, target=complex(0.0, coeff),
             measured=complex(block.diagonal().sum() / keep.size),
@@ -80,8 +105,9 @@ class TestHeisenbergRep:
 
     @pytest.mark.parametrize("hbar", [1e-300, 1e-162, 5e-324, 1e160, 1e300])
     def test_hbar_squared_outside_float_range(self, hbar):
-        # hbar^2 underflowed to 0 (ZeroDivisionError in effective_planck)
-        # or overflowed (OverflowError from hbar ** 2) downstream
+        # PhysicalConstants refuses it: hbar^2 underflowed to 0
+        # (ZeroDivisionError in effective_planck) or overflowed
+        # (OverflowError from hbar ** 2) downstream
         with pytest.raises(ValidationError, match="squares to"):
             build_heisenberg_rep(8, PhysicalConstants(hbar=hbar))
 
@@ -92,10 +118,13 @@ class TestHeisenbergRep:
         assert all(math.isfinite(e.max_residual) for e in entries)
 
     def test_operators_are_sparse(self, rep):
-        # each row of a quadrature-times-identity holds at most two entries
-        for m in (rep.x, rep.y, rep.px, rep.py):
-            assert m.format == "csr"
-            assert m.nnz == 2 * 20 * 19
+        # each row of a quadrature-times-identity holds at most two entries,
+        # on the diagonals +-n_trunc (first mode) or +-1 (second mode)
+        for m, stride in ((rep.x, 20), (rep.y, 1), (rep.px, 20),
+                          (rep.py, 1)):
+            assert m.offsets.tolist() == [-stride, stride]
+            assert m.data.shape == (2, 400)
+            assert np.count_nonzero(m.data) == 2 * 20 * 19
 
     def test_debug_record(self, caplog):
         with caplog.at_level(logging.DEBUG, logger="ncqm.algebra"):
@@ -118,16 +147,18 @@ class TestHeisenbergRep:
         r = build_heisenberg_rep(n_trunc, c, ref_frequency)
         for got, want in zip((r.x, r.y, r.px, r.py),
                              kron_reference(n_trunc, c, ref_frequency)):
-            assert got.shape == want.shape
-            for name in ("indptr", "indices", "data"):
-                g, w = getattr(got, name), getattr(want, name)
-                # bytes, so that a signed zero would count as a change
-                assert g.dtype == w.dtype and g.tobytes() == w.tobytes()
+            assert got.dtype == want.dtype
+            # every entry, as bytes, so that a signed zero counts as a
+            # change; the dense form only where it stays small (n_trunc 30
+            # is 13 MB, 120 would be 3.3 GB)
+            assert same_entries(csr(got), want)
+            if n_trunc <= 30:
+                assert got.toarray().tobytes() == want.toarray().tobytes()
 
     def test_modes_commute_exactly(self, rep):
-        assert np.max(np.abs(comm(rep.x, rep.y))) == 0.0
-        assert np.max(np.abs(comm(rep.px, rep.py))) == 0.0
-        assert np.max(np.abs(comm(rep.x, rep.py))) == 0.0
+        assert comm(rep.x, rep.y).abs_max() == 0.0
+        assert comm(rep.px, rep.py).abs_max() == 0.0
+        assert comm(rep.x, rep.py).abs_max() == 0.0
 
     def test_canonical_commutator(self):
         rep30 = build_heisenberg_rep(30, PhysicalConstants())
@@ -145,8 +176,8 @@ class TestHeisenbergRep:
 class TestSwForward:
     def test_zero_strengths_identity(self, rep):
         mapped = sw_forward(rep, 0.0, 0.0)
-        assert (mapped.x != rep.x).nnz == 0
-        assert (mapped.py != rep.py).nnz == 0
+        assert np.array_equal(mapped.x.toarray(), rep.x.toarray())
+        assert np.array_equal(mapped.py.toarray(), rep.py.toarray())
 
     def test_coordinate_commutator(self, rep):
         mapped = sw_forward(rep, 0.25, 0.1)
@@ -183,28 +214,28 @@ class TestSwInverse:
     def test_zero_strengths_identity(self, rep):
         mapped = sw_forward(rep, 0.0, 0.0)
         back = sw_inverse(mapped)
-        assert np.max(np.abs(back["x"] - rep.x)) == 0.0
+        assert (back["x"] - rep.x).abs_max() == 0.0
 
     def test_round_trip_exact(self, rep):
         mapped = sw_forward(rep, 0.1, 0.05)
         back = sw_inverse(mapped, exact_k=True)
         for key, ref in (("x", rep.x), ("y", rep.y), ("px", rep.px),
                          ("py", rep.py)):
-            assert np.max(np.abs(back[key] - ref)) < 1e-12
+            assert (back[key] - ref).abs_max() < 1e-12
 
     def test_round_trip_k1_error_is_zeta(self, rep):
         theta, eta = 0.02, 0.02  # zeta = 1e-4
         zeta = theta * eta / 4.0
         mapped = sw_forward(rep, theta, eta)
         back = sw_inverse(mapped, exact_k=False)
-        rel = np.max(np.abs(back["x"] - rep.x)) / np.max(np.abs(rep.x))
+        rel = (back["x"] - rep.x).abs_max() / rep.x.abs_max()
         assert rel == pytest.approx(zeta, rel=1e-9)
 
 
 class TestAlternativeMaps:
     def test_zero_identity(self, rep):
         mapped = alternative_maps(rep, 0.0, 0.0, "asym_1")
-        assert (mapped.x != rep.x).nnz == 0
+        assert np.array_equal(mapped.x.toarray(), rep.x.toarray())
 
     @pytest.mark.parametrize("variant", ["asym_1", "asym_2"])
     def test_strength_commutators(self, rep, variant):
@@ -268,10 +299,30 @@ class TestResiduals:
                   else alternative_maps(r, theta, eta, variant))
         assert commutator_residuals(mapped) == residuals_reference(mapped)
 
+    @settings(max_examples=40, deadline=None, derandomize=True,
+              database=None)
+    @given(n_trunc=st.integers(4, 120),
+           hbar=st.floats(math.exp(-3.0), math.exp(3.0)),
+           mass=st.floats(math.exp(-3.0), math.exp(3.0)),
+           theta=st.floats(-1e3, 1e3), eta=st.floats(-2e2, 2e2),
+           variant=st.sampled_from(["sw", "asym_1", "asym_2"]))
+    def test_commutators_match_csr_products(self, n_trunc, hbar, mass,
+                                            theta, eta, variant):
+        # products of diagonals sum each entry's terms in the order a CSR
+        # product does, so every entry of every commutator is the same
+        r = build_heisenberg_rep(n_trunc, PhysicalConstants(hbar=hbar,
+                                                            mass=mass))
+        m = (sw_forward(r, theta, eta) if variant == "sw"
+             else alternative_maps(r, theta, eta, variant))
+        for a, b in ((m.x, m.y), (m.px, m.py), (m.x, m.px), (m.y, m.py),
+                     (m.x, m.py), (m.y, m.px)):
+            assert same_entries(csr(comm(a, b)), comm(csr(a), csr(b)))
+
     def test_non_finite_residual_raises(self, rep):
         mapped = sw_forward(rep, 0.1, 0.2)
-        x = mapped.x.copy()
-        x.data[5] = math.nan
+        data = mapped.x.data.copy()
+        data[mapped.x.offsets.tolist().index(-1), 2] = math.nan  # x[2, 1]
+        x = dataclasses.replace(mapped.x, data=data)
         with pytest.raises(ValidationError, match=r"\[x,y\] residual"):
             commutator_residuals(dataclasses.replace(mapped, x=x))
 

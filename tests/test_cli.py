@@ -343,6 +343,32 @@ def test_overflowing_bracket_tol_or_ring_strength_exit_2(args, capsys):
     assert len(err.splitlines()) == 1 and err.startswith("error: ")
 
 
+@pytest.mark.parametrize("args,reason", [
+    (["spectrum", "--mechanism", "sqf", "--eps", "1", "--eta0", "1",
+      "--hbar", "1e200"], "squares to inf"),
+    (["spectrum", "--mechanism", "sqf", "--eps", "1", "--eta0", "1",
+      "--hbar", "1e-200"], "squares to 0.0"),
+    (["spectrum", *EC_FLAGS, "--hbar", "1e200"], "squares to inf"),
+    (["spectrum", *EC_FLAGS, "--hbar", "1e-200"], "squares to 0.0"),
+    (["wavefunction", *EC_FLAGS, "--hbar", "1e200"], "squares to inf"),
+    (["wavefunction", *EC_FLAGS, "--hbar", "1e-200"], "squares to 0.0"),
+    (["spectrum", "--mechanism", "sqf", "--eps", "1", "--eta0", "1e150",
+      "--hbar", "1e-150", "--n-alpha", "0..0", "--n-beta", "0..0"],
+     "SQF level at eps=1.0 is inf"),
+])
+def test_hbar_or_level_past_float_range_exit_2(args, reason, capsys):
+    # the --hbar argv ended in an OverflowError (1e200) or a
+    # ZeroDivisionError (1e-200) traceback, and the SQF level was printed
+    # as inf with exit 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(args, capsys)
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+    assert reason in err
+
+
 @pytest.mark.parametrize("args,rows", [
     (["ring", "--l", "0..400000000", "--phi-steps", "1"], 400000001),
     (["ring", "--l", "0..100000000000000000000", "--phi-steps", "1"],

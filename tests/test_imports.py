@@ -2,8 +2,8 @@
 
 Structural checks on sys.modules, not timings. In fresh interpreters:
 ``import ncqm.cli`` loads only errors and params; ``--help``, ``ring``,
-the README spectrum, the README ``wavefunction`` and ``fractional --op
-half_derivative_x`` load no scipy; ``fractional --op caputo_exp`` loads
+the README spectrum, the README ``wavefunction``, ``commutators`` and
+``fractional --op half_derivative_x`` load no scipy; ``fractional --op caputo_exp`` loads
 no ``scipy.integrate``. In this process: sampling radial states imports
 no scipy.
 """
@@ -88,6 +88,14 @@ def test_readme_wavefunction_loads_no_scipy():
     # n = 20, so the README state needs no scipy
     loaded = loaded_after(README_WAVEFUNCTION)
     assert "ncqm.wavefunctions" in loaded
+    assert under(loaded, "scipy") == []
+
+
+def test_commutators_load_no_scipy():
+    # the operators are numpy diagonals, so forming and reading the
+    # commutators needs no scipy.sparse
+    loaded = loaded_after(["commutators", "--theta", "0.7", "--eta", "0.9"])
+    assert "ncqm.algebra" in loaded
     assert under(loaded, "scipy") == []
 
 

@@ -89,13 +89,13 @@ class TestRadialFd:
 
 
 def shell_hamiltonian(n_trunc, m_star, b, k):
-    """Sparse H and L_z of the Fock oracle at the natural frequency."""
+    """Dense H and L_z of the Fock oracle at the natural frequency."""
     rep = build_heisenberg_rep(n_trunc, PhysicalConstants(mass=m_star),
                                ref_frequency=math.sqrt(k / m_star))
     lz = rep.x @ rep.py - rep.y @ rep.px
     ham = ((rep.px @ rep.px + rep.py @ rep.py) / (2.0 * m_star) - b * lz
            + 0.5 * k * (rep.x @ rep.x + rep.y @ rep.y))
-    return ham, lz
+    return ham.toarray(), lz.toarray()
 
 
 class TestFockOracle:
@@ -171,10 +171,10 @@ class TestFockOracle:
             assert abs(quanta - n_q) <= 1e-9
             assert abs(m) <= n_q and (n_q - m) % 2 == 0
             shell = np.arange(n_q + 1) * (n_trunc - 1) + n_q
-            m_hbar, vecs = np.linalg.eigh(lz[shell][:, shell].toarray())
+            m_hbar, vecs = np.linalg.eigh(lz[np.ix_(shell, shell)])
             j = np.argmin(np.abs(m_hbar - m))
             assert abs(m_hbar[j] - m) <= 1e-9
-            h = ham[shell][:, shell].toarray()
+            h = ham[np.ix_(shell, shell)]
             assert np.linalg.norm(h @ vecs[:, j]
                                   - energy * vecs[:, j]) <= 1e-9
 

@@ -221,6 +221,15 @@ class TestJsonRoundTrip:
         with pytest.raises(ValidationError):
             PhysicalConstants(mass=0.0)
 
+    @pytest.mark.parametrize("hbar", [1e-200, 5e-324, 1e200])
+    def test_hbar_squared_outside_float_range_rejected(self, hbar):
+        # hbar ** 2 once overflowed (OverflowError) or underflowed to 0
+        # (ZeroDivisionError) inside effective_coefficients
+        with pytest.raises(ValidationError, match="squares to"):
+            PhysicalConstants(hbar=hbar)
+        assert PhysicalConstants(hbar=1e-150).hbar == 1e-150
+        assert PhysicalConstants(hbar=1e150).hbar == 1e150
+
     def test_non_finite_json_rejected(self):
         # json parses the NaN/Infinity literals; they must stop at the
         # boundary instead of surfacing later as a bracketing failure

@@ -71,6 +71,13 @@ class TestSqfFree:
         with pytest.raises(UsageError):
             sqf_spectrum(ec_params(), 1.0, QuantumNumbers())
 
+    def test_level_past_float_range_raises(self):
+        # k_e = eta^2/8m hbar^2 overflows to inf in a float division, which
+        # Python does not raise on; the level was returned as inf
+        p = self.params(eta0=1e150, constants=PhysicalConstants(hbar=1e-150))
+        with pytest.raises(SingularityError, match="double range"):
+            sqf_spectrum(p, 1.0, QuantumNumbers())
+
 
 class TestSqfOscillator:
     def params(self, **kw):
