@@ -7,6 +7,12 @@ come from a JSON config (--config or the NCQM_CONFIG environment
 variable) with individual flags overriding config fields; outputs are
 deterministic for identical inputs.
 
+Every refusal, a parse error included, is one ``error:`` line on stderr,
+an empty stdout and exit 2; ``main`` is the only writer of that line and
+returns 2 rather than raising ``SystemExit``. Exit 1 means only that
+``verify`` saw a tolerance breach. A negative value may follow its flag
+in any float or range form: ``--eta -2e2``, ``--l -3..3``, ``--x -3,-1``.
+
 At module level this imports only the standard library, ``errors`` and
 ``params`` (numpy). Each ``_cmd_*`` function imports the modules it runs
 when it is dispatched, so ``--help``, ``ring``, the EC and SQF
@@ -24,10 +30,12 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
 import os
+import re
 import sys
 from dataclasses import replace
 
@@ -87,7 +95,7 @@ def _parse_range(text: str) -> range:
     lo, sep, hi = text.partition("..")
     lo, hi = int(lo), int(hi if sep else lo)
     if hi < lo:
-        raise ValueError(f"empty range {text!r}: lo..hi needs hi >= lo")
+        raise ValidationError(f"empty range {text!r}: lo..hi needs hi >= lo")
     return range(lo, hi + 1)
 
 
@@ -97,8 +105,8 @@ def _check_rows(*axes):
     rows = math.prod(a.stop - a.start if isinstance(a, range) else a
                      for a in axes)
     if rows > MAX_ROWS:
-        raise ValueError(f"the table would have {rows} rows, more than "
-                         f"{MAX_ROWS}")
+        raise ValidationError(f"the table would have {rows} rows, more "
+                              f"than {MAX_ROWS}")
 
 
 def _write_text(path: str | None, text: str):
@@ -138,9 +146,8 @@ def _cmd_spectrum(args) -> int:
                              res.energy, res.method, res.residual])
     elif p.mechanism is Mechanism.SQF:
         if args.eps is None:
-            print("error: --eps (fluctuation energy scale) is required for "
-                  "the sqf mechanism", file=sys.stderr)
-            return 2
+            raise UsageError("--eps (fluctuation energy scale) is required "
+                             "for the sqf mechanism")
         n_alphas = _parse_range(args.n_alpha)
         n_betas = _parse_range(args.n_beta)
         _check_rows(n_alphas, n_betas)
@@ -151,10 +158,9 @@ def _cmd_spectrum(args) -> int:
                 rows.append([p.mechanism.value, "", "", n_a, n_b,
                              energy, "closed_form", 0.0])
     else:
-        print("error: the energy-operator mechanism has no quantized "
-              "spectrum table (its order-1 bound condition constrains "
-              "parameters, not the energy)", file=sys.stderr)
-        return 2
+        raise UsageError("the energy-operator mechanism has no quantized "
+                         "spectrum table (its order-1 bound condition "
+                         "constrains parameters, not the energy)")
     header = ["mechanism", "n", "m_phi", "n_alpha", "n_beta", "energy",
               "method", "residual"]
     _write_text(args.out, _csv_text(header, rows))
@@ -167,10 +173,11 @@ def _cmd_spectrum(args) -> int:
 def _cmd_wavefunction(args) -> int:
     from . import spectra, wavefunctions
     if args.r_max <= 0:
-        raise ValueError(f"--r-max must be positive, got {args.r_max!r}")
+        raise ValidationError(
+            f"--r-max must be positive, got {args.r_max!r}")
     if args.n > WAVEFUNCTION_MAX_N:
-        raise ValueError(f"--n must be at most {WAVEFUNCTION_MAX_N}, got "
-                         f"{args.n}")
+        raise ValidationError(f"--n must be at most {WAVEFUNCTION_MAX_N}, "
+                              f"got {args.n}")
     _check_rows(args.points)
     p = _load_params(args)
     if p.mechanism is not Mechanism.EC:  # checked before the default solve
@@ -265,8 +272,30 @@ def _cmd_verify(args) -> int:
     return 0 if report["all_passed"] else 1
 
 
+class _Parser(argparse.ArgumentParser):
+    """Parser of ncqm and, through ``add_subparsers``, of each subcommand.
+
+    A parse error raises ``UsageError`` instead of printing the usage block
+    and exiting, so ``main`` writes it as one ``error:`` line. A token that
+    starts with ``-`` and then a digit or ``.`` is read as a value, so
+    ``--eta -2e2``, ``--l -3..3`` and ``--x -3,-1`` parse (argparse reads
+    only plain negative integers and decimals as values, and no option
+    string here starts with ``-`` and a digit).
+    """
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"^-[\d.]")
+
+    def error(self, message):
+        raise UsageError(message)
+
+
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    """The ncqm parser, built on first use and shared by every later call
+    in the process; callers must not modify it."""
+    parser = _Parser(
         prog="ncqm",
         description="Energy-dependent noncommutative quantum mechanics "
                     "toolbox")
@@ -336,12 +365,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Run one command and return its exit status (see the module
+    docstring); only ``--help`` leaves through ``SystemExit`` (status 0)."""
     try:
+        args = build_parser().parse_args(argv)
         return args.fn(args)
-    except (OSError, json.JSONDecodeError, ValueError,
-            ConvergenceError) as exc:
+    except (OSError, ValueError, ConvergenceError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

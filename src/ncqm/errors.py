@@ -14,7 +14,8 @@ class ValidationError(ValueError):
 
 
 class UsageError(ValueError):
-    """The operation was called for a mechanism or regime it does not cover."""
+    """The operation was called for a mechanism or regime it does not cover,
+    or a command line does not parse."""
 
 
 class BracketingError(ValueError):

@@ -7,6 +7,7 @@ import warnings
 
 import pytest
 
+from ncqm import cli
 from ncqm.cli import MAX_ROWS, _check_rows, _load_params, build_parser, main
 from ncqm.params import PARAM_KEYS, params_to_dict
 from ncqm.spectra import QuantumNumbers
@@ -17,6 +18,12 @@ def run_cli(args, capsys):
     code = main(args)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def assert_refused(code, out, err):
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
 
 
 EC_FLAGS = ["--mechanism", "ec", "--eta0", "0.1", "--theta0", "0.1",
@@ -53,10 +60,11 @@ class TestSpectrumCommand:
         assert err == ""
 
     def test_sqf_requires_eps(self, capsys):
-        code, _, err = run_cli(["spectrum", "--mechanism", "sqf",
-                                "--eta0", "1"], capsys)
-        assert code == 2
-        assert "eps" in err
+        code, out, err = run_cli(["spectrum", "--mechanism", "sqf",
+                                  "--eta0", "1"], capsys)
+        assert_refused(code, out, err)
+        assert err == ("error: --eps (fluctuation energy scale) is required "
+                       "for the sqf mechanism\n")
 
     def test_sqf_table(self, capsys):
         code, out, _ = run_cli(["spectrum", "--mechanism", "sqf",
@@ -72,9 +80,11 @@ class TestSpectrumCommand:
         assert ground == pytest.approx(0.8535533905932737, rel=1e-12)
 
     def test_eo_rejected(self, capsys):
-        code, _, err = run_cli(["spectrum", "--mechanism", "eo_i",
-                                "--eta0", "1"], capsys)
-        assert code == 2
+        code, out, err = run_cli(["spectrum", "--mechanism", "eo_i",
+                                  "--eta0", "1"], capsys)
+        assert_refused(code, out, err)
+        assert err.startswith("error: the energy-operator mechanism has no "
+                              "quantized spectrum table")
 
     def test_config_file_with_flag_override(self, tmp_path, capsys):
         cfg = tmp_path / "model.json"
@@ -133,15 +143,15 @@ class TestSpectrumCommand:
     ["commutators", "--theta", "nan", "--eta", "0.1"],
     ["fractional", "--op", "caputo_exp", "--x", "1.0,inf"],
     ["spectrum", "--n", "3..1"],
+    ["ring", "--no-such-flag", "1"],
+    [],
+    ["commutators", "--eta", "0.1"],
 ])
 def test_non_finite_or_empty_input_exit_2(args, capsys):
-    # argparse exits on a bad flag value; the range check returns 2
-    try:
-        code = main(args)
-    except SystemExit as exc:
-        code = exc.code
-    assert code == 2
-    assert "error" in capsys.readouterr().err
+    # a parse error and a refused command take the same path: main
+    # returns 2 with one error line instead of argparse's usage block
+    # and SystemExit
+    assert_refused(*run_cli(args, capsys))
 
 
 @pytest.mark.parametrize("args", [
@@ -160,14 +170,48 @@ def test_non_finite_or_empty_input_exit_2(args, capsys):
 ])
 def test_non_positive_count_or_bad_level_exit_2(args, capsys):
     # an empty flux sweep or sample grid used to exit 0 with a bare header
+    assert_refused(*run_cli(args, capsys))
+
+
+@pytest.mark.parametrize("flag,value,parsed,rest", [
+    ("--eta", "-2e2", -200.0, ["commutators", "--theta", "1e3"]),
+    ("--l", "-3..3", "-3..3", ["ring", "--phi-steps", "3"]),
+    ("--x", "-3,-1", "-3,-1", ["fractional", "--op", "mittag_leffler",
+                               "--order", "1"]),
+    ("--alpha", "-1e0", -1.0, ["spectrum", "--mechanism", "sqf",
+                               "--eps", "1", "--eta0", "1",
+                               "--n-alpha", "0..0", "--n-beta", "0..0"]),
+])
+def test_negative_value_after_its_flag(flag, value, parsed, rest, capsys):
+    # argparse alone reads a token that starts with "-" and is not a plain
+    # integer or decimal as an option ("expected one argument")
+    args = build_parser().parse_args([*rest, flag, value])
+    assert getattr(args, flag[2:]) == parsed
+    spaced = run_cli([*rest, flag, value], capsys)
+    assert spaced == run_cli([*rest, f"{flag}={value}"], capsys)
+    assert spaced[0] == 0 and spaced[2] == ""
+
+
+def test_parser_built_once_per_process(monkeypatch, capsys):
+    built = []
+    init = cli._Parser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(cli._Parser, "__init__", counting_init)
+    build_parser.cache_clear()
     try:
-        code = main(args)
-    except SystemExit as exc:
-        code = exc.code
-    assert code == 2
-    captured = capsys.readouterr()
-    assert "error" in captured.err
-    assert captured.out == ""
+        assert run_cli(["ring", "--phi-steps", "2", "--l", "0..0"],
+                       capsys)[0] == 0
+        first = list(built)
+        assert run_cli(["commutators", "--theta", "0.1", "--eta", "0.1",
+                        "--n-trunc", "4"], capsys)[0] == 0
+    finally:
+        build_parser.cache_clear()  # no parser with the counting hook
+    assert first.count("ncqm") == 1 and len(first) == 7  # six subcommands
+    assert built == first
 
 
 @pytest.mark.parametrize("text,reason", [
@@ -313,9 +357,7 @@ class TestCommutatorsCommand:
         # once exit 0 with "max_residual": NaN, or an overflow warning
         code, out, err = run_cli(["commutators", "--theta", theta,
                                   "--eta", eta], capsys)
-        assert code == 2
-        assert out == ""
-        assert len(err.splitlines()) == 1 and err.startswith("error: ")
+        assert_refused(code, out, err)
 
 
 @pytest.mark.parametrize("args", [
@@ -338,9 +380,7 @@ def test_overflowing_bracket_tol_or_ring_strength_exit_2(args, capsys):
     # ZeroDivisionError (OverflowError) traceback, and the Grünwald-Letnikov
     # step 1e-300 never returned at --x 1 and overflowed at --x 1e308
     code, out, err = run_cli(args, capsys)
-    assert code == 2
-    assert out == ""
-    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+    assert_refused(code, out, err)
 
 
 @pytest.mark.parametrize("args,reason", [
@@ -363,9 +403,7 @@ def test_hbar_or_level_past_float_range_exit_2(args, reason, capsys):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         code, out, err = run_cli(args, capsys)
-    assert code == 2
-    assert out == ""
-    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+    assert_refused(code, out, err)
     assert reason in err
 
 
