@@ -21,7 +21,8 @@ when it is dispatched, so ``--help``, ``ring``, the EC and SQF
 ``specfun``, the operators as numpy diagonals in ``algebra``),
 ``fractional`` loads ``scipy.special`` only for the operators that take
 a gamma function, and
-only ``verify`` loads ``scipy.optimize`` and ``scipy.integrate``. No
+only ``verify`` loads ``scipy.integrate`` (and through it
+``scipy.optimize``). No
 table has more than MAX_ROWS rows: a larger one is refused before any
 level is solved or any row is built.
 """
@@ -91,11 +92,27 @@ def positive_int(text: str) -> int:
     return value
 
 
+def real_list(text: str) -> list[float]:
+    """Type of --x: comma-separated items, each a ``real``; the message
+    of a failing item is kept."""
+    try:
+        return [real(t) for t in text.split(",")]
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"{exc} in {text!r}") from None
+
+
 def _parse_range(text: str) -> range:
+    """Type of the range flags (spectrum --n, --mphi, --n-alpha, --n-beta
+    and ring --l): ``lo..hi`` with hi >= lo, or one integer."""
     lo, sep, hi = text.partition("..")
-    lo, hi = int(lo), int(hi if sep else lo)
+    try:
+        lo, hi = int(lo), int(hi if sep else lo)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"invalid range {text!r}: use lo..hi or one integer") from None
     if hi < lo:
-        raise ValidationError(f"empty range {text!r}: lo..hi needs hi >= lo")
+        raise argparse.ArgumentTypeError(
+            f"empty range {text!r}: lo..hi needs hi >= lo")
     return range(lo, hi + 1)
 
 
@@ -133,10 +150,9 @@ def _cmd_spectrum(args) -> int:
     multi_root = 0
     if p.mechanism is Mechanism.EC:
         tol = args.tol
-        ns, m_phis = _parse_range(args.n), _parse_range(args.mphi)
-        _check_rows(ns, m_phis)
-        for n in ns:
-            for m_phi in m_phis:
+        _check_rows(args.n, args.mphi)
+        for n in args.n:
+            for m_phi in args.mphi:
                 qn = spectra.QuantumNumbers(n=n, m_phi=m_phi)
                 bracket = (tuple(args.bracket) if args.bracket
                            else spectra.ec_default_bracket(qn, p))
@@ -148,11 +164,9 @@ def _cmd_spectrum(args) -> int:
         if args.eps is None:
             raise UsageError("--eps (fluctuation energy scale) is required "
                              "for the sqf mechanism")
-        n_alphas = _parse_range(args.n_alpha)
-        n_betas = _parse_range(args.n_beta)
-        _check_rows(n_alphas, n_betas)
-        for n_a in n_alphas:
-            for n_b in n_betas:
+        _check_rows(args.n_alpha, args.n_beta)
+        for n_a in args.n_alpha:
+            for n_b in args.n_beta:
                 qn = spectra.QuantumNumbers(n_alpha=n_a, n_beta=n_b)
                 energy = spectra.sqf_spectrum(p, args.eps, qn)
                 rows.append([p.mechanism.value, "", "", n_a, n_b,
@@ -215,10 +229,9 @@ def _cmd_commutators(args) -> int:
 def _cmd_fractional(args) -> int:
     from . import fractional
     from .specfun import mittag_leffler
-    xs = [real(t) for t in args.x.split(",")]
     rows = []
     c = PhysicalConstants()
-    for x in xs:
+    for x in args.x:
         if args.op == "caputo_exp":
             rows.append([args.op, args.order, x,
                          fractional.caputo_exp(args.order, x), ""])
@@ -245,15 +258,14 @@ def _cmd_fractional(args) -> int:
 
 def _cmd_ring(args) -> int:
     from . import ring
-    levels = _parse_range(args.l)
-    _check_rows(args.phi_steps, levels)
+    _check_rows(args.phi_steps, args.l)
     rows = []
     base = ring.RingSpec(radius=args.radius, alpha_param=args.alpha_param)
     for i in range(args.phi_steps):
         frac = args.phi_start + (args.phi_stop - args.phi_start) * i \
             / max(1, args.phi_steps - 1)
         spec = replace(base, flux_ext=frac * base.flux_quantum)
-        for l in levels:
+        for l in args.l:
             rows.append([frac, l,
                          ring.ring_levels(spec, args.eta, l),
                          ring.persistent_current(spec, args.eta, l)])
@@ -303,10 +315,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("spectrum", help="energy levels as CSV")
     _add_param_flags(sp)
-    sp.add_argument("--n", default="0..3", help="radial range, e.g. 0..4")
-    sp.add_argument("--mphi", default="0..3", help="angular range")
-    sp.add_argument("--n-alpha", default="0..2", dest="n_alpha")
-    sp.add_argument("--n-beta", default="0..2", dest="n_beta")
+    sp.add_argument("--n", type=_parse_range, default="0..3",
+                    help="radial range, e.g. 0..4")
+    sp.add_argument("--mphi", type=_parse_range, default="0..3",
+                    help="angular range")
+    sp.add_argument("--n-alpha", type=_parse_range, default="0..2",
+                    dest="n_alpha")
+    sp.add_argument("--n-beta", type=_parse_range, default="0..2",
+                    dest="n_beta")
     sp.add_argument("--eps", type=real, help="fluctuation scale (sqf)")
     sp.add_argument("--bracket", type=real, nargs=2, metavar=("LO", "HI"))
     sp.add_argument("--tol", type=real, default=1e-12)
@@ -341,7 +357,8 @@ def build_parser() -> argparse.ArgumentParser:
     fr.add_argument("--order", type=real, default=0.5)
     fr.add_argument("--ml-beta", type=real, default=1.0, dest="ml_beta")
     fr.add_argument("--step", type=real, default=1e-3)
-    fr.add_argument("--x", default="1.0", help="comma-separated points")
+    fr.add_argument("--x", type=real_list, default="1.0",
+                    help="comma-separated points")
     fr.add_argument("--out", default="-")
     fr.set_defaults(fn=_cmd_fractional)
 
@@ -350,7 +367,7 @@ def build_parser() -> argparse.ArgumentParser:
     rg.add_argument("--alpha-param", type=real, default=1.0,
                     dest="alpha_param")
     rg.add_argument("--eta", type=real, default=0.1)
-    rg.add_argument("--l", default="-2..2")
+    rg.add_argument("--l", type=_parse_range, default="-2..2")
     rg.add_argument("--phi-start", type=real, default=-1.0, dest="phi_start")
     rg.add_argument("--phi-stop", type=real, default=1.0, dest="phi_stop")
     rg.add_argument("--phi-steps", type=positive_int, default=41,

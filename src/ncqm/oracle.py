@@ -13,7 +13,11 @@ Two oracles solve H = p^2/2m* - B L_z + K r^2/2 at frozen coefficients:
   integers by construction.
 
 Energy-dependent coefficients are handled by self_consistent_wrap, a
-secant solve of E = level(E) in ln E. Frozen at E the Hamiltonian is an
+secant solve of E = level(E) in ln E. The secant (_secant) is a
+step-for-step port of the one in scipy.optimize.newton, so it takes
+scipy's steps without importing scipy.optimize; a flat secant (stall)
+and SECANT_MAX_ITER steps without convergence end the solve as a
+ConvergenceError that names the cause. Frozen at E the Hamiltonian is an
 oscillator of frequency omega_h(E), so the radial level there is
 hbar(omega_h(E) eps - m_phi B_h(E)): the unit level eps is solved by the
 finite-volume eigensolver once per (|m_phi|, n) per process and only
@@ -32,7 +36,6 @@ import time
 
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
-from scipy.optimize import root_scalar
 
 from .errors import ConvergenceError, GridError, ValidationError
 from .algebra import build_heisenberg_rep
@@ -255,25 +258,63 @@ def _frozen_level(p: ModelParams, qn, energy: float, solver: str) -> float:
     raise ValidationError(f"unknown solver {solver!r}; use radial or fock")
 
 
+# Secant steps before self_consistent_wrap gives up (scipy newton's default).
+SECANT_MAX_ITER = 50
+
+
+def _secant(f, x0: float, x1: float, xtol: float):
+    """Root of f by the secant method from x0 and x1.
+
+    A step-for-step port of the secant branch of scipy.optimize.newton
+    (scipy 1.17.1) at rtol = 0 and maxiter = SECANT_MAX_ITER: the same
+    start swap, the same two update formulas and the same stop
+    |p - p1| <= xtol, so it returns the root scipy's root_scalar(
+    method="secant", xtol=xtol, rtol=0) returns after as many calls of f.
+    Where scipy warns "Tolerance ... reached" (f(p1) == f(p0), the secant
+    is flat) this returns quietly. Returns (root, steps, status), status
+    "converged", "stalled" or "maxiter".
+    """
+    p0, p1 = x0, x1
+    q0, q1 = f(p0), f(p1)
+    if abs(q1) < abs(q0):
+        p0, p1, q0, q1 = p1, p0, q1, q0
+    for step in range(1, SECANT_MAX_ITER + 1):
+        if q1 == q0:
+            return (p1 + p0) / 2.0, step, "stalled"
+        if abs(q1) > abs(q0):
+            p = (-q0 / q1 * p1 + p0) / (1 - q0 / q1)
+        else:
+            p = (-q1 / q0 * p0 + p1) / (1 - q1 / q0)
+        if abs(p - p1) <= xtol:
+            return p, step, "converged"
+        p0, q0 = p1, q1
+        p1 = p
+        q1 = f(p1)
+    return p, SECANT_MAX_ITER, "maxiter"
+
+
 def self_consistent_wrap(solver: str, p: ModelParams, qn,
                          tol: float = 1e-8) -> float:
     """Self-consistent energy E* with eigenvalue(E*) = E*.
 
     level(E) solves the Hamiltonian with its coefficients frozen at E
-    (solver "radial" or "fock"). The secant method (scipy root_scalar)
-    solves h(u) = u - ln level(e^u) = 0 to xtol tol in u = ln E, starting
-    from ln scale and ln level(scale) at the commutative scale: constant
-    coefficients converge in one step, and power-law strengths make a
-    free-particle level linear in u, so roots decades from the scale are
-    reached. level(scale) <= 0 means no bound state. Frozen levels are
-    memoized within the call. E is accepted when |E - level(E)| <=
-    tol level(E); otherwise, or when the secant does not converge or a
-    frozen solve fails (e^u overflows, K_h <= 0, a level that is not
-    positive and finite), ConvergenceError is raised with the cause and
-    the last frozen solves. solver and tol (finite, positive) are checked
-    first (ValidationError). Each call past those checks logs one DEBUG
-    record on "ncqm.oracle": frozen solves and the relative residual, or
-    the cause when it raises ConvergenceError.
+    (solver "radial" or "fock"). The secant method (_secant, a port of
+    scipy's) solves h(u) = u - ln level(e^u) = 0 to xtol tol in u = ln E,
+    starting from ln scale and ln level(scale) at the commutative scale:
+    constant coefficients converge in one step, and power-law strengths
+    make a free-particle level linear in u, so roots decades from the
+    scale are reached. level(scale) <= 0 means no bound state. Frozen
+    levels are memoized within the call. E is accepted when
+    |E - level(E)| <= tol level(E); otherwise ConvergenceError is raised
+    with the cause and the last frozen solves. The causes are a stalled
+    secant (h equal at its last two points: a flat h, as for a level
+    linear in E, has no root), SECANT_MAX_ITER steps without
+    convergence, a failed frozen solve (e^u overflows, K_h <= 0, a level
+    that is not positive and finite) and a residual above tol. solver and
+    tol (finite, positive) are checked first (ValidationError). Each call
+    past those checks logs one DEBUG record on "ncqm.oracle": frozen
+    solves, secant steps and the relative residual, or the cause when it
+    raises ConvergenceError.
     """
     if solver not in ("radial", "fock"):
         raise ValidationError(f"unknown solver {solver!r}; use radial or fock")
@@ -283,11 +324,12 @@ def self_consistent_wrap(solver: str, p: ModelParams, qn,
     scale = c.hbar * max(c.omega, 1.0 / p.e_ref) * qn.radial_weight
     scale = max(scale, 1e-6 * p.e_ref)
     levels = {}  # frozen level by u = ln E
+    steps = 0  # secant steps taken, in both DEBUG records
 
     def failure(why):
         log.debug("self_consistent_wrap %s (n=%d, m_phi=%d): %d frozen "
-                  "solves, failed: %s", solver, qn.n, qn.m_phi, len(levels),
-                  why)
+                  "solves, %d secant steps, failed: %s", solver, qn.n,
+                  qn.m_phi, len(levels), steps, why)
         return ConvergenceError(
             f"self-consistency failed for {qn}: {why}; frozen solves: "
             + ("; ".join(f"E={math.exp(a):.6g}->{b:.6g}"
@@ -309,21 +351,34 @@ def self_consistent_wrap(solver: str, p: ModelParams, qn,
                           "positive and finite")
         return u - math.log(lev)
 
+    calls = 0  # calls of h by the secant
+
+    def secant_h(u):
+        # the secant calls h at its two starts, then once at the end of
+        # every step but the last, so a failing call ends step calls - 2
+        nonlocal calls, steps
+        calls += 1
+        steps = max(calls - 2, 0)
+        return h(u)
+
     u = math.log(scale)
     if not level(u) > 0.0:
         raise failure("level(scale) <= 0, no bound state")
     if h(u) != 0.0:  # else the scale is the root
-        sol = root_scalar(h, x0=u, x1=math.log(level(u)), method="secant",
-                          xtol=tol, rtol=0.0)
-        if not sol.converged:
-            raise failure(f"the secant on ln E stopped: {sol.flag}")
-        u = sol.root
+        u, steps, status = _secant(secant_h, u, math.log(level(u)), tol)
+        if status == "stalled":
+            raise failure(f"the secant on ln E stalled at step {steps}: "
+                          "h(u) = u - ln level(e^u) took the same value at "
+                          "its last two points")
+        if status == "maxiter":
+            raise failure(f"the secant on ln E did not converge in {steps} "
+                          "steps")
     h(u)  # the level at the root is positive and finite too
     energy = math.exp(u)
     residual = abs(energy - levels[u]) / levels[u]
     if not residual <= tol:
         raise failure(f"relative residual {residual:.3e} above tol {tol:g}")
     log.debug("self_consistent_wrap %s (n=%d, m_phi=%d): %d frozen solves, "
-              "relative residual %.3e", solver, qn.n, qn.m_phi, len(levels),
-              residual)
+              "%d secant steps, relative residual %.3e", solver, qn.n,
+              qn.m_phi, len(levels), steps, residual)
     return energy

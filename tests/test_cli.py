@@ -175,9 +175,9 @@ def test_non_positive_count_or_bad_level_exit_2(args, capsys):
 
 @pytest.mark.parametrize("flag,value,parsed,rest", [
     ("--eta", "-2e2", -200.0, ["commutators", "--theta", "1e3"]),
-    ("--l", "-3..3", "-3..3", ["ring", "--phi-steps", "3"]),
-    ("--x", "-3,-1", "-3,-1", ["fractional", "--op", "mittag_leffler",
-                               "--order", "1"]),
+    ("--l", "-3..3", range(-3, 4), ["ring", "--phi-steps", "3"]),
+    ("--x", "-3,-1", [-3.0, -1.0], ["fractional", "--op", "mittag_leffler",
+                                    "--order", "1"]),
     ("--alpha", "-1e0", -1.0, ["spectrum", "--mechanism", "sqf",
                                "--eps", "1", "--eta0", "1",
                                "--n-alpha", "0..0", "--n-beta", "0..0"]),
@@ -190,6 +190,29 @@ def test_negative_value_after_its_flag(flag, value, parsed, rest, capsys):
     spaced = run_cli([*rest, flag, value], capsys)
     assert spaced == run_cli([*rest, f"{flag}={value}"], capsys)
     assert spaced[0] == 0 and spaced[2] == ""
+
+
+@pytest.mark.parametrize("args,message", [
+    (["ring", "--l", "abc"],
+     "error: argument --l: invalid range 'abc': use lo..hi or one integer"),
+    (["spectrum", "--n", "1..x"],
+     "error: argument --n: invalid range '1..x': use lo..hi or one integer"),
+    (["spectrum", "--n", "3..1"],
+     "error: argument --n: empty range '3..1': lo..hi needs hi >= lo"),
+    (["spectrum", "--mechanism", "sqf", "--eps", "1", "--n-beta", "2..0"],
+     "error: argument --n-beta: empty range '2..0': lo..hi needs hi >= lo"),
+    (["fractional", "--op", "caputo_exp", "--x", "1,abc"],
+     "error: argument --x: could not convert string to float: 'abc' in "
+     "'1,abc'"),
+    (["fractional", "--op", "caputo_exp", "--x", "1.0,inf"],
+     "error: argument --x: not a finite number: 'inf' in '1.0,inf'"),
+])
+def test_range_and_list_refusals_name_the_flag(args, message, capsys):
+    # the range and --x flags are argparse types, so a bad value is
+    # refused while parsing, with the flag's name, before any work
+    code, out, err = run_cli(args, capsys)
+    assert_refused(code, out, err)
+    assert err == message + "\n"
 
 
 def test_parser_built_once_per_process(monkeypatch, capsys):

@@ -4,8 +4,9 @@ Structural checks on sys.modules, not timings. In fresh interpreters:
 ``import ncqm.cli`` loads only errors and params; ``--help``, ``ring``,
 the README spectrum, the README ``wavefunction``, ``commutators`` and
 ``fractional --op half_derivative_x`` load no scipy; ``fractional --op caputo_exp`` loads
-no ``scipy.integrate``. In this process: sampling radial states imports
-no scipy.
+no ``scipy.integrate``; a radial self-consistent solve loads
+``scipy.linalg`` and no ``scipy.optimize``. In this process: sampling
+radial states imports no scipy.
 """
 
 import json
@@ -48,10 +49,24 @@ README_WAVEFUNCTION = ["wavefunction", *README_SPECTRUM[1:-4], "--n", "1",
                        "--mphi", "1", "--points", "3"]
 
 
-def loaded_after(argv):
+SELF_CONSISTENT = """
+import json, sys
+from ncqm.oracle import self_consistent_wrap
+from ncqm.params import params_from_dict
+from ncqm.spectra import QuantumNumbers
+p = params_from_dict({"mechanism": "ec", "eta0": 0.1, "theta0": 0.1,
+                      "alpha": 1.0, "beta": 1.0, "e_ref": 10.0,
+                      "spring_k": 1.0})
+self_consistent_wrap("radial", p, QuantumNumbers(n=1, m_phi=1))
+print(json.dumps(sorted(m for m in sys.modules
+                        if m.partition(".")[0] in ("ncqm", "scipy"))))
+"""
+
+
+def loaded_after(argv, script=LOADED):
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
-    done = subprocess.run([sys.executable, "-c", LOADED, json.dumps(argv)],
+    done = subprocess.run([sys.executable, "-c", script, json.dumps(argv)],
                           env=env, capture_output=True, text=True,
                           check=True)
     return set(json.loads(done.stdout))
@@ -112,6 +127,15 @@ def test_fractional_caputo_exp_loads_no_scipy_integrate():
     loaded = loaded_after(["fractional", "--op", "caputo_exp"])
     assert "scipy.special" in loaded
     assert under(loaded, "scipy.integrate") == []
+
+
+def test_radial_self_consistent_solve_loads_no_scipy_optimize():
+    # the secant is a port in the oracle itself, and the unit level is
+    # scipy.linalg's tridiagonal eigensolve
+    loaded = loaded_after(None, SELF_CONSISTENT)
+    assert "ncqm.oracle" in loaded
+    assert "scipy.linalg" in loaded
+    assert under(loaded, "scipy.optimize") == []
 
 
 def test_radial_states_import_no_scipy(monkeypatch):

@@ -333,6 +333,39 @@ class TestSelfConsistent:
             self_consistent_wrap("radial", p, QuantumNumbers(m_phi=m_phi),
                                  tol=1e-9)
 
+    def test_flat_secant_raises_a_stall_without_a_warning(self, caplog):
+        # at alpha = beta = 1 the free-particle level is linear in E, so
+        # h(u) = u - ln level(e^u) is a constant with no root: the secant
+        # stalls at its first step. scipy's secant warned "Tolerance of
+        # ... reached." there; the port raises the typed error alone.
+        p = ModelParams(eta0=1.0, alpha_exp=1.0, beta_exp=1.0, e_ref=1.0,
+                        mechanism=Mechanism.EC)
+        with warnings.catch_warnings(record=True) as seen, \
+                caplog.at_level(logging.DEBUG, logger="ncqm.oracle"):
+            warnings.simplefilter("always")
+            with pytest.raises(ConvergenceError,
+                               match="secant on ln E stalled at step 1"):
+                self_consistent_wrap("radial", p, QuantumNumbers(), tol=1e-9)
+        assert seen == []
+        (record,) = [r for r in caplog.records if r.name == "ncqm.oracle"
+                     and r.getMessage().startswith("self_consistent_wrap")]
+        assert "2 frozen solves, 1 secant steps, failed: the secant on " \
+               "ln E stalled" in record.getMessage()
+
+    def test_secant_budget_ends_in_a_typed_error(self, monkeypatch):
+        # level(E) = E exp(-(ln E - 0.3)^2 - 0.5) makes h(u) = (u - 0.3)^2
+        # + 0.5, a parabola with no root: the secant wanders in
+        # -13 < u < 6 and runs out of its SECANT_MAX_ITER steps
+        monkeypatch.setattr(oracle, "_frozen_level",
+                            lambda p, qn, energy, solver: energy * math.exp(
+                                -(math.log(energy) - 0.3) ** 2 - 0.5))
+        p = ModelParams(eta0=0.1, theta0=0.1, mechanism=Mechanism.EC,
+                        constants=PhysicalConstants(spring_k=1.0))
+        with pytest.raises(ConvergenceError,
+                           match=f"did not converge in "
+                                 f"{oracle.SECANT_MAX_ITER} steps"):
+            self_consistent_wrap("radial", p, QuantumNumbers(), tol=1e-9)
+
     def test_debug_record_of_a_secant_solve(self, caplog):
         p = ModelParams(eta0=0.1, theta0=0.1, alpha_exp=1.0, beta_exp=1.0,
                         e_ref=10.0, mechanism=Mechanism.EC,
@@ -344,6 +377,8 @@ class TestSelfConsistent:
         message = record.getMessage()
         solves = int(message.split(" frozen solves")[0].rsplit(" ", 1)[1])
         assert solves <= 5
+        steps = int(message.split(" secant steps")[0].rsplit(" ", 1)[1])
+        assert 1 <= steps <= 5
         residual = float(message.rsplit(" ", 1)[1])
         assert residual <= 1e-8
 

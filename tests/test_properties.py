@@ -1,6 +1,7 @@
 """Property tests of the root kernel (geometric scan + Brent refinement,
 with scipy's brentq as the reference for the Brent step), of the
-self-consistent oracle, and of parameter-wide invariants of the
+self-consistent oracle (with scipy's secant as the reference for its
+secant), and of parameter-wide invariants of the
 algebra, the SQF spectrum and the ring.
 
 Oscillator parameters are drawn from the ranges of the benchmark pool, in
@@ -12,6 +13,7 @@ import dataclasses
 import math
 import sys
 import types
+import warnings
 
 import numpy as np
 import pytest
@@ -19,14 +21,14 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import assume, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
-from scipy.optimize import brentq  # noqa: E402
+from scipy.optimize import brentq, root_scalar  # noqa: E402
 
 from ncqm.errors import (BracketingError, ConvergenceError,  # noqa: E402
                          DomainError)
 from ncqm.algebra import (build_heisenberg_rep, sw_forward,  # noqa: E402
                           sw_inverse)
-from ncqm.oracle import (_frozen_level, radial_fd_eigensolve,  # noqa: E402
-                         self_consistent_wrap)
+from ncqm.oracle import (_frozen_level, _secant,  # noqa: E402
+                         radial_fd_eigensolve, self_consistent_wrap)
 from ncqm.params import (EffectiveCoefficients, Mechanism,  # noqa: E402
                          ModelParams, PhysicalConstants,
                          effective_coefficients, k_factor, params_from_dict,
@@ -316,6 +318,80 @@ def test_radial_self_consistent_matches_root(case):
     root = ec_solve_energy(qn, p, ec_default_bracket(qn, p)).energy
     assert self_consistent_wrap("radial", p, qn) == pytest.approx(root,
                                                                   rel=1e-6)
+
+
+def assert_secant_steps(f, x0, x1, tol):
+    """_secant ends where scipy's secant ends (root_scalar at rtol 0 and
+    its default budget of 50 steps), bit for bit, after as many steps and
+    calls of f, with the same outcome, and emits no warning where scipy's
+    stall warns. Returns the outcome."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # "Tolerance of"
+        info = root_scalar(f, x0=x0, x1=x1, method="secant", xtol=tol,
+                           rtol=0.0)
+    calls = []
+
+    def counted(u):
+        calls.append(u)
+        return f(u)
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        root, steps, status = _secant(counted, x0, x1, tol)
+    assert float(root).hex() == float(info.root).hex()
+    assert (steps, len(calls), status == "converged") == \
+        (info.iterations, info.function_calls, info.converged)
+    return status
+
+
+@settings(PROPERTY_SETTINGS, max_examples=30)
+@given(ec_oscillators(), st.sampled_from([1e-6, 1e-8, 1e-12]))
+def test_secant_takes_scipys_steps_on_oscillator_levels(case, tol):
+    # h(u) = u - ln level(e^u) from the start self_consistent_wrap takes:
+    # ln scale and ln level(scale)
+    p, qn = case
+    c = p.constants
+    scale = max(c.hbar * max(c.omega, 1.0 / p.e_ref) * qn.radial_weight,
+                1e-6 * p.e_ref)
+
+    def h(u):
+        return u - math.log(_frozen_level(p, qn, math.exp(u), "radial"))
+
+    x0 = math.log(scale)
+    assert assert_secant_steps(h, x0, x0 - h(x0), tol) == "converged"
+
+
+@PROPERTY_SETTINGS
+@given(kind=st.sampled_from(["linear", "exponential", "flat", "parabola"]),
+       a=st.floats(0.1, 10.0), b=st.floats(-10.0, 10.0),
+       x0=st.floats(-5.0, 5.0), dx=st.floats(1e-3, 5.0),
+       sign=st.sampled_from([-1.0, 1.0]),
+       tol=st.sampled_from([1e-12, 1e-9, 1e-6]))
+def test_secant_takes_scipys_steps_on_closed_forms(kind, a, b, x0, dx, sign,
+                                                  tol):
+    # linear and exponential functions have a root, a flat one stalls at
+    # the first step, and a parabola above zero has no root: on these
+    # draws it runs out of budget
+    def f(x):
+        if kind == "linear":
+            return sign * a * x + b
+        if kind == "exponential":
+            return math.exp(max(-50.0, min(a * x, 50.0))) - abs(b) - 0.1
+        if kind == "flat":
+            return b
+        return (x - b) * (x - b) + a
+
+    status = assert_secant_steps(f, x0, x0 + sign * dx, tol)
+    if kind == "linear":
+        assert status == "converged"
+    if kind == "flat":
+        assert status == "stalled"
+
+
+def test_secant_stops_at_a_step_of_exactly_xtol():
+    # the start swap makes 0.5 the last point; the first step on f(x) = x
+    # lands on the root 0, exactly xtol = 0.5 from it, and stops there
+    assert assert_secant_steps(lambda x: x, 0.5, 0.25, 0.5) == "converged"
 
 
 @PROPERTY_SETTINGS
