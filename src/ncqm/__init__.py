@@ -9,8 +9,9 @@ independent matrix/ODE oracles verifying every closed form.
 
 The namespace is lazy (PEP 562): ``import ncqm`` loads no submodule, and
 each public name is imported from its defining module (``params`` or
-``spectra``) on first access. Both need numpy only: the level solver's
-Brent step is in ``spectra``, with no ``scipy.optimize``. Names are looked
+``spectra``) on first access. ``params`` loads only the standard library
+and ``spectra`` adds numpy alone: the level solver's Brent step is in
+``spectra``, with no ``scipy.optimize``. Names are looked
 up afresh on every access and never copied into this module, so a
 function rebound inside its defining module is what ``ncqm.<name>``
 returns.

@@ -14,17 +14,18 @@ returns 2 rather than raising ``SystemExit``. Exit 1 means only that
 in any float or range form: ``--eta -2e2``, ``--l -3..3``, ``--x -3,-1``.
 
 At module level this imports only the standard library, ``errors`` and
-``params`` (numpy). Each ``_cmd_*`` function imports the modules it runs
-when it is dispatched, so ``--help``, ``ring``, the EC and SQF
-``spectrum`` tables, ``wavefunction`` and ``commutators`` load no scipy
-(Brent's method is in ``spectra``, the radial-state special functions in
-``specfun``, the operators as numpy diagonals in ``algebra``),
-``fractional`` loads ``scipy.special`` only for the operators that take
-a gamma function, and
-only ``verify`` loads ``scipy.integrate`` (and through it
-``scipy.optimize``). No
-table has more than MAX_ROWS rows: a larger one is refused before any
-level is solved or any row is built.
+``params``, none of which loads numpy. Each ``_cmd_*`` function runs its
+checks on the command line and the parameters first and only then
+imports the modules it computes with, so ``--help``, ``ring`` and every
+refusal made before any computation load no numpy. The EC and SQF
+``spectrum`` tables, ``wavefunction`` and ``commutators`` load numpy and
+no scipy (Brent's method is in ``spectra``, the radial-state special
+functions in ``specfun``, the operators as numpy diagonals in
+``algebra``), ``fractional`` loads ``scipy.special`` only for the
+operators that take a gamma function, and only ``verify`` loads
+``scipy.integrate`` (and through it ``scipy.optimize``). No table has
+more than MAX_ROWS rows: a larger one is refused before any level is
+solved or any row is built.
 """
 
 from __future__ import annotations
@@ -144,13 +145,13 @@ def _csv_text(header: list[str], rows: list[list]) -> str:
 
 
 def _cmd_spectrum(args) -> int:
-    from . import spectra
     p = _load_params(args)
     rows = []
     multi_root = 0
     if p.mechanism is Mechanism.EC:
         tol = args.tol
         _check_rows(args.n, args.mphi)
+        from . import spectra
         for n in args.n:
             for m_phi in args.mphi:
                 qn = spectra.QuantumNumbers(n=n, m_phi=m_phi)
@@ -165,6 +166,7 @@ def _cmd_spectrum(args) -> int:
             raise UsageError("--eps (fluctuation energy scale) is required "
                              "for the sqf mechanism")
         _check_rows(args.n_alpha, args.n_beta)
+        from . import spectra
         for n_a in args.n_alpha:
             for n_b in args.n_beta:
                 qn = spectra.QuantumNumbers(n_alpha=n_a, n_beta=n_b)
@@ -185,7 +187,6 @@ def _cmd_spectrum(args) -> int:
 
 
 def _cmd_wavefunction(args) -> int:
-    from . import spectra, wavefunctions
     if args.r_max <= 0:
         raise ValidationError(
             f"--r-max must be positive, got {args.r_max!r}")
@@ -197,6 +198,7 @@ def _cmd_wavefunction(args) -> int:
     if p.mechanism is not Mechanism.EC:  # checked before the default solve
         raise UsageError("wavefunction samples the EC radial solution and "
                          f"requires mechanism=ec, got {p.mechanism.value}")
+    from . import spectra, wavefunctions
     qn = spectra.QuantumNumbers(n=args.n, m_phi=args.mphi)
     if args.energy is not None:
         energy = args.energy
@@ -217,8 +219,8 @@ def _cmd_wavefunction(args) -> int:
 
 
 def _cmd_commutators(args) -> int:
-    from . import algebra
     c = PhysicalConstants(hbar=args.hbar)
+    from . import algebra
     rep = algebra.build_heisenberg_rep(args.n_trunc, c)
     mapped = algebra.sw_forward(rep, args.theta, args.eta)
     entries = algebra.commutator_residuals(mapped)
@@ -257,8 +259,8 @@ def _cmd_fractional(args) -> int:
 
 
 def _cmd_ring(args) -> int:
-    from . import ring
     _check_rows(args.phi_steps, args.l)
+    from . import ring
     rows = []
     base = ring.RingSpec(radius=args.radius, alpha_param=args.alpha_param)
     for i in range(args.phi_steps):

@@ -14,7 +14,9 @@ Everything downstream (spectra, wave functions, oracles) consumes the
 effective coefficients computed here.
 
 Default units are natural (hbar = m = 1); all constants can be overridden.
-All functions are pure and thread-safe.
+All functions are pure and thread-safe. The module loads no numpy: an
+ndarray can only exist once numpy is loaded, so the array branches look
+numpy up in sys.modules, and only effective_planck_4d imports it.
 """
 
 from __future__ import annotations
@@ -23,9 +25,8 @@ import enum
 import json
 import math
 import numbers
+import sys
 from dataclasses import dataclass, fields
-
-import numpy as np
 
 from .errors import DomainError, SingularityError, ValidationError
 
@@ -98,6 +99,10 @@ class ModelParams:
                                "e_ref"))
         if self.e_ref <= 0:
             raise ValidationError("e_ref must be positive")
+        if self.e_ref < sys.float_info.min:  # 1/e_ref would overflow
+            raise ValidationError(f"e_ref={self.e_ref!r} is below the "
+                                  "smallest normal double "
+                                  f"{sys.float_info.min!r}")
         if self.eta0 < 0 or self.theta0 < 0:
             raise ValidationError("eta0 and theta0 must be non-negative")
 
@@ -143,27 +148,41 @@ def nc_strengths(p: ModelParams, energy):
     (theta, eta) : tuple of float, or of ndarray shaped like energy
     """
     if _any(energy < 0):
-        raise DomainError(f"energy must be non-negative, got "
-                          f"{np.min(energy)}")
+        worst = energy if _numpy_of(energy) is None else energy.min()
+        raise DomainError(f"energy must be non-negative, got {worst}")
     ratio = energy / p.e_ref
     return (_power(p.theta0, ratio, p.beta_exp, "beta"),
             _power(p.eta0, ratio, p.alpha_exp, "alpha"))
 
 
+def _numpy_of(x):
+    """numpy if x is a numpy array, else None. No array can exist before
+    numpy is loaded, so this looks numpy up in sys.modules and never
+    imports it."""
+    np = sys.modules.get("numpy")
+    return np if np is not None and isinstance(x, np.ndarray) else None
+
+
 def _any(mask) -> bool:
     """A scalar condition, or whether it holds anywhere in an array."""
-    return mask.any() if isinstance(mask, np.ndarray) else mask
+    if type(mask) is not bool and _numpy_of(mask) is not None:
+        return mask.any()
+    return mask
 
 
 def _sqrt(x):
     """math.sqrt of a scalar (a Python float comes back), np.sqrt of an
     array; both are the correctly rounded square root."""
-    return np.sqrt(x) if isinstance(x, np.ndarray) else math.sqrt(x)
+    if type(x) is not float and (np := _numpy_of(x)) is not None:
+        return np.sqrt(x)
+    return math.sqrt(x)
 
 
 def _power(amplitude: float, ratio, exponent: float, name: str):
     if amplitude == 0.0:
-        return np.zeros_like(ratio) if isinstance(ratio, np.ndarray) else 0.0
+        if type(ratio) is not float and (np := _numpy_of(ratio)) is not None:
+            return np.zeros_like(ratio)
+        return 0.0
     if exponent < 0 and _any(ratio == 0.0):
         raise SingularityError(f"E=0 with negative exponent {name}={exponent}")
     # 0**0 = 1 and 0**exponent = 0 for exponent > 0, as the limits require
@@ -191,6 +210,7 @@ def effective_planck_4d(theta_matrix, eta_matrix,
     contracts to Tr = -2*theta*eta, so the per-plane commutator coefficient
     of :func:`effective_planck` is recovered as -Tr/2.
     """
+    import numpy as np
     th = np.asarray(theta_matrix, dtype=float)
     et = np.asarray(eta_matrix, dtype=float)
     for name, m in (("theta", th), ("eta", et)):

@@ -170,14 +170,19 @@ def sign_change_brackets(values) -> list[tuple[int, int]]:
     """Index brackets of each sign change of values sampled along a grid.
 
     In grid order, a sample that is exactly zero gives the degenerate
-    bracket (i, i), and adjacent samples with values[i] * values[i+1] < 0
-    give (i, i + 1). The last sample opens no bracket.
+    bracket (i, i), and adjacent finite samples of strictly opposite signs
+    give (i, i + 1). A NaN or infinite sample opens no bracket and closes
+    none, and neither does the last sample. Signs are compared, not
+    multiplied, so no product overflows or underflows.
     """
     values = np.asarray(values, dtype=float)
-    f_prev, f_cur = values[:-1], values[1:]
-    zero = f_prev == 0.0
-    hits = np.flatnonzero(zero | (f_prev * f_cur < 0)).tolist()
-    return [(i, i if zero[i] else i + 1) for i in hits]
+    negative, nonzero = values < 0.0, values != 0.0  # NaN: False, True
+    zero = ~nonzero[:-1]
+    hits = ((negative[:-1] != negative[1:]) & nonzero[1:]
+            | zero).nonzero()[0].tolist()
+    return [(i, i) if zero[i] else (i, i + 1) for i in hits
+            if zero[i] or math.isfinite(values[i])
+            and math.isfinite(values[i + 1])]
 
 
 @dataclass(frozen=True)
@@ -264,6 +269,15 @@ def brent_root(f, bracket: tuple[float, float]) -> BrentResult:
                            f"in {BRENT_MAX_ITER} iterations")
 
 
+@np.errstate(all="ignore")
+def _grid_residual(grid, qn: QuantumNumbers, p: ModelParams):
+    """The residual on the scan grid with numpy's floating-point warnings
+    off: where the coefficients overflow it is inf or NaN, and such points
+    open no bracket (sign_change_brackets). As a decorator, errstate costs
+    half of what a with block costs on every level."""
+    return ec_quantization_residual(grid, qn, p)
+
+
 def ec_solve_energy(qn: QuantumNumbers, p: ModelParams,
                     bracket: tuple[float, float],
                     tol: float = 1e-12) -> SpectrumResult:
@@ -274,9 +288,11 @@ def ec_solve_energy(qn: QuantumNumbers, p: ModelParams,
     change on it is located; the smallest root is refined by Brent's
     method to the float floor. tol is the acceptance bound on the refined
     residual: a root whose |residual| exceeds it raises ConvergenceError.
-    Deterministic for fixed inputs. The bracket needs 0 <= lo < hi and a
-    finite hi/lo once lo is clamped to 1e-300, and tol must be finite and
-    positive (ValidationError).
+    Deterministic for fixed inputs. Where the coefficients leave the
+    double range the grid residual is not finite; those points open no
+    bracket and raise no numpy warning. The bracket needs 0 <= lo < hi and
+    a finite hi/lo once lo is clamped to 1e-300, and tol must be finite
+    and positive (ValidationError).
 
     The smallest root is the physical level. A later sign change is the
     high-energy spurious branch that the energy-dependent coefficients
@@ -313,10 +329,14 @@ def ec_solve_energy(qn: QuantumNumbers, p: ModelParams,
 
     n_pts = max(2, int(math.log10(hi / lo) * SCAN_PER_DECADE))
     grid = scan_grid(lo, hi, n_pts, np.arange(n_pts + 1))
-    brackets = sign_change_brackets(ec_quantization_residual(grid, qn, p))
+    values = _grid_residual(grid, qn, p)
+    brackets = sign_change_brackets(values)
     if not brackets:
-        raise BracketingError(f"no sign change of the quantization residual "
-                              f"in {bracket} for {qn}")
+        lost = n_pts + 1 - int(np.count_nonzero(np.isfinite(values)))
+        raise BracketingError(
+            f"no sign change of the quantization residual in {bracket} for "
+            f"{qn}" + (f"; the coefficients leave the double range at {lost} "
+                       f"of {n_pts + 1} grid points" if lost else ""))
     # endpoints from the scalar grid formula, bit-identical to a scalar scan
     chosen = tuple(scan_grid(lo, hi, n_pts, i) for i in brackets[0])
 

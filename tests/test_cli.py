@@ -418,11 +418,18 @@ def test_overflowing_bracket_tol_or_ring_strength_exit_2(args, capsys):
     (["spectrum", "--mechanism", "sqf", "--eps", "1", "--eta0", "1e150",
       "--hbar", "1e-150", "--n-alpha", "0..0", "--n-beta", "0..0"],
      "SQF level at eps=1.0 is inf"),
+    (["spectrum", *EC_FLAGS, "--e-ref", "1e-320", "--n", "0", "--mphi",
+      "0"], "e_ref=1e-320 is below the smallest normal double"),
+    (["wavefunction", *EC_FLAGS, "--e-ref", "1e-320"],
+     "e_ref=1e-320 is below the smallest normal double"),
+    (["spectrum", *EC_FLAGS, "--spring-k", "1e308"],
+     "the coefficients leave the double range at 2401 of 2401"),
 ])
 def test_hbar_or_level_past_float_range_exit_2(args, reason, capsys):
     # the --hbar argv ended in an OverflowError (1e200) or a
-    # ZeroDivisionError (1e-200) traceback, and the SQF level was printed
-    # as inf with exit 0
+    # ZeroDivisionError (1e-200) traceback, the SQF level was printed as
+    # inf with exit 0, a subnormal --e-ref said "bad bracket (inf, inf)"
+    # and --spring-k 1e308 printed five RuntimeWarnings before its error
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         code, out, err = run_cli(args, capsys)
@@ -512,3 +519,17 @@ class TestVerifyCommand:
         statuses = {c["name"]: c["status"] for c in doc["checks"]}
         assert statuses["bogoliubov_single_vs_two_frequency"] == \
             "expected_divergence"
+
+
+def test_overflowing_scan_points_raise_no_warning(capsys):
+    # theta = 0.1 (E/10)^200 overflows past E ~ 350, inside the default
+    # bracket: the scan once printed four RuntimeWarnings (a traceback
+    # under -W error) before the table
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(["spectrum", *EC_FLAGS, "--beta", "200"],
+                                 capsys)
+    assert code == 0
+    header, *rows = list(csv.reader(io.StringIO(out)))
+    assert len(rows) == 16
+    assert all(math.isfinite(float(row[5])) for row in rows)

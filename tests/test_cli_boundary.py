@@ -5,8 +5,11 @@ or a RuntimeWarning.
 
 Floats are drawn in magnitude from 1e-300 to 1e308, both signs and zero,
 in repr, exponent and short forms; counts and ranges on both sides of
-their bounds. Examples are derandomized so that the suite checks the same
-argv on every run.
+their bounds. ``spectrum`` also draws JSON configs (non-objects and
+unknown keys included), e_ref down to subnormal 1e-320, spring_k up to
+1e308 and exponents up to +-200, over a bare command line, the README EC
+point or an SQF oscillator. Examples are derandomized so that the suite
+checks the same argv on every run.
 """
 
 import contextlib
@@ -108,3 +111,96 @@ def test_ring_runs_or_refuses(extra):
         assert header == ["phi_over_phi0", "l", "energy", "current"]
         assert rows
         assert all(math.isfinite(float(v)) for row in rows for v in row)
+
+
+@st.composite
+def magnitude_text(draw, lowest, highest):
+    """A positive float from 10**lowest to about 10**highest (subnormals
+    included when lowest < -307), in repr form."""
+    exp10 = draw(st.integers(lowest, highest))
+    return repr(draw(st.floats(1.0, 9.99)) * 10.0 ** exp10)
+
+
+def exponent_text():
+    return st.floats(-200.0, 200.0).map(repr)
+
+
+def positive_text(lowest=-300, highest=307):
+    """Mostly a positive magnitude, sometimes any real_text (zero and
+    negatives too)."""
+    return magnitude_text(lowest, highest) | real_text()
+
+
+def spectrum_values():
+    """The spectrum flags, each a strategy for its text."""
+    return {"mechanism": st.sampled_from(["ec", "sqf", "eo_i", "eo_ii"]),
+            "eta0": positive_text(), "theta0": positive_text(),
+            "alpha": exponent_text(), "beta": exponent_text(),
+            "e_ref": magnitude_text(-320, 307),
+            "spring_k": st.just("0") | magnitude_text(-300, 307),
+            "hbar": positive_text(-160, 160), "eps": positive_text()}
+
+
+def level_range():
+    """A short range of levels from zero, or any range_text."""
+    return st.sampled_from(["0", "0..3", "2..4"]) | range_text()
+
+
+@st.composite
+def few_flags(draw, **strategies):
+    """argv fragments for at most three of the given flags, so that one
+    refusing value does not hide what the others do."""
+    chosen = draw(st.lists(st.sampled_from(sorted(strategies)), max_size=3,
+                           unique=True))
+    return [tok for flag in chosen
+            for tok in (f"--{flag.replace('_', '-')}",
+                        draw(strategies[flag]))]
+
+
+# Complete spectrum command lines, which the drawn flags then override:
+# none (the defaults), the README EC point and an SQF oscillator.
+SPECTRUM_BASES = [
+    [],
+    ["--mechanism", "ec", "--eta0", "0.1", "--theta0", "0.1", "--alpha", "1",
+     "--beta", "1", "--e-ref", "10", "--spring-k", "1"],
+    ["--mechanism", "sqf", "--eps", "1", "--eta0", "0.1", "--theta0", "0.1",
+     "--spring-k", "1"],
+]
+
+
+@st.composite
+def config_document(draw):
+    """A JSON config: an object of known keys (their values drawn as
+    numbers, or as strings or null), maybe with an unknown key, or a
+    document that is no object at all."""
+    known = {key: (strategy if key == "mechanism" else
+                   strategy.map(float) | st.sampled_from(["1", None, True]))
+             for key, strategy in spectrum_values().items() if key != "eps"}
+    doc = draw(st.fixed_dictionaries({}, optional={
+        **known, "mass": st.floats(-1.0, 3.0)}))
+    if draw(st.booleans()):
+        doc[draw(st.sampled_from(["bogus", "alpha_exp", "Eta0"]))] = 1.0
+    return draw(st.just(doc) | st.just(doc) | st.just(doc)
+                | st.sampled_from([[doc], 3, "ec", None]))
+
+
+@BOUNDARY_SETTINGS
+@given(base=st.sampled_from(SPECTRUM_BASES),
+       config=st.none() | st.none() | config_document(),
+       extra=few_flags(**spectrum_values(), n=level_range(),
+                       mphi=level_range(), n_alpha=level_range(),
+                       n_beta=level_range()))
+def test_spectrum_runs_or_refuses(tmp_path_factory, base, config, extra):
+    argv = ["spectrum", *base, *extra]
+    if config is not None:
+        path = tmp_path_factory.mktemp("config") / "config.json"
+        path.write_text(json.dumps(config), encoding="utf-8")
+        argv += ["--config", str(path)]
+    out = run(argv)
+    if out is not None:
+        header, *rows = list(csv.reader(io.StringIO(out)))
+        assert header == ["mechanism", "n", "m_phi", "n_alpha", "n_beta",
+                          "energy", "method", "residual"]
+        assert rows
+        assert all(math.isfinite(float(row[5])) and
+                   math.isfinite(float(row[7])) for row in rows)

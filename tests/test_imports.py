@@ -1,12 +1,14 @@
 """What importing ncqm and running a subcommand loads.
 
 Structural checks on sys.modules, not timings. In fresh interpreters:
-``import ncqm.cli`` loads only errors and params; ``--help``, ``ring``,
-the README spectrum, the README ``wavefunction``, ``commutators`` and
-``fractional --op half_derivative_x`` load no scipy; ``fractional --op caputo_exp`` loads
-no ``scipy.integrate``; a radial self-consistent solve loads
-``scipy.linalg`` and no ``scipy.optimize``. In this process: sampling
-radial states imports no scipy.
+``import ncqm.cli`` loads only errors and params, and no numpy;
+``--help``, ``ring`` and the refusals made before any computation load
+no numpy; ``params`` imported before numpy computes what it computes
+after; the README spectrum, the README ``wavefunction``, ``commutators``
+and ``fractional --op half_derivative_x`` load no scipy;
+``fractional --op caputo_exp`` loads no ``scipy.integrate``; a radial
+self-consistent solve loads ``scipy.linalg`` and no ``scipy.optimize``.
+In this process: sampling radial states imports no scipy.
 """
 
 import json
@@ -28,16 +30,18 @@ SRC = Path(ncqm.__file__).resolve().parents[1]
 LOADED = """
 import contextlib, io, json, sys
 import ncqm.cli
-argv = json.loads(sys.argv[1])
+argv, expected = json.loads(sys.argv[1])
 if argv is not None:
-    with contextlib.redirect_stdout(io.StringIO()):
+    with contextlib.redirect_stdout(io.StringIO()), \\
+            contextlib.redirect_stderr(io.StringIO()):
         try:
             code = ncqm.cli.main(argv)
         except SystemExit as exc:
             code = exc.code
-    assert code == 0, code
+    assert code == expected, code
 print(json.dumps(sorted(m for m in sys.modules
-                        if m.partition(".")[0] in ("ncqm", "scipy"))))
+                        if m.partition(".")[0] in ("ncqm", "scipy",
+                                                   "numpy"))))
 """
 
 README_SPECTRUM = ["spectrum", "--mechanism", "ec", "--eta0", "0.1",
@@ -63,13 +67,18 @@ print(json.dumps(sorted(m for m in sys.modules
 """
 
 
-def loaded_after(argv, script=LOADED):
+def fresh_stdout(script, *args):
+    """stdout of script run in a fresh interpreter that imports this ncqm."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
-    done = subprocess.run([sys.executable, "-c", script, json.dumps(argv)],
-                          env=env, capture_output=True, text=True,
-                          check=True)
-    return set(json.loads(done.stdout))
+    return subprocess.run([sys.executable, "-c", script, *args], env=env,
+                          capture_output=True, text=True, check=True).stdout
+
+
+def loaded_after(argv, script=LOADED, code=0):
+    """ncqm, scipy and numpy modules loaded once main(argv) has returned
+    code (after the import alone for argv None)."""
+    return set(json.loads(fresh_stdout(script, json.dumps([argv, code]))))
 
 
 def under(modules, package):
@@ -81,7 +90,97 @@ def test_cli_module_imports_only_errors_and_params():
     loaded = loaded_after(None)
     assert under(loaded, "ncqm") == ["ncqm", "ncqm.cli", "ncqm.errors",
                                      "ncqm.params"]
+    assert under(loaded, "numpy") == []
     assert under(loaded, "scipy") == []
+
+
+EC_FLAGS = README_SPECTRUM[1:-4]
+
+
+@pytest.mark.parametrize("argv,code", [
+    (["--help"], 0),
+    (["ring", "--phi-steps", "3"], 0),
+    (["spectrum", "--n", "abc"], 2),              # parse error
+    (["spectrum", "--mechanism", "sqf"], 2),      # no --eps
+    (["spectrum", "--mechanism", "eo_i"], 2),     # no EO table
+    (["spectrum", *EC_FLAGS, "--e-ref", "1e-320"], 2),   # config refusal
+    (["spectrum", *EC_FLAGS, "--n", "0..2000000"], 2),   # over MAX_ROWS
+    (["wavefunction", *EC_FLAGS, "--r-max", "-1"], 2),
+    (["commutators", "--theta", "1", "--eta", "1", "--hbar", "1e300"], 2),
+], ids=["help", "ring", "parse_error", "sqf_without_eps", "eo", "e_ref",
+        "rows", "r_max", "hbar"])
+def test_commands_without_arrays_load_no_numpy(argv, code):
+    # each subcommand runs its checks before it imports the modules it
+    # computes with, and params looks numpy up instead of importing it
+    loaded = loaded_after(argv, code=code)
+    assert under(loaded, "numpy") == []
+    assert under(loaded, "scipy") == []
+
+
+COEFFICIENTS = """
+import dataclasses, json, sys
+if sys.argv[1] == "numpy first":
+    import numpy
+import ncqm.params as params
+numpy_before = "numpy" in sys.modules
+import numpy as np
+names = [f.name for f in dataclasses.fields(params.EffectiveCoefficients)]
+names.append("omega_h")
+grid = np.geomspace(1e-5, 1e5, 257)
+tables = []
+for doc in json.loads(sys.argv[2]):
+    p = params.params_from_dict(doc)
+    table = {}
+    for kind, energies in (("array", grid), ("float", grid.tolist()),
+                           ("float64", list(grid))):
+        coeffs = ([params.effective_coefficients(p, grid)]
+                  if kind == "array" else
+                  [params.effective_coefficients(p, e) for e in energies])
+        table[kind] = {name: [[type(getattr(c, name)).__name__
+                               for c in coeffs],
+                              np.ravel([getattr(c, name)
+                                        for c in coeffs]).tolist()]
+                       for name in names}
+    tables.append(table)
+print(json.dumps({"numpy_before": numpy_before, "tables": tables}))
+"""
+
+COEFFICIENT_PARAMS = [
+    {"mechanism": "ec", "eta0": 0.1, "theta0": 0.1, "alpha": 1.0,
+     "beta": 1.0, "e_ref": 10.0, "spring_k": 1.0},     # the README point
+    {"eta0": 0.3, "theta0": 0.2, "alpha": 1.5, "beta": 0.7, "e_ref": 3.0,
+     "spring_k": 2.0},
+    {"eta0": 0.3, "theta0": 0.0, "alpha": -1.5, "beta": 0.7, "e_ref": 3.0},
+]
+
+
+def test_params_before_numpy_computes_as_after():
+    # arrays are recognised through sys.modules, so importing params
+    # before numpy changes no value and no type: each table is bit for
+    # bit the one computed with numpy loaded first (JSON keeps every
+    # double through repr)
+    docs = json.dumps(COEFFICIENT_PARAMS)
+    first = json.loads(fresh_stdout(COEFFICIENTS, "params first", docs))
+    later = json.loads(fresh_stdout(COEFFICIENTS, "numpy first", docs))
+    assert first["numpy_before"] is False
+    assert later["numpy_before"] is True
+    assert first["tables"] == later["tables"]
+    for table in first["tables"]:
+        for name, (types, values) in table["array"].items():
+            assert types == ["ndarray"], name
+            # the array pass matches the scalar calls within a few ulp
+            # (numpy's and libm's pow may round the strengths differently)
+            np.testing.assert_allclose(values, table["float"][name][1],
+                                       rtol=8.0 * sys.float_info.epsilon,
+                                       atol=0.0, err_msg=name)
+        assert {t for types, _ in table["float"].values() for t in types} \
+            == {"float"}
+    # an np.float64 energy keeps numpy scalars in the stored fields; the
+    # computed omega_h is math.sqrt's Python float
+    readme = first["tables"][0]["float64"]
+    assert {name: set(types) for name, (types, _) in readme.items()} == {
+        "b_e": {"float64"}, "k_e": {"float64"}, "b_h": {"float64"},
+        "k_h": {"float64"}, "m_star": {"float64"}, "omega_h": {"float"}}
 
 
 @pytest.mark.parametrize("argv", [["--help"], ["ring", "--phi-steps", "3"]])
@@ -132,7 +231,7 @@ def test_fractional_caputo_exp_loads_no_scipy_integrate():
 def test_radial_self_consistent_solve_loads_no_scipy_optimize():
     # the secant is a port in the oracle itself, and the unit level is
     # scipy.linalg's tridiagonal eigensolve
-    loaded = loaded_after(None, SELF_CONSISTENT)
+    loaded = set(json.loads(fresh_stdout(SELF_CONSISTENT)))
     assert "ncqm.oracle" in loaded
     assert "scipy.linalg" in loaded
     assert under(loaded, "scipy.optimize") == []

@@ -1,5 +1,6 @@
 import json
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -220,6 +221,18 @@ class TestJsonRoundTrip:
             ModelParams(eta0=-0.1)
         with pytest.raises(ValidationError):
             PhysicalConstants(mass=0.0)
+
+    @pytest.mark.parametrize("e_ref", [1e-320, 5e-324,
+                                       math.nextafter(sys.float_info.min, 0)])
+    def test_subnormal_e_ref_rejected(self, e_ref):
+        # 1/e_ref overflowed in ec_default_bracket, and the CLI then said
+        # "bad bracket (inf, inf)"
+        with pytest.raises(ValidationError, match="e_ref"):
+            ModelParams(e_ref=e_ref)
+        with pytest.raises(ValidationError, match="e_ref"):
+            params_from_dict({"e_ref": e_ref})
+        assert ModelParams(e_ref=sys.float_info.min).e_ref \
+            == sys.float_info.min
 
     @pytest.mark.parametrize("hbar", [1e-200, 5e-324, 1e200])
     def test_hbar_squared_outside_float_range_rejected(self, hbar):

@@ -115,19 +115,22 @@ def test_free_closed_form_equals_root(eta0, alpha, e_ref, n, m_phi):
 
 def scalar_scan_brackets(values):
     """Index brackets of a point-by-point scan: a zero sample opens (i, i),
-    a strict sign change between neighbours opens (i, i + 1)."""
+    a strict sign change between finite neighbours opens (i, i + 1)."""
     found = []
     for i in range(len(values) - 1):
-        if values[i] == 0.0:
+        a, b = values[i], values[i + 1]
+        if a == 0.0:
             found.append((i, i))
-        elif values[i] * values[i + 1] < 0:
+        elif math.isfinite(a) and math.isfinite(b) and (a < 0 < b
+                                                        or b < 0 < a):
             found.append((i, i + 1))
     return found
 
 
 @PROPERTY_SETTINGS
 @given(st.lists(st.sampled_from([-2.0, -1.0, -0.0, 0.0, 0.5, 3.0,
-                                 math.nan]), max_size=12))
+                                 math.nan, math.inf, -math.inf, 1e-200,
+                                 -1e-200, 1e200, -1e200]), max_size=12))
 def test_bracket_rule_matches_scalar_scan(values):
     assert sign_change_brackets(values) == scalar_scan_brackets(values)
 
@@ -487,9 +490,10 @@ positive = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
 
 @PROPERTY_SETTINGS
 @given(st.builds(ModelParams, eta0=non_negative, theta0=non_negative,
-                 alpha_exp=finite, beta_exp=finite, e_ref=positive,
+                 alpha_exp=finite, beta_exp=finite,
+                 # e_ref must be a normal double, hbar^2 a positive one
+                 e_ref=st.floats(sys.float_info.min, allow_infinity=False),
                  mechanism=st.sampled_from(Mechanism),
-                 # hbar^2 must be a positive double
                  constants=st.builds(PhysicalConstants,
                                      hbar=st.floats(1e-161, 1e154),
                                      mass=positive, charge=finite,

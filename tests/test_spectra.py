@@ -1,5 +1,6 @@
 import logging
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -15,7 +16,8 @@ from ncqm.spectra import (FractionalOscSpec, QuantumNumbers,
                           ec_oscillator_first_order, ec_quantization_residual,
                           ec_solve_energy, eo_alpha1_constraint_residual,
                           eo_alpha1_from_ec, eo_alpha1_radial_params,
-                          fractional_oscillator_levels, sqf_spectrum)
+                          fractional_oscillator_levels, scan_grid,
+                          sqf_spectrum)
 
 
 def ec_params(**kw):
@@ -243,15 +245,44 @@ class TestArrayResidual:
         # at E = 1e-300 eta = eta0 (E/e_ref)^-2, or theta^2 with
         # theta = theta0 (E/e_ref)^-1, leaves the float range: a float
         # energy raises the typed error, while the scan of a lo = 0
-        # bracket carries inf there and still finds the level
+        # bracket carries inf there, without a numpy warning, and still
+        # finds the level
         p = ec_params(constants={"spring_k": 1.0}, **exponents)
         qn = QuantumNumbers(n=1, m_phi=1)
         with pytest.raises(SingularityError):
             ec_quantization_residual(1e-300, qn, p)
-        with np.errstate(all="ignore"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             clamped = ec_solve_energy(qn, p, (0.0, 1e3))
         assert clamped.energy == pytest.approx(
             ec_solve_energy(qn, p, (1e-6, 1e3)).energy, rel=1e-13)
+
+    def test_overflowing_points_open_no_bracket(self):
+        # theta = 0.1 (E/10)^200 overflows past E ~ 350: the grid residual
+        # is inf or NaN there, which neither warns nor counts as a sign
+        # change, and the level below is found as before
+        p = ec_params(beta_exp=200.0, constants={"spring_k": 1.0})
+        qn = QuantumNumbers(n=1, m_phi=1)
+        bracket = ec_default_bracket(qn, p)
+        grid = scan_grid(*bracket, 2400, np.arange(2401))
+        with np.errstate(all="ignore"):
+            values = ec_quantization_residual(grid, qn, p)
+        assert not np.all(np.isfinite(values))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = ec_solve_energy(qn, p, bracket)
+        assert res.energy == pytest.approx(3.980493620523184, rel=1e-12)
+
+    def test_all_points_overflow_says_so(self):
+        # K = 1e308 makes k theta^2 overflow on the whole default bracket
+        p = ec_params(constants={"spring_k": 1e308})
+        qn = QuantumNumbers()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(BracketingError,
+                               match="leave the double range at 2401 of "
+                                     "2401 grid points"):
+                ec_solve_energy(qn, p, ec_default_bracket(qn, p))
 
     def test_scalar_stays_python_float(self):
         p = ec_params(constants={"spring_k": 1.0})
