@@ -21,8 +21,8 @@ refusal made before any computation load no numpy. The EC and SQF
 ``spectrum`` tables, ``wavefunction`` and ``commutators`` load numpy and
 no scipy (Brent's method is in ``spectra``, the radial-state special
 functions in ``specfun``, the operators as numpy diagonals in
-``algebra``), ``fractional`` loads ``scipy.special`` only for the
-operators that take a gamma function, and only ``verify`` loads
+``algebra``), and so does ``fractional`` (its gamma functions are
+``math.gamma`` and ``math.lgamma``); only ``verify`` loads
 ``scipy.integrate`` (and through it ``scipy.optimize``). No table has
 more than MAX_ROWS rows: a larger one is refused before any level is
 solved or any row is built.

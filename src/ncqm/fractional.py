@@ -12,13 +12,14 @@ variable, and the complex coefficient pairs of the two operator cases.
 Complex powers are taken on the principal branch (argument in (-pi, pi]),
 which reproduces the plain first and second derivatives at order 1 and 2.
 
-The module imports no scipy at load time: riemann_liouville imports
-``scipy.integrate`` on call, and the gamma-function wrappers of
-``specfun`` import ``scipy.special`` on call.
+The module imports no scipy at load time, and only riemann_liouville
+imports any on call (``scipy.integrate``): the gamma functions of
+``specfun`` are ``math.gamma`` and ``math.lgamma``.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
@@ -194,13 +195,19 @@ def plane_wave_eigenvalue(order: float, energy: float,
 
     a_alpha = (-i E / hbar)^alpha on the principal branch, so
     |a_alpha| = (E/hbar)^alpha, a_1 = -iE/hbar and a_2 = -E^2/hbar^2.
+    A modulus past the double range raises DomainError.
     """
     if order <= 0:
         raise DomainError(f"order must be positive, got {order}")
     if energy <= 0:
         raise DomainError(f"energy must be positive, got {energy}")
-    base = complex(0.0, -energy / c.hbar)
-    return FractionalEigenvalue(order=order, value=base ** order)
+    try:
+        value = complex(0.0, -energy / c.hbar) ** order
+    except OverflowError:
+        raise DomainError(f"the plane-wave eigenvalue (E/hbar)^order leaves "
+                          f"the double range at order={order!r}, "
+                          f"energy={energy!r}") from None
+    return FractionalEigenvalue(order=order, value=value)
 
 
 def caputo_plane_wave(order: float, energy: float, t: float,
@@ -236,7 +243,8 @@ def eo_coefficients(p: ModelParams) -> tuple[complex, complex]:
     throughout. The accompanying fractional operator (D_t or the
     Laplacian power) multiplies these; at alpha = 1 case I the product
     with the plane-wave eigenvalue is real and reduces to the
-    energy-coupling value eta0 * E / e_ref.
+    energy-coupling value eta0 * E / e_ref. A coefficient past the double
+    range raises DomainError.
     """
     c = p.constants
     if p.mechanism is Mechanism.EO_I:
@@ -246,4 +254,14 @@ def eo_coefficients(p: ModelParams) -> tuple[complex, complex]:
     else:
         raise ValidationError(
             f"mechanism {p.mechanism.value} is not an energy-operator case")
-    return p.eta0 * base ** p.alpha_exp, p.theta0 * base ** p.beta_exp
+    try:
+        pair = p.eta0 * base ** p.alpha_exp, p.theta0 * base ** p.beta_exp
+        if all(map(cmath.isfinite, pair)):
+            return pair
+    except (OverflowError, ZeroDivisionError):
+        # ZeroDivisionError: a negative power of a tiny base, whose
+        # positive power underflowed to 0 on the way
+        pass
+    raise DomainError(
+        f"the {p.mechanism.value} coefficients leave the double range at "
+        f"e_ref={p.e_ref!r}, alpha={p.alpha_exp!r}, beta={p.beta_exp!r}")

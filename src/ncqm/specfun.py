@@ -3,9 +3,15 @@ operators.
 
 Every function checks its domain, raises the package's typed errors where
 a bare evaluation would return inf or nan, and returns a Python float (or
-complex) for scalar input. The radial states need numpy and ``math``
-alone, so this module imports no scipy at load time:
+complex, for mittag_leffler at complex z) for scalar input. The radial
+states and the fractional operators need numpy and ``math`` alone, so
+this module imports no scipy at load time:
 
+* gamma_fn is ``math.gamma`` at real x, +-inf where Gamma leaves the
+  double range (x past 171.62, |x| below 5.6e-309); recip_gamma is 1/Gamma
+  from the same route, with 0 at the poles and past 171.62, x itself
+  where |x| < 5.6e-309 (1/Gamma(x) = x to the last bit there) and +-inf
+  where 1/Gamma leaves the double range (x below about -171.5);
 * log_gamma is ``math.lgamma``;
 * laguerre runs the three-term recurrence in n for n <= 20, and calls
   scipy's ``eval_genlaguerre`` (imported on call) beyond, where a Python
@@ -14,14 +20,16 @@ alone, so this module imports no scipy at load time:
   states sample it) and calls scipy's ``jv`` (imported on call) beyond;
   ``jv`` runs the general complex-order routine at every point, about ten
   times slower than the series on the radial-state grids;
-* gamma_fn, recip_gamma, beta_fn and bessel_y are validated wrappers over
-  ``scipy.special``, imported on each call;
+* beta_fn and bessel_y are validated wrappers over ``scipy.special``,
+  imported on each call (a ratio of gammas overflows where B does not,
+  and the lgamma route loses digits);
 * mittag_leffler, which scipy does not provide, is summed here.
 
 Accuracy envelopes (checked against mpmath by the test suite):
 
-* gamma_fn      relative error <= 1e-12 for real z in (0, 170];
-                <= 1e-13 for complex z with Re z in [-5, 20], |Im z| <= 10
+* gamma_fn      relative error <= 1e-12 for real x in (0, 170]
+* recip_gamma   relative error <= 2e-15 for real x in (-171.1, 171.6) off
+                the poles, where 1/Gamma is a finite double
 * log_gamma     error <= max(1e-13 |ln Gamma(z)|, 1e-15) for z in (0, 1000]
 * beta_fn       relative error <= 1e-12 for a, b in (0, 50]
 * bessel_j      absolute error <= 1e-10 for 0 <= x <= 50, integer order <= 20
@@ -75,7 +83,8 @@ _LAGUERRE_RECURRENCE_MAX_N = 20
 
 
 def _is_nonpositive_int(x: float) -> bool:
-    return x <= 0 and x == math.floor(x)
+    """A pole of Gamma, or -inf, where the poles accumulate."""
+    return x <= 0 and (x == -math.inf or x == math.floor(x))
 
 
 def _real(v):
@@ -87,21 +96,24 @@ def _real(v):
     return float(v) if np.ndim(v) == 0 else v
 
 
-def gamma_fn(z):
-    """Gamma function for real or complex argument.
+def _gamma(x: float) -> float:
+    """Gamma of a real x off the poles: ``math.gamma``, and +-inf where
+    that overflows (x past 171.62, |x| below 5.6e-309)."""
+    try:
+        return math.gamma(x)
+    except OverflowError:
+        return math.copysign(math.inf, x)
 
-    Raises SingularityError at the poles (non-positive integers). Real
-    input returns a float, complex input a complex.
+
+def gamma_fn(x: float) -> float:
+    """Gamma function of a real x, +-inf where it leaves the double range.
+
+    Raises SingularityError at the poles (non-positive integers).
     """
-    from scipy import special
-    if isinstance(z, complex):
-        if z.imag == 0.0 and _is_nonpositive_int(z.real):
-            raise SingularityError(f"gamma pole at z={z}")
-        return complex(special.gamma(z))
-    z = float(z)
-    if _is_nonpositive_int(z):
-        raise SingularityError(f"gamma pole at z={z}")
-    return float(special.gamma(z))
+    x = float(x)
+    if _is_nonpositive_int(x):
+        raise SingularityError(f"gamma pole at x={x}")
+    return _gamma(x)
 
 
 def log_gamma(z: float) -> float:
@@ -116,9 +128,20 @@ def log_gamma(z: float) -> float:
 
 
 def recip_gamma(x: float) -> float:
-    """1/Gamma(x) for real x, returning 0 at the poles."""
-    from scipy import special
-    return float(special.rgamma(x))
+    """1/Gamma(x) for real x, from the Gamma of gamma_fn.
+
+    0 at the poles and past 171.62; x itself where |x| < 5.6e-309, where
+    Gamma overflows and 1/Gamma(x) = x + 0.577 x^2 rounds to x; +-inf
+    where 1/Gamma leaves the double range (x below about -171.5, where
+    Gamma is subnormal or has underflowed to +-0).
+    """
+    x = float(x)
+    if _is_nonpositive_int(x):
+        return 0.0
+    g = _gamma(x)
+    if math.isinf(g):
+        return x if abs(x) < 1.0 else 0.0
+    return 1.0 / g if g != 0.0 else math.copysign(math.inf, g)
 
 
 def beta_fn(a: float, b: float) -> float:

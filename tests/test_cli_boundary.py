@@ -26,6 +26,7 @@ from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from ncqm.cli import MAX_ROWS, main  # noqa: E402
+from ncqm.fractional import GL_MAX_STEPS  # noqa: E402
 
 BOUNDARY_SETTINGS = settings(max_examples=100, deadline=None,
                              derandomize=True, database=None)
@@ -204,3 +205,51 @@ def test_spectrum_runs_or_refuses(tmp_path_factory, base, config, extra):
         assert rows
         assert all(math.isfinite(float(row[5])) and
                    math.isfinite(float(row[7])) for row in rows)
+
+
+FRACTIONAL_OPS = ["caputo_exp", "half_derivative_x", "gl_half_derivative_x",
+                  "mittag_leffler", "plane_wave"]
+
+
+def list_text(element):
+    """A comma-separated list of one to three items."""
+    return st.lists(element, min_size=1, max_size=3).map(",".join)
+
+
+@st.composite
+def gl_grid(draw):
+    """``--step`` and ``--x`` of a Grünwald-Letnikov table: a step, mostly
+    positive, and points at most 1e4 steps from the terminal at 0 (some
+    below it), or now and then past GL_MAX_STEPS steps."""
+    step = draw(positive_text())
+    within = st.floats(-2.0, 1e4)
+    steps = draw(st.lists(within | within | within
+                          | st.floats(GL_MAX_STEPS + 1.0, 1e20),
+                          min_size=1, max_size=3))
+    return ["--step", step,
+            "--x", ",".join(repr(float(step) * k) for k in steps)]
+
+
+@settings(BOUNDARY_SETTINGS, max_examples=200)
+@given(op=st.sampled_from(FRACTIONAL_OPS),
+       order=positive_text() | st.floats(0.0, 2.0).map(repr),
+       ml_beta=real_text() | st.floats(-172.0, -170.0).map(repr),
+       points=list_text(positive_text()), grid=gl_grid())
+def test_fractional_runs_or_refuses(op, order, ml_beta, points, grid):
+    # --order also comes from (0, 2), where the Caputo and Mittag-Leffler
+    # tables run, and --ml-beta from the band around -171, where Gamma is
+    # subnormal; the GL table takes the drawn grid instead of the flags
+    argv = ["fractional", "--op", op]
+    if op == "gl_half_derivative_x":
+        argv += grid
+    else:
+        argv += ["--order", order, "--ml-beta", ml_beta, "--x", points]
+    out = run(argv)
+    if out is not None:
+        header, *rows = list(csv.reader(io.StringIO(out)))
+        assert header == ["operator", "order", "x", "value",
+                          "reference_or_imag"]
+        assert rows
+        assert all(row[0] == op for row in rows)
+        assert all(math.isfinite(float(v)) for row in rows
+                   for v in row[1:] if v)

@@ -1,5 +1,6 @@
 import cmath
 import math
+import re
 
 import numpy as np
 import pytest
@@ -245,6 +246,18 @@ class TestPlaneWave:
         with pytest.raises(DomainError):
             plane_wave_eigenvalue(1.0, 0.0, PhysicalConstants())
 
+    @pytest.mark.parametrize("order,energy", [(1000.0, 10.0),
+                                              (400.0, 1e300)])
+    def test_modulus_past_the_double_range(self, order, energy):
+        # (E/hbar)^order overflows; the error names both arguments
+        with pytest.raises(DomainError, match=re.escape(
+                f"order={order!r}, energy={energy!r}")):
+            plane_wave_eigenvalue(order, energy, PhysicalConstants())
+
+    def test_modulus_that_underflows_is_zero(self):
+        eig = plane_wave_eigenvalue(1000.0, 0.1, PhysicalConstants())
+        assert eig.value == 0.0
+
 
 class TestCaputoMismatch:
     def test_mismatch_is_nonzero_below_order_one(self):
@@ -298,4 +311,16 @@ class TestEoCoefficients:
     def test_mechanism_guard(self):
         p = self.make(Mechanism.EC)
         with pytest.raises(ValidationError):
+            eo_coefficients(p)
+
+    @pytest.mark.parametrize("mech,kw", [
+        (Mechanism.EO_I, dict(alpha_exp=2.0, e_ref=1e-200)),   # overflow
+        (Mechanism.EO_I, dict(alpha_exp=-2.0, e_ref=1e200)),   # 1/(0j)
+        (Mechanism.EO_II, dict(beta_exp=-3.0, e_ref=1e200)),
+        (Mechanism.EO_I, dict(eta0=1e300, e_ref=1e-10)),       # eta0 * 1e10
+    ], ids=["power", "negative_power", "eo_ii", "product"])
+    def test_past_the_double_range(self, mech, kw):
+        p = self.make(mech, **kw)
+        with pytest.raises(DomainError,
+                           match=re.escape(f"e_ref={p.e_ref!r}")):
             eo_coefficients(p)

@@ -5,9 +5,9 @@ Structural checks on sys.modules, not timings. In fresh interpreters:
 ``--help``, ``ring`` and the refusals made before any computation load
 no numpy; ``params`` imported before numpy computes what it computes
 after; the README spectrum, the README ``wavefunction``, ``commutators``
-and ``fractional --op half_derivative_x`` load no scipy;
-``fractional --op caputo_exp`` loads no ``scipy.integrate``; a radial
-self-consistent solve loads ``scipy.linalg`` and no ``scipy.optimize``.
+and ``fractional`` with ``--op half_derivative_x``, ``caputo_exp`` or
+``mittag_leffler`` load no scipy; a radial self-consistent solve loads
+``scipy.linalg`` and no ``scipy.optimize``.
 In this process: sampling radial states imports no scipy.
 """
 
@@ -222,10 +222,15 @@ def test_fractional_half_derivative_loads_no_scipy():
     assert under(loaded, "scipy") == []
 
 
-def test_fractional_caputo_exp_loads_no_scipy_integrate():
-    loaded = loaded_after(["fractional", "--op", "caputo_exp"])
-    assert "scipy.special" in loaded
-    assert under(loaded, "scipy.integrate") == []
+@pytest.mark.parametrize("argv", [
+    ["--op", "caputo_exp"],
+    ["--op", "mittag_leffler", "--order", "0.5"],
+], ids=["caputo_exp", "mittag_leffler"])
+def test_fractional_gamma_operators_load_no_scipy(argv):
+    # the Mittag-Leffler series takes 1/Gamma from math.gamma
+    loaded = loaded_after(["fractional", *argv])
+    assert "ncqm.specfun" in loaded
+    assert under(loaded, "scipy") == []
 
 
 def test_radial_self_consistent_solve_loads_no_scipy_optimize():

@@ -1,4 +1,5 @@
 import math
+import sys
 import time
 import warnings
 from fractions import Fraction
@@ -12,7 +13,8 @@ from scipy import integrate, special
 from ncqm import specfun
 from ncqm.errors import ConvergenceError, DomainError, SingularityError
 from ncqm.specfun import (bessel_j, bessel_j_asymptotic, bessel_y, beta_fn,
-                          gamma_fn, laguerre, log_gamma, mittag_leffler)
+                          gamma_fn, laguerre, log_gamma, mittag_leffler,
+                          recip_gamma)
 from ncqm.wavefunctions import BESSEL_WINDOW, radial_bessel
 
 # the series cutoff of bessel_j and its two neighbouring doubles
@@ -49,7 +51,8 @@ class TestGamma:
             assert lhs == pytest.approx(rhs, rel=1e-13)
 
     def test_poles_raise(self):
-        for z in (0.0, -1.0, -7.0):
+        # -inf too, where the poles accumulate
+        for z in (0.0, -0.0, -1.0, -7.0, -1e300, -math.inf):
             with pytest.raises(SingularityError):
                 gamma_fn(z)
 
@@ -71,12 +74,42 @@ class TestGamma:
         for z in (1e-310, 1e-320, 5e-324):
             assert log_gamma(z) == pytest.approx(-math.log(z), rel=1e-15)
 
-    def test_complex_reflection(self):
-        z = complex(0.3, 0.4)
-        # reflection identity Gamma(z)Gamma(1-z) = pi/sin(pi z)
-        import cmath
-        prod = gamma_fn(z) * gamma_fn(1.0 - z)
-        assert abs(prod - math.pi / cmath.sin(math.pi * z)) < 1e-12
+    def test_beyond_the_double_range_is_inf(self):
+        # Gamma overflows past 171.62 and, as 1/x, below 5.6e-309 in size
+        for x in (171.63, 200.0, 1e300, math.inf):
+            assert gamma_fn(x) == math.inf
+        for x in (5e-324, 1e-320, 1e-310, 5.5e-309):
+            assert gamma_fn(x) == math.inf
+            assert gamma_fn(-x) == -math.inf
+        assert math.isfinite(gamma_fn(171.62))
+        assert math.isfinite(gamma_fn(5.6e-309))
+
+    def test_real_argument_only(self):
+        with pytest.raises(TypeError):
+            gamma_fn(complex(0.3, 0.4))
+
+
+class TestRecipGamma:
+    def test_poles_are_zero(self):
+        for x in (0.0, -0.0, -1.0, -170.0, -1e300, -math.inf):
+            assert recip_gamma(x) == 0.0
+
+    def test_zero_past_the_overflow(self):
+        for x in (171.63, 180.0, 1e300, math.inf):
+            assert recip_gamma(x) == 0.0
+
+    def test_inf_below_the_underflow(self):
+        # 1/Gamma(x) passes the largest double near x = -171.09 (between
+        # the poles -171 and -172) and beyond -172; its sign is (-1)^k
+        # between -k and -k+1, and Gamma itself underflows to +-0 past
+        # about -178
+        for x in (-171.6, -171.7, -173.5, -175.5, -181.5):
+            assert recip_gamma(x) == math.inf
+        for x in (-172.5, -180.5, -1000.5, -1e15 - 0.5):
+            assert recip_gamma(x) == -math.inf
+
+    def test_nan_passes_through(self):
+        assert math.isnan(recip_gamma(math.nan))
 
 
 class TestBeta:
@@ -394,9 +427,17 @@ def test_mittag_leffler_beyond_double_range_is_overflow(alpha, z):
         mittag_leffler(alpha, 1.0, z)
 
 
+def test_mittag_leffler_where_gamma_is_subnormal():
+    # the first term 1/Gamma(-170.8) = -9.1e307 is a finite double, though
+    # Gamma(-170.8) = -1.2e-308 is below the smallest normal one
+    assert mittag_leffler(0.5, -170.8, 1.0) == pytest.approx(
+        ml_series_mp(0.5, -170.8, 1.0), rel=1e-10)
+
+
 class TestMpmathReference:
-    """Every scipy-backed wrapper against mpmath at 30 digits, on grids
-    inside the accuracy envelopes the module docstring states."""
+    """The gamma functions and every scipy-backed wrapper against mpmath
+    at 30 digits, on grids inside the accuracy envelopes the module
+    docstring states."""
 
     @pytest.fixture(autouse=True)
     def _precision(self):
@@ -410,13 +451,30 @@ class TestMpmathReference:
             assert gamma_fn(z) == pytest.approx(float(mpmath.gamma(z)),
                                                 rel=1e-12)
 
-    def test_gamma_complex(self):
+    def test_recip_gamma(self):
         import mpmath
-        for re in np.linspace(-5.0, 20.0, 9):
-            for im in np.linspace(-10.0, 10.0, 8):
-                z = complex(re, im)
-                ref = complex(mpmath.gamma(z))
-                assert abs(gamma_fn(z) - ref) <= 1e-13 * abs(ref)
+        grid = np.linspace(-170.0, 171.6, 1200)
+        for x in grid[grid != np.round(grid)]:
+            assert recip_gamma(x) == pytest.approx(float(mpmath.rgamma(x)),
+                                                   rel=2e-15)
+
+    def test_recip_gamma_near_minus_171(self):
+        # Gamma is subnormal or near it here; 1/Gamma stays a finite double
+        # up to about -171.09, and is +-inf beyond
+        import mpmath
+        for x in np.linspace(-171.1, -170.6, 101)[1:-1]:
+            ref = mpmath.rgamma(x)
+            if abs(ref) > sys.float_info.max:
+                assert recip_gamma(x) == math.copysign(math.inf, ref)
+            else:
+                assert recip_gamma(x) == pytest.approx(float(ref), rel=2e-15)
+
+    @pytest.mark.parametrize("x", [5e-324, -5e-324, 1e-320, -1e-320,
+                                   1e-310, -1e-310, 5.5e-309, -5.5e-309])
+    def test_recip_gamma_at_tiny_x(self, x):
+        # Gamma(x) overflows, and 1/Gamma(x) = x + 0.577 x^2 rounds to x
+        import mpmath
+        assert recip_gamma(x) == float(mpmath.rgamma(x)) == x
 
     def test_log_gamma(self):
         import mpmath
@@ -468,7 +526,6 @@ class TestMpmathReference:
         for v in (gamma_fn(2.5), log_gamma(2.5), beta_fn(1.5, 2.0),
                   bessel_j(1, 2.0), bessel_y(1, 2.0), laguerre(3, 1.0, 0.5)):
             assert type(v) is float
-        assert type(gamma_fn(complex(1.0, 1.0))) is complex
 
 
 class TestBesselJSeries:
