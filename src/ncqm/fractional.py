@@ -99,14 +99,24 @@ def caputo_exp(order: float, x: float) -> float:
 
 
 def liouville_exp(order: float, k: float, x: float) -> float:
-    """Liouville-rule fractional derivative of exp(k x): k^a exp(k x), k >= 0."""
+    """Liouville-rule fractional derivative of exp(k x): k^a exp(k x), k >= 0.
+
+    A value past the double range raises DomainError.
+    """
     if order <= 0:
         raise DomainError(f"order must be positive, got {order}")
     if k < 0:
         raise DomainError(f"liouville_exp requires k >= 0, got {k}")
     if k == 0.0:
         return 0.0
-    return k ** order * math.exp(k * x)
+    try:
+        value = k ** order * math.exp(k * x)
+    except OverflowError:
+        value = math.inf
+    if math.isfinite(value):
+        return value
+    raise DomainError(f"k^order exp(k x) leaves the double range at "
+                      f"order={order!r}, k={k!r}, x={x!r}")
 
 
 def riemann_liouville(f, order: float, x: float) -> float:
@@ -160,7 +170,8 @@ def grunwald_letnikov(f, order: float, x: float, h: float) -> float:
     back to 0. Converges O(h) for smooth f; serves as the independent
     numeric oracle for the closed-form fractional operators. An x below
     the terminal, or a grid of more than GL_MAX_STEPS steps (x/h not
-    finite included), raises DomainError.
+    finite included), raises DomainError, and so does a sum past the
+    double range.
     """
     if order <= 0:
         raise DomainError(f"order must be positive, got {order}")
@@ -179,7 +190,14 @@ def grunwald_letnikov(f, order: float, x: float, h: float) -> float:
     for j in range(1, n_steps + 1):
         weight *= (j - 1.0 - order) / j  # recurrence for (-1)^j C(alpha, j)
         acc += weight * f(x - j * h)
-    return acc / h ** order
+    try:
+        value = acc / h ** order
+    except (OverflowError, ZeroDivisionError):
+        value = math.nan
+    if math.isfinite(value):
+        return value
+    raise DomainError(f"grunwald_letnikov leaves the double range at "
+                      f"order={order!r}, x={x!r}, step={h!r}")
 
 
 def grunwald_letnikov_richardson(f, order: float, x: float, h: float) -> float:

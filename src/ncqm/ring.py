@@ -151,11 +151,16 @@ def alpha_from_theta_eta(theta_eta: float, hbar: float = 1.0
     """Invert theta*eta = 2 hbar^2 alpha^2 (1 - alpha^2) for alpha.
 
     The quartic has two branches; both roots alpha = sqrt(s_-), sqrt(s_+)
-    are returned (ascending). Requires 0 <= theta*eta <= hbar^2/2.
+    are returned (ascending). Requires 0 <= theta*eta <= hbar^2/2, and
+    hbar^2 a positive finite double (DomainError otherwise).
     """
     if theta_eta < 0:
         raise DomainError("theta*eta must be non-negative")
-    disc = 1.0 - 2.0 * theta_eta / hbar ** 2
+    try:
+        disc = 1.0 - 2.0 * theta_eta / hbar ** 2
+    except (OverflowError, ZeroDivisionError):
+        raise DomainError(f"hbar^2 is not a positive finite double at "
+                          f"hbar={hbar!r}") from None
     if disc < 0:
         raise DomainError(
             f"theta*eta = {theta_eta} exceeds hbar^2/2; no real alpha")

@@ -377,6 +377,7 @@ def ec_free_energy_closed(qn: QuantumNumbers, p: ModelParams) -> float:
     with B0 = eta0/2m hbar and k0 = eta0^2/4m hbar^2, so the coefficient
     B0 sqrt(2m/k0) equals sqrt(2) identically. Requires alpha != 1 (the
     alpha = 1 spectrum is continuous, see ec_alpha1_constraint_residual).
+    A level that is not a positive finite double raises DomainError.
     """
     _require(p, Mechanism.EC, "ec_free_energy_closed", spring="zero")
     if p.alpha_exp == 1.0:
@@ -392,8 +393,17 @@ def ec_free_energy_closed(qn: QuantumNumbers, p: ModelParams) -> float:
         raise DomainError(f"level bracket 2n + (1-sqrt(2)) m_phi + 1 = {denom} "
                           "is non-positive; no bound level")
     expo = 1.0 / (p.alpha_exp - 1.0)
-    return (math.sqrt(2.0 * m / (hbar ** 2 * k0)) * p.e_ref) ** expo \
-        * p.e_ref / denom ** expo
+    try:
+        energy = (math.sqrt(2.0 * m / (hbar ** 2 * k0)) * p.e_ref) ** expo \
+            * p.e_ref / denom ** expo
+    except (OverflowError, ZeroDivisionError):
+        energy = math.nan
+    if 0.0 < energy < math.inf:
+        return energy
+    raise DomainError(
+        f"the free-particle level is not a positive finite double at "
+        f"alpha={p.alpha_exp!r}, eta0={p.eta0!r}, e_ref={p.e_ref!r}, "
+        f"n={qn.n}, m_phi={qn.m_phi}")
 
 
 def ec_alpha1_constraint_residual(qn: QuantumNumbers, p: ModelParams) -> float:
@@ -448,16 +458,25 @@ def fractional_oscillator_levels(spec: FractionalOscSpec, n: int,
 
     E_n = [pi hbar b D^(1/a) q^(2/b) / 2 B(1/b, 1/a + 1)]^(ab/(a+b))
           * (n + 1/2)^(ab/(a+b)).
+
+    A level that is not a positive finite double raises DomainError.
     """
     from .specfun import beta_fn  # needed by this form alone
     if n != int(n) or n < 0:
         raise DomainError(f"n must be a non-negative integer, got {n}")
     a, b = spec.alpha_p, spec.beta_p
     expo = a * b / (a + b)
-    prefactor = (math.pi * c.hbar * b * spec.d_alpha ** (1.0 / a)
-                 * spec.q ** (2.0 / b)
-                 / (2.0 * beta_fn(1.0 / b, 1.0 / a + 1.0)))
-    return prefactor ** expo * (n + 0.5) ** expo
+    try:
+        prefactor = (math.pi * c.hbar * b * spec.d_alpha ** (1.0 / a)
+                     * spec.q ** (2.0 / b)
+                     / (2.0 * beta_fn(1.0 / b, 1.0 / a + 1.0)))
+        level = prefactor ** expo * (n + 0.5) ** expo
+    except (OverflowError, ZeroDivisionError):
+        level = math.nan
+    if 0.0 < level < math.inf:
+        return level
+    raise DomainError(f"the fractional-oscillator level is not a positive "
+                      f"finite double at {spec!r}, n={n}")
 
 
 def eo_alpha1_radial_params(energy: float, qn: QuantumNumbers, b_i: float,
@@ -470,15 +489,24 @@ def eo_alpha1_radial_params(energy: float, qn: QuantumNumbers, b_i: float,
     sigma = 2 sqrt(m) (1 + m_phi B_I) / sqrt(K_I) plays the role of the
     quantization combination. sigma is energy-independent, so the bound
     condition sigma = 2 (2n + m_phi + 1) constrains the parameters rather
-    than the energy; see eo_alpha1_constraint_residual.
+    than the energy; see eo_alpha1_constraint_residual. DomainError where
+    m K_I E^2 or sigma leaves the double range.
     """
     if k_i <= 0:
         raise DomainError(f"K_I must be positive, got {k_i}")
     if energy <= 0:
         raise DomainError(f"energy must be positive, got {energy}")
-    xi_per_r = (c.mass * k_i * energy ** 2) ** 0.25 / c.hbar
+    try:
+        scale4 = c.mass * k_i * energy ** 2
+    except OverflowError:
+        scale4 = math.inf
     sigma = 2.0 * math.sqrt(c.mass) * (1.0 + qn.m_phi * b_i) / math.sqrt(k_i)
-    return xi_per_r, sigma
+    if not (0.0 < scale4 < math.inf and math.isfinite(sigma)):
+        raise DomainError(
+            f"m K_I E^2 = {scale4!r} or sigma = {sigma!r} leaves the double "
+            f"range at energy={energy!r}, K_I={k_i!r}, B_I={b_i!r}, "
+            f"m_phi={qn.m_phi}")
+    return scale4 ** 0.25 / c.hbar, sigma
 
 
 def eo_alpha1_constraint_residual(sigma: float, qn: QuantumNumbers) -> float:

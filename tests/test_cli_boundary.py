@@ -253,3 +253,45 @@ def test_fractional_runs_or_refuses(op, order, ml_beta, points, grid):
         assert all(row[0] == op for row in rows)
         assert all(math.isfinite(float(v)) for row in rows
                    for v in row[1:] if v)
+
+
+def wavefunction_values():
+    """The wavefunction parameter flags: the spectrum ones but --eps."""
+    values = spectrum_values()
+    del values["eps"]
+    return values
+
+
+def level_text():
+    """An integer level: small (negatives too), on either side of the
+    n limit (10^6) and of m_phi = 314, where the amplitude leaves the
+    double range, or far past them."""
+    return st.one_of(st.integers(-3, 12),
+                     st.sampled_from([313, 314, 315, 10 ** 6, 10 ** 6 + 1]),
+                     st.integers(316, 10 ** 20)).map(str)
+
+
+@BOUNDARY_SETTINGS
+@given(base=st.sampled_from([[], SPECTRUM_BASES[1], SPECTRUM_BASES[1]]),
+       config=st.none() | st.none() | config_document(),
+       params=few_flags(**wavefunction_values()),
+       points=st.integers(1, 12).map(str) | st.integers(1, 12).map(str)
+       | count_text(),
+       sampling=few_flags(n=level_text(), mphi=level_text(),
+                          energy=positive_text(), r_max=positive_text()))
+def test_wavefunction_runs_or_refuses(tmp_path_factory, base, config, params,
+                                      points, sampling):
+    # over a bare command line or the README EC point; --points is always
+    # drawn, small or past MAX_ROWS, since L_n at n = 10^6 takes about a
+    # second on the default 200 points
+    argv = ["wavefunction", *base, *params, "--points", points, *sampling]
+    if config is not None:
+        path = tmp_path_factory.mktemp("config") / "config.json"
+        path.write_text(json.dumps(config), encoding="utf-8")
+        argv += ["--config", str(path)]
+    out = run(argv)
+    if out is not None:
+        header, *rows = list(csv.reader(io.StringIO(out)))
+        assert header == ["r", "xi", "R_value", "density"]
+        assert rows
+        assert all(math.isfinite(float(v)) for row in rows for v in row)

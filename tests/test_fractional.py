@@ -116,6 +116,17 @@ class TestLiouville:
             assert abs(eig.value) == pytest.approx(ratio, rel=1e-13)
 
 
+@pytest.mark.parametrize("call", [
+    lambda: liouville_exp(0.5, 1.0, 1000.0),      # exp(1000) overflows
+    lambda: liouville_exp(2.0, 1e200, 0.0),       # k^order overflows
+    lambda: grunwald_letnikov(lambda t: t, 1e300, 1.0, 0.1),  # h^order = 0
+    lambda: grunwald_letnikov(lambda t: t, 1e300, 2.0, 1.0),  # weights
+], ids=["liouville_exp", "liouville_power", "gl_zero_scale", "gl_sum"])
+def test_values_past_the_double_range_raise_domain_error(call):
+    with pytest.raises(DomainError, match="double range"):
+        call()
+
+
 class TestRiemannLiouville:
     def test_constant_half_order(self):
         # D^(1/2) 1 = 1/sqrt(pi x)

@@ -1,4 +1,5 @@
 import math
+import re
 
 import pytest
 
@@ -203,3 +204,8 @@ class TestAlphaInversion:
             alpha_from_theta_eta(-0.1)
         with pytest.raises(DomainError):
             alpha_from_theta_eta(0.6)  # exceeds hbar^2/2
+
+    @pytest.mark.parametrize("hbar", [1e-200, 1e200, 0.0])
+    def test_hbar_squared_outside_float_range(self, hbar):
+        with pytest.raises(DomainError, match=re.escape(f"hbar={hbar!r}")):
+            alpha_from_theta_eta(0.1, hbar)

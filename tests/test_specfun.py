@@ -344,15 +344,36 @@ class TestMittagLeffler:
         assert abs(mittag_leffler(1.0, 1.0, z) - ref) < 1e-12
 
     def test_budget_respected(self):
-        # alpha = 0.01 makes the terms 1/Gamma(0.01 n + 1) decay far too
-        # slowly for the fixed 500-term budget
-        with pytest.raises(ConvergenceError, match="in 500 terms"):
-            mittag_leffler(0.01, 1.0, 1.0)
+        # alpha = 0.01 makes the terms 1/Gamma(0.01 n + 1) decay slowly:
+        # the tail test is first met past n = 2000, inside the budget
+        value = mittag_leffler(0.01, 1.0, 1.0)
+        assert abs(value - ml_series_mp(0.01, 1.0, 1.0)) <= 1e-10 * value
+
+    def test_budget_runs_out(self):
+        # the terms peak near n = 2.7e5 and are still above the tail
+        # tolerance at the last of the 10^6 terms
+        with pytest.raises(ConvergenceError, match="in 1000000 terms"):
+            mittag_leffler(1e-5, 1.0, 1.00001)
+
+    @pytest.mark.parametrize("alpha,beta,z", [
+        (1e-9, 1.0, 1.000000001), (1e-300, 1.0, 0.5), (1.0, -1e300, 0.5)])
+    def test_refused_before_the_first_term(self, monkeypatch, alpha, beta,
+                                           z):
+        # (10^6 - 1) alpha + beta <= 2: no term of the budget can meet the
+        # tail test, so no term is summed
+        def no_term(x):
+            raise AssertionError("a term was summed")
+        monkeypatch.setattr(specfun, "recip_gamma", no_term)
+        with pytest.raises(ConvergenceError,
+                           match="cannot converge in 1000000 terms"):
+            mittag_leffler(alpha, beta, z)
 
 
 def ml_log10_largest_term(alpha, beta, z):
+    # the terms at the poles of Gamma vanish
     return max(n * math.log10(abs(z)) - math.lgamma(n * alpha + beta)
-               / math.log(10.0) for n in range(1, 20000))
+               / math.log(10.0) for n in range(1, 20000)
+               if not specfun._is_nonpositive_int(n * alpha + beta))
 
 
 def ml_series_mp(alpha, beta, z):
@@ -425,6 +446,33 @@ def test_mittag_leffler_large_positive_z_matches_series(alpha, z):
 def test_mittag_leffler_beyond_double_range_is_overflow(alpha, z):
     with pytest.raises(ConvergenceError, match="overflow"):
         mittag_leffler(alpha, 1.0, z)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(log_alpha=st.floats(-2.0, math.log10(2.0)), beta=st.floats(-3.0, 3.0),
+       log_z=st.floats(-6.0, math.log10(30.0)))
+def test_mittag_leffler_at_positive_z_accurate_or_refused(log_alpha, beta,
+                                                          log_z):
+    alpha, z = 10.0 ** log_alpha, 10.0 ** log_z
+    try:
+        value = mittag_leffler(alpha, beta, z)
+    except ConvergenceError:
+        return
+    ref = ml_series_mp(alpha, beta, z)
+    assert abs(value - ref) <= 1e-10 * abs(ref)
+
+
+@pytest.mark.parametrize("alpha,beta,z,ref", [
+    # the Gamma argument at the terms' peak is negative: E is a 13-term sum
+    (2.0, -0.5, 1.5, None),
+    # the terms decay slowly past their peak near n = 2700; the sum takes
+    # 20147 terms. ref is ml_series_mp(1e-3, 1.0, 1.001), which takes
+    # about 3 s to sum.
+    (1e-3, 1.0, 1.001, 14767.72840521599),
+])
+def test_mittag_leffler_at_positive_z_returns(alpha, beta, z, ref):
+    ref = ml_series_mp(alpha, beta, z) if ref is None else ref
+    assert abs(mittag_leffler(alpha, beta, z) - ref) <= 1e-10 * abs(ref)
 
 
 def test_mittag_leffler_where_gamma_is_subnormal():

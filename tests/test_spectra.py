@@ -500,6 +500,26 @@ class TestEoAlpha1:
             eo_alpha1_radial_params(1.0, QuantumNumbers(), 0.0, 0.0, c)
 
 
+def _free_ec(alpha):
+    return ec_params(eta0=1.0, alpha_exp=alpha, beta_exp=1.0, e_ref=10.0)
+
+
+@pytest.mark.parametrize("call", [
+    # the exponent 1/(alpha - 1) sends the level past either end of the
+    # double range
+    lambda: ec_free_energy_closed(QuantumNumbers(), _free_ec(1 + 1e-10)),
+    lambda: ec_free_energy_closed(QuantumNumbers(), _free_ec(1 - 1e-10)),
+    lambda: fractional_oscillator_levels(
+        FractionalOscSpec(1e-3, 1e-3, 10.0, 10.0), 5, PhysicalConstants()),
+    lambda: eo_alpha1_radial_params(1e300, QuantumNumbers(), 1.0, 1e300,
+                                    PhysicalConstants()),
+], ids=["ec_free_overflow", "ec_free_underflow", "fractional_oscillator",
+        "eo_alpha1_radial"])
+def test_closed_forms_past_the_double_range_raise_domain_error(call):
+    with pytest.raises(DomainError, match="double"):
+        call()
+
+
 class TestDefaultBracket:
     def test_contains_commutative_level(self):
         p = ec_params(constants={"spring_k": 1.0})
