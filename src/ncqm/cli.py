@@ -22,8 +22,9 @@ refusal made before any computation load no numpy. The EC and SQF
 no scipy (Brent's method is in ``spectra``, the radial-state special
 functions in ``specfun``, the operators as numpy diagonals in
 ``algebra``), and so does ``fractional`` (its gamma functions are
-``math.gamma`` and ``math.lgamma``); only ``verify`` loads
-``scipy.integrate`` (and through it ``scipy.optimize``). No table has
+``math.gamma`` and ``math.lgamma``); only ``verify`` loads scipy, and
+only ``scipy.linalg`` (the oracles) and ``scipy.special`` (``beta_fn``):
+its beta check sums Gauss-Legendre nodes in numpy. No table has
 more than MAX_ROWS rows: a larger one is refused before any level is
 solved or any row is built.
 """

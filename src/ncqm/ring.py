@@ -154,14 +154,19 @@ def alpha_from_theta_eta(theta_eta: float, hbar: float = 1.0
     are returned (ascending). Requires 0 <= theta*eta <= hbar^2/2, and
     hbar^2 a positive finite double (DomainError otherwise).
     """
-    if theta_eta < 0:
-        raise DomainError("theta*eta must be non-negative")
+    # written so that NaN fails each check
+    if not theta_eta >= 0:
+        raise DomainError(f"theta*eta must be non-negative, got "
+                          f"{theta_eta!r}")
     try:
-        disc = 1.0 - 2.0 * theta_eta / hbar ** 2
-    except (OverflowError, ZeroDivisionError):
+        hbar_sq = hbar ** 2
+    except OverflowError:
+        hbar_sq = math.inf
+    if not 0.0 < hbar_sq < math.inf:
         raise DomainError(f"hbar^2 is not a positive finite double at "
-                          f"hbar={hbar!r}") from None
-    if disc < 0:
+                          f"hbar={hbar!r}")
+    disc = 1.0 - 2.0 * theta_eta / hbar_sq
+    if not disc >= 0:
         raise DomainError(
             f"theta*eta = {theta_eta} exceeds hbar^2/2; no real alpha")
     s_minus = 0.5 * (1.0 - math.sqrt(disc))

@@ -51,6 +51,7 @@ for bit. All functions are pure and reentrant.
 
 from __future__ import annotations
 
+import cmath
 import functools
 import math
 
@@ -278,10 +279,15 @@ def mittag_leffler(alpha: float, beta: float, z):
     no term within the budget gets there the sum is refused at once.
     Raises ConvergenceError if the tail is not below tolerance within the
     budget, if the sum overflows, or if a term exceeds 1e3 |sum|
-    (cancellation past 1e-10 relative).
+    (cancellation past 1e-10 relative). Raises DomainError, naming the
+    input, for alpha <= 0 or a NaN alpha, beta or z.
     """
-    if alpha <= 0:
+    if not alpha > 0:
         raise DomainError(f"mittag_leffler requires alpha > 0, got {alpha}")
+    for name, value in (("beta", beta), ("z", z)):
+        if cmath.isnan(value):
+            raise DomainError(f"mittag_leffler requires a number, got "
+                              f"{name}={value!r}")
     if (_ML_MAX_TERMS - 1) * alpha + beta <= 2.0:
         raise ConvergenceError(
             f"mittag_leffler cannot converge in {_ML_MAX_TERMS} terms: "

@@ -6,11 +6,14 @@ here on wider samples. Every tolerance is fixed in code, not tuned.
 """
 
 import math
+import re
 
 import numpy as np
+import pytest
 from scipy import integrate
 
 from ncqm import verify
+from ncqm.errors import DomainError
 from ncqm.params import Mechanism, ModelParams, PhysicalConstants
 from ncqm.fractional import grunwald_letnikov
 from ncqm.ring import RingSpec
@@ -224,6 +227,39 @@ def test_criterion_7_fractional_oscillator():
            f"ratio-law deviation {worst_ratio:.3e} (exact); ladder "
            f"linearity at unit exponent {linear:.3e}; prefactor beta vs "
            f"quadrature {beta_dev:.3e}")
+
+
+def test_beta_route_on_the_half_integer_grid():
+    # the Gauss-Legendre route against scipy's beta on every pair of its
+    # envelope a, b in {1/2, 1, ..., 20}
+    from scipy import special
+    halves = [k / 2 for k in range(1, 2 * verify.BETA_GRID_MAX + 1)]
+    worst = 0.0
+    for a in halves:
+        for b in halves:
+            _, quad, _ = verify.beta_vs_quadrature(a, b)
+            ref = special.beta(a, b)
+            worst = max(worst, abs(quad - ref) / ref)
+    assert worst <= verify.BETA_QUADRATURE_TOL, worst
+
+
+@pytest.mark.parametrize("a,b", [
+    (0.3, 2.2), (0.0, 1.5), (1.5, 0.0), (-0.5, 1.0), (1.0, -2.0),
+    (math.nan, 1.5), (1.5, math.nan), (20.5, 1.0), (math.inf, 1.0)])
+def test_beta_route_refuses_off_its_grid(a, b):
+    # off the half-integer grid the integrand is not smooth and 40 nodes
+    # are off by up to 7e-3, so the route refuses rather than answers
+    with pytest.raises(DomainError,
+                       match=re.escape(f"a={a!r}, b={b!r}")):
+        verify.beta_vs_quadrature(a, b)
+
+
+def test_beta_nodes_built_once_per_process():
+    verify._beta_nodes.cache_clear()
+    verify.run_verification()
+    verify.run_verification()
+    info = verify._beta_nodes.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
 
 
 # --- 8: ring model -------------------------------------------------------------

@@ -7,7 +7,9 @@ no numpy; ``params`` imported before numpy computes what it computes
 after; the README spectrum, the README ``wavefunction``, ``commutators``
 and ``fractional`` with ``--op half_derivative_x``, ``caputo_exp`` or
 ``mittag_leffler`` load no scipy; a radial self-consistent solve loads
-``scipy.linalg`` and no ``scipy.optimize``.
+``scipy.linalg`` and no ``scipy.optimize``; ``verify`` loads
+``scipy.linalg`` and ``scipy.special`` and nothing under
+``scipy.integrate``, ``scipy.optimize`` or ``scipy.sparse``.
 In this process: sampling radial states imports no scipy.
 """
 
@@ -240,6 +242,16 @@ def test_radial_self_consistent_solve_loads_no_scipy_optimize():
     assert "ncqm.oracle" in loaded
     assert "scipy.linalg" in loaded
     assert under(loaded, "scipy.optimize") == []
+
+
+def test_verify_loads_no_integrate_optimize_or_sparse(tmp_path):
+    # the beta check sums cached Gauss-Legendre nodes in numpy, so verify
+    # needs scipy.linalg for the oracles and scipy.special for beta_fn only
+    loaded = loaded_after(["verify", "--out", str(tmp_path / "r.json")])
+    assert "ncqm.verify" in loaded
+    assert {"scipy.linalg", "scipy.special"} <= loaded
+    for package in ("scipy.integrate", "scipy.optimize", "scipy.sparse"):
+        assert under(loaded, package) == [], package
 
 
 def test_radial_states_import_no_scipy(monkeypatch):

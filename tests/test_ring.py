@@ -209,3 +209,12 @@ class TestAlphaInversion:
     def test_hbar_squared_outside_float_range(self, hbar):
         with pytest.raises(DomainError, match=re.escape(f"hbar={hbar!r}")):
             alpha_from_theta_eta(0.1, hbar)
+
+    @pytest.mark.parametrize("theta_eta,hbar,named", [
+        (math.nan, 1.0, "got nan"),
+        (0.1, math.nan, "hbar=nan"),
+        (0.1, math.inf, "hbar=inf"),
+    ], ids=["theta_eta_nan", "hbar_nan", "hbar_inf"])
+    def test_nan_and_infinite_hbar_raise(self, theta_eta, hbar, named):
+        with pytest.raises(DomainError, match=named):
+            alpha_from_theta_eta(theta_eta, hbar)

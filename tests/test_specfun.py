@@ -368,6 +368,21 @@ class TestMittagLeffler:
                            match="cannot converge in 1000000 terms"):
             mittag_leffler(alpha, beta, z)
 
+    @pytest.mark.parametrize("alpha,beta,z,named", [
+        (math.nan, 1.0, 0.5, "alpha > 0, got nan"),
+        (0.5, math.nan, 0.5, "beta=nan"),
+        (0.5, 1.0, math.nan, "z=nan"),
+        (0.5, 1.0, complex(0.5, math.nan), r"z=\(0\.5\+nanj\)"),
+    ], ids=["alpha", "beta", "real_z", "complex_z"])
+    def test_nan_input_raises_domain_error(self, monkeypatch, alpha, beta,
+                                           z, named):
+        # refused by name before the loop: no term is summed
+        def no_term(x):
+            raise AssertionError("a term was summed")
+        monkeypatch.setattr(specfun, "recip_gamma", no_term)
+        with pytest.raises(DomainError, match=named):
+            mittag_leffler(alpha, beta, z)
+
 
 def ml_log10_largest_term(alpha, beta, z):
     # the terms at the poles of Gamma vanish
