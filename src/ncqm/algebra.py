@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import DomainError, ValidationError
 from .params import PhysicalConstants, effective_planck, k_factor
 
 log = logging.getLogger("ncqm.algebra")
@@ -206,8 +206,9 @@ def build_heisenberg_rep(n_trunc: int, c: PhysicalConstants,
         raise ValidationError(f"n_trunc must be >= 4, got {n_trunc}")
     if n_trunc > _MAX_TRUNC:
         raise ValidationError(f"n_trunc capped at {_MAX_TRUNC}, got {n_trunc}")
-    if ref_frequency <= 0:
-        raise ValidationError("ref_frequency must be positive")
+    if not 0.0 < ref_frequency < math.inf:  # NaN fails it too
+        raise ValidationError(f"ref_frequency must be positive and finite, "
+                              f"got {ref_frequency!r}")
     x_scale = math.sqrt(c.hbar / (2.0 * c.mass * ref_frequency))
     p_scale = math.sqrt(c.mass * ref_frequency * c.hbar / 2.0)
     root = np.sqrt(np.arange(1.0, n_trunc))
@@ -392,6 +393,6 @@ def bogoliubov_frequency(omega: float, b_field: float) -> float:
     an independent record of the two-branch (omega +/- B) structure, and
     the verification report compares the two.
     """
-    if omega < 0:
-        raise ValidationError("omega must be non-negative")
+    if not omega >= 0:  # NaN fails it too
+        raise DomainError(f"omega must be non-negative, got {omega!r}")
     return omega + b_field

@@ -215,9 +215,10 @@ def plane_wave_eigenvalue(order: float, energy: float,
     |a_alpha| = (E/hbar)^alpha, a_1 = -iE/hbar and a_2 = -E^2/hbar^2.
     A modulus past the double range raises DomainError.
     """
-    if order <= 0:
+    # written so that NaN fails each check
+    if not order > 0:
         raise DomainError(f"order must be positive, got {order}")
-    if energy <= 0:
+    if not energy > 0:
         raise DomainError(f"energy must be positive, got {energy}")
     try:
         value = complex(0.0, -energy / c.hbar) ** order

@@ -152,7 +152,8 @@ def fock_matrix_eigensolve(n_trunc: int, m_star: float, b_field: float,
     reach are certified; count beyond that window raises ValidationError.
     Levels equal to roundoff are ordered by shell. m_star and k_elastic
     must be finite and positive (PhysicalConstants holds hbar to the
-    same), b_field finite and count at least 1 (ValidationError).
+    same), with sqrt(K/m*) a positive finite double, b_field finite and
+    count at least 1 (ValidationError).
     """
     if n_trunc < 20:
         raise ValidationError(f"n_trunc must be >= 20, got {n_trunc}")
@@ -165,6 +166,11 @@ def fock_matrix_eigensolve(n_trunc: int, m_star: float, b_field: float,
     if count < 1:
         raise ValidationError(f"count must be >= 1, got {count}")
     omega = math.sqrt(k_elastic / m_star)
+    if not 0.0 < omega < math.inf:
+        raise ValidationError(
+            f"the natural frequency sqrt(k_elastic/m_star) = {omega!r} is not "
+            f"a positive finite double at m_star={m_star!r}, "
+            f"k_elastic={k_elastic!r}")
     certified = _certified_count(n_trunc, omega, b_field)
     if count > certified:
         raise ValidationError(

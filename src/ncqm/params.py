@@ -142,12 +142,16 @@ def nc_strengths(p: ModelParams, energy):
     energy : float or ndarray
         Running energy (particle energy for EC, fluctuation scale for SQF).
         Must be non-negative; an array must be non-negative everywhere.
+        NaN is refused like a negative energy (DomainError).
 
     Returns
     -------
     (theta, eta) : tuple of float, or of ndarray shaped like energy
     """
-    if _any(energy < 0):
+    # written so that NaN fails the check; an array (or numpy scalar)
+    # comparison gives numpy booleans, reduced by all()
+    nonnegative = energy >= 0
+    if not (nonnegative if type(nonnegative) is bool else nonnegative.all()):
         worst = energy if _numpy_of(energy) is None else energy.min()
         raise DomainError(f"energy must be non-negative, got {worst}")
     ratio = energy / p.e_ref

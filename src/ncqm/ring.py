@@ -43,6 +43,10 @@ class RingSpec:
             raise ValidationError("radius must be positive")
         if not 0.0 < self.alpha_param <= 1.0:
             raise ValidationError("alpha_param must lie in (0, 1]")
+        # ground_level_index rounds the flux shift to an integer l
+        if not math.isfinite(self.flux_ext):
+            raise ValidationError(f"flux_ext must be finite, got "
+                                  f"{self.flux_ext!r}")
         # the flux and the effective mass divide by or multiply with the
         # squares, so a square that under- or overflows (or a NaN or
         # infinite radius) is refused here

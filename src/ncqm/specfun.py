@@ -111,11 +111,14 @@ def _gamma(x: float) -> float:
 def gamma_fn(x: float) -> float:
     """Gamma function of a real x, +-inf where it leaves the double range.
 
-    Raises SingularityError at the poles (non-positive integers).
+    Raises SingularityError at the poles (non-positive integers) and
+    DomainError at NaN.
     """
     x = float(x)
     if _is_nonpositive_int(x):
         raise SingularityError(f"gamma pole at x={x}")
+    if math.isnan(x):
+        raise DomainError("gamma_fn requires a number, got nan")
     return _gamma(x)
 
 
@@ -149,7 +152,7 @@ def recip_gamma(x: float) -> float:
 
 def beta_fn(a: float, b: float) -> float:
     """Euler beta function B(a, b) = Gamma(a)Gamma(b)/Gamma(a+b), a, b > 0."""
-    if a <= 0 or b <= 0:
+    if not (a > 0 and b > 0):  # NaN fails it too
         raise DomainError(f"beta_fn requires positive arguments, got ({a}, {b})")
     from scipy import special
     return float(special.beta(a, b))

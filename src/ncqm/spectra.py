@@ -118,8 +118,8 @@ def sqf_spectrum(p: ModelParams, eps: float, qn: QuantumNumbers) -> float:
 def commutative_spectrum(qn: QuantumNumbers, omega: float,
                          c: PhysicalConstants) -> float:
     """Standard 2D oscillator levels hbar omega (2n + m_phi + 1)."""
-    if omega < 0:
-        raise DomainError("omega must be non-negative")
+    if not omega >= 0:  # NaN fails it too
+        raise DomainError(f"omega must be non-negative, got {omega!r}")
     return c.hbar * omega * qn.radial_weight
 
 
@@ -462,7 +462,7 @@ def fractional_oscillator_levels(spec: FractionalOscSpec, n: int,
     A level that is not a positive finite double raises DomainError.
     """
     from .specfun import beta_fn  # needed by this form alone
-    if n != int(n) or n < 0:
+    if not 0 <= n < math.inf or n != int(n):  # NaN fails the range check
         raise DomainError(f"n must be a non-negative integer, got {n}")
     a, b = spec.alpha_p, spec.beta_p
     expo = a * b / (a + b)

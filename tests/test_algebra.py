@@ -103,6 +103,13 @@ class TestHeisenbergRep:
         with pytest.raises(ValidationError):
             build_heisenberg_rep(121, PhysicalConstants())
 
+    @pytest.mark.parametrize("ref_frequency", [0.0, -1.0, math.nan, math.inf])
+    def test_bad_ref_frequency(self, ref_frequency):
+        # NaN once gave NaN operators and inf a RuntimeWarning
+        with pytest.raises(ValidationError, match="ref_frequency must be"):
+            build_heisenberg_rep(8, PhysicalConstants(),
+                                 ref_frequency=ref_frequency)
+
     @pytest.mark.parametrize("hbar", [1e-300, 1e-162, 5e-324, 1e160, 1e300])
     def test_hbar_squared_outside_float_range(self, hbar):
         # PhysicalConstants refuses it: hbar^2 underflowed to 0

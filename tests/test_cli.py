@@ -4,6 +4,7 @@ import io
 import json
 import math
 import warnings
+from pathlib import Path
 
 import pytest
 
@@ -15,7 +16,11 @@ from ncqm.wavefunctions import ec_radial_solution
 
 
 def run_cli(args, capsys):
-    code = main(args)
+    """main(args) under warnings.simplefilter("error"), as ``python -W
+    error`` runs it: a command that warns fails the test."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(args)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
 
@@ -29,6 +34,23 @@ def assert_refused(code, out, err):
 EC_FLAGS = ["--mechanism", "ec", "--eta0", "0.1", "--theta0", "0.1",
             "--alpha", "1", "--beta", "1", "--e-ref", "10",
             "--spring-k", "1"]
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def readme_json():
+    """The lines inside the README's ```json fences, fences dropped (sed
+    -n '/^```json$/,/^```$/{/^```/d;p}')."""
+    kept, inside = [], False
+    for line in README.read_text().splitlines(keepends=True):
+        fence = line.rstrip("\n")
+        if inside and fence == "```":
+            inside = False
+        elif inside:
+            kept.append(line)
+        elif fence == "```json":
+            inside = True
+    return "".join(kept)
 
 
 class TestSpectrumCommand:
@@ -44,6 +66,23 @@ class TestSpectrumCommand:
             parts = line.split(",")
             assert parts[0] == "ec"
             assert abs(float(parts[7])) <= 1e-12
+
+    def test_readme_config_matches_its_flags(self, tmp_path, capsys,
+                                             monkeypatch):
+        # the README's JSON config and its EC example flags are one model:
+        # the two spectrum tables agree byte for byte
+        monkeypatch.delenv("NCQM_CONFIG", raising=False)
+        cfg = tmp_path / "readme.json"
+        cfg.write_text(readme_json())
+        levels = ["--n", "0..4", "--mphi", "0..3"]
+        code, from_config, _ = run_cli(["spectrum", "--config", str(cfg),
+                                        *levels], capsys)
+        assert code == 0
+        code, from_flags, _ = run_cli(["spectrum", *EC_FLAGS, *levels],
+                                      capsys)
+        assert code == 0
+        assert len(from_config.splitlines()) == 1 + 20
+        assert from_config == from_flags
 
     def test_second_root_note(self, capsys):
         # the spurious high-energy branch is reported on stderr only
@@ -320,10 +359,7 @@ class TestWavefunctionCommand:
                                                        capsys):
         # --mphi 1000 once exited 0 with nan rows (a traceback under
         # -W error), --mphi 400 with all-zero samples, and --n had no bound
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            code, out, err = run_cli(["wavefunction", *EC_FLAGS, *args],
-                                     capsys)
+        code, out, err = run_cli(["wavefunction", *EC_FLAGS, *args], capsys)
         assert code == 2
         assert out == ""
         assert len(err.splitlines()) == 1
@@ -364,14 +400,22 @@ class TestWavefunctionCommand:
         assert f"requires mechanism=ec, got {mechanism}" in err
 
 
+def refuse_constant(name):
+    raise ValueError(f"{name} is not strict JSON")
+
+
 class TestCommutatorsCommand:
     def test_residual_report(self, capsys):
-        code, out, _ = run_cli(["commutators", "--theta", "0.1",
-                                "--eta", "0.05", "--n-trunc", "20"], capsys)
-        assert code == 0
-        doc = json.loads(out)
-        assert len(doc) == 6
-        assert all(d["max_residual"] < 1e-10 for d in doc)
+        # strict JSON (no NaN or Infinity) below 1e-10, also at the cap
+        for theta, eta, n_trunc in (("0.1", "0.05", "20"),
+                                    ("0.7", "0.9", "120")):
+            code, out, _ = run_cli(["commutators", "--theta", theta,
+                                    "--eta", eta, "--n-trunc", n_trunc],
+                                   capsys)
+            assert code == 0
+            doc = json.loads(out, parse_constant=refuse_constant)
+            assert len(doc) == 6
+            assert all(d["max_residual"] < 1e-10 for d in doc)
 
 
     @pytest.mark.parametrize("theta,eta", [("1e200", "0.1"),
@@ -424,15 +468,24 @@ def test_overflowing_bracket_tol_or_ring_strength_exit_2(args, capsys):
      "e_ref=1e-320 is below the smallest normal double"),
     (["spectrum", *EC_FLAGS, "--spring-k", "1e308"],
      "the coefficients leave the double range at 2401 of 2401"),
+    (["fractional", "--op", "plane_wave", "--order", "1000", "--x", "10"],
+     "(E/hbar)^order leaves the double range at order=1000.0"),
+    (["fractional", "--op", "plane_wave", "--order", "400", "--x", "1e300"],
+     "(E/hbar)^order leaves the double range at order=400.0"),
+    (["fractional", "--op", "mittag_leffler", "--order", "1e-9", "--x",
+      "1.000000001"], "mittag_leffler cannot converge in 1000000 terms"),
+    (["ring", "--phi-start", "1e308", "--phi-stop", "1e308", "--phi-steps",
+      "1"], "flux_ext must be finite, got inf"),
 ])
 def test_hbar_or_level_past_float_range_exit_2(args, reason, capsys):
     # the --hbar argv ended in an OverflowError (1e200) or a
     # ZeroDivisionError (1e-200) traceback, the SQF level was printed as
     # inf with exit 0, a subnormal --e-ref said "bad bracket (inf, inf)"
-    # and --spring-k 1e308 printed five RuntimeWarnings before its error
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        code, out, err = run_cli(args, capsys)
+    # and --spring-k 1e308 printed five RuntimeWarnings before its error;
+    # the plane-wave power overflows, the Mittag-Leffler series at order
+    # 1e-9 would need more terms than its budget, and the ring flux
+    # 1e308 phi0 overflows to inf (once "ring level l=-2 ... is inf")
+    code, out, err = run_cli(args, capsys)
     assert_refused(code, out, err)
     assert reason in err
 
@@ -451,9 +504,7 @@ def test_hbar_or_level_past_float_range_exit_2(args, reason, capsys):
 def test_oversized_table_exit_2(args, rows, capsys):
     # the ranges were lists: a MemoryError or an OverflowError from len, or
     # a run of minutes, each ending in a traceback
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        code, out, err = run_cli(args, capsys)
+    code, out, err = run_cli(args, capsys)
     assert code == 2
     assert out == ""
     assert err == (f"error: the table would have {rows} rows, more than "
@@ -525,10 +576,7 @@ def test_overflowing_scan_points_raise_no_warning(capsys):
     # theta = 0.1 (E/10)^200 overflows past E ~ 350, inside the default
     # bracket: the scan once printed four RuntimeWarnings (a traceback
     # under -W error) before the table
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        code, out, err = run_cli(["spectrum", *EC_FLAGS, "--beta", "200"],
-                                 capsys)
+    code, out, err = run_cli(["spectrum", *EC_FLAGS, "--beta", "200"], capsys)
     assert code == 0
     header, *rows = list(csv.reader(io.StringIO(out)))
     assert len(rows) == 16

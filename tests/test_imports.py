@@ -1,15 +1,21 @@
-"""What importing ncqm and running a subcommand loads.
+"""What importing ncqm and running a subcommand loads, and what a fresh
+process writes.
 
 Structural checks on sys.modules, not timings. In fresh interpreters:
 ``import ncqm.cli`` loads only errors and params, and no numpy;
 ``--help``, ``ring`` and the refusals made before any computation load
 no numpy; ``params`` imported before numpy computes what it computes
-after; the README spectrum, the README ``wavefunction``, ``commutators``
-and ``fractional`` with ``--op half_derivative_x``, ``caputo_exp`` or
-``mittag_leffler`` load no scipy; a radial self-consistent solve loads
+after; ``--help``, ``ring`` (with a negative ``--l`` range too), the
+README spectrum, the README ``wavefunction``, ``commutators`` (at
+``--theta 0.7 --eta 0.9`` and ``--theta 1e3 --eta -2e2``) and
+``fractional`` with ``--op half_derivative_x``, ``caputo_exp`` (with and
+without ``--x``) or ``mittag_leffler`` (at order 0.5, and at order 2 with
+``--ml-beta -0.5``) load no scipy; a radial self-consistent solve loads
 ``scipy.linalg`` and no ``scipy.optimize``; ``verify`` loads
 ``scipy.linalg`` and ``scipy.special`` and nothing under
-``scipy.integrate``, ``scipy.optimize`` or ``scipy.sparse``.
+``scipy.integrate``, ``scipy.optimize`` or ``scipy.sparse``, and
+``python -m ncqm.cli verify`` writes the same report bytes under
+PYTHONHASHSEED 1 and 2.
 In this process: sampling radial states imports no scipy.
 """
 
@@ -69,18 +75,21 @@ print(json.dumps(sorted(m for m in sys.modules
 """
 
 
-def fresh_stdout(script, *args):
-    """stdout of script run in a fresh interpreter that imports this ncqm."""
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+def fresh_stdout(*argv, **env):
+    """stdout of a fresh interpreter that imports this ncqm, run with the
+    interpreter arguments argv ("-c", script, ... or "-m", module, ...) and
+    the variables env on top of this process's environment."""
+    env = dict(os.environ, **env, PYTHONPATH=os.pathsep.join(
         filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
-    return subprocess.run([sys.executable, "-c", script, *args], env=env,
+    return subprocess.run([sys.executable, *argv], env=env,
                           capture_output=True, text=True, check=True).stdout
 
 
 def loaded_after(argv, script=LOADED, code=0):
     """ncqm, scipy and numpy modules loaded once main(argv) has returned
     code (after the import alone for argv None)."""
-    return set(json.loads(fresh_stdout(script, json.dumps([argv, code]))))
+    return set(json.loads(fresh_stdout("-c", script,
+                                       json.dumps([argv, code]))))
 
 
 def under(modules, package):
@@ -162,8 +171,9 @@ def test_params_before_numpy_computes_as_after():
     # bit the one computed with numpy loaded first (JSON keeps every
     # double through repr)
     docs = json.dumps(COEFFICIENT_PARAMS)
-    first = json.loads(fresh_stdout(COEFFICIENTS, "params first", docs))
-    later = json.loads(fresh_stdout(COEFFICIENTS, "numpy first", docs))
+    first = json.loads(fresh_stdout("-c", COEFFICIENTS, "params first",
+                                    docs))
+    later = json.loads(fresh_stdout("-c", COEFFICIENTS, "numpy first", docs))
     assert first["numpy_before"] is False
     assert later["numpy_before"] is True
     assert first["tables"] == later["tables"]
@@ -185,7 +195,8 @@ def test_params_before_numpy_computes_as_after():
         "k_h": {"float64"}, "m_star": {"float64"}, "omega_h": {"float"}}
 
 
-@pytest.mark.parametrize("argv", [["--help"], ["ring", "--phi-steps", "3"]])
+@pytest.mark.parametrize("argv", [["--help"], ["ring", "--phi-steps", "3"],
+                                  ["ring", "--l", "-3..3", "--phi-steps", "3"]])
 def test_help_and_ring_load_no_scipy(argv):
     assert under(loaded_after(argv), "scipy") == []
 
@@ -209,10 +220,11 @@ def test_readme_wavefunction_loads_no_scipy():
 
 def test_commutators_load_no_scipy():
     # the operators are numpy diagonals, so forming and reading the
-    # commutators needs no scipy.sparse
-    loaded = loaded_after(["commutators", "--theta", "0.7", "--eta", "0.9"])
-    assert "ncqm.algebra" in loaded
-    assert under(loaded, "scipy") == []
+    # commutators needs no scipy.sparse, at small or large strengths
+    for theta, eta in (("0.7", "0.9"), ("1e3", "-2e2")):
+        loaded = loaded_after(["commutators", "--theta", theta, "--eta", eta])
+        assert "ncqm.algebra" in loaded
+        assert under(loaded, "scipy") == [], (theta, eta)
 
 
 def test_fractional_half_derivative_loads_no_scipy():
@@ -227,7 +239,10 @@ def test_fractional_half_derivative_loads_no_scipy():
 @pytest.mark.parametrize("argv", [
     ["--op", "caputo_exp"],
     ["--op", "mittag_leffler", "--order", "0.5"],
-], ids=["caputo_exp", "mittag_leffler"])
+    ["--op", "caputo_exp", "--x", "0.5,1,2"],
+    ["--op", "mittag_leffler", "--order", "2", "--ml-beta", "-0.5", "--x",
+     "1.5"],
+], ids=["caputo_exp", "mittag_leffler", "caputo_exp_x", "mittag_leffler_beta"])
 def test_fractional_gamma_operators_load_no_scipy(argv):
     # the Mittag-Leffler series takes 1/Gamma from math.gamma
     loaded = loaded_after(["fractional", *argv])
@@ -238,7 +253,7 @@ def test_fractional_gamma_operators_load_no_scipy(argv):
 def test_radial_self_consistent_solve_loads_no_scipy_optimize():
     # the secant is a port in the oracle itself, and the unit level is
     # scipy.linalg's tridiagonal eigensolve
-    loaded = set(json.loads(fresh_stdout(SELF_CONSISTENT)))
+    loaded = set(json.loads(fresh_stdout("-c", SELF_CONSISTENT)))
     assert "ncqm.oracle" in loaded
     assert "scipy.linalg" in loaded
     assert under(loaded, "scipy.optimize") == []
@@ -252,6 +267,18 @@ def test_verify_loads_no_integrate_optimize_or_sparse(tmp_path):
     assert {"scipy.linalg", "scipy.special"} <= loaded
     for package in ("scipy.integrate", "scipy.optimize", "scipy.sparse"):
         assert under(loaded, package) == [], package
+
+
+def test_verify_report_is_the_same_under_two_hash_seeds(tmp_path):
+    # no set or dict order that follows str hashing reaches the report:
+    # two processes with different hash seeds write the same bytes
+    reports = []
+    for seed in ("1", "2"):
+        out = tmp_path / f"verify-{seed}.json"
+        fresh_stdout("-m", "ncqm.cli", "verify", "--out", str(out),
+                     PYTHONHASHSEED=seed)
+        reports.append(out.read_bytes())
+    assert reports[0] == reports[1]
 
 
 def test_radial_states_import_no_scipy(monkeypatch):

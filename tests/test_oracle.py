@@ -202,13 +202,16 @@ class TestFockOracle:
         (1.0, 0.0, 1.0, 0.0, 1),
         (1.0, 0.0, 1.0, math.inf, 1),
         (1.0, 0.0, 1.0, math.nan, 1),
+        (1e-200, 0.0, 1e200, 1.0, 1),
+        (1e200, 0.0, 1e-200, 1.0, 1),
     ])
     def test_bad_input_raises_validation_error(self, m_star, b, k, hbar,
                                                count):
         # count -3 once returned 273 levels, count 0 an empty array,
-        # m* = inf a ZeroDivisionError, and K = inf or a NaN B an
-        # "outside the certified window (0 levels)"; a bad hbar is refused
-        # by PhysicalConstants before the solve starts
+        # m* = inf a ZeroDivisionError, and K = inf, a NaN B or a
+        # frequency sqrt(K/m*) that overflows an "outside the certified
+        # window (0 levels)" (one that underflows a ZeroDivisionError); a
+        # bad hbar is refused by PhysicalConstants before the solve starts
         with pytest.raises(ValidationError) as info:
             fock_matrix_eigensolve(24, m_star, b, k,
                                    PhysicalConstants(hbar=hbar), count)

@@ -39,6 +39,13 @@ class TestStrengths:
         with pytest.raises(DomainError):
             nc_strengths(make_params(), -1.0)
 
+    @pytest.mark.parametrize("energy", [math.nan, np.array([1.0, math.nan])],
+                             ids=["scalar", "array"])
+    def test_nan_energy_rejected(self, energy):
+        # NaN once passed the energy < 0 check and came back as (nan, nan)
+        with pytest.raises(DomainError, match="non-negative, got nan"):
+            nc_strengths(make_params(), energy)
+
     def test_zero_energy_negative_exponent_rejected(self):
         p = make_params(alpha_exp=-1.0)
         with pytest.raises(SingularityError):
@@ -158,6 +165,11 @@ class TestEffectiveCoefficients:
         assert c.b_h == 0.0
         assert c.k_h == 1.0
         assert c.m_star == 1.0
+
+    def test_nan_energy_rejected(self):
+        # once every field NaN
+        with pytest.raises(DomainError, match="got nan"):
+            effective_coefficients(make_params(), math.nan)
 
     # frozen values recomputed independently from the defining formulas:
     # eta = theta = 1 at E = e_ref, so b_e = 1/(2*1*1) = 0.5,

@@ -34,6 +34,13 @@ class TestRingSpec:
         with pytest.raises(ValidationError, match=r"\^2 is"):
             RingSpec(**kwargs)
 
+    @pytest.mark.parametrize("flux", [math.nan, math.inf, -math.inf])
+    def test_non_finite_flux_refused(self, flux):
+        # ground_level_index once raised a bare ValueError (NaN) or
+        # OverflowError (inf) from round()
+        with pytest.raises(ValidationError, match="flux_ext must be finite"):
+            RingSpec(radius=1.0, flux_ext=flux)
+
     def test_default_effective_mass_quadratic_convention(self):
         spec = RingSpec(radius=1.0, alpha_param=0.5)
         assert spec.m_star == pytest.approx(4.0, rel=1e-15)

@@ -6,8 +6,10 @@ import numpy as np
 import pytest
 from scipy import integrate
 
+from ncqm.algebra import bogoliubov_frequency
 from ncqm.errors import (BracketingError, DomainError, SingularityError,
                          UsageError, ValidationError)
+from ncqm.fractional import plane_wave_eigenvalue
 from ncqm.params import (Mechanism, ModelParams, PhysicalConstants,
                          effective_coefficients)
 from ncqm.spectra import (FractionalOscSpec, QuantumNumbers,
@@ -18,6 +20,7 @@ from ncqm.spectra import (FractionalOscSpec, QuantumNumbers,
                           eo_alpha1_from_ec, eo_alpha1_radial_params,
                           fractional_oscillator_levels, scan_grid,
                           sqf_spectrum)
+from ncqm.specfun import beta_fn, gamma_fn
 
 
 def ec_params(**kw):
@@ -118,6 +121,12 @@ class TestSqfOscillator:
 
 
 class TestEcResidualAndRoot:
+    def test_nan_energy_rejected(self):
+        # once a nan residual
+        p = ec_params(constants={"spring_k": 1.0})
+        with pytest.raises(DomainError, match="got nan"):
+            ec_quantization_residual(math.nan, QuantumNumbers(), p)
+
     def test_commutative_residual_zero(self):
         p = ec_params(eta0=0.0, theta0=0.0, constants={"spring_k": 1.0})
         qn = QuantumNumbers(n=1, m_phi=2)
@@ -517,6 +526,30 @@ def _free_ec(alpha):
         "eo_alpha1_radial"])
 def test_closed_forms_past_the_double_range_raise_domain_error(call):
     with pytest.raises(DomainError, match="double"):
+        call()
+
+
+NAN = math.nan
+SPEC = FractionalOscSpec(alpha_p=1.0, beta_p=2.0, d_alpha=1.0, q=1.0)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: plane_wave_eigenvalue(NAN, 1.0, PhysicalConstants()),
+    lambda: plane_wave_eigenvalue(0.5, NAN, PhysicalConstants()),
+    lambda: commutative_spectrum(QuantumNumbers(), NAN, PhysicalConstants()),
+    lambda: bogoliubov_frequency(NAN, 0.1),
+    lambda: gamma_fn(NAN),
+    lambda: beta_fn(NAN, 1.0),
+    lambda: beta_fn(1.0, NAN),
+    lambda: fractional_oscillator_levels(SPEC, NAN, PhysicalConstants()),
+    lambda: fractional_oscillator_levels(SPEC, math.inf, PhysicalConstants()),
+], ids=["plane_wave_order", "plane_wave_energy", "commutative_spectrum",
+        "bogoliubov_frequency", "gamma_fn", "beta_fn_a", "beta_fn_b",
+        "fractional_oscillator_nan", "fractional_oscillator_inf"])
+def test_nan_fails_the_closed_form_guards(call):
+    # each once returned nan, or a bare ValueError (OverflowError at inf)
+    # from int(n) in fractional_oscillator_levels
+    with pytest.raises(DomainError, match="nan|inf"):
         call()
 
 

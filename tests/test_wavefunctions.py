@@ -201,6 +201,12 @@ class TestGroundStates:
         vals = ground_state_free(r, 2.0, p)
         assert vals[0] == 1.0 and np.all(np.diff(vals) < 0)
 
+    def test_free_nan_energy_rejected(self):
+        # once a NaN array
+        with pytest.raises(DomainError, match="got nan"):
+            ground_state_free(np.linspace(0.0, 3.0, 7), math.nan,
+                              ec_params(theta0=0.0))
+
     def test_free_commutative_degeneration(self):
         p = ec_params(theta0=0.0)
         vals = ground_state_free(np.linspace(0, 3, 7), 0.0, p)
@@ -293,6 +299,11 @@ class TestNonlocality:
     def test_reference_scale(self):
         p = ec_params(theta0=0.6)
         assert nonlocality_bound(10.0, p) == pytest.approx(0.3, rel=1e-14)
+
+    def test_nan_energy_rejected(self):
+        # once a nan bound
+        with pytest.raises(DomainError, match="got nan"):
+            nonlocality_bound(math.nan, ec_params())
 
     def test_homogeneity(self):
         p = ec_params(theta0=0.4, beta_exp=1.0)
