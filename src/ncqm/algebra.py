@@ -17,7 +17,9 @@ the product basis. Product-basis row i*n_trunc + j couples to (i +- 1, j)
 for a first-mode operator (offsets +-n_trunc) and to (i, j +- 1) for a
 second-mode one (offsets +-1), so a mapped operator holds four diagonals
 and a product of two of them nine. Every commutator is a product of
-diagonals, and its residuals are read straight from them.
+diagonals, and its residuals are read straight from them. _shell_blocks
+reads the blocks that the Fock oracle diagonalizes, one per shell
+n_x + n_y = N; no other module decodes the product basis.
 """
 
 from __future__ import annotations
@@ -150,6 +152,26 @@ def _mode_operators(n: int, stride: int,
                              np.stack([np.append(0.0, lower)[level],
                                        np.append(upper, 0.0)[level]]))
             for lower, upper in values]
+
+
+def _shell_blocks(op, n_trunc: int) -> np.ndarray:
+    """Blocks of op on the complete total-quanta shells N <= n_trunc - 2.
+
+    Entry [N, i, j] couples (n_x, n_y) = (i, N - i) and (j, N - j); rows
+    past N + 1 are zero padding. Moving t quanta from y to x keeps the
+    shell and the column offset t (n_trunc - 1), so only those diagonals
+    of op are read; their entries between shells are dropped.
+    """
+    row_x, row_y = np.divmod(np.arange(n_trunc * n_trunc), n_trunc)
+    shell = row_x + row_y
+    blocks = np.zeros((n_trunc - 1,) * 3, dtype=complex)
+    for offset, values in zip(op.offsets.tolist(), op.data):
+        t, rest = divmod(offset, n_trunc - 1)
+        if rest:
+            continue
+        keep = (shell <= n_trunc - 2) & (row_x + t >= 0) & (row_y - t >= 0)
+        blocks[shell[keep], row_x[keep], row_x[keep] + t] = values[keep]
+    return blocks
 
 
 @dataclass(frozen=True)

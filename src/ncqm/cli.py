@@ -44,7 +44,7 @@ from dataclasses import replace
 
 from .errors import ConvergenceError, UsageError, ValidationError
 from .params import (PARAM_KEYS, Mechanism, ModelParams, PhysicalConstants,
-                     params_from_dict)
+                     _require, params_from_dict)
 
 # Largest wavefunction --n: the cost of L_n grows with n at every sample
 # point, and 10^6 at the default 200 points takes about a second.
@@ -196,9 +196,7 @@ def _cmd_wavefunction(args) -> int:
                               f"got {args.n}")
     _check_rows(args.points)
     p = _load_params(args)
-    if p.mechanism is not Mechanism.EC:  # checked before the default solve
-        raise UsageError("wavefunction samples the EC radial solution and "
-                         f"requires mechanism=ec, got {p.mechanism.value}")
+    _require(p, Mechanism.EC, "wavefunction")  # before any solve
     from . import spectra, wavefunctions
     qn = spectra.QuantumNumbers(n=args.n, m_phi=args.mphi)
     if args.energy is not None:

@@ -9,8 +9,8 @@ Two oracles solve H = p^2/2m* - B L_z + K r^2/2 at frozen coefficients:
   also labels levels by their angular momentum: H and L_z are built from
   the Fock operators (constant-offset diagonals) at the natural
   frequency, where H conserves the total quanta, and each complete shell
-  is solved on its own in the eigenbasis of L_z, so the labels are
-  integers by construction.
+  (whose blocks algebra reads off the diagonals) is solved on its own in
+  the eigenbasis of L_z, so the labels are integers by construction.
 
 Energy-dependent coefficients are handled by self_consistent_wrap, a
 secant solve of E = level(E) in ln E. The secant (_secant) is a
@@ -38,7 +38,7 @@ import numpy as np
 from scipy.linalg import eigh_tridiagonal
 
 from .errors import ConvergenceError, GridError, ValidationError
-from .algebra import build_heisenberg_rep
+from .algebra import _shell_blocks, build_heisenberg_rep
 from .params import ModelParams, PhysicalConstants, effective_coefficients
 
 log = logging.getLogger("ncqm.oracle")
@@ -115,26 +115,6 @@ def _certified_count(n_trunc: int, omega: float, b_field: float) -> int:
     shell, j = np.divmod(np.arange((n_trunc - 1) ** 2), n_trunc - 1)
     energies = omega * (shell + 1) - b_field * (2 * j - shell)
     return int(np.count_nonzero(energies[j <= shell] < cut))
-
-
-def _shell_blocks(op, n_trunc: int) -> np.ndarray:
-    """Blocks of op on the complete total-quanta shells N <= n_trunc - 2.
-
-    Entry [N, i, j] couples (n_x, n_y) = (i, N - i) and (j, N - j); rows
-    past N + 1 are zero padding. Moving t quanta from y to x keeps the
-    shell and the column offset t (n_trunc - 1), so only those diagonals
-    of op are read; their entries between shells are dropped.
-    """
-    row_x, row_y = np.divmod(np.arange(n_trunc * n_trunc), n_trunc)
-    shell = row_x + row_y
-    blocks = np.zeros((n_trunc - 1,) * 3, dtype=complex)
-    for offset, values in zip(op.offsets.tolist(), op.data):
-        t, rest = divmod(offset, n_trunc - 1)
-        if rest:
-            continue
-        keep = (shell <= n_trunc - 2) & (row_x + t >= 0) & (row_y - t >= 0)
-        blocks[shell[keep], row_x[keep], row_x[keep] + t] = values[keep]
-    return blocks
 
 
 def fock_matrix_eigensolve(n_trunc: int, m_star: float, b_field: float,
@@ -235,9 +215,10 @@ def _frozen_level(p: ModelParams, qn, energy: float, solver: str) -> float:
 
     The radial level is hbar(omega_h eps - m_phi B_h), with eps the unit
     level of _unit_radial_levels; the Fock level is solved at the frozen
-    coefficients and picked by its L_z label. A frozen Hamiltonian that is
-    unbounded below (|B_h| >= omega_h) has no certified Fock level
-    (ValidationError).
+    coefficients and picked by its L_z label. solver is "radial" or
+    "fock", as self_consistent_wrap has checked. A frozen Hamiltonian
+    that is unbounded below (|B_h| >= omega_h) has no certified Fock
+    level (ValidationError).
     """
     coeff = effective_coefficients(p, energy)
     c = p.constants
@@ -246,22 +227,21 @@ def _frozen_level(p: ModelParams, qn, energy: float, solver: str) -> float:
     if solver == "radial":
         unit = _unit_radial_levels(abs(qn.m_phi), qn.n)
         return c.hbar * (coeff.omega_h * unit - qn.m_phi * coeff.b_h)
-    if solver == "fock":
-        if abs(coeff.b_h) >= coeff.omega_h:
-            raise ValidationError(
-                f"the Hamiltonian frozen at E={energy:.6g} is unbounded "
-                f"below: |B_h| = {abs(coeff.b_h):.6g} >= omega_h = "
-                f"{coeff.omega_h:.6g}, so no Fock level is certified")
-        certified = _certified_count(_FOCK_TRUNC, coeff.omega_h, coeff.b_h)
-        energies, labels = fock_matrix_eigensolve(
-            _FOCK_TRUNC, coeff.m_star, coeff.b_h, coeff.k_h, c,
-            count=certified, with_labels=True)
-        matching = energies[labels == qn.m_phi]
-        if len(matching) <= qn.n:
-            raise ValidationError(f"level (n={qn.n}, m_phi={qn.m_phi}) not in "
-                                  "the certified window")
-        return float(np.sort(matching)[qn.n])
-    raise ValidationError(f"unknown solver {solver!r}; use radial or fock")
+    if abs(coeff.b_h) >= coeff.omega_h:
+        raise ValidationError(
+            f"the Hamiltonian frozen at E={energy:.6g} is unbounded "
+            f"below: |B_h| = {abs(coeff.b_h):.6g} >= omega_h = "
+            f"{coeff.omega_h:.6g}, so no Fock level is certified")
+    certified = _certified_count(_FOCK_TRUNC, coeff.omega_h, coeff.b_h)
+    energies, labels = fock_matrix_eigensolve(
+        _FOCK_TRUNC, coeff.m_star, coeff.b_h, coeff.k_h, c,
+        count=certified, with_labels=True)
+    # ascending: levels of one label lie 2 hbar omega_h apart
+    matching = energies[labels == qn.m_phi]
+    if len(matching) <= qn.n:
+        raise ValidationError(f"level (n={qn.n}, m_phi={qn.m_phi}) not in "
+                              "the certified window")
+    return float(matching[qn.n])
 
 
 # Secant steps before self_consistent_wrap gives up (scipy newton's default).

@@ -28,7 +28,7 @@ import numbers
 import sys
 from dataclasses import dataclass, fields
 
-from .errors import DomainError, SingularityError, ValidationError
+from .errors import DomainError, SingularityError, UsageError, ValidationError
 
 
 class Mechanism(enum.Enum):
@@ -105,6 +105,19 @@ class ModelParams:
                                   f"{sys.float_info.min!r}")
         if self.eta0 < 0 or self.theta0 < 0:
             raise ValidationError("eta0 and theta0 must be non-negative")
+
+
+def _require(p: ModelParams, mechanism: Mechanism, fn: str,
+             spring: str | None = None):
+    """UsageError unless p has the one mechanism fn serves and, for spring
+    "zero" ("positive"), is a free particle (an oscillator)."""
+    if p.mechanism is not mechanism:
+        raise UsageError(f"{fn} requires mechanism={mechanism.value}, "
+                         f"got {p.mechanism.value}")
+    if spring == "zero" and p.constants.spring_k != 0:
+        raise UsageError(f"{fn} is the free-particle form (spring_k = 0)")
+    if spring == "positive" and p.constants.spring_k <= 0:
+        raise UsageError(f"{fn} needs an oscillator (spring_k > 0)")
 
 
 @dataclass(frozen=True)

@@ -32,7 +32,8 @@ import numpy as np
 from .errors import (BracketingError, ConvergenceError, DomainError,
                      SingularityError, UsageError, ValidationError)
 from .params import (EffectiveCoefficients, Mechanism, ModelParams,
-                     PhysicalConstants, _any, _sqrt, effective_coefficients)
+                     PhysicalConstants, _any, _require, _sqrt,
+                     effective_coefficients)
 
 log = logging.getLogger("ncqm.spectra")
 
@@ -81,17 +82,6 @@ class FractionalOscSpec:
             raise ValidationError("alpha_p and beta_p must be positive")
         if self.d_alpha <= 0 or self.q <= 0:
             raise ValidationError("d_alpha and q must be positive")
-
-
-def _require(p: ModelParams, mechanism: Mechanism, fn: str,
-             spring: str | None = None):
-    if p.mechanism is not mechanism:
-        raise UsageError(f"{fn} requires mechanism={mechanism.value}, "
-                         f"got {p.mechanism.value}")
-    if spring == "zero" and p.constants.spring_k != 0:
-        raise UsageError(f"{fn} is the free-particle form (spring_k = 0)")
-    if spring == "positive" and p.constants.spring_k <= 0:
-        raise UsageError(f"{fn} needs an oscillator (spring_k > 0)")
 
 
 def sqf_spectrum(p: ModelParams, eps: float, qn: QuantumNumbers) -> float:

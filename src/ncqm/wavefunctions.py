@@ -25,9 +25,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (DomainError, NormalizabilityError, SingularityError,
-                     UsageError, ValidationError)
-from .params import (Mechanism, ModelParams, effective_coefficients,
-                     nc_strengths)
+                     ValidationError)
+from .params import (Mechanism, ModelParams, _require,
+                     effective_coefficients, nc_strengths)
 from .specfun import bessel_j, laguerre, log_gamma
 
 # Bessel-branch validity: keep xi^2 below this fraction of C.
@@ -124,9 +124,7 @@ def ec_radial_solution(qn, p: ModelParams, energy: float,
     lives on a finite window and stays caller-defined). The EC mechanism
     is the only one whose coefficients these are (UsageError otherwise).
     """
-    if p.mechanism is not Mechanism.EC:
-        raise UsageError("ec_radial_solution requires mechanism=ec, got "
-                         f"{p.mechanism.value}")
+    _require(p, Mechanism.EC, "ec_radial_solution")
     if regime not in ("bessel", "laguerre"):
         raise ValidationError(f"regime must be bessel or laguerre, got {regime}")
     coeff = effective_coefficients(p, energy)
@@ -152,8 +150,7 @@ def ground_state_free(r, energy: float, p: ModelParams):
     identification. eta(E) comes from nc_strengths, so E = 0 with a
     negative alpha raises SingularityError as it does there.
     """
-    if p.mechanism is not Mechanism.EC or p.constants.spring_k != 0:
-        raise UsageError("ground_state_free is the EC free-particle form")
+    _require(p, Mechanism.EC, "ground_state_free", spring="zero")
     _, eta = nc_strengths(p, energy)
     coeff = abs(eta) / (math.sqrt(32.0) * p.constants.hbar ** 2)
     return np.exp(-coeff * np.asarray(r, dtype=float) ** 2)
@@ -170,8 +167,7 @@ def omega_eff(energy: float, p: ModelParams) -> float:
     when theta0 = 0. SingularityError where nc_strengths raises or the
     frequency leaves the float range.
     """
-    if p.mechanism is not Mechanism.EC or p.constants.spring_k <= 0:
-        raise UsageError("omega_eff is the EC oscillator form")
+    _require(p, Mechanism.EC, "omega_eff", spring="positive")
     theta, eta = nc_strengths(p, energy)
     c = p.constants
     hbar, m = c.hbar, c.mass

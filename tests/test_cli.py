@@ -3,32 +3,16 @@ import csv
 import io
 import json
 import math
-import warnings
 from pathlib import Path
 
 import pytest
+from conftest import assert_refused, run_cli, strict_json
 
 from ncqm import cli
-from ncqm.cli import MAX_ROWS, _check_rows, _load_params, build_parser, main
+from ncqm.cli import MAX_ROWS, _check_rows, _load_params, build_parser
 from ncqm.params import PARAM_KEYS, params_to_dict
 from ncqm.spectra import QuantumNumbers
 from ncqm.wavefunctions import ec_radial_solution
-
-
-def run_cli(args, capsys):
-    """main(args) under warnings.simplefilter("error"), as ``python -W
-    error`` runs it: a command that warns fails the test."""
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        code = main(args)
-    captured = capsys.readouterr()
-    return code, captured.out, captured.err
-
-
-def assert_refused(code, out, err):
-    assert code == 2
-    assert out == ""
-    assert len(err.splitlines()) == 1 and err.startswith("error: ")
 
 
 EC_FLAGS = ["--mechanism", "ec", "--eta0", "0.1", "--theta0", "0.1",
@@ -54,9 +38,9 @@ def readme_json():
 
 
 class TestSpectrumCommand:
-    def test_ec_table(self, capsys):
+    def test_ec_table(self):
         code, out, _ = run_cli(["spectrum", *EC_FLAGS,
-                                "--n", "0..4", "--mphi", "0..3"], capsys)
+                                "--n", "0..4", "--mphi", "0..3"])
         assert code == 0
         lines = out.strip().splitlines()
         assert lines[0] == "mechanism,n,m_phi,n_alpha,n_beta,energy,method," \
@@ -67,8 +51,7 @@ class TestSpectrumCommand:
             assert parts[0] == "ec"
             assert abs(float(parts[7])) <= 1e-12
 
-    def test_readme_config_matches_its_flags(self, tmp_path, capsys,
-                                             monkeypatch):
+    def test_readme_config_matches_its_flags(self, tmp_path, monkeypatch):
         # the README's JSON config and its EC example flags are one model:
         # the two spectrum tables agree byte for byte
         monkeypatch.delenv("NCQM_CONFIG", raising=False)
@@ -76,102 +59,97 @@ class TestSpectrumCommand:
         cfg.write_text(readme_json())
         levels = ["--n", "0..4", "--mphi", "0..3"]
         code, from_config, _ = run_cli(["spectrum", "--config", str(cfg),
-                                        *levels], capsys)
+                                        *levels])
         assert code == 0
-        code, from_flags, _ = run_cli(["spectrum", *EC_FLAGS, *levels],
-                                      capsys)
+        code, from_flags, _ = run_cli(["spectrum", *EC_FLAGS, *levels])
         assert code == 0
         assert len(from_config.splitlines()) == 1 + 20
         assert from_config == from_flags
 
-    def test_second_root_note(self, capsys):
+    def test_second_root_note(self):
         # the spurious high-energy branch is reported on stderr only
         code, out, err = run_cli(["spectrum", *EC_FLAGS,
-                                  "--n", "0..4", "--mphi", "0..3"], capsys)
+                                  "--n", "0..4", "--mphi", "0..3"])
         assert code == 0
         assert err == ("note: 20 of 20 levels saw a second sign change; "
                        "the smallest root is reported\n")
         assert "note" not in out
         code, _, err = run_cli(["spectrum", *EC_FLAGS, "--n", "0..1",
-                                "--mphi", "0..1", "--bracket", "0.1", "20"],
-                               capsys)
+                                "--mphi", "0..1", "--bracket", "0.1", "20"])
         assert code == 0
         assert err == ""
 
-    def test_sqf_requires_eps(self, capsys):
+    def test_sqf_requires_eps(self):
         code, out, err = run_cli(["spectrum", "--mechanism", "sqf",
-                                  "--eta0", "1"], capsys)
+                                  "--eta0", "1"])
         assert_refused(code, out, err)
         assert err == ("error: --eps (fluctuation energy scale) is required "
                        "for the sqf mechanism\n")
 
-    def test_sqf_table(self, capsys):
+    def test_sqf_table(self):
         code, out, _ = run_cli(["spectrum", "--mechanism", "sqf",
                                 "--eta0", "1", "--theta0", "1",
                                 "--alpha", "2", "--beta", "2",
                                 "--e-ref", "1", "--eps", "1.0",
-                                "--n-alpha", "0..1", "--n-beta", "0..1"],
-                               capsys)
+                                "--n-alpha", "0..1", "--n-beta", "0..1"])
         assert code == 0
         rows = out.strip().splitlines()[1:]
         assert len(rows) == 4
         ground = float(rows[0].split(",")[5])
         assert ground == pytest.approx(0.8535533905932737, rel=1e-12)
 
-    def test_eo_rejected(self, capsys):
+    def test_eo_rejected(self):
         code, out, err = run_cli(["spectrum", "--mechanism", "eo_i",
-                                  "--eta0", "1"], capsys)
+                                  "--eta0", "1"])
         assert_refused(code, out, err)
         assert err.startswith("error: the energy-operator mechanism has no "
                               "quantized spectrum table")
 
-    def test_config_file_with_flag_override(self, tmp_path, capsys):
+    def test_config_file_with_flag_override(self, tmp_path):
         cfg = tmp_path / "model.json"
         cfg.write_text(json.dumps({
             "mechanism": "ec", "eta0": 0.0, "theta0": 0.0, "alpha": 1.0,
             "beta": 1.0, "e_ref": 10.0, "spring_k": 1.0}))
         code, out, _ = run_cli(["spectrum", "--config", str(cfg),
-                                "--n", "1..1", "--mphi", "0..0"], capsys)
+                                "--n", "1..1", "--mphi", "0..0"])
         assert code == 0
         assert float(out.strip().splitlines()[1].split(",")[5]) == 3.0
         # flag overrides the config field
         code, out, _ = run_cli(["spectrum", "--config", str(cfg),
                                 "--eta0", "0.1", "--theta0", "0.1",
-                                "--n", "1..1", "--mphi", "0..0"], capsys)
+                                "--n", "1..1", "--mphi", "0..0"])
         energy = float(out.strip().splitlines()[1].split(",")[5])
         assert energy != 3.0
 
-    def test_env_var_config(self, tmp_path, capsys, monkeypatch):
+    def test_env_var_config(self, tmp_path, monkeypatch):
         cfg = tmp_path / "model.json"
         cfg.write_text(json.dumps({"mechanism": "ec", "spring_k": 1.0}))
         monkeypatch.setenv("NCQM_CONFIG", str(cfg))
-        code, out, _ = run_cli(["spectrum", "--n", "0..0", "--mphi", "0..0"],
-                               capsys)
+        code, out, _ = run_cli(["spectrum", "--n", "0..0", "--mphi", "0..0"])
         assert code == 0
         assert float(out.strip().splitlines()[1].split(",")[5]) == 1.0
 
-    def test_bad_config_exit_2(self, tmp_path, capsys):
+    def test_bad_config_exit_2(self, tmp_path):
         cfg = tmp_path / "bad.json"
         cfg.write_text("{not json")
-        code, _, err = run_cli(["spectrum", "--config", str(cfg)], capsys)
+        code, _, err = run_cli(["spectrum", "--config", str(cfg)])
         assert code == 2
         assert "error" in err
 
-    def test_unmet_tol_exit_2(self, capsys):
+    def test_unmet_tol_exit_2(self):
         # tol bounds the refined residual; a bound below the float floor
         # is reported, not silently exceeded
         code, _, err = run_cli(["spectrum", *EC_FLAGS, "--n", "0..4",
-                                "--mphi", "0..3", "--tol", "1e-30"], capsys)
+                                "--mphi", "0..3", "--tol", "1e-30"])
         assert code == 2
         assert "residual" in err
 
-    def test_deterministic_output_files(self, tmp_path, capsys):
+    def test_deterministic_output_files(self, tmp_path):
         out_a = tmp_path / "a.csv"
         out_b = tmp_path / "b.csv"
         for target in (out_a, out_b):
             code, _, _ = run_cli(["spectrum", *EC_FLAGS, "--n", "0..2",
-                                  "--mphi", "0..2", "--out", str(target)],
-                                 capsys)
+                                  "--mphi", "0..2", "--out", str(target)])
             assert code == 0
         assert out_a.read_bytes() == out_b.read_bytes()
 
@@ -186,11 +164,11 @@ class TestSpectrumCommand:
     [],
     ["commutators", "--eta", "0.1"],
 ])
-def test_non_finite_or_empty_input_exit_2(args, capsys):
+def test_non_finite_or_empty_input_exit_2(args):
     # a parse error and a refused command take the same path: main
     # returns 2 with one error line instead of argparse's usage block
     # and SystemExit
-    assert_refused(*run_cli(args, capsys))
+    assert_refused(*run_cli(args))
 
 
 @pytest.mark.parametrize("args", [
@@ -207,9 +185,9 @@ def test_non_finite_or_empty_input_exit_2(args, capsys):
     ["commutators", "--theta", "0.1", "--eta", "0.1", "--n-trunc", "0"],
     ["commutators", "--theta", "0.1", "--eta", "0.1", "--n-trunc", "121"],
 ])
-def test_non_positive_count_or_bad_level_exit_2(args, capsys):
+def test_non_positive_count_or_bad_level_exit_2(args):
     # an empty flux sweep or sample grid used to exit 0 with a bare header
-    assert_refused(*run_cli(args, capsys))
+    assert_refused(*run_cli(args))
 
 
 @pytest.mark.parametrize("flag,value,parsed,rest", [
@@ -221,13 +199,13 @@ def test_non_positive_count_or_bad_level_exit_2(args, capsys):
                                "--eps", "1", "--eta0", "1",
                                "--n-alpha", "0..0", "--n-beta", "0..0"]),
 ])
-def test_negative_value_after_its_flag(flag, value, parsed, rest, capsys):
+def test_negative_value_after_its_flag(flag, value, parsed, rest):
     # argparse alone reads a token that starts with "-" and is not a plain
     # integer or decimal as an option ("expected one argument")
     args = build_parser().parse_args([*rest, flag, value])
     assert getattr(args, flag[2:]) == parsed
-    spaced = run_cli([*rest, flag, value], capsys)
-    assert spaced == run_cli([*rest, f"{flag}={value}"], capsys)
+    spaced = run_cli([*rest, flag, value])
+    assert spaced == run_cli([*rest, f"{flag}={value}"])
     assert spaced[0] == 0 and spaced[2] == ""
 
 
@@ -246,15 +224,15 @@ def test_negative_value_after_its_flag(flag, value, parsed, rest, capsys):
     (["fractional", "--op", "caputo_exp", "--x", "1.0,inf"],
      "error: argument --x: not a finite number: 'inf' in '1.0,inf'"),
 ])
-def test_range_and_list_refusals_name_the_flag(args, message, capsys):
+def test_range_and_list_refusals_name_the_flag(args, message):
     # the range and --x flags are argparse types, so a bad value is
     # refused while parsing, with the flag's name, before any work
-    code, out, err = run_cli(args, capsys)
+    code, out, err = run_cli(args)
     assert_refused(code, out, err)
     assert err == message + "\n"
 
 
-def test_parser_built_once_per_process(monkeypatch, capsys):
+def test_parser_built_once_per_process(monkeypatch):
     built = []
     init = cli._Parser.__init__
 
@@ -265,11 +243,10 @@ def test_parser_built_once_per_process(monkeypatch, capsys):
     monkeypatch.setattr(cli._Parser, "__init__", counting_init)
     build_parser.cache_clear()
     try:
-        assert run_cli(["ring", "--phi-steps", "2", "--l", "0..0"],
-                       capsys)[0] == 0
+        assert run_cli(["ring", "--phi-steps", "2", "--l", "0..0"])[0] == 0
         first = list(built)
         assert run_cli(["commutators", "--theta", "0.1", "--eta", "0.1",
-                        "--n-trunc", "4"], capsys)[0] == 0
+                        "--n-trunc", "4"])[0] == 0
     finally:
         build_parser.cache_clear()  # no parser with the counting hook
     assert first.count("ncqm") == 1 and len(first) == 7  # six subcommands
@@ -286,12 +263,11 @@ def test_parser_built_once_per_process(monkeypatch, capsys):
     ('{"mechanism": "xyz"}', "not a valid Mechanism"),
 ])
 @pytest.mark.parametrize("command", ["spectrum", "wavefunction"])
-def test_malformed_config_exit_2(command, text, reason, tmp_path, capsys):
+def test_malformed_config_exit_2(command, text, reason, tmp_path):
     cfg = tmp_path / "bad.json"
     cfg.write_text(text)
     for extra in ([], ["--theta0", "0.1"]):  # a flag does not mask the fault
-        code, out, err = run_cli([command, "--config", str(cfg), *extra],
-                                 capsys)
+        code, out, err = run_cli([command, "--config", str(cfg), *extra])
         assert code == 2
         assert err.startswith("error: ") and reason in err
         assert out == ""
@@ -318,9 +294,9 @@ def test_one_flag_per_document_key(command, monkeypatch):
 
 
 class TestWavefunctionCommand:
-    def test_samples(self, capsys):
+    def test_samples(self):
         code, out, _ = run_cli(["wavefunction", *EC_FLAGS, "--n", "0",
-                                "--mphi", "0", "--points", "50"], capsys)
+                                "--mphi", "0", "--points", "50"])
         assert code == 0
         lines = out.strip().splitlines()
         assert lines[0] == "r,xi,R_value,density"
@@ -329,19 +305,19 @@ class TestWavefunctionCommand:
         assert first[3] == pytest.approx(first[2] ** 2, rel=1e-12)
 
     @pytest.mark.parametrize("r_max", ["1e308", "1e200"])
-    def test_r_max_past_float_range_exit_2(self, r_max, capsys):
+    def test_r_max_past_float_range_exit_2(self, r_max):
         # once exit 0 with inf,inf,0.0,0.0 (1e308) or 0.0 rows (1e200) and
         # two overflow warnings from xi^2
         code, out, err = run_cli(["wavefunction", *EC_FLAGS, "--r-max",
-                                  r_max, "--points", "3"], capsys)
+                                  r_max, "--points", "3"])
         assert code == 2
         assert out == ""
         assert len(err.splitlines()) == 1
         assert err.startswith(f"error: --r-max {float(r_max)!r} puts xi^2")
 
-    def test_r_max_inside_float_range(self, capsys):
+    def test_r_max_inside_float_range(self):
         code, out, _ = run_cli(["wavefunction", *EC_FLAGS, "--r-max", "1e150",
-                                "--points", "3"], capsys)
+                                "--points", "3"])
         assert code == 0
         rows = [[float(v) for v in line.split(",")]
                 for line in out.strip().splitlines()[1:]]
@@ -355,31 +331,30 @@ class TestWavefunctionCommand:
          "not a positive normal double"),
         (["--n", "1000001"], "--n must be at most 1000000"),
     ])
-    def test_unrepresentable_or_unbounded_level_exit_2(self, args, reason,
-                                                       capsys):
+    def test_unrepresentable_or_unbounded_level_exit_2(self, args, reason):
         # --mphi 1000 once exited 0 with nan rows (a traceback under
         # -W error), --mphi 400 with all-zero samples, and --n had no bound
-        code, out, err = run_cli(["wavefunction", *EC_FLAGS, *args], capsys)
+        code, out, err = run_cli(["wavefunction", *EC_FLAGS, *args])
         assert code == 2
         assert out == ""
         assert len(err.splitlines()) == 1
         assert err.startswith("error: ") and reason in err
 
-    def test_n_at_the_bound(self, capsys):
+    def test_n_at_the_bound(self):
         code, out, _ = run_cli(["wavefunction", *EC_FLAGS, "--energy", "5",
-                                "--n", "1000000", "--points", "3"], capsys)
+                                "--n", "1000000", "--points", "3"])
         assert code == 0
         rows = [[float(v) for v in line.split(",")]
                 for line in out.strip().splitlines()[1:]]
         assert len(rows) == 3
         assert all(math.isfinite(v) for row in rows for v in row)
 
-    def test_r_column_is_one_array_call(self, capsys):
+    def test_r_column_is_one_array_call(self):
         # at m_phi = 7 a scalar call per r differs from the array call in
         # the last bit on some rows; the table holds the array call's values
         argv = ["wavefunction", *EC_FLAGS, "--n", "0", "--mphi", "7",
                 "--energy", "9.5", "--points", "333"]
-        code, out, _ = run_cli(argv, capsys)
+        code, out, _ = run_cli(argv)
         assert code == 0
         rows = list(csv.reader(io.StringIO(out)))[1:]
         p = _load_params(build_parser().parse_args(argv))
@@ -389,41 +364,36 @@ class TestWavefunctionCommand:
 
     @pytest.mark.parametrize("mechanism", ["eo_i", "sqf"])
     @pytest.mark.parametrize("energy", [["--energy", "3"], []])
-    def test_non_ec_mechanism_exit_2(self, mechanism, energy, capsys):
+    def test_non_ec_mechanism_exit_2(self, mechanism, energy):
         # with --energy the EC wave functions were once printed (exit 0);
         # without it the error named ec_solve_energy
         code, out, err = run_cli(["wavefunction", "--mechanism", mechanism,
-                                  "--spring-k", "1", *energy], capsys)
+                                  "--spring-k", "1", *energy])
         assert code == 2
         assert out == ""
         assert err.startswith("error: wavefunction ")
         assert f"requires mechanism=ec, got {mechanism}" in err
 
 
-def refuse_constant(name):
-    raise ValueError(f"{name} is not strict JSON")
-
-
 class TestCommutatorsCommand:
-    def test_residual_report(self, capsys):
+    def test_residual_report(self):
         # strict JSON (no NaN or Infinity) below 1e-10, also at the cap
         for theta, eta, n_trunc in (("0.1", "0.05", "20"),
                                     ("0.7", "0.9", "120")):
             code, out, _ = run_cli(["commutators", "--theta", theta,
-                                    "--eta", eta, "--n-trunc", n_trunc],
-                                   capsys)
+                                    "--eta", eta, "--n-trunc", n_trunc])
             assert code == 0
-            doc = json.loads(out, parse_constant=refuse_constant)
+            doc = strict_json(out)
             assert len(doc) == 6
             assert all(d["max_residual"] < 1e-10 for d in doc)
 
 
     @pytest.mark.parametrize("theta,eta", [("1e200", "0.1"),
                                            ("1e300", "1e300")])
-    def test_overflowing_strengths_exit_2(self, theta, eta, capsys):
+    def test_overflowing_strengths_exit_2(self, theta, eta):
         # once exit 0 with "max_residual": NaN, or an overflow warning
         code, out, err = run_cli(["commutators", "--theta", theta,
-                                  "--eta", eta], capsys)
+                                  "--eta", eta])
         assert_refused(code, out, err)
 
 
@@ -440,13 +410,13 @@ class TestCommutatorsCommand:
     ["fractional", "--op", "gl_half_derivative_x", "--step", "1e-300",
      "--x", "1e308"],
 ])
-def test_overflowing_bracket_tol_or_ring_strength_exit_2(args, capsys):
+def test_overflowing_bracket_tol_or_ring_strength_exit_2(args):
     # the brackets and --eta 1e200 once exited 1 with an OverflowError
     # traceback, --eta 1e308 exited 0 with nan,inf rows, and --tol -1
     # blamed the residual; --hbar 1e-300 (1e300) exited 1 with a
     # ZeroDivisionError (OverflowError) traceback, and the Grünwald-Letnikov
     # step 1e-300 never returned at --x 1 and overflowed at --x 1e308
-    code, out, err = run_cli(args, capsys)
+    code, out, err = run_cli(args)
     assert_refused(code, out, err)
 
 
@@ -477,7 +447,7 @@ def test_overflowing_bracket_tol_or_ring_strength_exit_2(args, capsys):
     (["ring", "--phi-start", "1e308", "--phi-stop", "1e308", "--phi-steps",
       "1"], "flux_ext must be finite, got inf"),
 ])
-def test_hbar_or_level_past_float_range_exit_2(args, reason, capsys):
+def test_hbar_or_level_past_float_range_exit_2(args, reason):
     # the --hbar argv ended in an OverflowError (1e200) or a
     # ZeroDivisionError (1e-200) traceback, the SQF level was printed as
     # inf with exit 0, a subnormal --e-ref said "bad bracket (inf, inf)"
@@ -485,7 +455,7 @@ def test_hbar_or_level_past_float_range_exit_2(args, reason, capsys):
     # the plane-wave power overflows, the Mittag-Leffler series at order
     # 1e-9 would need more terms than its budget, and the ring flux
     # 1e308 phi0 overflows to inf (once "ring level l=-2 ... is inf")
-    code, out, err = run_cli(args, capsys)
+    code, out, err = run_cli(args)
     assert_refused(code, out, err)
     assert reason in err
 
@@ -501,10 +471,10 @@ def test_hbar_or_level_past_float_range_exit_2(args, reason, capsys):
      1001 * 1000),
     (["wavefunction", *EC_FLAGS, "--points", "400000000"], 400000000),
 ])
-def test_oversized_table_exit_2(args, rows, capsys):
+def test_oversized_table_exit_2(args, rows):
     # the ranges were lists: a MemoryError or an OverflowError from len, or
     # a run of minutes, each ending in a traceback
-    code, out, err = run_cli(args, capsys)
+    code, out, err = run_cli(args)
     assert code == 2
     assert out == ""
     assert err == (f"error: the table would have {rows} rows, more than "
@@ -519,9 +489,9 @@ def test_row_bound_is_inclusive():
 
 
 class TestFractionalCommand:
-    def test_half_derivative_table(self, capsys):
+    def test_half_derivative_table(self):
         code, out, _ = run_cli(["fractional", "--op", "half_derivative_x",
-                                "--x", "0.5,1.0"], capsys)
+                                "--x", "0.5,1.0"])
         assert code == 0
         rows = out.strip().splitlines()[1:]
         for row in rows:
@@ -529,28 +499,27 @@ class TestFractionalCommand:
             assert float(parts[3]) == pytest.approx(float(parts[4]),
                                                     rel=1e-12)
 
-    def test_gl_x_below_the_terminal_exit_2(self, capsys):
+    def test_gl_x_below_the_terminal_exit_2(self):
         # once a bare "math domain error" from the reference column
         code, out, err = run_cli(["fractional", "--op",
-                                  "gl_half_derivative_x", "--x", "-1"], capsys)
+                                  "gl_half_derivative_x", "--x", "-1"])
         assert code == 2
         assert out == ""
         assert err == ("error: grunwald_letnikov: x=-1.0 outside [0, inf), "
                        "below the terminal at 0\n")
 
-    def test_mittag_leffler_cancellation_exit_2(self, capsys):
+    def test_mittag_leffler_cancellation_exit_2(self):
         # E_1(-30) = e^-30 is summed from terms up to 8e11: no digit is left
         code, out, err = run_cli(["fractional", "--op", "mittag_leffler",
-                                  "--order", "1", "--x", "-30"], capsys)
+                                  "--order", "1", "--x", "-30"])
         assert code == 2
         assert "error: mittag_leffler cancellation" in err
         assert out == ""
 
 
 class TestRingCommand:
-    def test_sweep(self, capsys):
-        code, out, _ = run_cli(["ring", "--phi-steps", "5", "--l", "0..1"],
-                               capsys)
+    def test_sweep(self):
+        code, out, _ = run_cli(["ring", "--phi-steps", "5", "--l", "0..1"])
         assert code == 0
         lines = out.strip().splitlines()
         assert lines[0] == "phi_over_phi0,l,energy,current"
@@ -558,9 +527,9 @@ class TestRingCommand:
 
 
 class TestVerifyCommand:
-    def test_passes_and_reports_divergences(self, tmp_path, capsys):
+    def test_passes_and_reports_divergences(self, tmp_path):
         out_file = tmp_path / "report.json"
-        code, _, err = run_cli(["verify", "--out", str(out_file)], capsys)
+        code, _, err = run_cli(["verify", "--out", str(out_file)])
         assert code == 0
         doc = json.loads(out_file.read_text())
         assert doc["all_passed"] is True
@@ -572,11 +541,11 @@ class TestVerifyCommand:
             "expected_divergence"
 
 
-def test_overflowing_scan_points_raise_no_warning(capsys):
+def test_overflowing_scan_points_raise_no_warning():
     # theta = 0.1 (E/10)^200 overflows past E ~ 350, inside the default
     # bracket: the scan once printed four RuntimeWarnings (a traceback
     # under -W error) before the table
-    code, out, err = run_cli(["spectrum", *EC_FLAGS, "--beta", "200"], capsys)
+    code, out, err = run_cli(["spectrum", *EC_FLAGS, "--beta", "200"])
     assert code == 0
     header, *rows = list(csv.reader(io.StringIO(out)))
     assert len(rows) == 16

@@ -12,20 +12,19 @@ point or an SQF oscillator. Examples are derandomized so that the suite
 checks the same argv on every run.
 """
 
-import contextlib
 import csv
 import io
 import json
 import math
-import warnings
 
 import pytest
+from conftest import assert_refused, run_cli, strict_json
 
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from ncqm.cli import MAX_ROWS, main  # noqa: E402
+from ncqm.cli import MAX_ROWS  # noqa: E402
 from ncqm.fractional import GL_MAX_STEPS  # noqa: E402
 
 BOUNDARY_SETTINGS = settings(max_examples=100, deadline=None,
@@ -72,22 +71,12 @@ def flags(**strategies):
 
 def run(argv):
     """stdout of an exit-0 run, or None after checking the refusal."""
-    out, err = io.StringIO(), io.StringIO()
-    with warnings.catch_warnings(), contextlib.redirect_stdout(out), \
-            contextlib.redirect_stderr(err):
-        warnings.simplefilter("error")
-        code = main(argv)
+    code, out, err = run_cli(argv)
     if code == 2:
-        assert out.getvalue() == ""
-        assert len(err.getvalue().splitlines()) == 1
-        assert err.getvalue().startswith("error: ")
+        assert_refused(code, out, err)
         return None
-    assert code == 0, (argv, code, err.getvalue())
-    return out.getvalue()
-
-
-def _refuse_constant(name):
-    raise ValueError(f"{name} is not strict JSON")
+    assert code == 0, (argv, code, err)
+    return out
 
 
 @BOUNDARY_SETTINGS
@@ -96,7 +85,7 @@ def _refuse_constant(name):
 def test_commutators_runs_or_refuses(theta, eta, extra):
     out = run(["commutators", "--theta", theta, "--eta", eta, *extra])
     if out is not None:
-        entries = json.loads(out, parse_constant=_refuse_constant)
+        entries = strict_json(out)
         assert len(entries) == 6
 
 

@@ -1,27 +1,27 @@
 """What importing ncqm and running a subcommand loads, and what a fresh
 process writes.
 
-Structural checks on sys.modules, not timings. In fresh interpreters:
-``import ncqm.cli`` loads only errors and params, and no numpy;
-``--help``, ``ring`` and the refusals made before any computation load
-no numpy; ``params`` imported before numpy computes what it computes
-after; ``--help``, ``ring`` (with a negative ``--l`` range too), the
-README spectrum, the README ``wavefunction``, ``commutators`` (at
-``--theta 0.7 --eta 0.9`` and ``--theta 1e3 --eta -2e2``) and
-``fractional`` with ``--op half_derivative_x``, ``caputo_exp`` (with and
-without ``--x``) or ``mittag_leffler`` (at order 0.5, and at order 2 with
-``--ml-beta -0.5``) load no scipy; a radial self-consistent solve loads
-``scipy.linalg`` and no ``scipy.optimize``; ``verify`` loads
+Structural checks on sys.modules, not timings. IMPORT_RULES is one
+table; each row runs in a fresh interpreter and names the argv, its exit
+code, the modules that must then be loaded and the packages from which
+nothing may load. ``import ncqm.cli`` loads ncqm, cli, errors and params
+and nothing else; ``--help``, ``ring`` and the refusals made before any
+computation load no numpy or scipy; the README spectrum (no specfun
+either), the README ``wavefunction``, ``commutators`` and the
+``fractional`` operators load no scipy; ``verify`` loads
 ``scipy.linalg`` and ``scipy.special`` and nothing under
-``scipy.integrate``, ``scipy.optimize`` or ``scipy.sparse``, and
-``python -m ncqm.cli verify`` writes the same report bytes under
-PYTHONHASHSEED 1 and 2.
+``scipy.integrate``, ``scipy.optimize`` or ``scipy.sparse``.
+Also in fresh interpreters: ``params`` imported before numpy computes
+what it computes after; a radial self-consistent solve loads
+``scipy.linalg`` and no ``scipy.optimize``; ``python -m ncqm.cli
+verify`` writes the same report bytes under PYTHONHASHSEED 1 and 2.
 In this process: sampling radial states imports no scipy.
 """
 
 import json
 import math
 import os
+import pkgutil
 import subprocess
 import sys
 import types
@@ -97,35 +97,89 @@ def under(modules, package):
                   if m == package or m.startswith(package + "."))
 
 
-def test_cli_module_imports_only_errors_and_params():
-    loaded = loaded_after(None)
-    assert under(loaded, "ncqm") == ["ncqm", "ncqm.cli", "ncqm.errors",
-                                     "ncqm.params"]
-    assert under(loaded, "numpy") == []
-    assert under(loaded, "scipy") == []
-
-
 EC_FLAGS = README_SPECTRUM[1:-4]
+NO_ARRAYS = ("numpy", "scipy")
+NO_SCIPY = ("scipy",)
 
 
-@pytest.mark.parametrize("argv,code", [
-    (["--help"], 0),
-    (["ring", "--phi-steps", "3"], 0),
-    (["spectrum", "--n", "abc"], 2),              # parse error
-    (["spectrum", "--mechanism", "sqf"], 2),      # no --eps
-    (["spectrum", "--mechanism", "eo_i"], 2),     # no EO table
-    (["spectrum", *EC_FLAGS, "--e-ref", "1e-320"], 2),   # config refusal
-    (["spectrum", *EC_FLAGS, "--n", "0..2000000"], 2),   # over MAX_ROWS
-    (["wavefunction", *EC_FLAGS, "--r-max", "-1"], 2),
-    (["commutators", "--theta", "1", "--eta", "1", "--hbar", "1e300"], 2),
-], ids=["help", "ring", "parse_error", "sqf_without_eps", "eo", "e_ref",
-        "rows", "r_max", "hbar"])
-def test_commands_without_arrays_load_no_numpy(argv, code):
+def ncqm_except(*names):
+    """The ncqm modules other than the given ones (package-relative)."""
+    return tuple(f"ncqm.{m.name}" for m in pkgutil.iter_modules(ncqm.__path__)
+                 if m.name not in names)
+
+
+def rule(name, argv, code, loaded, none_from):
+    """One import rule: once main(argv) has returned code (argv None: once
+    ncqm.cli is imported), every module in loaded is loaded and nothing
+    from the packages in none_from."""
+    return pytest.param(argv, code, set(loaded), none_from, id=name)
+
+
+IMPORT_RULES = [
+    rule("import", None, 0, {"ncqm", "ncqm.cli", "ncqm.errors",
+                             "ncqm.params"},
+         (*NO_ARRAYS, *ncqm_except("cli", "errors", "params"))),
     # each subcommand runs its checks before it imports the modules it
     # computes with, and params looks numpy up instead of importing it
-    loaded = loaded_after(argv, code=code)
-    assert under(loaded, "numpy") == []
-    assert under(loaded, "scipy") == []
+    rule("help", ["--help"], 0, (), NO_ARRAYS),
+    rule("ring", ["ring", "--phi-steps", "3"], 0, (), NO_ARRAYS),
+    rule("ring_negative_l", ["ring", "--l", "-3..3", "--phi-steps", "3"], 0,
+         (), NO_ARRAYS),
+    rule("parse_error", ["spectrum", "--n", "abc"], 2, (), NO_ARRAYS),
+    rule("sqf_without_eps", ["spectrum", "--mechanism", "sqf"], 2, (),
+         NO_ARRAYS),
+    rule("eo", ["spectrum", "--mechanism", "eo_i"], 2, (), NO_ARRAYS),
+    rule("e_ref", ["spectrum", *EC_FLAGS, "--e-ref", "1e-320"], 2, (),
+         NO_ARRAYS),
+    rule("rows", ["spectrum", *EC_FLAGS, "--n", "0..2000000"], 2, (),
+         NO_ARRAYS),
+    rule("r_max", ["wavefunction", *EC_FLAGS, "--r-max", "-1"], 2, (),
+         NO_ARRAYS),
+    rule("hbar", ["commutators", "--theta", "1", "--eta", "1", "--hbar",
+                  "1e300"], 2, (), NO_ARRAYS),
+    # Brent's method is in spectra itself and beta_fn is imported only by
+    # fractional_oscillator_levels, so solving the levels needs numpy alone
+    rule("readme_spectrum", README_SPECTRUM, 0, {"ncqm.spectra"},
+         (*NO_SCIPY, "ncqm.specfun")),
+    # log_gamma is math.lgamma and laguerre runs its numpy recurrence up to
+    # n = 20, so the README state needs no scipy
+    rule("readme_wavefunction", README_WAVEFUNCTION, 0,
+         {"ncqm.wavefunctions"}, NO_SCIPY),
+    # the operators are numpy diagonals, so forming and reading the
+    # commutators needs no scipy.sparse, at small or large strengths
+    rule("commutators", ["commutators", "--theta", "0.7", "--eta", "0.9"], 0,
+         {"ncqm.algebra"}, NO_SCIPY),
+    rule("commutators_large", ["commutators", "--theta", "1e3", "--eta",
+                               "-2e2"], 0, {"ncqm.algebra"}, NO_SCIPY),
+    # scipy.integrate is imported by riemann_liouville alone, and the
+    # power-series operator takes no gamma function from scipy.special
+    rule("half_derivative", ["fractional", "--op", "half_derivative_x",
+                             "--x", "0.5,1.0,2.0"], 0, {"ncqm.fractional"},
+         NO_SCIPY),
+    # the Mittag-Leffler series takes 1/Gamma from math.gamma
+    rule("caputo_exp", ["fractional", "--op", "caputo_exp"], 0,
+         {"ncqm.specfun"}, NO_SCIPY),
+    rule("mittag_leffler", ["fractional", "--op", "mittag_leffler",
+                            "--order", "0.5"], 0, {"ncqm.specfun"}, NO_SCIPY),
+    rule("caputo_exp_x", ["fractional", "--op", "caputo_exp", "--x",
+                          "0.5,1,2"], 0, {"ncqm.specfun"}, NO_SCIPY),
+    rule("mittag_leffler_beta", ["fractional", "--op", "mittag_leffler",
+                                 "--order", "2", "--ml-beta", "-0.5", "--x",
+                                 "1.5"], 0, {"ncqm.specfun"}, NO_SCIPY),
+    # the beta check sums cached Gauss-Legendre nodes in numpy, so verify
+    # needs scipy.linalg for the oracles and scipy.special for beta_fn only
+    rule("verify", ["verify", "--out", os.devnull], 0,
+         {"ncqm.verify", "scipy.linalg", "scipy.special"},
+         ("scipy.integrate", "scipy.optimize", "scipy.sparse")),
+]
+
+
+@pytest.mark.parametrize("argv,code,loaded,none_from", IMPORT_RULES)
+def test_import_rule(argv, code, loaded, none_from):
+    modules = loaded_after(argv, code=code)
+    assert loaded <= modules, sorted(loaded - modules)
+    for package in none_from:
+        assert under(modules, package) == [], package
 
 
 COEFFICIENTS = """
@@ -195,61 +249,6 @@ def test_params_before_numpy_computes_as_after():
         "k_h": {"float64"}, "m_star": {"float64"}, "omega_h": {"float"}}
 
 
-@pytest.mark.parametrize("argv", [["--help"], ["ring", "--phi-steps", "3"],
-                                  ["ring", "--l", "-3..3", "--phi-steps", "3"]])
-def test_help_and_ring_load_no_scipy(argv):
-    assert under(loaded_after(argv), "scipy") == []
-
-
-def test_readme_spectrum_loads_no_scipy():
-    # Brent's method is in spectra itself and beta_fn is imported only by
-    # fractional_oscillator_levels, so solving the levels needs numpy alone
-    loaded = loaded_after(README_SPECTRUM)
-    assert "ncqm.spectra" in loaded
-    assert "ncqm.specfun" not in loaded
-    assert under(loaded, "scipy") == []
-
-
-def test_readme_wavefunction_loads_no_scipy():
-    # log_gamma is math.lgamma and laguerre runs its numpy recurrence up to
-    # n = 20, so the README state needs no scipy
-    loaded = loaded_after(README_WAVEFUNCTION)
-    assert "ncqm.wavefunctions" in loaded
-    assert under(loaded, "scipy") == []
-
-
-def test_commutators_load_no_scipy():
-    # the operators are numpy diagonals, so forming and reading the
-    # commutators needs no scipy.sparse, at small or large strengths
-    for theta, eta in (("0.7", "0.9"), ("1e3", "-2e2")):
-        loaded = loaded_after(["commutators", "--theta", theta, "--eta", eta])
-        assert "ncqm.algebra" in loaded
-        assert under(loaded, "scipy") == [], (theta, eta)
-
-
-def test_fractional_half_derivative_loads_no_scipy():
-    # scipy.integrate is imported by riemann_liouville alone, and the
-    # power-series operator takes no gamma function from scipy.special
-    loaded = loaded_after(["fractional", "--op", "half_derivative_x",
-                           "--x", "0.5,1.0,2.0"])
-    assert "ncqm.fractional" in loaded
-    assert under(loaded, "scipy") == []
-
-
-@pytest.mark.parametrize("argv", [
-    ["--op", "caputo_exp"],
-    ["--op", "mittag_leffler", "--order", "0.5"],
-    ["--op", "caputo_exp", "--x", "0.5,1,2"],
-    ["--op", "mittag_leffler", "--order", "2", "--ml-beta", "-0.5", "--x",
-     "1.5"],
-], ids=["caputo_exp", "mittag_leffler", "caputo_exp_x", "mittag_leffler_beta"])
-def test_fractional_gamma_operators_load_no_scipy(argv):
-    # the Mittag-Leffler series takes 1/Gamma from math.gamma
-    loaded = loaded_after(["fractional", *argv])
-    assert "ncqm.specfun" in loaded
-    assert under(loaded, "scipy") == []
-
-
 def test_radial_self_consistent_solve_loads_no_scipy_optimize():
     # the secant is a port in the oracle itself, and the unit level is
     # scipy.linalg's tridiagonal eigensolve
@@ -257,16 +256,6 @@ def test_radial_self_consistent_solve_loads_no_scipy_optimize():
     assert "ncqm.oracle" in loaded
     assert "scipy.linalg" in loaded
     assert under(loaded, "scipy.optimize") == []
-
-
-def test_verify_loads_no_integrate_optimize_or_sparse(tmp_path):
-    # the beta check sums cached Gauss-Legendre nodes in numpy, so verify
-    # needs scipy.linalg for the oracles and scipy.special for beta_fn only
-    loaded = loaded_after(["verify", "--out", str(tmp_path / "r.json")])
-    assert "ncqm.verify" in loaded
-    assert {"scipy.linalg", "scipy.special"} <= loaded
-    for package in ("scipy.integrate", "scipy.optimize", "scipy.sparse"):
-        assert under(loaded, package) == [], package
 
 
 def test_verify_report_is_the_same_under_two_hash_seeds(tmp_path):

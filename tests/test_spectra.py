@@ -4,6 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
+from conftest import ec_params
 from scipy import integrate
 
 from ncqm.algebra import bogoliubov_frequency
@@ -21,14 +22,6 @@ from ncqm.spectra import (FractionalOscSpec, QuantumNumbers,
                           fractional_oscillator_levels, scan_grid,
                           sqf_spectrum)
 from ncqm.specfun import beta_fn, gamma_fn
-
-
-def ec_params(**kw):
-    constants = PhysicalConstants(**kw.pop("constants", {}))
-    defaults = dict(eta0=0.1, theta0=0.1, alpha_exp=1.0, beta_exp=1.0,
-                    e_ref=10.0, mechanism=Mechanism.EC)
-    defaults.update(kw)
-    return ModelParams(constants=constants, **defaults)
 
 
 class TestQuantumNumbers:

@@ -4,12 +4,12 @@ import warnings
 
 import numpy as np
 import pytest
+from conftest import ec_params
 from scipy import integrate
 
 from ncqm.errors import (DomainError, NormalizabilityError, SingularityError,
                          UsageError, ValidationError)
-from ncqm.params import (Mechanism, ModelParams, PhysicalConstants,
-                         nc_strengths)
+from ncqm.params import Mechanism, PhysicalConstants, nc_strengths
 from ncqm.spectra import QuantumNumbers, ec_solve_energy
 from ncqm.specfun import gamma_fn
 from ncqm.wavefunctions import (GridField, divergence, ec_radial_solution,
@@ -37,14 +37,6 @@ def ode_residual_scaled(n, m_phi, xi, h=2e-3):
     scale = max(1.0, abs(xi * xi * d2) + abs(xi * d1)
                 + abs((c_big * xi * xi - xi ** 4 - m_phi ** 2) * r))
     return abs(resid) / scale
-
-
-def ec_params(**kw):
-    constants = PhysicalConstants(**kw.pop("constants", {}))
-    defaults = dict(eta0=0.1, theta0=0.1, alpha_exp=1.0, beta_exp=1.0,
-                    e_ref=10.0, mechanism=Mechanism.EC)
-    defaults.update(kw)
-    return ModelParams(constants=constants, **defaults)
 
 
 class TestRadialBessel:
