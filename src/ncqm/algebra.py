@@ -413,8 +413,11 @@ def bogoliubov_frequency(omega: float, b_field: float) -> float:
     The pair-transformation diagonalization of the (omega, B) quadratic
     form yields Omega = omega + B; the exact-diagonalization oracle keeps
     an independent record of the two-branch (omega +/- B) structure, and
-    the verification report compares the two.
+    the verification report compares the two. omega must be non-negative
+    and b_field finite (DomainError).
     """
     if not omega >= 0:  # NaN fails it too
         raise DomainError(f"omega must be non-negative, got {omega!r}")
+    if not math.isfinite(b_field):
+        raise DomainError(f"b_field must be finite, got {b_field!r}")
     return omega + b_field

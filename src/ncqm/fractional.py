@@ -24,7 +24,8 @@ import math
 from dataclasses import dataclass
 
 from .errors import ConvergenceError, DomainError, ValidationError
-from .params import Mechanism, ModelParams, PhysicalConstants
+from .params import (Mechanism, ModelParams, PhysicalConstants,
+                     _require_finite)
 from .specfun import gamma_fn, log_gamma, mittag_leffler
 
 # Most grid steps one Grünwald-Letnikov sum may take: about 0.4 s of
@@ -41,6 +42,7 @@ class PowerSeriesFn:
     radius: float = math.inf
 
     def __post_init__(self):
+        _require_finite(self, ("alpha_step",))
         if self.alpha_step <= 0:
             raise DomainError("alpha_step must be positive")
         if self.radius <= 0:
@@ -48,7 +50,7 @@ class PowerSeriesFn:
         object.__setattr__(self, "coeffs", tuple(float(c) for c in self.coeffs))
 
     def __call__(self, x: float) -> float:
-        if x < 0 or x >= self.radius:
+        if not 0 <= x < self.radius:  # NaN fails it too
             raise DomainError(f"x={x} outside [0, {self.radius})")
         return sum(c * x ** (k * self.alpha_step)
                    for k, c in enumerate(self.coeffs))
@@ -74,7 +76,7 @@ def caputo_series_derivative(f: PowerSeriesFn, x: float) -> float:
     sum_k a_{k+1} Gamma(1+(k+1)a)/Gamma(1+k a) x^(k a); the constant term
     is annihilated.
     """
-    if x < 0 or x >= f.radius:
+    if not 0 <= x < f.radius:  # NaN fails it too
         raise DomainError(f"x={x} outside [0, {f.radius})")
     a = f.alpha_step
     acc = 0.0
@@ -103,9 +105,9 @@ def liouville_exp(order: float, k: float, x: float) -> float:
 
     A value past the double range raises DomainError.
     """
-    if order <= 0:
+    if not order > 0:  # NaN fails it too
         raise DomainError(f"order must be positive, got {order}")
-    if k < 0:
+    if not k >= 0:
         raise DomainError(f"liouville_exp requires k >= 0, got {k}")
     if k == 0.0:
         return 0.0
@@ -129,11 +131,11 @@ def riemann_liouville(f, order: float, x: float) -> float:
     differences. Supported for n <= 2.
     """
     from scipy import integrate  # needed by this operator alone
-    if x <= 0:
+    if not x > 0:  # NaN fails it too
         raise DomainError(f"x must be positive, got {x}")
-    n = math.floor(order) + 1
-    if order <= 0 or order == math.floor(order):
+    if not 0 < order < math.inf or order == math.floor(order):
         raise DomainError(f"order must be positive non-integer, got {order}")
+    n = math.floor(order) + 1
     if n > 2:
         raise DomainError(f"orders above 2 not supported, got {order}")
     mu = n - order  # in (0, 1)

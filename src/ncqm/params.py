@@ -211,16 +211,24 @@ def _power(amplitude: float, ratio, exponent: float, name: str):
 
 
 def effective_planck(theta: float, eta: float, c: PhysicalConstants) -> float:
-    """Coordinate-momentum commutator coefficient hbar*(1 + theta*eta/4hbar^2)."""
-    return c.hbar * (1.0 + theta * eta / (4.0 * c.hbar ** 2))
+    """Coordinate-momentum commutator coefficient hbar*(1 + theta*eta/4hbar^2).
+
+    A coefficient that is not finite (NaN strengths included) raises
+    DomainError.
+    """
+    value = c.hbar * (1.0 + theta * eta / (4.0 * c.hbar ** 2))
+    if not math.isfinite(value):
+        raise DomainError(f"the effective Planck constant is {value!r} at "
+                          f"theta={theta!r}, eta={eta!r}")
+    return value
 
 
 def effective_planck_4d(theta_matrix, eta_matrix,
                         c: PhysicalConstants) -> float:
     """Trace form of the effective Planck constant for 4x4 strengths.
 
-    Both matrices must be antisymmetric, to 1e-12 relative to their largest
-    entry (or absolute, below 1). Returns
+    Both matrices must be finite (DomainError) and antisymmetric, to 1e-12
+    relative to their largest entry (or absolute, below 1). Returns
     hbar * (1 + Tr[theta @ eta] / 4 hbar^2).
 
     For a single noncommutative plane embedded block-diagonally the trace
@@ -233,6 +241,9 @@ def effective_planck_4d(theta_matrix, eta_matrix,
     for name, m in (("theta", th), ("eta", et)):
         if m.shape != (4, 4):
             raise ValidationError(f"{name} matrix must be 4x4, got {m.shape}")
+        if not np.isfinite(m).all():
+            raise DomainError(f"{name} matrix has an entry that is not "
+                              f"finite: {m[~np.isfinite(m)][0]}")
         scale = max(1.0, float(np.max(np.abs(m))))
         if np.max(np.abs(m + m.T)) > 1e-12 * scale:
             raise ValidationError(f"{name} matrix is not antisymmetric")
@@ -245,9 +256,13 @@ def k_factor(theta: float, eta: float, c: PhysicalConstants) -> float:
 
     The small-strength approximation k ~ 1 is a documented caller-side
     mode (see algebra.sw_inverse); this function always returns the exact
-    value and raises on the pole theta*eta = 4 hbar^2.
+    value and raises on the pole theta*eta = 4 hbar^2, and where
+    theta*eta/4hbar^2 is not finite (DomainError).
     """
     zeta = theta * eta / (4.0 * c.hbar ** 2)
+    if not math.isfinite(zeta):
+        raise DomainError(f"theta*eta/4hbar^2 is {zeta!r} at theta={theta!r}, "
+                          f"eta={eta!r}")
     if zeta == 1.0:
         raise SingularityError("k(E) pole: theta*eta = 4*hbar^2")
     return 1.0 / (1.0 - zeta)
@@ -260,12 +275,12 @@ def rescaled_strengths(theta: float, eta: float,
     Returns (theta', eta', xi) with xi = (1 + theta*eta/4hbar^2)^(-1/2)
     and theta' = xi^2 * theta, eta' = xi^2 * eta. By construction
     hbar * xi^2 * (1 + theta*eta/4hbar^2) = hbar. The denominator must be
-    positive.
+    positive and finite (DomainError).
     """
     denom = 1.0 + theta * eta / (4.0 * c.hbar ** 2)
-    if denom <= 0:
-        raise DomainError(f"1 + theta*eta/4hbar^2 must be positive, got "
-                          f"{denom}")
+    if not 0.0 < denom < math.inf:  # NaN fails it too
+        raise DomainError(f"1 + theta*eta/4hbar^2 must be positive and "
+                          f"finite, got {denom}")
     xi = denom ** -0.5
     return theta / denom, eta / denom, xi
 

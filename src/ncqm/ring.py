@@ -55,6 +55,15 @@ class RingSpec:
             if not 0.0 < value * value < math.inf:
                 raise ValidationError(f"{name}^2 is {value * value!r}, outside "
                                       f"the float range ({name} = {value!r})")
+        # every flux is counted in flux quanta 2 pi hbar / charge
+        try:
+            quantum = self.flux_quantum
+        except ZeroDivisionError:
+            quantum = math.inf
+        if not 0.0 < abs(quantum) < math.inf:
+            raise ValidationError(
+                f"charge={self.constants.charge!r} gives the flux quantum "
+                f"2 pi hbar/charge = {quantum!r}, not a finite nonzero double")
 
     @property
     def m_star(self) -> float:

@@ -32,8 +32,8 @@ import numpy as np
 from .errors import (BracketingError, ConvergenceError, DomainError,
                      SingularityError, UsageError, ValidationError)
 from .params import (EffectiveCoefficients, Mechanism, ModelParams,
-                     PhysicalConstants, _any, _require, _sqrt,
-                     effective_coefficients)
+                     PhysicalConstants, _any, _require, _require_finite,
+                     _sqrt, effective_coefficients)
 
 log = logging.getLogger("ncqm.spectra")
 
@@ -78,6 +78,7 @@ class FractionalOscSpec:
     q: float
 
     def __post_init__(self):
+        _require_finite(self, ("alpha_p", "beta_p", "d_alpha", "q"))
         if self.alpha_p <= 0 or self.beta_p <= 0:
             raise ValidationError("alpha_p and beta_p must be positive")
         if self.d_alpha <= 0 or self.q <= 0:

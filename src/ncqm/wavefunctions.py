@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import (DomainError, NormalizabilityError, SingularityError,
                      ValidationError)
-from .params import (Mechanism, ModelParams, _require,
+from .params import (Mechanism, ModelParams, _require, _require_finite,
                      effective_coefficients, nc_strengths)
 from .specfun import bessel_j, laguerre, log_gamma
 
@@ -211,6 +211,7 @@ class GridField:
         object.__setattr__(self, "values", vals)
         if vals.ndim != 2:
             raise ValidationError("GridField values must be 2D")
+        _require_finite(self, ("spacing",))
         if self.spacing <= 0:
             raise ValidationError("spacing must be positive")
         if not np.all(np.isfinite(vals)):
@@ -239,11 +240,16 @@ def modified_norm(field: GridField, dv_de) -> float:
 
     dv_de holds the energy derivative of the potential sampled on the same
     grid. Normalizability requires 1 - dV/dE >= 0 everywhere; violations
-    raise NormalizabilityError.
+    raise NormalizabilityError, and a sample that is not finite raises
+    DomainError.
     """
-    weight = 1.0 - np.asarray(dv_de, dtype=float)
-    if weight.shape != field.values.shape:
+    dv_de = np.asarray(dv_de, dtype=float)
+    if dv_de.shape != field.values.shape:
         raise ValidationError("dV/dE samples must match the field grid")
+    if not np.isfinite(dv_de).all():
+        raise DomainError("dV/dE samples must be finite, got "
+                          f"{dv_de[~np.isfinite(dv_de)][0]}")
+    weight = 1.0 - dv_de
     if np.min(weight) < 0:
         raise NormalizabilityError(
             f"1 - dV/dE reaches {np.min(weight):.3g} < 0; state not "
@@ -257,8 +263,12 @@ def orthogonality_kernel(v_at_e1, v_at_e2, e1: float, e2: float) -> np.ndarray:
     modified orthogonality relation.
 
     The coincidence limit e1 == e2 needs the dV/dE derivative instead and
-    is delegated to the modified_norm path.
+    is delegated to the modified_norm path. The energies must be finite
+    (DomainError).
     """
+    if not (math.isfinite(e1) and math.isfinite(e2)):
+        raise DomainError(f"energies must be finite, got e1={e1!r}, "
+                          f"e2={e2!r}")
     if e1 == e2:
         raise DomainError("e1 == e2 requires the dV/dE limit; use "
                           "modified_norm with the sampled derivative")

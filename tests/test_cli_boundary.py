@@ -9,7 +9,8 @@ their bounds. ``spectrum`` also draws JSON configs (non-objects and
 unknown keys included), e_ref down to subnormal 1e-320, spring_k up to
 1e308 and exponents up to +-200, over a bare command line, the README EC
 point or an SQF oscillator. Examples are derandomized so that the suite
-checks the same argv on every run.
+checks the same argv on every run, and ``commutators`` also runs at the
+n_trunc cap on every run: accepted at 119 and 120, refused at 121.
 """
 
 import csv
@@ -21,7 +22,7 @@ import pytest
 from conftest import assert_refused, run_cli, strict_json
 
 pytest.importorskip("hypothesis")
-from hypothesis import given, settings  # noqa: E402
+from hypothesis import example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from ncqm.cli import MAX_ROWS  # noqa: E402
@@ -82,8 +83,20 @@ def run(argv):
 @BOUNDARY_SETTINGS
 @given(theta=real_text(), eta=real_text(),
        extra=flags(hbar=real_text(), n_trunc=count_text(119, 120, 121)))
+@example(theta="0.1", eta="0.05", extra=["--n-trunc", "119"])
+@example(theta="0.1", eta="0.05", extra=["--n-trunc", "120"])
+@example(theta="0.1", eta="0.05", extra=["--n-trunc", "121"])
 def test_commutators_runs_or_refuses(theta, eta, extra):
+    # past the cap of 120 the truncation is refused; below it strengths
+    # up to 1 at the default hbar run
     out = run(["commutators", "--theta", theta, "--eta", eta, *extra])
+    chosen = dict(zip(extra[::2], extra[1::2]))
+    n_trunc = int(chosen.get("--n-trunc", "30"))
+    if n_trunc > 120:
+        assert out is None
+    elif (n_trunc >= 4 and "--hbar" not in chosen
+          and max(abs(float(theta)), abs(float(eta))) <= 1.0):
+        assert out is not None
     if out is not None:
         entries = strict_json(out)
         assert len(entries) == 6

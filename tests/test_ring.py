@@ -41,6 +41,13 @@ class TestRingSpec:
         with pytest.raises(ValidationError, match="flux_ext must be finite"):
             RingSpec(radius=1.0, flux_ext=flux)
 
+    @pytest.mark.parametrize("charge", [0.0, 1e-320, -1e-320])
+    def test_charge_without_a_flux_quantum_refused(self, charge):
+        # 0 once raised a bare ZeroDivisionError from ring_levels, and
+        # 1e-320 blamed eta ("ring effective field at eta=0.1 is inf")
+        with pytest.raises(ValidationError, match=f"charge={charge!r}"):
+            RingSpec(radius=1.0, constants=PhysicalConstants(charge=charge))
+
     def test_default_effective_mass_quadratic_convention(self):
         spec = RingSpec(radius=1.0, alpha_param=0.5)
         assert spec.m_star == pytest.approx(4.0, rel=1e-15)

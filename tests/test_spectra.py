@@ -7,6 +7,7 @@ import pytest
 from conftest import ec_params
 from scipy import integrate
 
+from ncqm import fractional, params, wavefunctions
 from ncqm.algebra import bogoliubov_frequency
 from ncqm.errors import (BracketingError, DomainError, SingularityError,
                          UsageError, ValidationError)
@@ -526,24 +527,67 @@ NAN = math.nan
 SPEC = FractionalOscSpec(alpha_p=1.0, beta_p=2.0, d_alpha=1.0, q=1.0)
 
 
-@pytest.mark.parametrize("call", [
-    lambda: plane_wave_eigenvalue(NAN, 1.0, PhysicalConstants()),
-    lambda: plane_wave_eigenvalue(0.5, NAN, PhysicalConstants()),
-    lambda: commutative_spectrum(QuantumNumbers(), NAN, PhysicalConstants()),
-    lambda: bogoliubov_frequency(NAN, 0.1),
-    lambda: gamma_fn(NAN),
-    lambda: beta_fn(NAN, 1.0),
-    lambda: beta_fn(1.0, NAN),
-    lambda: fractional_oscillator_levels(SPEC, NAN, PhysicalConstants()),
-    lambda: fractional_oscillator_levels(SPEC, math.inf, PhysicalConstants()),
-], ids=["plane_wave_order", "plane_wave_energy", "commutative_spectrum",
-        "bogoliubov_frequency", "gamma_fn", "beta_fn_a", "beta_fn_b",
-        "fractional_oscillator_nan", "fractional_oscillator_inf"])
-def test_nan_fails_the_closed_form_guards(call):
-    # each once returned nan, or a bare ValueError (OverflowError at inf)
-    # from int(n) in fractional_oscillator_levels
-    with pytest.raises(DomainError, match="nan|inf"):
-        call()
+HALF_X2 = fractional.PowerSeriesFn(alpha_step=0.5, coeffs=(0.0, 0.0, 1.0))
+NAN_IN_4X4 = [[0.0, NAN, 0.0, 0.0], [-NAN, 0.0, 0.0, 0.0],
+              [0.0, 0.0, 0.0, 1.0], [0.0, 0.0, -1.0, 0.0]]
+
+
+def nan_case(name, call, error=DomainError):
+    return pytest.param(call, error, id=name)
+
+
+@pytest.mark.parametrize("call,error", [
+    nan_case("plane_wave_order",
+             lambda: plane_wave_eigenvalue(NAN, 1.0, PhysicalConstants())),
+    nan_case("plane_wave_energy",
+             lambda: plane_wave_eigenvalue(0.5, NAN, PhysicalConstants())),
+    nan_case("commutative_spectrum", lambda: commutative_spectrum(
+        QuantumNumbers(), NAN, PhysicalConstants())),
+    nan_case("bogoliubov_frequency", lambda: bogoliubov_frequency(NAN, 0.1)),
+    nan_case("gamma_fn", lambda: gamma_fn(NAN)),
+    nan_case("beta_fn_a", lambda: beta_fn(NAN, 1.0)),
+    nan_case("beta_fn_b", lambda: beta_fn(1.0, NAN)),
+    nan_case("fractional_oscillator_nan", lambda: fractional_oscillator_levels(
+        SPEC, NAN, PhysicalConstants())),
+    nan_case("fractional_oscillator_inf", lambda: fractional_oscillator_levels(
+        SPEC, math.inf, PhysicalConstants())),
+    nan_case("k_factor",
+             lambda: params.k_factor(NAN, 1.0, PhysicalConstants())),
+    nan_case("rescaled_strengths",
+             lambda: params.rescaled_strengths(NAN, 1.0, PhysicalConstants())),
+    nan_case("effective_planck",
+             lambda: params.effective_planck(NAN, 1.0, PhysicalConstants())),
+    nan_case("effective_planck_4d", lambda: params.effective_planck_4d(
+        NAN_IN_4X4, np.zeros((4, 4)), PhysicalConstants())),
+    nan_case("bogoliubov_b_field", lambda: bogoliubov_frequency(1.0, NAN)),
+    nan_case("liouville_exp", lambda: fractional.liouville_exp(NAN, 1.0, 1.0)),
+    nan_case("power_series_step", lambda: fractional.PowerSeriesFn(
+        alpha_step=NAN, coeffs=(1.0,)), ValidationError),
+    nan_case("fractional_osc_spec",
+             lambda: FractionalOscSpec(NAN, 1.0, 1.0, 1.0), ValidationError),
+    nan_case("grid_spacing", lambda: wavefunctions.GridField(
+        np.ones((3, 3)), spacing=NAN), ValidationError),
+    nan_case("caputo_series",
+             lambda: fractional.caputo_series_derivative(HALF_X2, NAN)),
+    nan_case("modified_norm", lambda: wavefunctions.modified_norm(
+        wavefunctions.GridField(np.ones((3, 3)), spacing=0.1),
+        np.full((3, 3), NAN))),
+    nan_case("orthogonality_kernel",
+             lambda: wavefunctions.orthogonality_kernel(np.zeros(3), np.ones(3),
+                                                        NAN, 1.0)),
+    nan_case("riemann_liouville_x",
+             lambda: fractional.riemann_liouville(lambda t: t, 0.5, NAN)),
+    nan_case("riemann_liouville_order",
+             lambda: fractional.riemann_liouville(lambda t: t, NAN, 1.0)),
+])
+def test_nan_fails_the_closed_form_guards(call, error):
+    # each once returned nan (e for liouville_exp, 1**nan being 1), was
+    # accepted, leaked a bare ValueError (OverflowError at inf) from int(n)
+    # or floor(order), or reached quad, which warned before failing
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(error, match="nan|inf"):
+            call()
 
 
 class TestDefaultBracket:
