@@ -132,16 +132,15 @@ class TestSpectrumCommand:
     def test_bad_config_exit_2(self, tmp_path):
         cfg = tmp_path / "bad.json"
         cfg.write_text("{not json")
-        code, _, err = run_cli(["spectrum", "--config", str(cfg)])
-        assert code == 2
-        assert "error" in err
+        code, out, err = run_cli(["spectrum", "--config", str(cfg)])
+        assert_refused(code, out, err)
 
     def test_unmet_tol_exit_2(self):
         # tol bounds the refined residual; a bound below the float floor
         # is reported, not silently exceeded
-        code, _, err = run_cli(["spectrum", *EC_FLAGS, "--n", "0..4",
-                                "--mphi", "0..3", "--tol", "1e-30"])
-        assert code == 2
+        code, out, err = run_cli(["spectrum", *EC_FLAGS, "--n", "0..4",
+                                  "--mphi", "0..3", "--tol", "1e-30"])
+        assert_refused(code, out, err)
         assert "residual" in err
 
     def test_deterministic_output_files(self, tmp_path):
@@ -268,9 +267,8 @@ def test_malformed_config_exit_2(command, text, reason, tmp_path):
     cfg.write_text(text)
     for extra in ([], ["--theta0", "0.1"]):  # a flag does not mask the fault
         code, out, err = run_cli([command, "--config", str(cfg), *extra])
-        assert code == 2
-        assert err.startswith("error: ") and reason in err
-        assert out == ""
+        assert_refused(code, out, err)
+        assert reason in err
 
 
 @pytest.mark.parametrize("command", ["spectrum", "wavefunction"])
@@ -310,9 +308,7 @@ class TestWavefunctionCommand:
         # two overflow warnings from xi^2
         code, out, err = run_cli(["wavefunction", *EC_FLAGS, "--r-max",
                                   r_max, "--points", "3"])
-        assert code == 2
-        assert out == ""
-        assert len(err.splitlines()) == 1
+        assert_refused(code, out, err)
         assert err.startswith(f"error: --r-max {float(r_max)!r} puts xi^2")
 
     def test_r_max_inside_float_range(self):
@@ -335,10 +331,8 @@ class TestWavefunctionCommand:
         # --mphi 1000 once exited 0 with nan rows (a traceback under
         # -W error), --mphi 400 with all-zero samples, and --n had no bound
         code, out, err = run_cli(["wavefunction", *EC_FLAGS, *args])
-        assert code == 2
-        assert out == ""
-        assert len(err.splitlines()) == 1
-        assert err.startswith("error: ") and reason in err
+        assert_refused(code, out, err)
+        assert reason in err
 
     def test_n_at_the_bound(self):
         code, out, _ = run_cli(["wavefunction", *EC_FLAGS, "--energy", "5",
@@ -369,8 +363,7 @@ class TestWavefunctionCommand:
         # without it the error named ec_solve_energy
         code, out, err = run_cli(["wavefunction", "--mechanism", mechanism,
                                   "--spring-k", "1", *energy])
-        assert code == 2
-        assert out == ""
+        assert_refused(code, out, err)
         assert err.startswith("error: wavefunction ")
         assert f"requires mechanism=ec, got {mechanism}" in err
 
@@ -475,8 +468,7 @@ def test_oversized_table_exit_2(args, rows):
     # the ranges were lists: a MemoryError or an OverflowError from len, or
     # a run of minutes, each ending in a traceback
     code, out, err = run_cli(args)
-    assert code == 2
-    assert out == ""
+    assert_refused(code, out, err)
     assert err == (f"error: the table would have {rows} rows, more than "
                    f"{MAX_ROWS}\n")
 
@@ -503,8 +495,7 @@ class TestFractionalCommand:
         # once a bare "math domain error" from the reference column
         code, out, err = run_cli(["fractional", "--op",
                                   "gl_half_derivative_x", "--x", "-1"])
-        assert code == 2
-        assert out == ""
+        assert_refused(code, out, err)
         assert err == ("error: grunwald_letnikov: x=-1.0 outside [0, inf), "
                        "below the terminal at 0\n")
 
@@ -512,9 +503,8 @@ class TestFractionalCommand:
         # E_1(-30) = e^-30 is summed from terms up to 8e11: no digit is left
         code, out, err = run_cli(["fractional", "--op", "mittag_leffler",
                                   "--order", "1", "--x", "-30"])
-        assert code == 2
+        assert_refused(code, out, err)
         assert "error: mittag_leffler cancellation" in err
-        assert out == ""
 
 
 class TestRingCommand:
