@@ -14,8 +14,10 @@ either), the README ``wavefunction``, ``commutators`` and the
 Also in fresh interpreters: ``params`` imported before numpy computes
 what it computes after; a radial self-consistent solve loads
 ``scipy.linalg`` and no ``scipy.optimize``; ``python -m ncqm.cli
-verify`` writes the same report bytes under PYTHONHASHSEED 1 and 2.
-In this process: sampling radial states imports no scipy.
+verify`` writes the same report bytes under PYTHONHASHSEED 1 and 2;
+``python -m ncqm.cli`` with ``--help`` or ``ring``, the command as typed,
+imports no numpy or scipy. In this process: sampling radial states
+imports no scipy.
 """
 
 import json
@@ -75,14 +77,18 @@ print(json.dumps(sorted(m for m in sys.modules
 """
 
 
-def fresh_stdout(*argv, **env):
-    """stdout of a fresh interpreter that imports this ncqm, run with the
+def fresh_run(*argv, **env):
+    """A finished fresh interpreter that imports this ncqm, run with the
     interpreter arguments argv ("-c", script, ... or "-m", module, ...) and
     the variables env on top of this process's environment."""
     env = dict(os.environ, **env, PYTHONPATH=os.pathsep.join(
         filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
     return subprocess.run([sys.executable, *argv], env=env,
-                          capture_output=True, text=True, check=True).stdout
+                          capture_output=True, text=True, check=True)
+
+
+def fresh_stdout(*argv, **env):
+    return fresh_run(*argv, **env).stdout
 
 
 def loaded_after(argv, script=LOADED, code=0):
@@ -180,6 +186,21 @@ def test_import_rule(argv, code, loaded, none_from):
     assert loaded <= modules, sorted(loaded - modules)
     for package in none_from:
         assert under(modules, package) == [], package
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["ring", "--phi-steps", "3"],
+                                  ["ring", "--l", "-3..3", "--phi-steps", "3"]])
+def test_help_and_ring_load_no_scipy(argv):
+    # the table runs main(argv) from a script; this runs the command as
+    # typed, with ncqm.cli executed as __main__, and reads every import
+    # from -X importtime (one "import time: ... | <module>" line each)
+    stderr = fresh_run("-X", "importtime", "-m", "ncqm.cli", *argv).stderr
+    imported = {line.rpartition("|")[2].strip()
+                for line in stderr.splitlines()
+                if line.startswith("import time:")}
+    assert "ncqm.params" in imported
+    for package in NO_ARRAYS:
+        assert under(imported, package) == [], package
 
 
 COEFFICIENTS = """
