@@ -21,12 +21,14 @@ refusal made before any computation load no numpy. The EC and SQF
 ``spectrum`` tables, ``wavefunction`` and ``commutators`` load numpy and
 no scipy (Brent's method is in ``spectra``, the radial-state special
 functions in ``specfun``, the operators as numpy diagonals in
-``algebra``), and so does ``fractional`` (its gamma functions are
-``math.gamma`` and ``math.lgamma``); only ``verify`` loads scipy, and
-only ``scipy.linalg`` (the oracles) and ``scipy.special`` (``beta_fn``):
-its beta check sums Gauss-Legendre nodes in numpy. No table has
-more than MAX_ROWS rows: a larger one is refused before any level is
-solved or any row is built.
+``algebra``), and so do ``fractional`` (its gamma functions are
+``math.gamma`` and ``math.lgamma``) and ``verify`` (its beta check sums
+Gauss-Legendre nodes in numpy, ``beta_fn`` is ``math.gamma`` and the
+radial oracle solves its tridiagonal eigenvalues itself). scipy is
+imported on call only by ``bessel_j`` past x = 12, ``laguerre`` past
+n = 20 (so ``wavefunction --n`` above 20 loads it), ``bessel_y`` and
+``riemann_liouville``. No table has more than MAX_ROWS rows: a larger
+one is refused before any level is solved or any row is built.
 """
 
 from __future__ import annotations

@@ -25,6 +25,14 @@ rescaled afterwards. The Fock level is solved at every frozen energy
 where the frozen Hamiltonian is bounded below (|B_h| < omega_h). The
 module shares no code with the spectra module, so the closed forms and
 the root-finder there can be cross-checked end to end.
+
+The tridiagonal eigenvalues are this module's own
+(_tridiagonal_eigenvalues; no scipy): a Sturm count, the number of
+negative LDL^T pivots of T - x (Barth, Martin & Wilkinson, Numer. Math.
+9, 1967), certifies that a bracket holds exactly eigenvalue k, and
+safeguarded Newton steps on the same pivot sweep, d/dx ln|det(T - x)| =
+sum_i d_i'/d_i, finish the root. The continuum oscillator levels are
+only the starts, so they cannot change which eigenvalue is returned.
 """
 
 from __future__ import annotations
@@ -32,10 +40,10 @@ from __future__ import annotations
 import functools
 import logging
 import math
+import sys
 import time
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
 
 from .errors import ConvergenceError, GridError, ValidationError
 from .algebra import _shell_blocks, build_heisenberg_rep
@@ -44,6 +52,149 @@ from .params import ModelParams, PhysicalConstants, effective_coefficients
 log = logging.getLogger("ncqm.oracle")
 
 _DECAY_LOG = math.log(1e8)  # require exp(-xi_max^2/2) < 1e-8 at the boundary
+
+# A Newton step within this many ulps of ||T||_inf is at the roundoff
+# floor of the pivots: the steps stop shrinking there (between 1e-12 and
+# 1e-11 on the unit radial matrices, where 8 ulps of ||T||_inf is
+# 1e-10 to 5e-9), so a fixed stop at 2 eps |x| could never be met.
+_FLOOR_ULPS = 8.0
+# Newton sweeps per eigenvalue after which the bracket is bisected instead.
+_NEWTON_SWEEPS = 16
+
+
+def _pivot_sweep(d, e2, x: float, pivmin: float) -> tuple[int, float]:
+    """Sturm count and log-derivative of det(T - x) from the LDL^T pivots.
+
+    d is the diagonal of T and e2 its squared off-diagonal with a 0 in
+    front. The pivots are d_i = d[i] - x - e2[i]/d_(i-1); the count of
+    negative ones is the number of eigenvalues below x, and
+    d/dx ln|det(T - x)| = sum_i d_i'/d_i with
+    d_i' = -1 + e2[i] d_(i-1)'/d_(i-1)^2. A pivot below pivmin in size is
+    taken as -pivmin (and counted), as in LAPACK's dstebz.
+    """
+    count = 0
+    q, ratio, total = 1.0, 0.0, 0.0  # ratio is d_i'/d_i
+    for di, ei2 in zip(d, e2):
+        r = ei2 / q
+        q = di - x - r
+        if q < pivmin:
+            count += 1
+            if q > -pivmin:
+                q = -pivmin
+        ratio = (r * ratio - 1.0) / q
+        total += ratio
+    return count, total
+
+
+def _eigenvalue(d, e2, k: int, x: float, floor: float,
+                pivmin: float) -> float:
+    """Eigenvalue k (from 0, ascending) of T, from the start x.
+
+    The pivot sweep at x gives the Newton step and, by its count, the side
+    of x on which eigenvalue k lies. A second Sturm count at twice the
+    step's length (at least floor) on that side closes a bracket, which
+    is certified when count(lo) <= k < count(hi) and doubled away from x
+    until it is, then bisected until it holds eigenvalue k alone.
+    Eigenvalues that agree to within floor end in a bracket of that
+    width. Newton steps, bisecting whenever one leaves the bracket, then
+    finish the root, and each sweep narrows the bracket by its count. A
+    step within floor is the last; after _NEWTON_SWEEPS sweeps the
+    bracket is bisected down to floor.
+    """
+    def sweep(x):
+        count, total = _pivot_sweep(d, e2, x, pivmin)
+        return count, (-1.0 / total if total else math.inf)
+
+    c, step = sweep(x)
+    w = max(2.0 * abs(step), floor) if math.isfinite(step) else floor
+    if c <= k:
+        lo, c_lo, hi = x, c, x + w
+        c_hi = sweep(hi)[0]
+        while c_hi <= k:  # eigenvalue k lies above hi
+            lo, c_lo, w = hi, c_hi, 2.0 * w
+            hi = lo + w
+            c_hi = sweep(hi)[0]
+    else:
+        hi, c_hi, lo = x, c, x - w
+        c_lo = sweep(lo)[0]
+        while c_lo > k:  # eigenvalue k lies below lo
+            hi, c_hi, w = lo, c_lo, 2.0 * w
+            lo = hi - w
+            c_lo = sweep(lo)[0]
+    while c_lo < k or c_hi > k + 1:
+        mid = 0.5 * (lo + hi)
+        if hi - lo <= floor:
+            return mid
+        c_mid = sweep(mid)[0]
+        if c_mid <= k:
+            lo, c_lo = mid, c_mid
+        else:
+            hi, c_hi = mid, c_mid
+    sweeps = 0
+    while True:
+        x_new = x + step
+        if abs(step) <= floor and lo <= x_new <= hi:
+            return x_new
+        if sweeps >= _NEWTON_SWEEPS or not lo < x_new < hi:
+            x_new = 0.5 * (lo + hi)
+        if hi - lo <= floor:
+            return x_new
+        x = x_new
+        c, step = sweep(x)
+        sweeps += 1
+        if c <= k:
+            lo = x
+        else:
+            hi = x
+
+
+def _tridiagonal_eigenvalues(diag: np.ndarray, off: np.ndarray,
+                             starts) -> np.ndarray:
+    """The len(starts) lowest eigenvalues of the symmetric tridiagonal
+    matrix T with diagonal diag and off-diagonal off, ascending.
+
+    Eigenvalue k is sought from starts[k] (clipped to the Gershgorin
+    interval, so an infinite start is its end): a good start saves
+    sweeps, and a poor one costs sweeps but never changes the index, which
+    the Sturm count certifies (see _eigenvalue). The Newton steps end at
+    floor, _FLOOR_ULPS ulps of ||T||_inf, the roundoff floor of the
+    pivots; the last step is kept.
+    """
+    radius = np.abs(np.concatenate(([0.0], off))) \
+        + np.abs(np.concatenate((off, [0.0])))
+    low = float(np.min(diag - radius))
+    high = float(np.max(diag + radius))
+    norm = float(np.max(np.abs(diag) + radius))
+    e2 = [0.0, *(off * off).tolist()]
+    pivmin = sys.float_info.min * max(1.0, max(e2))
+    floor = max(_FLOOR_ULPS * sys.float_info.epsilon * norm, pivmin)
+    d = diag.tolist()
+    starts = np.clip(np.asarray(starts, dtype=float), low, high)
+    return np.array([_eigenvalue(d, e2, k, x, floor, pivmin)
+                     for k, x in enumerate(starts.tolist())])
+
+
+def _radial_matrix(m_star: float, k_elastic: float, m_phi: int,
+                   r_max: float, points: int, hbar: float
+                   ) -> tuple[np.ndarray, np.ndarray]:
+    """Diagonal and off-diagonal of the symmetric finite-volume matrix of
+    radial_fd_eigensolve at B = 0, on points cells of [0, r_max]. An entry
+    that is not a finite double raises ValidationError."""
+    h = r_max / points
+    r = (np.arange(points) + 0.5) * h
+    r_plus = r + 0.5 * h
+    r_minus = np.maximum(r - 0.5 * h, 0.0)  # zero flux through r = 0
+    kin = hbar ** 2 / (2.0 * m_star)
+    diag = (kin * (r_plus + r_minus) / (h ** 2 * r)
+            + kin * m_phi ** 2 / r ** 2
+            + 0.5 * k_elastic * r ** 2)
+    off = -kin * r_plus[:-1] / (h ** 2 * np.sqrt(r[:-1] * r[1:]))
+    if not (np.all(np.isfinite(diag)) and np.all(np.isfinite(off))):
+        raise ValidationError(
+            f"the finite-volume matrix at m_star={m_star!r}, "
+            f"k_elastic={k_elastic!r}, hbar={hbar!r}, r_max={r_max!r} has "
+            "an entry that is not a finite double")
+    return diag, off
 
 
 def radial_fd_eigensolve(m_star: float, b_field: float, k_elastic: float,
@@ -61,7 +212,13 @@ def radial_fd_eigensolve(m_star: float, b_field: float, k_elastic: float,
     boundary-decay condition exp(-xi_max^2/2) < 1e-8. With richardson the
     solve is repeated at doubled resolution and extrapolated, giving
     O(h^4) eigenvalues. m_star, k_elastic, hbar and r_max must be finite
-    and positive, b_field finite and count in 1..points (ValidationError).
+    and positive, b_field finite, count in 1..points and every matrix
+    entry a finite double (ValidationError).
+
+    The eigenvalues are _tridiagonal_eigenvalues's. Level k starts at the
+    continuum oscillator level hbar omega (2k + |m_phi| + 1) on the coarse
+    grid; the grid error is O(h^2), so the doubled grid starts three
+    quarters of the way from the coarse eigenvalue to that level.
     """
     r_max, points = grid
     if points < 500:
@@ -80,24 +237,17 @@ def radial_fd_eigensolve(m_star: float, b_field: float, k_elastic: float,
             f"r_max={r_max} too small: exp(-xi^2/2) at the boundary is "
             f"{math.exp(-lam * r_max ** 2 / 2.0):.2e} >= 1e-8")
 
-    def solve(n_pts: int) -> np.ndarray:
-        h = r_max / n_pts
-        r = (np.arange(n_pts) + 0.5) * h
-        r_plus = r + 0.5 * h
-        r_minus = np.maximum(r - 0.5 * h, 0.0)  # zero flux through r = 0
-        kin = hbar ** 2 / (2.0 * m_star)
-        diag = (kin * (r_plus + r_minus) / (h ** 2 * r)
-                + kin * m_phi ** 2 / r ** 2
-                + 0.5 * k_elastic * r ** 2)
-        off = -kin * r_plus[:-1] / (h ** 2 * np.sqrt(r[:-1] * r[1:]))
-        vals = eigh_tridiagonal(diag, off, select="i",
-                                select_range=(0, count - 1),
-                                eigvals_only=True)
-        return vals
+    def solve(n_pts: int, starts) -> np.ndarray:
+        return _tridiagonal_eigenvalues(
+            *_radial_matrix(m_star, k_elastic, m_phi, r_max, n_pts, hbar),
+            starts)
 
-    eps = solve(points)
+    quantum = hbar * math.sqrt(k_elastic) / math.sqrt(m_star)
+    continuum = quantum * (2.0 * np.arange(count) + abs(m_phi) + 1.0)
+    eps = solve(points, continuum)
     if richardson:
-        eps = (4.0 * solve(2 * points) - eps) / 3.0
+        eps = (4.0 * solve(2 * points, eps + 0.75 * (continuum - eps))
+               - eps) / 3.0
     return eps - m_phi * hbar * b_field
 
 

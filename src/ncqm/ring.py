@@ -97,12 +97,19 @@ def nc_flux(spec: RingSpec, eta: float) -> RingFields:
     phi_nc = 2 pi R^2 eta/(e hbar alpha^2).
 
     Note phi_nc carries twice the geometric area-times-field product
-    pi R^2 B_z.
+    pi R^2 B_z. A denominator e alpha^2 hbar that underflows to 0 raises
+    DomainError.
     """
     c = spec.constants
-    b_z = eta / (c.charge * spec.alpha_param ** 2 * c.hbar)
-    phi_nc = 2.0 * math.pi * spec.radius ** 2 * eta \
-        / (c.charge * c.hbar * spec.alpha_param ** 2)
+    field_denominator = c.charge * spec.alpha_param ** 2 * c.hbar
+    flux_denominator = c.charge * c.hbar * spec.alpha_param ** 2
+    if field_denominator == 0.0 or flux_denominator == 0.0:
+        raise DomainError(
+            f"the ring denominator e alpha^2 hbar underflows to 0 at "
+            f"charge={c.charge!r}, alpha_param={spec.alpha_param!r}, "
+            f"hbar={c.hbar!r}")
+    b_z = eta / field_denominator
+    phi_nc = 2.0 * math.pi * spec.radius ** 2 * eta / flux_denominator
     return RingFields(b_z=_finite("effective field", b_z, eta),
                       phi_nc=_finite("effective flux", phi_nc, eta),
                       flux_quantum=spec.flux_quantum)

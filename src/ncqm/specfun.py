@@ -20,9 +20,14 @@ this module imports no scipy at load time:
   states sample it) and calls scipy's ``jv`` (imported on call) beyond;
   ``jv`` runs the general complex-order routine at every point, about ten
   times slower than the series on the radial-state grids;
-* beta_fn and bessel_y are validated wrappers over ``scipy.special``,
-  imported on each call (a ratio of gammas overflows where B does not,
-  and the lgamma route loses digits);
+* beta_fn is Gamma(a)/Gamma(a+b)*Gamma(b) from ``math.gamma``, the
+  quotient taken first, and exp(lgamma(a) + lgamma(b) - lgamma(a+b))
+  where one of the three Gammas overflows (a + b past 171.62, an
+  argument below 5.6e-309), which loses digits as |lgamma| grows, so
+  past a larger argument of 1000 the lgamma difference comes from
+  Stirling's series;
+* bessel_y is a validated wrapper over ``scipy.special``, imported on
+  each call;
 * mittag_leffler, which scipy does not provide, is summed here.
 
 Accuracy envelopes (checked against mpmath by the test suite):
@@ -31,7 +36,9 @@ Accuracy envelopes (checked against mpmath by the test suite):
 * recip_gamma   relative error <= 2e-15 for real x in (-171.1, 171.6) off
                 the poles, where 1/Gamma is a finite double
 * log_gamma     error <= max(1e-13 |ln Gamma(z)|, 1e-15) for z in (0, 1000]
-* beta_fn       relative error <= 1e-12 for a, b in (0, 50]
+* beta_fn       relative error <= 1e-12 for a, b in (0, 50], <= 1e-11 on
+                (50, 1000] where B is a normal double, and <= 1e-12 for
+                one argument in (0, 10] and the other in (1e3, 1e6]
 * bessel_j      absolute error <= 1e-10 for 0 <= x <= 50, integer order <= 20
                 (the series' cancellation error, about eps I_0(x), peaks
                 near 6e-13 at x = 12)
@@ -78,6 +85,11 @@ _ML_MAX_CANCELLATION = 1e3
 # (relative to its first term, 1).
 _J_SERIES_MAX_X = 12.0
 _J_SERIES_TAIL = 1e-17
+
+# Past this larger argument beta_fn takes ln Gamma(l + s) - ln Gamma(l)
+# from Stirling's series (remainder below 1/(1260 l^5)) instead of lgamma,
+# whose rounding, about eps l ln l, grows with l.
+_BETA_STIRLING_MIN = 1e3
 
 # Laguerre L_n^(a) runs its forward recurrence in n for n <= this, the
 # documented envelope; past it scipy's eval_genlaguerre is used, since the
@@ -151,11 +163,39 @@ def recip_gamma(x: float) -> float:
 
 
 def beta_fn(a: float, b: float) -> float:
-    """Euler beta function B(a, b) = Gamma(a)Gamma(b)/Gamma(a+b), a, b > 0."""
+    """Euler beta function B(a, b) = Gamma(a)Gamma(b)/Gamma(a+b), a, b > 0.
+
+    Gamma(a)/Gamma(a+b)*Gamma(b) by ``math.gamma``, dividing before the
+    second product. Where one of those Gammas overflows it is
+    exp(lgamma(a) + lgamma(b) - lgamma(a+b)) while both arguments are at
+    most _BETA_STIRLING_MIN; past that the larger one, l, carries
+    ln Gamma(l + s) - ln Gamma(l) for the smaller s by Stirling's series,
+    so s is not lost in l + s. Where B leaves the double range the result
+    is inf (B is about 1/a + 1/b, past the largest double for an argument
+    below about 5.6e-309) or 0.0 (B underflows); at an infinite argument
+    it is 0.0, the limit at the other argument fixed. It is never nan. A
+    non-positive or NaN argument raises DomainError.
+    """
     if not (a > 0 and b > 0):  # NaN fails it too
         raise DomainError(f"beta_fn requires positive arguments, got ({a}, {b})")
-    from scipy import special
-    return float(special.beta(a, b))
+    a, b = float(a), float(b)
+    if math.isinf(a) or math.isinf(b):
+        return 0.0
+    try:
+        return math.gamma(a) / math.gamma(a + b) * math.gamma(b)
+    except OverflowError:
+        pass
+    s, l = min(a, b), max(a, b)
+    if l <= _BETA_STIRLING_MIN:
+        log_beta = math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b)
+    elif s > _BETA_STIRLING_MIN:  # B <= B(1000, 1000) = 9.8e-604
+        return 0.0
+    else:
+        u, v = 1.0 / (l + s), 1.0 / l
+        log_beta = math.lgamma(s) - (
+            (l - 0.5) * math.log1p(s / l) + s * math.log(l + s) - s
+            + (u - v) / 12.0 - (u * u * u - v * v * v) / 360.0)
+    return math.exp(log_beta) if log_beta < _LOG_MAX_DOUBLE else math.inf
 
 
 def _check_bessel_args(order: int, x, fn: str) -> np.ndarray:

@@ -458,9 +458,11 @@ def fractional_oscillator_levels(spec: FractionalOscSpec, n: int,
     a, b = spec.alpha_p, spec.beta_p
     expo = a * b / (a + b)
     try:
-        prefactor = (math.pi * c.hbar * b * spec.d_alpha ** (1.0 / a)
-                     * spec.q ** (2.0 / b)
-                     / (2.0 * beta_fn(1.0 / b, 1.0 / a + 1.0)))
+        numerator = (math.pi * c.hbar * b * spec.d_alpha ** (1.0 / a)
+                     * spec.q ** (2.0 / b))
+        beta = beta_fn(1.0 / b, 1.0 / a + 1.0)
+        # a B that underflows puts the prefactor past the double range
+        prefactor = numerator / (2.0 * beta) if beta else math.inf
         level = prefactor ** expo * (n + 0.5) ** expo
     except (OverflowError, ZeroDivisionError):
         level = math.nan

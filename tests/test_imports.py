@@ -8,12 +8,10 @@ nothing may load. ``import ncqm.cli`` loads ncqm, cli, errors and params
 and nothing else; ``--help``, ``ring`` and the refusals made before any
 computation load no numpy or scipy; the README spectrum (no specfun
 either), the README ``wavefunction``, ``commutators`` and the
-``fractional`` operators load no scipy; ``verify`` loads
-``scipy.linalg`` and ``scipy.special`` and nothing under
-``scipy.integrate``, ``scipy.optimize`` or ``scipy.sparse``.
+``fractional`` operators and ``verify`` load no scipy.
 Also in fresh interpreters: ``params`` imported before numpy computes
-what it computes after; a radial self-consistent solve loads
-``scipy.linalg`` and no ``scipy.optimize``; ``python -m ncqm.cli
+what it computes after; a radial and a Fock self-consistent solve load
+no scipy; ``python -m ncqm.cli
 verify`` writes the same report bytes under PYTHONHASHSEED 1 and 2;
 ``python -m ncqm.cli`` with ``--help`` or ``ring``, the command as typed,
 imports no numpy or scipy. In this process: sampling radial states
@@ -72,6 +70,7 @@ p = params_from_dict({"mechanism": "ec", "eta0": 0.1, "theta0": 0.1,
                       "alpha": 1.0, "beta": 1.0, "e_ref": 10.0,
                       "spring_k": 1.0})
 self_consistent_wrap("radial", p, QuantumNumbers(n=1, m_phi=1))
+self_consistent_wrap("fock", p, QuantumNumbers(n=1, m_phi=1))
 print(json.dumps(sorted(m for m in sys.modules
                         if m.partition(".")[0] in ("ncqm", "scipy"))))
 """
@@ -172,11 +171,11 @@ IMPORT_RULES = [
     rule("mittag_leffler_beta", ["fractional", "--op", "mittag_leffler",
                                  "--order", "2", "--ml-beta", "-0.5", "--x",
                                  "1.5"], 0, {"ncqm.specfun"}, NO_SCIPY),
-    # the beta check sums cached Gauss-Legendre nodes in numpy, so verify
-    # needs scipy.linalg for the oracles and scipy.special for beta_fn only
-    rule("verify", ["verify", "--out", os.devnull], 0,
-         {"ncqm.verify", "scipy.linalg", "scipy.special"},
-         ("scipy.integrate", "scipy.optimize", "scipy.sparse")),
+    # the beta check sums cached Gauss-Legendre nodes in numpy, beta_fn is
+    # math.gamma and the radial oracle's tridiagonal eigenvalues are its
+    # own, so verify needs no scipy
+    rule("verify", ["verify", "--out", os.devnull], 0, {"ncqm.verify"},
+         NO_SCIPY),
 ]
 
 
@@ -271,12 +270,12 @@ def test_params_before_numpy_computes_as_after():
 
 
 def test_radial_self_consistent_solve_loads_no_scipy_optimize():
-    # the secant is a port in the oracle itself, and the unit level is
-    # scipy.linalg's tridiagonal eigensolve
+    # the secant is a port in the oracle itself, the unit level comes
+    # from the oracle's own Sturm-Newton eigenvalues and the Fock levels
+    # from numpy, so the radial and the Fock solve load no scipy at all
     loaded = set(json.loads(fresh_stdout("-c", SELF_CONSISTENT)))
     assert "ncqm.oracle" in loaded
-    assert "scipy.linalg" in loaded
-    assert under(loaded, "scipy.optimize") == []
+    assert under(loaded, "scipy") == []
 
 
 def test_verify_report_is_the_same_under_two_hash_seeds(tmp_path):

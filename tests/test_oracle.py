@@ -88,6 +88,122 @@ class TestRadialFd:
                                  hbar=hbar)
 
 
+def tridiagonal_norm(diag, off):
+    """||T||_inf of the symmetric tridiagonal matrix (diag, off)."""
+    a = np.abs(off)
+    return float(np.max(np.abs(diag) + np.concatenate(([0.0], a))
+                        + np.concatenate((a, [0.0]))))
+
+
+def assert_lowest_eigenvalues(diag, off, starts):
+    """The oracle's eigenvalues from starts are scipy's lowest
+    len(starts), within 64 eps ||T||_inf."""
+    from scipy.linalg import eigh_tridiagonal
+    count = len(starts)
+    ref = eigh_tridiagonal(diag, off, select="i",
+                           select_range=(0, count - 1), eigvals_only=True)
+    got = oracle._tridiagonal_eigenvalues(diag, off, starts)
+    np.testing.assert_allclose(
+        got, ref, rtol=0.0,
+        atol=64.0 * np.finfo(float).eps * tridiagonal_norm(diag, off))
+    return got
+
+
+class TestTridiagonalEigenvalues:
+    """The oracle's Sturm-Newton eigenvalues against scipy's
+    eigh_tridiagonal, within 64 eps ||T||_inf."""
+
+    @pytest.mark.parametrize("points", [1200, 2400])
+    @pytest.mark.parametrize("m_abs", range(4))
+    def test_unit_radial_matrices(self, m_abs, points):
+        # the matrices of the unit levels n <= 3, which differ in xi_max,
+        # from the continuum starts of radial_fd_eigensolve
+        for n in range(4):
+            xi_max = max(math.sqrt(2.2 * oracle._DECAY_LOG),
+                         3.0 * math.sqrt(2 * n + m_abs + 2))
+            diag, off = oracle._radial_matrix(1.0, 1.0, m_abs, xi_max,
+                                              points, 1.0)
+            assert_lowest_eigenvalues(
+                diag, off, 2.0 * np.arange(n + 1) + m_abs + 1.0)
+
+    def test_unit_levels_match_scipy_richardson(self):
+        # the doubled grid starts from the coarse eigenvalues, and the
+        # extrapolation (4 e_2400 - e_1200)/3 adds 5/3 of their errors
+        from scipy.linalg import eigh_tridiagonal
+        eps = np.finfo(float).eps
+        for m_abs in range(4):
+            xi_max = max(math.sqrt(2.2 * oracle._DECAY_LOG),
+                         3.0 * math.sqrt(m_abs + 8))
+            ref, norm = [], 0.0
+            for points in (1200, 2400):
+                diag, off = oracle._radial_matrix(1.0, 1.0, m_abs, xi_max,
+                                                  points, 1.0)
+                ref.append(eigh_tridiagonal(diag, off, select="i",
+                                            select_range=(0, 3),
+                                            eigvals_only=True))
+                norm = max(norm, tridiagonal_norm(diag, off))
+            got = radial_fd_eigensolve(1.0, 0.0, 1.0, m_abs, (xi_max, 1200),
+                                       4)
+            np.testing.assert_allclose(got, (4.0 * ref[1] - ref[0]) / 3.0,
+                                       rtol=0.0,
+                                       atol=5.0 / 3.0 * 64.0 * eps * norm)
+
+    def test_seeded_random_matrices(self):
+        rng = np.random.default_rng(2024)
+        for _ in range(30):
+            size = int(rng.integers(2, 80))
+            scale = 10.0 ** rng.uniform(-3.0, 3.0)
+            diag = rng.normal(size=size) * scale
+            off = rng.normal(size=size - 1) * scale * rng.uniform(0.01, 2.0)
+            count = int(rng.integers(1, size + 1))
+            # zero starts and starts scattered over the spectrum's scale
+            assert_lowest_eigenvalues(diag, off, np.zeros(count))
+            assert_lowest_eigenvalues(diag, off,
+                                      rng.normal(size=count) * 3.0 * scale)
+
+    def test_wilkinson_w21_near_degenerate_pairs(self):
+        # W21+ = tridiag(1, |10 - i|, 1): its top pairs agree to about
+        # 1e-13 and are resolved in index order
+        diag = np.abs(np.arange(-10.0, 11.0))
+        off = np.ones(20)
+        got = assert_lowest_eigenvalues(diag, off, np.zeros(21))
+        assert np.all(np.diff(got) >= 0.0)
+        assert got[-1] - got[-2] < 1e-12
+
+    def test_exactly_equal_eigenvalues_end(self):
+        # zero off-diagonals split T into 1x1 blocks, so the count jumps by
+        # the multiplicity: each bracket ends at roundoff width instead of
+        # being bisected forever
+        diag = np.array([3.0, 1.0, 2.0, 1.0, 2.0, 2.0, 5.0, 1.0, 2.0])
+        off = np.zeros(8)
+        for starts in (np.zeros(9), np.sort(diag), np.full(9, 4.0)):
+            got = assert_lowest_eigenvalues(diag, off, starts)
+            np.testing.assert_allclose(got, np.sort(diag), rtol=0.0,
+                                       atol=64.0 * np.finfo(float).eps * 5.0)
+
+    def test_uncertified_bracket_is_widened(self, monkeypatch):
+        # every start sits on another eigenvalue exactly, where the Newton
+        # step is about 0: the first bracket holds the wrong index, so it
+        # is widened until the Sturm count certifies index k
+        diag = np.abs(np.arange(-10.0, 11.0))
+        off = np.ones(20)
+        exact = assert_lowest_eigenvalues(diag, off, np.zeros(21))
+        assert_lowest_eigenvalues(diag, off, exact[2:12])     # k + 2
+        assert_lowest_eigenvalues(diag, off, np.r_[exact[0], exact[:-1]])
+        assert_lowest_eigenvalues(diag, off, np.full(21, exact[-1]))
+        # eigenvalue 0 from eigenvalue 4: a count is taken below it
+        counted = []
+
+        def pivot_sweep(d, e2, x, pivmin):
+            counted.append(x)
+            return sweep(d, e2, x, pivmin)
+
+        sweep = oracle._pivot_sweep
+        monkeypatch.setattr(oracle, "_pivot_sweep", pivot_sweep)
+        assert_lowest_eigenvalues(diag, off, exact[4:5])
+        assert min(counted) < exact[0]
+
+
 def shell_hamiltonian(n_trunc, m_star, b, k):
     """Dense H and L_z of the Fock oracle at the natural frequency."""
     rep = build_heisenberg_rep(n_trunc, PhysicalConstants(mass=m_star),

@@ -199,6 +199,20 @@ class TestOverflow:
         with pytest.raises(DomainError, match="current l=0"):
             persistent_current(spec, 0.0, 0)
 
+    def test_underflowing_denominator(self):
+        # e alpha^2 hbar = 1e-320 underflows to 0 although the flux quantum
+        # 2 pi hbar/e = 6.3e290 is finite: once a bare ZeroDivisionError
+        spec = RingSpec(radius=1, alpha_param=1e-10,
+                        constants=PhysicalConstants(charge=1e-300,
+                                                    hbar=1e-10))
+        assert math.isfinite(spec.flux_quantum)
+        for call in (nc_flux, ground_persistent_current):
+            with pytest.raises(DomainError, match="e alpha\\^2 hbar "
+                               "underflows to 0"):
+                call(spec, 0.1)
+        with pytest.raises(DomainError, match="underflows to 0"):
+            ring_levels(spec, 0.1, 0)
+
 
 class TestAlphaInversion:
     def test_both_roots_recovered(self):

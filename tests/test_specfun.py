@@ -649,3 +649,94 @@ class TestBesselJSeries:
                     radial_bessel(m_phi, c_big, xi)
         with pytest.raises(AssertionError, match="jv reached"):
             bessel_j(0, NEAR_CUTOFF[2])
+
+
+def log_uniform(low, high):
+    """Doubles log-uniform in (low, high]."""
+    return st.floats(math.log(low), math.log(high)).map(
+        lambda u: min(max(math.exp(u), math.nextafter(low, math.inf)), high))
+
+
+class TestBetaEnvelope:
+    """beta_fn against mpmath over its stated envelope and past it, and the
+    values it returns where B leaves the double range."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True,
+              database=None)
+    @given(a=log_uniform(1e-6, 50.0), b=log_uniform(1e-6, 50.0))
+    def test_envelope_against_mpmath(self, a, b):
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(40):
+            ref = float(mpmath.beta(a, b))
+        assert beta_fn(a, b) == pytest.approx(ref, rel=1e-12)
+
+    @settings(max_examples=200, deadline=None, derandomize=True,
+              database=None)
+    @given(a=log_uniform(50.0, 1000.0), b=log_uniform(50.0, 1000.0))
+    def test_lgamma_route_past_the_envelope(self, a, b):
+        # where Gamma(a + b) overflows, lgamma's rounding (about eps l ln l
+        # at l = a + b) sets the error: 2.6e-12 at worst on 3000 points,
+        # as for scipy.special.beta, so 1e-11 is pinned; a B below the
+        # normal range must underflow here too
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(40):
+            ref = float(mpmath.beta(a, b))
+        if ref < sys.float_info.min:
+            assert beta_fn(a, b) < sys.float_info.min
+        else:
+            assert beta_fn(a, b) == pytest.approx(ref, rel=1e-11)
+
+    @settings(max_examples=200, deadline=None, derandomize=True,
+              database=None)
+    @given(small=log_uniform(1e-6, 10.0), large=log_uniform(1e3, 1e6))
+    def test_stirling_route_for_a_large_argument(self, small, large):
+        # ln Gamma(l + s) - ln Gamma(l) by Stirling's series keeps the
+        # digits lgamma loses (scipy.special.beta is 3e-9 off here)
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(40):
+            ref = float(mpmath.beta(small, large))
+        assert beta_fn(small, large) == pytest.approx(ref, rel=1e-12)
+        assert beta_fn(large, small) == beta_fn(small, large)
+
+    def test_small_argument_next_to_a_huge_one(self):
+        # 1e300 + 1e-10 rounds to 1e300, so lgamma(a) + lgamma(b) -
+        # lgamma(a + b) would give B = Gamma(1e-10)
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(340):
+            ref = float(mpmath.beta(mpmath.mpf(1e-10), mpmath.mpf(1e300)))
+        assert beta_fn(1e-10, 1e300) == pytest.approx(ref, rel=1e-13)
+        # B = Gamma(1e-10) (1e300)^(-1e-10) (1 + O(1e-310))
+        assert beta_fn(1e-10, 1e300) < (1.0 - 6e-8) * gamma_fn(1e-10)
+
+    @pytest.mark.parametrize("a,b,expected", [
+        (1e-320, 1.0, math.inf),         # B = 1/a + O(1) overflows
+        (5e-324, 2.0, math.inf),
+        (1e-308, 1e-308, math.inf),
+        (1e-320, 1e306, math.inf),
+        (math.inf, 1.0, 0.0),            # the limit at b fixed
+        (1.0, math.inf, 0.0),
+        (math.inf, math.inf, 0.0),       # scipy gives nan for these three
+        (math.inf, 1e-320, 0.0),
+        (1e-320, math.inf, 0.0),
+        (1000.0, 1000.0, 0.0),           # B = 9.8e-604 underflows
+        (1e306, 1e306, 0.0),
+        (2.5, 1e300, 0.0),
+    ])
+    def test_out_of_range_results(self, a, b, expected):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert beta_fn(a, b) == expected
+
+    @pytest.mark.parametrize("a,b,expected", [(1e-300, 1.0, 1e300),
+                                              (2.5e-308, 1.0, 4e307),
+                                              (1.0, 1e306, 1e-306)])
+    def test_extreme_finite_results(self, a, b, expected):
+        # B(a, 1) = 1/a at the edges of the double range; at 1e306 the
+        # route is exp(-704.6), whose rounding is about 700 eps
+        assert beta_fn(a, b) == pytest.approx(expected, rel=1e-13)
+
+    @pytest.mark.parametrize("a,b", [(1.0, -2.0), (math.nan, 1.0),
+                                     (1.0, math.nan), (-math.inf, 1.0)])
+    def test_domain(self, a, b):
+        with pytest.raises(DomainError):
+            beta_fn(a, b)

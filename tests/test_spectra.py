@@ -452,6 +452,37 @@ class TestFractionalOscillator:
         levels = [fractional_oscillator_levels(spec, n, c) for n in range(8)]
         assert all(x < y for x, y in zip(levels, levels[1:]))
 
+    def test_levels_match_scipy_beta(self, monkeypatch):
+        # the level with scipy.special.beta in place of beta_fn: the same
+        # level wherever that one is finite, and a DomainError wherever
+        # that one raises, over orders from 1e-300 to 1e300 (B(1/b, 1/a+1)
+        # reaches arguments near 1e300 and subnormal or infinite values)
+        from scipy import special
+        from ncqm import specfun
+        c = PhysicalConstants()
+        orders = [10.0 ** e for e in range(-300, 301, 25)] + [0.3, 1.5, 7.0]
+        specs = [FractionalOscSpec(alpha_p=a, beta_p=b, d_alpha=d, q=q)
+                 for a in orders for b in orders
+                 for d, q in ((1.0, 1.0), (0.5, 2.0))]
+        ours = []
+        for spec in specs:
+            try:
+                ours.append(fractional_oscillator_levels(spec, 1, c))
+            except DomainError:
+                ours.append(None)
+        monkeypatch.setattr(specfun, "beta_fn",
+                            lambda a, b: float(special.beta(a, b)))
+        finite = 0
+        for spec, mine in zip(specs, ours):
+            try:
+                theirs = fractional_oscillator_levels(spec, 1, c)
+            except DomainError:
+                assert mine is None, spec
+                continue
+            finite += 1
+            assert mine == pytest.approx(theirs, rel=1e-13), spec
+        assert finite > len(specs) // 4
+
 
 class TestEoAlpha1:
     def test_forced_arithmetic(self):
