@@ -58,19 +58,21 @@ _DECAY_LOG = math.log(1e8)  # require exp(-xi_max^2/2) < 1e-8 at the boundary
 # 1e-11 on the unit radial matrices, where 8 ulps of ||T||_inf is
 # 1e-10 to 5e-9), so a fixed stop at 2 eps |x| could never be met.
 _FLOOR_ULPS = 8.0
-# Newton sweeps per eigenvalue after which the bracket is bisected instead.
+# Sweeps on a bracket that isolates the eigenvalue after which it is
+# bisected instead of taking Newton steps.
 _NEWTON_SWEEPS = 16
 
 
 def _pivot_sweep(d, e2, x: float, pivmin: float) -> tuple[int, float]:
-    """Sturm count and log-derivative of det(T - x) from the LDL^T pivots.
+    """Sturm count and Newton step of det(T - x) from the LDL^T pivots.
 
     d is the diagonal of T and e2 its squared off-diagonal with a 0 in
     front. The pivots are d_i = d[i] - x - e2[i]/d_(i-1); the count of
-    negative ones is the number of eigenvalues below x, and
-    d/dx ln|det(T - x)| = sum_i d_i'/d_i with
-    d_i' = -1 + e2[i] d_(i-1)'/d_(i-1)^2. A pivot below pivmin in size is
-    taken as -pivmin (and counted), as in LAPACK's dstebz.
+    negative ones is the number of eigenvalues below x, and the Newton
+    step is -1/sum_i d_i'/d_i, the sum being d/dx ln|det(T - x)|, with
+    d_i' = -1 + e2[i] d_(i-1)'/d_(i-1)^2 (inf where the sum is 0). A
+    pivot below pivmin in size is taken as -pivmin (and counted), as in
+    LAPACK's dstebz.
     """
     count = 0
     q, ratio, total = 1.0, 0.0, 0.0  # ratio is d_i'/d_i
@@ -83,7 +85,7 @@ def _pivot_sweep(d, e2, x: float, pivmin: float) -> tuple[int, float]:
                 q = -pivmin
         ratio = (r * ratio - 1.0) / q
         total += ratio
-    return count, total
+    return count, (-1.0 / total if total else math.inf)
 
 
 def _eigenvalue(d, e2, k: int, x: float, floor: float,
@@ -91,61 +93,46 @@ def _eigenvalue(d, e2, k: int, x: float, floor: float,
     """Eigenvalue k (from 0, ascending) of T, from the start x.
 
     The pivot sweep at x gives the Newton step and, by its count, the side
-    of x on which eigenvalue k lies. A second Sturm count at twice the
-    step's length (at least floor) on that side closes a bracket, which
-    is certified when count(lo) <= k < count(hi) and doubled away from x
-    until it is, then bisected until it holds eigenvalue k alone.
-    Eigenvalues that agree to within floor end in a bracket of that
-    width. Newton steps, bisecting whenever one leaves the bracket, then
-    finish the root, and each sweep narrows the bracket by its count. A
-    step within floor is the last; after _NEWTON_SWEEPS sweeps the
-    bracket is bisected down to floor.
+    of x on which eigenvalue k lies. Sturm counts at twice the step's
+    length (at least floor) from x on that side, the length doubled each
+    time, walk away from x until count(lo) <= k < count(hi) certifies the
+    bracket [lo, hi]. One loop then refines it, and each sweep narrows it
+    by its count. While the bracket holds other eigenvalues besides k it
+    is bisected; once it holds eigenvalue k alone, Newton steps finish the
+    root, with a bisection wherever a step would not land strictly inside
+    the bracket and after _NEWTON_SWEEPS such sweeps. A step within floor
+    is the last, and a bracket of width floor ends the search, so
+    eigenvalues that agree to within floor end in a bracket of that width.
     """
-    def sweep(x):
-        count, total = _pivot_sweep(d, e2, x, pivmin)
-        return count, (-1.0 / total if total else math.inf)
-
-    c, step = sweep(x)
+    c, step = _pivot_sweep(d, e2, x, pivmin)
     w = max(2.0 * abs(step), floor) if math.isfinite(step) else floor
-    if c <= k:
-        lo, c_lo, hi = x, c, x + w
-        c_hi = sweep(hi)[0]
-        while c_hi <= k:  # eigenvalue k lies above hi
-            lo, c_lo, w = hi, c_hi, 2.0 * w
-            hi = lo + w
-            c_hi = sweep(hi)[0]
-    else:
-        hi, c_hi, lo = x, c, x - w
-        c_lo = sweep(lo)[0]
-        while c_lo > k:  # eigenvalue k lies below lo
-            hi, c_hi, w = lo, c_lo, 2.0 * w
-            lo = hi - w
-            c_lo = sweep(lo)[0]
-    while c_lo < k or c_hi > k + 1:
-        mid = 0.5 * (lo + hi)
-        if hi - lo <= floor:
-            return mid
-        c_mid = sweep(mid)[0]
-        if c_mid <= k:
-            lo, c_lo = mid, c_mid
-        else:
-            hi, c_hi = mid, c_mid
-    sweeps = 0
+    up = c <= k  # eigenvalue k lies above x
+    near, c_near = x, c
+    while True:
+        far = near + w if up else near - w
+        c_far = _pivot_sweep(d, e2, far, pivmin)[0]
+        if (c_far > k) == up:
+            break
+        near, c_near, w = far, c_far, 2.0 * w
+    lo, c_lo, hi, c_hi = ((near, c_near, far, c_far) if up
+                          else (far, c_far, near, c_near))
+    sweeps = 0  # sweeps taken while the bracket isolates k
     while True:
         x_new = x + step
-        if abs(step) <= floor and lo <= x_new <= hi:
+        isolated = c_lo == k and c_hi == k + 1
+        if isolated and abs(step) <= floor and lo <= x_new <= hi:
             return x_new
-        if sweeps >= _NEWTON_SWEEPS or not lo < x_new < hi:
+        if not (isolated and sweeps < _NEWTON_SWEEPS and lo < x_new < hi):
             x_new = 0.5 * (lo + hi)
         if hi - lo <= floor:
             return x_new
         x = x_new
-        c, step = sweep(x)
-        sweeps += 1
+        c, step = _pivot_sweep(d, e2, x, pivmin)
+        sweeps += isolated
         if c <= k:
-            lo = x
+            lo, c_lo = x, c
         else:
-            hi = x
+            hi, c_hi = x, c
 
 
 def _tridiagonal_eigenvalues(diag: np.ndarray, off: np.ndarray,
@@ -460,9 +447,8 @@ def self_consistent_wrap(solver: str, p: ModelParams, qn,
     scale = c.hbar * max(c.omega, 1.0 / p.e_ref) * qn.radial_weight
     scale = max(scale, 1e-6 * p.e_ref)
     levels = {}  # frozen level by u = ln E
-    steps = 0  # secant steps taken, in both DEBUG records
 
-    def failure(why):
+    def failure(why, steps):
         log.debug("self_consistent_wrap %s (n=%d, m_phi=%d): %d frozen "
                   "solves, %d secant steps, failed: %s", solver, qn.n,
                   qn.m_phi, len(levels), steps, why)
@@ -471,49 +457,43 @@ def self_consistent_wrap(solver: str, p: ModelParams, qn,
             + ("; ".join(f"E={math.exp(a):.6g}->{b:.6g}"
                          for a, b in list(levels.items())[-6:]) or "none"))
 
+    # The secant solves at its two starts (the first is the scale), then
+    # once per step, so the solve at the n-th frozen energy ends step n - 2.
     def level(u):
         if u not in levels:
             try:
                 levels[u] = _frozen_level(p, qn, math.exp(u), solver)
             except (ArithmeticError, ValueError) as exc:
-                raise failure(f"frozen solve at E = e^{u:.6g} failed: {exc}"
-                              ) from exc
+                raise failure(f"frozen solve at E = e^{u:.6g} failed: {exc}",
+                              max(len(levels) - 1, 0)) from exc
         return levels[u]
 
     def h(u):
         lev = level(u)
         if not 0.0 < lev < math.inf:
             raise failure(f"frozen level {lev:.6g} at E = e^{u:.6g} is not "
-                          "positive and finite")
+                          "positive and finite", max(len(levels) - 2, 0))
         return u - math.log(lev)
-
-    calls = 0  # calls of h by the secant
-
-    def secant_h(u):
-        # the secant calls h at its two starts, then once at the end of
-        # every step but the last, so a failing call ends step calls - 2
-        nonlocal calls, steps
-        calls += 1
-        steps = max(calls - 2, 0)
-        return h(u)
 
     u = math.log(scale)
     if not level(u) > 0.0:
-        raise failure("level(scale) <= 0, no bound state")
+        raise failure("level(scale) <= 0, no bound state", 0)
+    steps = 0
     if h(u) != 0.0:  # else the scale is the root
-        u, steps, status = _secant(secant_h, u, math.log(level(u)), tol)
+        u, steps, status = _secant(h, u, math.log(level(u)), tol)
         if status == "stalled":
             raise failure(f"the secant on ln E stalled at step {steps}: "
                           "h(u) = u - ln level(e^u) took the same value at "
-                          "its last two points")
+                          "its last two points", steps)
         if status == "maxiter":
             raise failure(f"the secant on ln E did not converge in {steps} "
-                          "steps")
+                          "steps", steps)
     h(u)  # the level at the root is positive and finite too
     energy = math.exp(u)
     residual = abs(energy - levels[u]) / levels[u]
     if not residual <= tol:
-        raise failure(f"relative residual {residual:.3e} above tol {tol:g}")
+        raise failure(f"relative residual {residual:.3e} above tol {tol:g}",
+                      steps)
     log.debug("self_consistent_wrap %s (n=%d, m_phi=%d): %d frozen solves, "
               "%d secant steps, relative residual %.3e", solver, qn.n,
               qn.m_phi, len(levels), steps, residual)

@@ -41,11 +41,14 @@ class Mechanism(enum.Enum):
 
 
 def _require_finite(obj, names: tuple[str, ...]):
-    """Reject NaN and infinite fields before they reach any coefficient."""
+    """Reject NaN and infinite fields before they reach any coefficient,
+    and store each as a Python float: arithmetic on a numpy scalar warns
+    and returns inf where a float raises the error the checks expect."""
     for name in names:
-        if not math.isfinite(getattr(obj, name)):
-            raise ValidationError(f"{name} must be finite, got "
-                                  f"{getattr(obj, name)}")
+        value = getattr(obj, name)
+        if not math.isfinite(value):
+            raise ValidationError(f"{name} must be finite, got {value}")
+        object.__setattr__(obj, name, float(value))
 
 
 @dataclass(frozen=True)

@@ -47,6 +47,10 @@ class RingSpec:
         if not math.isfinite(self.flux_ext):
             raise ValidationError(f"flux_ext must be finite, got "
                                   f"{self.flux_ext!r}")
+        # arithmetic on a numpy scalar warns where a float's raises or
+        # overflows quietly, so the fields are stored as Python floats
+        for name in ("radius", "flux_ext", "alpha_param"):
+            object.__setattr__(self, name, float(getattr(self, name)))
         # the flux and the effective mass divide by or multiply with the
         # squares, so a square that under- or overflows (or a NaN or
         # infinite radius) is refused here
@@ -101,15 +105,14 @@ def nc_flux(spec: RingSpec, eta: float) -> RingFields:
     DomainError.
     """
     c = spec.constants
-    field_denominator = c.charge * spec.alpha_param ** 2 * c.hbar
-    flux_denominator = c.charge * c.hbar * spec.alpha_param ** 2
-    if field_denominator == 0.0 or flux_denominator == 0.0:
+    denominator = c.charge * spec.alpha_param ** 2 * c.hbar
+    if denominator == 0.0:
         raise DomainError(
             f"the ring denominator e alpha^2 hbar underflows to 0 at "
             f"charge={c.charge!r}, alpha_param={spec.alpha_param!r}, "
             f"hbar={c.hbar!r}")
-    b_z = eta / field_denominator
-    phi_nc = 2.0 * math.pi * spec.radius ** 2 * eta / flux_denominator
+    b_z = eta / denominator
+    phi_nc = 2.0 * math.pi * spec.radius ** 2 * eta / denominator
     return RingFields(b_z=_finite("effective field", b_z, eta),
                       phi_nc=_finite("effective flux", phi_nc, eta),
                       flux_quantum=spec.flux_quantum)

@@ -16,8 +16,8 @@ evaluation plus a handful of scalar Brent steps, a fraction of a
 millisecond. The grid (scan_grid), the bracket rule (sign_change_brackets)
 and the refinement (brent_root, a port of scipy's brentq kernel that takes
 the same steps) are the package's one root-finding kernel; the
-self-consistent oracle shares none of it. The module needs numpy only: no
-scipy.optimize, and scipy.special only inside fractional_oscillator_levels.
+self-consistent oracle shares none of it. The module needs numpy and the
+standard library only; it loads no scipy.
 """
 
 from __future__ import annotations
@@ -379,7 +379,12 @@ def ec_free_energy_closed(qn: QuantumNumbers, p: ModelParams) -> float:
     c = p.constants
     hbar, m = c.hbar, c.mass
     b0, k0 = _reference_coefficients(p)
-    denom = 2 * qn.n + (1.0 - b0 * math.sqrt(2.0 * m / k0)) * qn.m_phi + 1.0
+    coupling = b0 * math.sqrt(2.0 * m / k0) if k0 > 0.0 else math.inf
+    if not math.isfinite(coupling):
+        raise DomainError(
+            f"k0 = eta0^2/4m hbar^2 = {k0!r} underflows at eta0={p.eta0!r}, "
+            "so B0 sqrt(2m/k0) (sqrt(2) identically) is not a finite double")
+    denom = 2 * qn.n + (1.0 - coupling) * qn.m_phi + 1.0
     if denom <= 0:
         raise DomainError(f"level bracket 2n + (1-sqrt(2)) m_phi + 1 = {denom} "
                           "is non-positive; no bound level")

@@ -10,8 +10,9 @@ computation load no numpy or scipy; the README spectrum (no specfun
 either), the README ``wavefunction``, ``commutators`` and the
 ``fractional`` operators and ``verify`` load no scipy.
 Also in fresh interpreters: ``params`` imported before numpy computes
-what it computes after; a radial and a Fock self-consistent solve load
-no scipy; ``python -m ncqm.cli
+what it computes after; ``import ncqm.oracle`` loads neither
+``ncqm.spectra`` nor scipy; a radial and a Fock self-consistent solve
+load no scipy; ``python -m ncqm.cli
 verify`` writes the same report bytes under PYTHONHASHSEED 1 and 2;
 ``python -m ncqm.cli`` with ``--help`` or ``ring``, the command as typed,
 imports no numpy or scipy. In this process: sampling radial states
@@ -267,6 +268,17 @@ def test_params_before_numpy_computes_as_after():
     assert {name: set(types) for name, (types, _) in readme.items()} == {
         "b_e": {"float64"}, "k_e": {"float64"}, "b_h": {"float64"},
         "k_h": {"float64"}, "m_star": {"float64"}, "omega_h": {"float"}}
+
+
+def test_oracle_import_loads_no_spectra_and_no_scipy():
+    # the oracle cross-checks the closed forms and the root-finder of
+    # spectra end to end, so it must share no code with them
+    loaded = set(json.loads(fresh_stdout(
+        "-c", "import json, sys, ncqm.oracle; "
+        "print(json.dumps(sorted(sys.modules)))")))
+    assert "ncqm.oracle" in loaded
+    assert "ncqm.spectra" not in loaded
+    assert under(loaded, "scipy") == []
 
 
 def test_radial_self_consistent_solve_loads_no_scipy_optimize():

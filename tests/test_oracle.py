@@ -203,6 +203,23 @@ class TestTridiagonalEigenvalues:
         assert_lowest_eigenvalues(diag, off, exact[4:5])
         assert min(counted) < exact[0]
 
+    def test_unit_levels_sweep_budget(self, monkeypatch):
+        # the 16 unit levels |m_phi| <= 3, n <= 3, solved from a cold
+        # cache on both Richardson grids, take at most 228 pivot sweeps
+        counted = []
+
+        def pivot_sweep(d, e2, x, pivmin):
+            counted.append(x)
+            return sweep(d, e2, x, pivmin)
+
+        sweep = oracle._pivot_sweep
+        oracle._unit_radial_levels.cache_clear()
+        monkeypatch.setattr(oracle, "_pivot_sweep", pivot_sweep)
+        for m_abs in range(4):
+            for n in range(4):
+                oracle._unit_radial_levels(m_abs, n)
+        assert 0 < len(counted) <= 228
+
 
 def shell_hamiltonian(n_trunc, m_star, b, k):
     """Dense H and L_z of the Fock oracle at the natural frequency."""
@@ -354,6 +371,19 @@ def count_frozen_solves(monkeypatch) -> list:
     return solves
 
 
+# the free particle at alpha = beta = 2: the Fock level is unbounded below
+# at every energy, and 1 + (1 - sqrt 2) 3 < 0 leaves m_phi = 3 no level
+EC_FREE_2 = ModelParams(eta0=1.0, alpha_exp=2.0, beta_exp=2.0, e_ref=1.0,
+                        mechanism=Mechanism.EC)
+
+
+def parabola_level(p, qn, energy, solver):
+    """level(E) = E exp(-(ln E - 0.3)^2 - 0.5), the frozen level of
+    test_secant_budget_ends_in_a_typed_error: h(u) = (u - 0.3)^2 + 0.5
+    has no root."""
+    return energy * math.exp(-(math.log(energy) - 0.3) ** 2 - 0.5)
+
+
 class TestSelfConsistent:
     def test_commutative_immediate(self):
         # the Fock level is the scale 3 to the last bit, where the secant
@@ -470,6 +500,61 @@ class TestSelfConsistent:
                      and r.getMessage().startswith("self_consistent_wrap")]
         assert "2 frozen solves, 1 secant steps, failed: the secant on " \
                "ln E stalled" in record.getMessage()
+
+    @pytest.mark.parametrize("solver,params,qn,tol,frozen,solves,steps,"
+                             "cause", [
+        pytest.param("radial", EC_FREE_2, QuantumNumbers(m_phi=3), 1e-9,
+                     None, 1, 0, "no bound state", id="no_bound_state"),
+        pytest.param("radial", ModelParams(
+            eta0=1.0, alpha_exp=1.001, beta_exp=1.001, e_ref=1.0,
+            mechanism=Mechanism.EC), QuantumNumbers(), 1e-9, None, 2, 1,
+            "range error", id="range_error"),
+        pytest.param("radial", ModelParams(
+            eta0=1.0, alpha_exp=0.999, beta_exp=0.999, e_ref=1.0,
+            mechanism=Mechanism.EC), QuantumNumbers(), 1e-9, None, 2, 1,
+            "frozen K_h", id="frozen_k_h"),
+        pytest.param("radial", ModelParams(
+            eta0=1.0, alpha_exp=1.0, beta_exp=1.0, e_ref=1.0,
+            mechanism=Mechanism.EC), QuantumNumbers(), 1e-9, None, 2, 1,
+            "stalled at step 1", id="stall"),
+        pytest.param("fock", EC_FREE_2, QuantumNumbers(), 1e-8, None, 0, 0,
+                     "unbounded below", id="fock_free_particle"),
+        pytest.param("fock", ModelParams(
+            eta0=0.1, theta0=0.5, alpha_exp=3.0, beta_exp=3.0, e_ref=1.0,
+            mechanism=Mechanism.EC,
+            constants=PhysicalConstants(spring_k=1.0)),
+            QuantumNumbers(n=1), 1e-8, None, 2, 1, "unbounded below",
+            id="fock_oscillator"),
+        # the same level by the radial route: the frozen level reaches inf
+        pytest.param("radial", ModelParams(
+            eta0=0.1, theta0=0.5, alpha_exp=3.0, beta_exp=3.0, e_ref=1.0,
+            mechanism=Mechanism.EC,
+            constants=PhysicalConstants(spring_k=1.0)),
+            QuantumNumbers(n=1), 1e-8, None, 8, 6, "not positive and finite",
+            id="radial_level_inf"),
+        pytest.param("radial", ModelParams(
+            eta0=0.1, theta0=0.1, mechanism=Mechanism.EC,
+            constants=PhysicalConstants(spring_k=1.0)), QuantumNumbers(),
+            1e-9, parabola_level, 52, 50, "did not converge in 50 steps",
+            id="secant_budget"),
+    ])
+    def test_failure_record_counts(self, monkeypatch, caplog, solver, params,
+                                   qn, tol, frozen, solves, steps, cause):
+        # the secant solves at its two starts and once per step, so a
+        # failure mid-secant reads its step from the frozen solves made
+        if frozen is not None:
+            monkeypatch.setattr(oracle, "_frozen_level", frozen)
+        with caplog.at_level(logging.DEBUG, logger="ncqm.oracle"):
+            with pytest.raises(ConvergenceError, match=cause) as info:
+                self_consistent_wrap(solver, params, qn, tol=tol)
+        (record,) = [r for r in caplog.records if r.name == "ncqm.oracle"
+                     and r.getMessage().startswith("self_consistent_wrap")]
+        head, why = record.getMessage().split(", failed: ")
+        assert head == (f"self_consistent_wrap {solver} (n={qn.n}, "
+                        f"m_phi={qn.m_phi}): {solves} frozen solves, "
+                        f"{steps} secant steps")
+        assert str(info.value).startswith(
+            f"self-consistency failed for {qn}: {why}; frozen solves: ")
 
     def test_secant_budget_ends_in_a_typed_error(self, monkeypatch):
         # level(E) = E exp(-(ln E - 0.3)^2 - 0.5) makes h(u) = (u - 0.3)^2

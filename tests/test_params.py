@@ -1,6 +1,7 @@
 import json
 import math
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -11,6 +12,9 @@ from ncqm.params import (Mechanism, ModelParams, PhysicalConstants,
                          effective_planck_4d, k_factor, nc_strengths,
                          params_from_dict, params_from_json, params_to_json,
                          rescaled_strengths)
+from ncqm.ring import RingSpec, ring_levels
+from ncqm.spectra import (FractionalOscSpec, QuantumNumbers,
+                          fractional_oscillator_levels, sqf_spectrum)
 
 
 def make_params(**kw):
@@ -293,3 +297,51 @@ class TestJsonRoundTrip:
     def test_integer_beyond_float_range_rejected(self):
         with pytest.raises(ValidationError, match="e_ref"):
             params_from_dict({"e_ref": 10 ** 400})
+
+
+# Each call takes its fields through kind; with np.float64 fields it must
+# raise the typed error of its Python-float twin. Arithmetic on a numpy
+# scalar warns and returns inf where a float's raises (once a leaked
+# RuntimeWarning), so the dataclasses store their fields as floats.
+NUMPY_SCALAR_FIELDS = [
+    pytest.param(lambda kind: fractional_oscillator_levels(
+        FractionalOscSpec(alpha_p=kind(1.0), beta_p=kind(1e-3), d_alpha=1.0,
+                          q=kind(2.0)), 1, PhysicalConstants()),
+        DomainError, id="fractional_oscillator"),
+    pytest.param(lambda kind: nc_strengths(
+        ModelParams(eta0=1.0, alpha_exp=kind(400.0)), 1e10),
+        SingularityError, id="nc_strengths"),
+    pytest.param(lambda kind: sqf_spectrum(
+        ModelParams(eta0=kind(1e200), mechanism=Mechanism.SQF), 1.0,
+        QuantumNumbers()), SingularityError, id="sqf_spectrum"),
+    pytest.param(lambda kind: ring_levels(RingSpec(radius=kind(1e150)), 1e10,
+                                          0), DomainError, id="ring_levels"),
+]
+
+
+@pytest.mark.parametrize("kind", [float, np.float64])
+@pytest.mark.parametrize("call,error", NUMPY_SCALAR_FIELDS)
+def test_numpy_scalar_fields_raise_the_typed_error(call, error, kind):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(error):
+            call(kind)
+
+
+def test_numpy_scalar_fields_are_stored_as_floats():
+    f64 = np.float64
+    p = ModelParams(eta0=f64(0.1), theta0=f64(0.2), alpha_exp=f64(1.5),
+                    beta_exp=f64(0.5), e_ref=f64(3.0),
+                    constants=PhysicalConstants(hbar=f64(1.0), mass=f64(2.0),
+                                                charge=f64(1.0),
+                                                spring_k=f64(1.0)))
+    spec = FractionalOscSpec(alpha_p=f64(1.0), beta_p=f64(2.0),
+                             d_alpha=f64(1.0), q=f64(1.0))
+    ring = RingSpec(radius=f64(1.5), flux_ext=f64(0.2), alpha_param=f64(0.9))
+    for obj, names in ((p, ("eta0", "theta0", "alpha_exp", "beta_exp",
+                            "e_ref")),
+                       (p.constants, ("hbar", "mass", "charge", "spring_k")),
+                       (spec, ("alpha_p", "beta_p", "d_alpha", "q")),
+                       (ring, ("radius", "flux_ext", "alpha_param"))):
+        for name in names:
+            assert type(getattr(obj, name)) is float, name

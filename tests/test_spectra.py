@@ -547,8 +547,15 @@ def _free_ec(alpha):
         FractionalOscSpec(1e-3, 1e-3, 10.0, 10.0), 5, PhysicalConstants()),
     lambda: eo_alpha1_radial_params(1e300, QuantumNumbers(), 1.0, 1e300,
                                     PhysicalConstants()),
+    # k0 = eta0^2/4m hbar^2 underflows to 0 (once a ZeroDivisionError) or
+    # to a subnormal, where B0 sqrt(2m/k0), sqrt(2) by identity, is inf
+    # (once blamed on a level bracket of -inf)
+    lambda: ec_free_energy_closed(QuantumNumbers(), ModelParams(
+        eta0=1e-170, alpha_exp=2.0, beta_exp=2.0)),
+    lambda: ec_free_energy_closed(QuantumNumbers(m_phi=1), ModelParams(
+        eta0=1e-160, alpha_exp=2.0, beta_exp=2.0)),
 ], ids=["ec_free_overflow", "ec_free_underflow", "fractional_oscillator",
-        "eo_alpha1_radial"])
+        "eo_alpha1_radial", "ec_free_k0_zero", "ec_free_k0_subnormal"])
 def test_closed_forms_past_the_double_range_raise_domain_error(call):
     with pytest.raises(DomainError, match="double"):
         call()
