@@ -33,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, ValidationError
-from .params import PhysicalConstants, effective_planck, k_factor
+from .params import PhysicalConstants, _require_int, effective_planck, k_factor
 
 log = logging.getLogger("ncqm.algebra")
 
@@ -224,8 +224,7 @@ def build_heisenberg_rep(n_trunc: int, c: PhysicalConstants,
     DEBUG record on "ncqm.algebra": n_trunc, the dimension, the nonzero
     entries per operator and the bytes of the four operators.
     """
-    if n_trunc < 4:
-        raise ValidationError(f"n_trunc must be >= 4, got {n_trunc}")
+    n_trunc = _require_int("n_trunc", n_trunc, 4)
     if n_trunc > _MAX_TRUNC:
         raise ValidationError(f"n_trunc capped at {_MAX_TRUNC}, got {n_trunc}")
     if not 0.0 < ref_frequency < math.inf:  # NaN fails it too

@@ -46,7 +46,7 @@ from dataclasses import replace
 
 from .errors import ConvergenceError, UsageError, ValidationError
 from .params import (PARAM_KEYS, Mechanism, ModelParams, PhysicalConstants,
-                     _require, params_from_dict)
+                     _require, _require_int, params_from_dict)
 
 # Largest wavefunction --n: the cost of L_n grows with n at every sample
 # point, and 10^6 at the default 200 points takes about a second.
@@ -90,10 +90,7 @@ def real(text: str) -> float:
 def positive_int(text: str) -> int:
     """Type of the count flags (--points, --phi-steps, --n-trunc): zero
     or a negative count fails instead of writing an empty table."""
-    value = int(text)
-    if value < 1:
-        raise ValueError(f"not a positive integer: {text!r}")
-    return value
+    return _require_int("count", int(text), 1)
 
 
 def real_list(text: str) -> list[float]:

@@ -47,7 +47,8 @@ import numpy as np
 
 from .errors import ConvergenceError, GridError, ValidationError
 from .algebra import _shell_blocks, build_heisenberg_rep
-from .params import ModelParams, PhysicalConstants, effective_coefficients
+from .params import (ModelParams, PhysicalConstants, _require_int,
+                     effective_coefficients)
 
 log = logging.getLogger("ncqm.oracle")
 
@@ -208,15 +209,15 @@ def radial_fd_eigensolve(m_star: float, b_field: float, k_elastic: float,
     quarters of the way from the coarse eigenvalue to that level.
     """
     r_max, points = grid
-    if points < 500:
-        raise GridError(f"points must be >= 500, got {points}")
+    points = _require_int("points", points, 500, GridError)
     if not all(0.0 < v < math.inf for v in (m_star, k_elastic, hbar, r_max)):
         raise ValidationError(
             "m_star, k_elastic, hbar and r_max must be finite and positive, "
             f"got {m_star}, {k_elastic}, {hbar}, {r_max}")
     if not math.isfinite(b_field):
         raise ValidationError(f"b_field must be finite, got {b_field}")
-    if not 1 <= count <= points:
+    count = _require_int("count", count, 1)
+    if count > points:
         raise ValidationError(f"count must be in 1..{points}, got {count}")
     lam = math.sqrt(m_star * k_elastic) / hbar
     if lam * r_max ** 2 / 2.0 < _DECAY_LOG:
@@ -272,16 +273,14 @@ def fock_matrix_eigensolve(n_trunc: int, m_star: float, b_field: float,
     same), with sqrt(K/m*) a positive finite double, b_field finite and
     count at least 1 (ValidationError).
     """
-    if n_trunc < 20:
-        raise ValidationError(f"n_trunc must be >= 20, got {n_trunc}")
+    n_trunc = _require_int("n_trunc", n_trunc, 20)
     if not all(0.0 < v < math.inf for v in (m_star, k_elastic)):
         raise ValidationError(
             "m_star and k_elastic must be finite and positive, "
             f"got {m_star}, {k_elastic}")
     if not math.isfinite(b_field):
         raise ValidationError(f"b_field must be finite, got {b_field}")
-    if count < 1:
-        raise ValidationError(f"count must be >= 1, got {count}")
+    count = _require_int("count", count, 1)
     omega = math.sqrt(k_elastic / m_star)
     if not 0.0 < omega < math.inf:
         raise ValidationError(

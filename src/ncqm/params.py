@@ -51,6 +51,21 @@ def _require_finite(obj, names: tuple[str, ...]):
         object.__setattr__(obj, name, float(value))
 
 
+def _require_int(name, value, minimum=0, error=ValidationError) -> int:
+    """value as a Python int if it equals an integer in minimum..2**53
+    (every minimum is >= 0, and a double holds each such integer exactly):
+    2.0, np.float64(2.0) and np.int64(2) all give 2. NaN, infinities,
+    fractions, strings and larger ints raise error (a ValueError type,
+    ValidationError by default), naming the argument and its value."""
+    try:
+        integral = math.isfinite(value) and value == int(value)
+    except (TypeError, OverflowError):  # a string; an int past the doubles
+        integral = False
+    if not (integral and minimum <= value <= 2 ** 53):
+        raise error(f"{name} must be an integer >= {minimum}, got {value!r}")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class PhysicalConstants:
     """Dimensional constants of the underlying commutative problem.
@@ -158,14 +173,17 @@ def nc_strengths(p: ModelParams, energy):
     energy : float or ndarray
         Running energy (particle energy for EC, fluctuation scale for SQF).
         Must be non-negative; an array must be non-negative everywhere.
-        NaN is refused like a negative energy (DomainError).
+        NaN is refused like a negative energy (DomainError). A real
+        scalar that is not a float (an int, a numpy scalar) is read as one.
 
     Returns
     -------
     (theta, eta) : tuple of float, or of ndarray shaped like energy
     """
-    # written so that NaN fails the check; an array (or numpy scalar)
-    # comparison gives numpy booleans, reduced by all()
+    if type(energy) is not float and isinstance(energy, numbers.Real):
+        energy = float(energy)  # a numpy scalar warns where a float raises
+    # written so that NaN fails the check; an array comparison gives
+    # numpy booleans, reduced by all()
     nonnegative = energy >= 0
     if not (nonnegative if type(nonnegative) is bool else nonnegative.all()):
         worst = energy if _numpy_of(energy) is None else energy.min()

@@ -65,6 +65,7 @@ import math
 import numpy as np
 
 from .errors import ConvergenceError, DomainError, SingularityError
+from .params import _require_int
 
 
 # Budget of the Mittag-Leffler series: at most _ML_MAX_TERMS terms, the
@@ -198,13 +199,12 @@ def beta_fn(a: float, b: float) -> float:
     return math.exp(log_beta) if log_beta < _LOG_MAX_DOUBLE else math.inf
 
 
-def _check_bessel_args(order: int, x, fn: str) -> np.ndarray:
-    if order != int(order) or order < 0:
-        raise DomainError(f"{fn} requires integer order >= 0, got {order}")
+def _check_bessel_args(order: int, x, fn: str) -> tuple[int, np.ndarray]:
+    order = _require_int(f"{fn} order", order, 0, DomainError)
     x = np.asarray(x, dtype=float)
     if not np.all(np.isfinite(x)):
         raise DomainError(f"{fn} requires finite x, got {x}")
-    return x
+    return order, x
 
 
 @functools.lru_cache(maxsize=128)
@@ -245,10 +245,9 @@ def bessel_j(order: int, x):
 
     Summed by its ascending series for x <= 12, scipy's jv beyond.
     """
-    x = _check_bessel_args(order, x, "bessel_j")
+    order, x = _check_bessel_args(order, x, "bessel_j")
     if np.any(x < 0):
         raise DomainError(f"bessel_j requires x >= 0, got {x}")
-    order = int(order)
     near = x <= _J_SERIES_MAX_X
     if np.all(near):
         return _real(_bessel_j_series(order, x))
@@ -265,7 +264,7 @@ def bessel_j_asymptotic(order: int, x: float) -> float:
     This is the O(1/x)-accurate cosine asymptote; it is exposed separately
     from bessel_j so the full evaluation can be checked against it.
     """
-    _check_bessel_args(order, x, "bessel_j_asymptotic")
+    order, _ = _check_bessel_args(order, x, "bessel_j_asymptotic")
     if x <= 0:
         raise DomainError("asymptotic form requires x > 0")
     chi = x - (0.5 * order + 0.25) * math.pi
@@ -274,13 +273,13 @@ def bessel_j_asymptotic(order: int, x: float) -> float:
 
 def bessel_y(order: int, x):
     """Bessel function of the second kind, integer order >= 0, x > 0."""
-    x = _check_bessel_args(order, x, "bessel_y")
+    order, x = _check_bessel_args(order, x, "bessel_y")
     if np.any(x == 0):
         raise SingularityError("bessel_y is singular at x = 0")
     if np.any(x < 0):
         raise DomainError(f"bessel_y requires x > 0, got {x}")
     from scipy import special
-    return _real(special.yv(int(order), x))
+    return _real(special.yv(order, x))
 
 
 def laguerre(n: int, a: float, x):
@@ -291,8 +290,7 @@ def laguerre(n: int, a: float, x):
     error stays near eps relative to the value, also near its zeros;
     scipy's eval_genlaguerre beyond.
     """
-    if n != int(n) or n < 0:
-        raise DomainError(f"laguerre requires integer n >= 0, got {n}")
+    n = _require_int("laguerre n", n, 0, DomainError)
     if not math.isfinite(a):
         raise DomainError(f"laguerre requires finite a, got {a}")
     if a <= -1:
@@ -300,7 +298,6 @@ def laguerre(n: int, a: float, x):
     x = np.asarray(x, dtype=float)
     if not np.all(np.isfinite(x)):
         raise DomainError(f"laguerre requires finite x, got {x}")
-    n = int(n)
     if n > _LAGUERRE_RECURRENCE_MAX_N:
         from scipy import special
         return _real(special.eval_genlaguerre(n, a, x))

@@ -33,14 +33,18 @@ from .errors import (BracketingError, ConvergenceError, DomainError,
                      SingularityError, UsageError, ValidationError)
 from .params import (EffectiveCoefficients, Mechanism, ModelParams,
                      PhysicalConstants, _any, _require, _require_finite,
-                     _sqrt, effective_coefficients)
+                     _require_int, _sqrt, effective_coefficients)
 
 log = logging.getLogger("ncqm.spectra")
 
 
 @dataclass(frozen=True)
 class QuantumNumbers:
-    """Radial/angular indices (n, m_phi) and quasiparticle occupancies."""
+    """Radial/angular indices (n, m_phi) and quasiparticle occupancies.
+
+    Each is a non-negative integer, stored as a Python int: 1.0 and
+    np.int64(1) are stored as 1, and any other value raises ValidationError.
+    """
 
     n: int = 0
     m_phi: int = 0
@@ -49,9 +53,8 @@ class QuantumNumbers:
 
     def __post_init__(self):
         for name in ("n", "m_phi", "n_alpha", "n_beta"):
-            v = getattr(self, name)
-            if not math.isfinite(v) or v != int(v) or v < 0:
-                raise ValidationError(f"{name} must be a non-negative integer")
+            object.__setattr__(self, name,
+                               _require_int(name, getattr(self, name)))
 
     @property
     def radial_weight(self) -> int:
@@ -455,11 +458,11 @@ def fractional_oscillator_levels(spec: FractionalOscSpec, n: int,
     E_n = [pi hbar b D^(1/a) q^(2/b) / 2 B(1/b, 1/a + 1)]^(ab/(a+b))
           * (n + 1/2)^(ab/(a+b)).
 
-    A level that is not a positive finite double raises DomainError.
+    n must be a non-negative integer, and a level that is not a positive
+    finite double raises DomainError.
     """
     from .specfun import beta_fn  # needed by this form alone
-    if not 0 <= n < math.inf or n != int(n):  # NaN fails the range check
-        raise DomainError(f"n must be a non-negative integer, got {n}")
+    n = _require_int("n", n, 0, DomainError)
     a, b = spec.alpha_p, spec.beta_p
     expo = a * b / (a + b)
     try:

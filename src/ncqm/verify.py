@@ -60,6 +60,12 @@ def _check(name, ok, detail, **data):
             "detail": detail, "data": data}
 
 
+def _within(name, worst, tol, what, key, **data):
+    """The check that worst, recorded as data[key], is at most tol."""
+    return _check(name, worst <= tol, f"{what} {worst:.3e} (tol {tol:g})",
+                  **{key: worst}, tol=tol, **data)
+
+
 def _divergence(name, detail, **data):
     return {"name": name, "status": DIVERGENCE, "detail": detail,
             "data": data}
@@ -231,10 +237,8 @@ def ring_current_route(spec, eta, fluxes, steps, levels):
 
 def check_sw_commutators():
     worst = max(sw_commutator_residuals(N_TRUNC, SW_PAIRS))
-    return _check("sw_map_commutators", worst <= COMMUTATOR_TOL,
-                  f"max interior residual {worst:.3e} "
-                  f"(tol {COMMUTATOR_TOL:g})",
-                  max_residual=worst, tol=COMMUTATOR_TOL, n_trunc=N_TRUNC)
+    return _within("sw_map_commutators", worst, COMMUTATOR_TOL,
+                   "max interior residual", "max_residual", n_trunc=N_TRUNC)
 
 
 def check_sw_round_trip():
@@ -252,10 +256,8 @@ def check_sw_round_trip():
 def check_ec_free_closed_vs_root():
     worst = max(ec_closed_vs_root((1.5, 2.0, 3.0), (1.2,), (2.0,),
                                   ((0, 0), (1, 0), (0, 1))))
-    return _check("ec_free_closed_vs_root", worst <= CLOSED_VS_ROOT_TOL,
-                  f"max relative difference {worst:.3e} "
-                  f"(tol {CLOSED_VS_ROOT_TOL:g})",
-                  max_rel_diff=worst, tol=CLOSED_VS_ROOT_TOL)
+    return _within("ec_free_closed_vs_root", worst, CLOSED_VS_ROOT_TOL,
+                   "max relative difference", "max_rel_diff")
 
 
 def check_ec_root_vs_self_consistent():
@@ -263,10 +265,8 @@ def check_ec_root_vs_self_consistent():
                     e_ref=10.0, mechanism=Mechanism.EC,
                     constants=PhysicalConstants(spring_k=1.0))
     worst = max(ec_root_vs_oracle(p, ((0, 0), (0, 1), (1, 0))))
-    return _check("ec_root_vs_self_consistent", worst <= ROOT_VS_ORACLE_TOL,
-                  f"max relative difference {worst:.3e} "
-                  f"(tol {ROOT_VS_ORACLE_TOL:g})",
-                  max_rel_diff=worst, tol=ROOT_VS_ORACLE_TOL)
+    return _within("ec_root_vs_self_consistent", worst, ROOT_VS_ORACLE_TOL,
+                   "max relative difference", "max_rel_diff")
 
 
 def check_commutative_recovery():
@@ -291,10 +291,8 @@ def check_fractional_half_derivative():
 
 def check_caputo_exp_series():
     worst = max(caputo_exp_deviations((0.25, 0.5, 0.75), (0.5, 2.0, 10.0)))
-    return _check("caputo_exp_series", worst <= CAPUTO_EXP_TOL,
-                  f"max scaled deviation from the defining series "
-                  f"{worst:.3e} (tol {CAPUTO_EXP_TOL:g})",
-                  max_dev=worst, tol=CAPUTO_EXP_TOL)
+    return _within("caputo_exp_series", worst, CAPUTO_EXP_TOL,
+                   "max scaled deviation from the defining series", "max_dev")
 
 
 def check_plane_wave_orders():

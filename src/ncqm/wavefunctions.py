@@ -123,6 +123,7 @@ def ec_radial_solution(qn, p: ModelParams, energy: float,
     amplitude; the bessel branch keeps amplitude 1 (its normalization
     lives on a finite window and stays caller-defined). The EC mechanism
     is the only one whose coefficients these are (UsageError otherwise).
+    A lambda or C that is not finite raises DomainError.
     """
     _require(p, Mechanism.EC, "ec_radial_solution")
     if regime not in ("bessel", "laguerre"):
@@ -135,6 +136,9 @@ def ec_radial_solution(qn, p: ModelParams, energy: float,
     c_big = (2.0 * math.sqrt(coeff.m_star)
              * (energy + qn.m_phi * hbar * coeff.b_h)
              / (hbar * math.sqrt(coeff.k_h)))
+    if not (math.isfinite(lam) and math.isfinite(c_big)):
+        raise DomainError(f"lambda={lam!r} and C={c_big!r} at E={energy!r}: "
+                          "the radial solution needs both finite")
     amplitude = (normalization_constant(qn.n, qn.m_phi, lam)
                  if regime == "laguerre" else 1.0)
     return RadialSolution(regime=regime, n=qn.n, m_phi=qn.m_phi,

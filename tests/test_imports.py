@@ -262,12 +262,12 @@ def test_params_before_numpy_computes_as_after():
                                        atol=0.0, err_msg=name)
         assert {t for types, _ in table["float"].values() for t in types} \
             == {"float"}
-    # an np.float64 energy keeps numpy scalars in the stored fields; the
-    # computed omega_h is math.sqrt's Python float
+    # an np.float64 energy is read as a Python float, so every field,
+    # stored or computed, is a float
     readme = first["tables"][0]["float64"]
     assert {name: set(types) for name, (types, _) in readme.items()} == {
-        "b_e": {"float64"}, "k_e": {"float64"}, "b_h": {"float64"},
-        "k_h": {"float64"}, "m_star": {"float64"}, "omega_h": {"float"}}
+        "b_e": {"float"}, "k_e": {"float"}, "b_h": {"float"},
+        "k_h": {"float"}, "m_star": {"float"}, "omega_h": {"float"}}
 
 
 def test_oracle_import_loads_no_spectra_and_no_scipy():

@@ -406,6 +406,18 @@ class TestSelfConsistent:
             sc = self_consistent_wrap("radial", p, qn, tol=1e-9)
             assert sc == pytest.approx(root, rel=1e-6)
 
+    @pytest.mark.parametrize("solver", ["radial", "fock"])
+    def test_integral_float_quantum_number_solves_the_int_level(self,
+                                                                 solver):
+        # QuantumNumbers stores n = 1.0 as the int 1, so the level's
+        # count and index are ints
+        p = ModelParams(eta0=0.1, theta0=0.1, alpha_exp=1.0, beta_exp=1.0,
+                        e_ref=10.0, mechanism=Mechanism.EC,
+                        constants=PhysicalConstants(spring_k=1.0))
+        got = self_consistent_wrap(solver, p, QuantumNumbers(n=1.0, m_phi=0))
+        want = self_consistent_wrap(solver, p, QuantumNumbers(n=1, m_phi=0))
+        assert repr(got) == repr(want)
+
     def test_free_particle_matches_closed_form(self):
         p = ModelParams(eta0=1.0, theta0=0.0, alpha_exp=2.0, beta_exp=2.0,
                         e_ref=1.0, mechanism=Mechanism.EC)

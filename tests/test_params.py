@@ -6,7 +6,11 @@ import warnings
 import numpy as np
 import pytest
 
-from ncqm.errors import (DomainError, SingularityError, ValidationError)
+from ncqm import specfun
+from ncqm.algebra import build_heisenberg_rep
+from ncqm.errors import (DomainError, GridError, SingularityError,
+                         ValidationError)
+from ncqm.oracle import fock_matrix_eigensolve, radial_fd_eigensolve
 from ncqm.params import (Mechanism, ModelParams, PhysicalConstants,
                          effective_coefficients, effective_planck,
                          effective_planck_4d, k_factor, nc_strengths,
@@ -311,6 +315,9 @@ NUMPY_SCALAR_FIELDS = [
     pytest.param(lambda kind: nc_strengths(
         ModelParams(eta0=1.0, alpha_exp=kind(400.0)), 1e10),
         SingularityError, id="nc_strengths"),
+    pytest.param(lambda kind: nc_strengths(
+        ModelParams(eta0=1.0, alpha_exp=400.0), kind(1e10)),
+        SingularityError, id="nc_strengths_energy"),
     pytest.param(lambda kind: sqf_spectrum(
         ModelParams(eta0=kind(1e200), mechanism=Mechanism.SQF), 1.0,
         QuantumNumbers()), SingularityError, id="sqf_spectrum"),
@@ -345,3 +352,79 @@ def test_numpy_scalar_fields_are_stored_as_floats():
                        (ring, ("radius", "flux_ext", "alpha_param"))):
         for name in names:
             assert type(getattr(obj, name)) is float, name
+
+
+def _readable(out):
+    """A result as a comparable repr: arrays by their full-precision list,
+    a Fock representation by its size and the diagonals of x."""
+    if hasattr(out, "x"):
+        out = (out.n_trunc, out.x.offsets.tolist(), out.x.data.tolist())
+    return repr(out.tolist() if isinstance(out, np.ndarray) else out)
+
+
+_OSC = FractionalOscSpec(alpha_p=2.0, beta_p=2.0, d_alpha=1.0, q=1.0)
+_FOCK_ARGS = (1.0, 0.1, 1.0, PhysicalConstants())
+
+
+def _qn(name):
+    return lambda v: QuantumNumbers(**{name: v})
+
+
+# One row per integer argument: (call, a valid value, its minimum, the
+# typed error, the name the message gives). The rule is params._require_int.
+INTEGER_ARGUMENTS = [
+    pytest.param(_qn("n"), 2, 0, ValidationError, "n", id="qn_n"),
+    pytest.param(_qn("m_phi"), 2, 0, ValidationError, "m_phi",
+                 id="qn_m_phi"),
+    pytest.param(_qn("n_alpha"), 2, 0, ValidationError, "n_alpha",
+                 id="qn_n_alpha"),
+    pytest.param(_qn("n_beta"), 2, 0, ValidationError, "n_beta",
+                 id="qn_n_beta"),
+    pytest.param(lambda v: specfun.bessel_j(v, 1.5), 2, 0, DomainError,
+                 "bessel_j order", id="bessel_j"),
+    pytest.param(lambda v: specfun.bessel_y(v, 1.5), 2, 0, DomainError,
+                 "bessel_y order", id="bessel_y"),
+    pytest.param(lambda v: specfun.bessel_j_asymptotic(v, 10.0), 2, 0,
+                 DomainError, "bessel_j_asymptotic order",
+                 id="bessel_j_asymptotic"),
+    pytest.param(lambda v: specfun.laguerre(v, 0.5, 1.5), 2, 0, DomainError,
+                 "laguerre n", id="laguerre"),
+    pytest.param(lambda v: fractional_oscillator_levels(
+        _OSC, v, PhysicalConstants()), 2, 0, DomainError, "n",
+        id="fractional_oscillator_levels"),
+    pytest.param(lambda v: build_heisenberg_rep(v, PhysicalConstants()), 6,
+                 4, ValidationError, "n_trunc", id="build_heisenberg_rep"),
+    pytest.param(lambda v: fock_matrix_eigensolve(v, *_FOCK_ARGS, 2), 24, 20,
+                 ValidationError, "n_trunc", id="fock_n_trunc"),
+    pytest.param(lambda v: fock_matrix_eigensolve(24, *_FOCK_ARGS, v), 2, 1,
+                 ValidationError, "count", id="fock_count"),
+    pytest.param(lambda v: radial_fd_eigensolve(1.0, 0.0, 1.0, 0, (9.0, v),
+                                                2), 600, 500, GridError,
+                 "points", id="radial_points"),
+    pytest.param(lambda v: radial_fd_eigensolve(1.0, 0.0, 1.0, 0,
+                                                (9.0, 600), v), 2, 1,
+                 ValidationError, "count", id="radial_count"),
+]
+
+
+@pytest.mark.parametrize("call,valid,minimum,error,name", INTEGER_ARGUMENTS)
+@pytest.mark.parametrize("kind", [float, np.float64, np.int64])
+def test_integral_values_act_as_the_int(call, valid, minimum, error, name,
+                                        kind):
+    assert _readable(call(kind(valid))) == _readable(call(valid))
+
+
+@pytest.mark.parametrize("call,valid,minimum,error,name", INTEGER_ARGUMENTS)
+@pytest.mark.parametrize("bad", ["fraction", "nan", "inf", "string",
+                                 "past_2**53", "below_minimum"])
+def test_non_integers_raise_the_typed_error_naming_it(call, valid, minimum,
+                                                      error, name, bad):
+    value = {"fraction": valid + 0.5, "nan": math.nan, "inf": math.inf,
+             "string": str(valid), "past_2**53": 2 ** 53 + 1,
+             "below_minimum": minimum - 1}[bad]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError) as caught:
+            call(value)
+    assert caught.type is error
+    assert str(caught.value).startswith(f"{name} must be an integer")

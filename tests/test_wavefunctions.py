@@ -174,6 +174,17 @@ class TestEcRadialSolution:
         assert worst < 1e-8
         assert sol.regime == "laguerre"
 
+    @pytest.mark.parametrize("regime", ["bessel", "laguerre"])
+    @pytest.mark.parametrize("theta0,lam", [(0.1, "nan"), (0.0, "inf")])
+    def test_non_finite_lambda_or_c_raises_domain_error(self, theta0, lam,
+                                                        regime):
+        # at E = inf theta0 > 0 sends m* to 0 and K_h to inf (lambda is
+        # nan); theta0 = 0 keeps m* = m (lambda is inf). C is nan in both
+        p = ec_params(theta0=theta0, constants={"spring_k": 1.0})
+        with pytest.raises(DomainError,
+                           match=f"^lambda={lam} and C=nan at E=inf: "):
+            ec_radial_solution(QuantumNumbers(n=1, m_phi=1), p, math.inf,
+                               regime)
 
     @pytest.mark.parametrize("mechanism", [Mechanism.SQF, Mechanism.EO_I,
                                            Mechanism.EO_II])
