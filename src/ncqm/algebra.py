@@ -24,6 +24,7 @@ n_x + n_y = N; no other module decodes the product basis.
 
 from __future__ import annotations
 
+import functools
 import json
 import logging
 import math
@@ -104,23 +105,17 @@ class DiagonalOperator:
 
     def __matmul__(self, other: DiagonalOperator) -> DiagonalOperator:
         dim = self.shape[0]
-        mine, theirs = self.offsets.tolist(), other.offsets.tolist()
-        offsets = sorted({a + b for a in mine for b in theirs})
-        slot = {d: k for k, d in enumerate(offsets)}
+        offsets, terms = _product_plan(tuple(self.offsets.tolist()),
+                                       tuple(other.offsets.tolist()), dim)
         data = np.zeros((len(offsets), dim),
                         dtype=np.result_type(self.data, other.data))
         term = np.empty(dim, dtype=data.dtype)
-        # ascending a, then b: each entry of diagonal a + b adds its terms
-        # in the order of the inner index r + a
-        for a, left in zip(mine, self.data):
-            for b, right in zip(theirs, other.data):
-                lo, hi = max(0, -a, -a - b), min(dim, dim - a, dim - a - b)
-                if lo >= hi:
-                    continue
-                out = data[slot[a + b], lo:hi]
-                np.add(out, np.multiply(left[lo:hi], right[lo + a:hi + a],
-                                        out=term[:hi - lo]), out=out)
-        return DiagonalOperator(np.array(offsets), data)
+        for left, right, row, rows, cols in terms:
+            out = data[row, rows]
+            np.add(out, np.multiply(self.data[left, rows],
+                                    other.data[right, cols], out=term[rows]),
+                   out=out)
+        return DiagonalOperator(offsets, data)
 
     def abs_max(self) -> float:
         """Largest absolute entry."""
@@ -134,6 +129,31 @@ class DiagonalOperator:
             rows = np.arange(max(0, -offset), min(dim, dim - offset))
             out[rows, rows + offset] = values[rows]
         return out
+
+
+@functools.lru_cache(maxsize=32)
+def _product_plan(mine: tuple, theirs: tuple, dim: int):
+    """Offsets and terms of the product of two diagonal layouts.
+
+    The offsets are the sorted sums a + b, as a read-only array. Each
+    term (left row, right row, output row, rows, rows + a) adds
+    left[rows] * right[rows + a] to the output diagonal a + b: entry r of
+    diagonal a + b is M[r, r + a] N[r + a, r + a + b]. The terms run in
+    ascending a, then b, so each output entry adds its terms in the order
+    of the inner index r + a; pairs that overlap nowhere are left out.
+    """
+    offsets = sorted({a + b for a in mine for b in theirs})
+    slot = {d: k for k, d in enumerate(offsets)}
+    terms = []
+    for i, a in enumerate(mine):
+        for j, b in enumerate(theirs):
+            lo, hi = max(0, -a, -a - b), min(dim, dim - a, dim - a - b)
+            if lo < hi:
+                terms.append((i, j, slot[a + b], slice(lo, hi),
+                              slice(lo + a, hi + a)))
+    offsets = np.array(offsets)
+    offsets.flags.writeable = False
+    return offsets, tuple(terms)
 
 
 def _mode_operators(n: int, stride: int,
@@ -333,6 +353,39 @@ def _commutator(a: DiagonalOperator,
     return a @ b - b @ a
 
 
+@functools.lru_cache(maxsize=32)
+def _interior_masks(offsets: tuple, n: int):
+    """Where the interior-block entries of a diagonal layout sit.
+
+    Entry (i, j) of diagonal offset = di*n + dj (|dj| < n/2) couples
+    (i, j) to (i + di, j + dj); it is interior when both lie in the block
+    of the first n - 2 levels per mode. Returns the row of diagonal 0 (None
+    if there is none), the mask of its interior entries over the n^2
+    rows, and the mask of the interior entries of the other diagonals
+    over the whole data array (None if there are none), both read-only.
+    """
+    inner = n - 2
+    centre, on_diag = None, None
+    off_diag = np.zeros((len(offsets), n, n), dtype=bool)
+    for k, offset in enumerate(offsets):
+        di, dj = divmod(offset + n // 2, n)
+        dj -= n // 2
+        block = (slice(max(0, -di), max(0, min(inner, inner - di))),
+                 slice(max(0, -dj), max(0, min(inner, inner - dj))))
+        if offset == 0:
+            centre, on_diag = k, np.zeros((n, n), dtype=bool)
+            on_diag[block] = True
+            on_diag = on_diag.reshape(-1)
+            on_diag.flags.writeable = False
+        else:
+            off_diag[k][block] = True
+    if not off_diag.any():
+        return centre, on_diag, None
+    off_diag = off_diag.reshape(len(offsets), -1)
+    off_diag.flags.writeable = False
+    return centre, on_diag, off_diag
+
+
 @dataclass(frozen=True)
 class ResidualEntry:
     commutator: str
@@ -364,32 +417,24 @@ def commutator_residuals(mapped: MappedRep) -> list[ResidualEntry]:
     rep = mapped.rep
     c = PhysicalConstants(hbar=rep.hbar, mass=rep.mass)
     hbar_eff = effective_planck(mapped.theta, mapped.eta, c)
-    n, inner = rep.n_trunc, rep.interior_dim
-    checks = [
-        ("[x,y]", mapped.theta, _commutator(mapped.x, mapped.y)),
-        ("[px,py]", mapped.eta, _commutator(mapped.px, mapped.py)),
-        ("[x,px]", hbar_eff, _commutator(mapped.x, mapped.px)),
-        ("[y,py]", hbar_eff, _commutator(mapped.y, mapped.py)),
-        ("[x,py]", 0.0, _commutator(mapped.x, mapped.py)),
-        ("[y,px]", 0.0, _commutator(mapped.y, mapped.px)),
-    ]
+    m = mapped
     out = []
-    for name, coeff, comm in checks:
-        diag = np.zeros(inner * inner, dtype=complex)
-        off = []
-        for offset, values in zip(comm.offsets.tolist(),
-                                  comm.data.reshape(-1, n, n)):
-            # the entries of diagonal offset = di*n + dj (|dj| < n/2) in the
-            # interior block couple (i, j) to (i + di, j + dj)
-            di, dj = divmod(offset + n // 2, n)
-            dj -= n // 2
-            block = values[max(0, -di):max(0, min(inner, inner - di)),
-                           max(0, -dj):max(0, min(inner, inner - dj))]
-            if offset == 0:
-                diag = block.reshape(-1)
-            elif block.size:
-                off.append(np.abs(block).max())
-        worst = float(np.max([np.abs(diag - 1j * coeff).max(), *off]))
+    # each commutator is read and dropped before the next is formed
+    for name, coeff, a, b in (("[x,y]", m.theta, m.x, m.y),
+                              ("[px,py]", m.eta, m.px, m.py),
+                              ("[x,px]", hbar_eff, m.x, m.px),
+                              ("[y,py]", hbar_eff, m.y, m.py),
+                              ("[x,py]", 0.0, m.x, m.py),
+                              ("[y,px]", 0.0, m.y, m.px)):
+        comm = _commutator(a, b)
+        centre, on_diag, off_diag = _interior_masks(
+            tuple(comm.offsets.tolist()), rep.n_trunc)
+        diag = (comm.data[centre][on_diag] if centre is not None
+                else np.zeros(rep.interior_dim ** 2, dtype=complex))
+        worst = np.abs(diag - 1j * coeff).max()
+        if off_diag is not None:
+            worst = np.maximum(worst, np.abs(comm.data[off_diag]).max())
+        worst = float(worst)
         if not math.isfinite(worst):
             raise ValidationError(f"{name} residual is not finite at "
                                   f"theta={mapped.theta}, eta={mapped.eta}")

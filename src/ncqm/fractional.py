@@ -170,15 +170,16 @@ def grunwald_letnikov(f, order: float, x: float, h: float) -> float:
 
     sum_j (-1)^j C(alpha, j) f(x - j h) / h^alpha over the grid reaching
     back to 0. Converges O(h) for smooth f; serves as the independent
-    numeric oracle for the closed-form fractional operators. An x below
-    the terminal, or a grid of more than GL_MAX_STEPS steps (x/h not
-    finite included), raises DomainError, and so does a sum past the
-    double range.
+    numeric oracle for the closed-form fractional operators. A step h
+    that is not positive and finite, an x below the terminal, or a grid
+    of more than GL_MAX_STEPS steps (x/h not finite included) raises
+    DomainError, and so does a sum past the double range.
     """
     if order <= 0:
         raise DomainError(f"order must be positive, got {order}")
-    if h <= 0:
-        raise DomainError(f"step must be positive, got {h}")
+    if not 0.0 < h < math.inf:  # NaN fails it too
+        raise DomainError(f"step must be positive and finite, got "
+                          f"step={h!r}")
     if x < 0:
         raise DomainError(f"grunwald_letnikov: x={x!r} outside [0, inf), "
                           "below the terminal at 0")
@@ -239,12 +240,13 @@ def caputo_plane_wave(order: float, energy: float, t: float,
     NOT proportional to the plane wave itself: the Caputo operator does not
     admit oscillatory exponentials as eigenfunctions, which is why the
     eigenvalue route uses the Liouville-type rule. The difference from
-    a_alpha exp(-iEt/hbar) quantifies that mismatch.
+    a_alpha exp(-iEt/hbar) quantifies that mismatch. order must lie in
+    (0, 1] and t be finite and non-negative (DomainError).
     """
     if not 0.0 < order <= 1.0:
         raise DomainError(f"order must be in (0, 1], got {order}")
-    if t < 0:
-        raise DomainError(f"t must be >= 0, got {t}")
+    if not 0.0 <= t < math.inf:  # NaN fails it too
+        raise DomainError(f"t must be finite and >= 0, got t={t!r}")
     lam = complex(0.0, -energy / c.hbar)
     if t == 0.0:
         return lam if order == 1.0 else 0.0 + 0.0j

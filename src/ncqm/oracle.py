@@ -255,6 +255,12 @@ def _certified_count(n_trunc: int, omega: float, b_field: float) -> int:
     return int(np.count_nonzero(energies[j <= shell] < cut))
 
 
+# Gap, in units of hbar omega, by which the lowest energy a shell can
+# reach must clear the count-th level in hand for the solve to stop before
+# it: far above the 1e-9 rounding of the sort key.
+_SHELL_MARGIN = 1e-6
+
+
 def fock_matrix_eigensolve(n_trunc: int, m_star: float, b_field: float,
                            k_elastic: float, c: PhysicalConstants, count: int,
                            with_labels: bool = False):
@@ -268,10 +274,14 @@ def fock_matrix_eigensolve(n_trunc: int, m_star: float, b_field: float,
     that basis. Labels are therefore the integer L_z eigenvalues, in units
     of hbar. Only levels below the lowest energy an excluded shell can
     reach are certified; count beyond that window raises ValidationError.
-    Levels equal to roundoff are ordered by shell. m_star and k_elastic
-    must be finite and positive (PhysicalConstants holds hbar to the
-    same), with sqrt(K/m*) a positive finite double, b_field finite and
-    count at least 1 (ValidationError).
+    Levels equal to roundoff are ordered by shell. The shells are solved
+    in ascending N, and the solve stops before shell N once count levels
+    are in hand and the lowest energy shell N or a later one can reach,
+    hbar(omega(N+1) - |B| N), lies _SHELL_MARGIN hbar omega above the
+    count-th of them: no later shell can change the result. m_star and
+    k_elastic must be finite and positive (PhysicalConstants holds hbar to
+    the same), with sqrt(K/m*) a positive finite double, b_field finite
+    and count at least 1 (ValidationError).
     """
     n_trunc = _require_int("n_trunc", n_trunc, 20)
     if not all(0.0 < v < math.inf for v in (m_star, k_elastic)):
@@ -304,13 +314,22 @@ def fock_matrix_eigensolve(n_trunc: int, m_star: float, b_field: float,
     ham_blocks = _shell_blocks(ham, n_trunc)
     values, labels = [], []
     for n_q in range(n_trunc - 1):
+        # shells 0..n_q - 1 hold n_q (n_q + 1)/2 levels; no level of shell
+        # n_q or above lies below hbar(omega(n_q + 1) - |B| n_q), which
+        # grows with n_q as |B| < omega
+        if n_q * (n_q + 1) // 2 >= count:
+            lowest = np.partition(np.concatenate(values), count - 1)[count - 1]
+            if (c.hbar * (omega * (n_q + 1) - abs(b_field) * n_q)
+                    > lowest + _SHELL_MARGIN * c.hbar * omega):
+                break
         size = n_q + 1
         m_hbar, vecs = np.linalg.eigh(lz_blocks[n_q, :size, :size])
         h = ham_blocks[n_q, :size, :size]
         values.append(np.einsum("ij,ik,kj->j", vecs.conj(), h, vecs).real)
         labels.append(np.rint(m_hbar / c.hbar).astype(int))
     values = np.concatenate(values)
-    shells = np.repeat(np.arange(n_trunc - 1), np.arange(1, n_trunc))
+    solved = len(labels)
+    shells = np.repeat(np.arange(solved), np.arange(1, solved + 1))
     order = np.lexsort((shells,
                         np.round(values / (c.hbar * omega), 9)))[:count]
     if not with_labels:

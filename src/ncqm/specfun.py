@@ -152,11 +152,14 @@ def recip_gamma(x: float) -> float:
     0 at the poles and past 171.62; x itself where |x| < 5.6e-309, where
     Gamma overflows and 1/Gamma(x) = x + 0.577 x^2 rounds to x; +-inf
     where 1/Gamma leaves the double range (x below about -171.5, where
-    Gamma is subnormal or has underflowed to +-0).
+    Gamma is subnormal or has underflowed to +-0). Raises DomainError at
+    NaN, as gamma_fn does.
     """
     x = float(x)
     if _is_nonpositive_int(x):
         return 0.0
+    if math.isnan(x):
+        raise DomainError("recip_gamma requires a number, got nan")
     g = _gamma(x)
     if math.isinf(g):
         return x if abs(x) < 1.0 else 0.0

@@ -156,7 +156,13 @@ def scan_grid(lo: float, hi: float, n_pts: int, i):
     step = (hi/lo)**(1/n_pts), so i = 0..n_pts runs from lo to hi.
 
     An int i gives a float; an integer array gives the points at once.
+    lo and hi must satisfy 0 < lo < hi < inf, and n_pts must be an integer
+    of at least 1 (ValidationError).
     """
+    if not 0.0 < lo < hi < math.inf:  # NaN fails it too
+        raise ValidationError(f"scan_grid needs 0 < lo < hi < inf, got "
+                              f"lo={lo!r}, hi={hi!r}")
+    n_pts = _require_int("n_pts", n_pts, 1)
     return lo * ((hi / lo) ** (1.0 / n_pts)) ** i
 
 
@@ -284,9 +290,9 @@ def ec_solve_energy(qn: QuantumNumbers, p: ModelParams,
     residual: a root whose |residual| exceeds it raises ConvergenceError.
     Deterministic for fixed inputs. Where the coefficients leave the
     double range the grid residual is not finite; those points open no
-    bracket and raise no numpy warning. The bracket needs 0 <= lo < hi and
-    a finite hi/lo once lo is clamped to 1e-300, and tol must be finite
-    and positive (ValidationError).
+    bracket and raise no numpy warning. The bracket needs 0 <= lo < hi,
+    and hi above 1e-300 and a finite hi/lo once lo is clamped to 1e-300,
+    and tol must be finite and positive (ValidationError).
 
     The smallest root is the physical level. A later sign change is the
     high-energy spurious branch that the energy-dependent coefficients
@@ -305,6 +311,9 @@ def ec_solve_energy(qn: QuantumNumbers, p: ModelParams,
     if not 0 <= lo < hi:
         raise ValidationError(f"bad bracket {bracket}")
     lo = max(lo, 1e-300)
+    if not lo < hi:
+        raise ValidationError(f"bracket {bracket} lies below 1e-300, where "
+                              "the scan starts")
     if not math.isfinite(hi / lo):
         raise ValidationError(f"bracket {bracket} spans more decades than a "
                               "float ratio holds")

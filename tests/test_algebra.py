@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import sparse
 
+from ncqm import algebra, verify
 from ncqm.algebra import (DiagonalOperator, FockRep, ResidualEntry,
                           alternative_maps, bogoliubov_frequency,
                           build_heisenberg_rep, commutator_residuals,
@@ -332,6 +333,48 @@ class TestResiduals:
         x = dataclasses.replace(mapped.x, data=data)
         with pytest.raises(ValidationError, match=r"\[x,y\] residual"):
             commutator_residuals(dataclasses.replace(mapped, x=x))
+
+    @pytest.mark.parametrize("row,raises", [
+        (2 * 20 + 3, True),     # (2, 3) -> (2, 5): interior
+        (19 * 20 + 3, False),   # (19, 3): the truncation edge
+    ])
+    def test_one_off_diagonal_nan_in_one_commutator(self, rep, monkeypatch,
+                                                    row, raises):
+        # the NaN sits only in diagonal +2 of [x,py]: every other entry of
+        # every commutator is finite, so only a maximum that keeps NaN
+        # sees it, and only where the interior block reads it
+        mapped = sw_forward(rep, 0.1, 0.2)
+        commutator = algebra._commutator
+
+        def poisoned(a, b):
+            comm = commutator(a, b)
+            if a is not mapped.x or b is not mapped.py:
+                return comm
+            data = comm.data.copy()
+            data[comm.offsets.tolist().index(2), row] = math.nan
+            return dataclasses.replace(comm, data=data)
+
+        monkeypatch.setattr(algebra, "_commutator", poisoned)
+        if raises:
+            with pytest.raises(ValidationError, match=r"\[x,py\] residual"):
+                commutator_residuals(mapped)
+        else:
+            entries = commutator_residuals(mapped)
+            assert max(e.max_residual for e in entries) < 1e-12
+
+    def test_caches_stay_bounded_and_read_only(self, rep):
+        verify.run_verification()
+        for cache in (algebra._product_plan, algebra._interior_masks):
+            info = cache.cache_info()
+            assert 0 < info.currsize <= info.maxsize
+        product = rep.x @ rep.px  # diagonals -2n, 0 and 2n
+        with pytest.raises(ValueError, match="read-only"):
+            product.offsets[0] = 0
+        centre, on_diag, off_diag = algebra._interior_masks(
+            tuple(product.offsets.tolist()), rep.n_trunc)
+        for mask in (on_diag, off_diag):
+            with pytest.raises(ValueError, match="read-only"):
+                mask[0] = True
 
     def test_identity_map_clean(self, rep):
         entries = commutator_residuals(sw_forward(rep, 0.0, 0.0))

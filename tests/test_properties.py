@@ -27,7 +27,8 @@ from ncqm.errors import (BracketingError, ConvergenceError,  # noqa: E402
                          DomainError)
 from ncqm.algebra import (build_heisenberg_rep, sw_forward,  # noqa: E402
                           sw_inverse)
-from ncqm.oracle import (_frozen_level, _secant,  # noqa: E402
+from ncqm.oracle import (_certified_count, _frozen_level,  # noqa: E402
+                         _secant, fock_matrix_eigensolve,
                          radial_fd_eigensolve, self_consistent_wrap)
 from ncqm.params import (EffectiveCoefficients, Mechanism,  # noqa: E402
                          ModelParams, PhysicalConstants,
@@ -310,6 +311,28 @@ def test_rescaled_radial_level_matches_physical_solve(case, mass, hbar,
                                     hbar=hbar)[qn.n]
     assert abs(_frozen_level(p, qn, energy, "radial") - physical) <= \
         1e-9 * hbar * coeff.omega_h
+
+
+@settings(PROPERTY_SETTINGS, max_examples=30)
+@given(data=st.data(), n_trunc=st.integers(20, 24),
+       m_star=st.floats(math.exp(-3.0), math.exp(3.0)),
+       k=st.floats(math.exp(-3.0), math.exp(3.0)),
+       b_over_omega=st.floats(-0.9, 0.9, exclude_min=True, exclude_max=True))
+def test_fock_solve_of_a_few_levels_is_a_prefix_of_the_certified_solve(
+        data, n_trunc, m_star, k, b_over_omega):
+    # a small count stops at the shells it needs; its levels and labels
+    # are the first count of the certified window's, bit for bit
+    omega = math.sqrt(k / m_star)
+    b = b_over_omega * omega
+    c = PhysicalConstants()
+    certified = _certified_count(n_trunc, omega, b)
+    count = data.draw(st.integers(1, certified), label="count")
+    full = fock_matrix_eigensolve(n_trunc, m_star, b, k, c, certified,
+                                  with_labels=True)
+    few = fock_matrix_eigensolve(n_trunc, m_star, b, k, c, count,
+                                 with_labels=True)
+    for got, want in zip(few, full):
+        assert got.tobytes() == want[:count].tobytes()
 
 
 @settings(PROPERTY_SETTINGS, max_examples=12)

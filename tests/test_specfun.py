@@ -108,8 +108,11 @@ class TestRecipGamma:
         for x in (-172.5, -180.5, -1000.5, -1e15 - 0.5):
             assert recip_gamma(x) == -math.inf
 
-    def test_nan_passes_through(self):
-        assert math.isnan(recip_gamma(math.nan))
+    def test_nan_raises_domain_error(self):
+        # it returned nan, while gamma_fn(nan) raised
+        with pytest.raises(DomainError, match="recip_gamma requires a "
+                                              "number, got nan"):
+            recip_gamma(math.nan)
 
 
 class TestBeta:

@@ -187,10 +187,13 @@ class TestEcResidualAndRoot:
         ((1e-3, 1e3), 0.0),
         ((1e-3, 1e3), math.nan),
         ((1e-3, 1e3), math.inf),
+        ((0.0, 1e-310), 1e-12),    # hi below the clamped lo
+        ((1e-320, 1e-300), 1e-12),
     ])
     def test_bracket_ratio_and_tol_checked_first(self, bracket, tol):
         # the two wide brackets once raised OverflowError from the grid
-        # size, and tol -1 a "leaves |residual| 0.000e+00 > tol -1"
+        # size, tol -1 a "leaves |residual| 0.000e+00 > tol -1", and the
+        # brackets below 1e-300 scanned a grid running down from it
         p = ec_params(constants={"spring_k": 1.0})
         with pytest.raises(ValidationError):
             ec_solve_energy(QuantumNumbers(), p, bracket, tol=tol)
@@ -275,6 +278,21 @@ class TestArrayResidual:
             warnings.simplefilter("error")
             res = ec_solve_energy(qn, p, bracket)
         assert res.energy == pytest.approx(3.980493620523184, rel=1e-12)
+
+    @pytest.mark.parametrize("lo,hi", [
+        (0.0, 1.0),  # a bare ZeroDivisionError
+        (math.nan, 1.0),  # nan points
+        (1.0, math.nan), (2.0, 1.0), (1.0, 1.0), (-1.0, 1.0), (1.0, math.inf),
+    ])
+    def test_scan_grid_refuses_a_bad_interval(self, lo, hi):
+        with pytest.raises(ValidationError, match=rf"lo={lo!r}, hi={hi!r}"):
+            scan_grid(lo, hi, 4, 1)
+
+    @pytest.mark.parametrize("n_pts", [0, 2.5, math.nan, "4"])
+    def test_scan_grid_reads_n_pts_as_an_integer(self, n_pts):
+        with pytest.raises(ValidationError, match="n_pts"):
+            scan_grid(1.0, 2.0, n_pts, 1)
+        assert scan_grid(1.0, 16.0, 4.0, 2) == scan_grid(1.0, 16.0, 4, 2)
 
     def test_all_points_overflow_says_so(self):
         # K = 1e308 makes k theta^2 overflow on the whole default bracket
@@ -617,6 +635,15 @@ def nan_case(name, call, error=DomainError):
              lambda: fractional.riemann_liouville(lambda t: t, 0.5, NAN)),
     nan_case("riemann_liouville_order",
              lambda: fractional.riemann_liouville(lambda t: t, NAN, 1.0)),
+    nan_case("caputo_plane_wave_t", lambda: fractional.caputo_plane_wave(
+        0.5, 1.0, NAN, PhysicalConstants())),
+    nan_case("caputo_plane_wave_inf_t", lambda: fractional.caputo_plane_wave(
+        0.5, 1.0, math.inf, PhysicalConstants())),
+    nan_case("grunwald_letnikov_step", lambda: fractional.grunwald_letnikov(
+        lambda t: t, 0.5, 1.0, NAN)),
+    nan_case("grunwald_letnikov_inf_step",
+             lambda: fractional.grunwald_letnikov(lambda t: t, 0.5, 1.0,
+                                                  math.inf)),
 ])
 def test_nan_fails_the_closed_form_guards(call, error):
     # each once returned nan (e for liouville_exp, 1**nan being 1), was
