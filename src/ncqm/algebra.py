@@ -34,7 +34,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, ValidationError
-from .params import PhysicalConstants, _require_int, effective_planck, k_factor
+from .params import (PhysicalConstants, _require_int, _require_real,
+                     effective_planck, k_factor)
 
 log = logging.getLogger("ncqm.algebra")
 
@@ -240,18 +241,22 @@ def build_heisenberg_rep(n_trunc: int, c: PhysicalConstants,
 
     x = sqrt(hbar/2m w)(a + a+), p_x = i sqrt(m w hbar/2)(a+ - a), and the
     same for (y, p_y) with the second mode. Commutators are exact on the
-    interior block; n_trunc must be at least 4 (capped at 120). Logs one
+    interior block; n_trunc must be at least 4 (capped at 120), and
+    ref_frequency positive and finite, with both scales positive finite
+    doubles (ValidationError). Logs one
     DEBUG record on "ncqm.algebra": n_trunc, the dimension, the nonzero
     entries per operator and the bytes of the four operators.
     """
     n_trunc = _require_int("n_trunc", n_trunc, 4)
     if n_trunc > _MAX_TRUNC:
         raise ValidationError(f"n_trunc capped at {_MAX_TRUNC}, got {n_trunc}")
-    if not 0.0 < ref_frequency < math.inf:  # NaN fails it too
-        raise ValidationError(f"ref_frequency must be positive and finite, "
-                              f"got {ref_frequency!r}")
+    ref_frequency = _require_real("ref_frequency", ref_frequency, 0.0)
     x_scale = math.sqrt(c.hbar / (2.0 * c.mass * ref_frequency))
     p_scale = math.sqrt(c.mass * ref_frequency * c.hbar / 2.0)
+    if not (0.0 < x_scale < math.inf and 0.0 < p_scale < math.inf):
+        raise ValidationError(
+            f"ref_frequency={ref_frequency!r} puts the length and momentum "
+            f"scales at {x_scale!r}, {p_scale!r}, not positive finite doubles")
     root = np.sqrt(np.arange(1.0, n_trunc))
     # <k-1|q|k> = <k|q|k-1> = x_scale sqrt(k); <k-1|p|k> = -i p_scale sqrt(k)
     q = (x_scale * root).astype(complex)
@@ -268,16 +273,20 @@ def build_heisenberg_rep(n_trunc: int, c: PhysicalConstants,
     return rep
 
 
-def _check_shift(rep: FockRep, theta: float, eta: float, ct: float,
-                 ce: float) -> None:
-    """Refuse a map whose shifted entries, ct max|p| or ce max|x|, would
-    overflow the commutator products (ValidationError)."""
+def _map_shifts(rep: FockRep, theta, eta, divisor: float) -> tuple:
+    """(theta, eta, ct, ce): the strengths read as finite reals and the
+    shift coefficients theta/divisor and eta/divisor of a map. A map whose
+    shifted entries, ct max|p| or ce max|x|, would overflow the commutator
+    products is refused too (ValidationError)."""
+    theta, eta = _require_real("theta", theta), _require_real("eta", eta)
+    ct, ce = theta / divisor, eta / divisor
     for shift in (abs(ct) * rep.px.abs_max(), abs(ce) * rep.x.abs_max()):
         if not shift <= _MAX_SHIFT:
             raise ValidationError(
                 f"theta={theta}, eta={eta} shift operator entries by "
                 f"{shift:.3g}, past {_MAX_SHIFT:g}: the commutator products "
                 "would overflow")
+    return theta, eta, ct, ce
 
 
 def sw_forward(rep: FockRep, theta: float, eta: float) -> MappedRep:
@@ -288,11 +297,10 @@ def sw_forward(rep: FockRep, theta: float, eta: float) -> MappedRep:
 
     The coordinate-momentum commutator picks up the factor
     1 + theta*eta/4hbar^2 (an effective Planck constant). Strengths that
-    would shift an entry past 1e150 raise ValidationError.
+    are not finite, or would shift an entry past 1e150, raise
+    ValidationError.
     """
-    ct = theta / (2.0 * rep.hbar)
-    ce = eta / (2.0 * rep.hbar)
-    _check_shift(rep, theta, eta, ct, ce)
+    theta, eta, ct, ce = _map_shifts(rep, theta, eta, 2.0 * rep.hbar)
     return MappedRep(
         rep=rep, theta=theta, eta=eta,
         x=rep.x - ct * rep.py,
@@ -331,12 +339,10 @@ def alternative_maps(rep: FockRep, theta: float, eta: float,
 
     Variant "asym_1" shifts only (x, p_y); "asym_2" shifts only (y, p_x).
     Both leave [x^_i, p^_j] = i hbar delta_ij exact (no effective-Planck
-    shift), in contrast with sw_forward. Strengths that would shift an
-    entry past 1e150 raise ValidationError.
+    shift), in contrast with sw_forward. Strengths that are not finite,
+    or would shift an entry past 1e150, raise ValidationError.
     """
-    ct = theta / rep.hbar
-    ce = eta / rep.hbar
-    _check_shift(rep, theta, eta, ct, ce)
+    theta, eta, ct, ce = _map_shifts(rep, theta, eta, rep.hbar)
     if variant == "asym_1":
         return MappedRep(rep=rep, theta=theta, eta=eta,
                          x=rep.x - ct * rep.py, y=rep.y,
@@ -457,11 +463,8 @@ def bogoliubov_frequency(omega: float, b_field: float) -> float:
     The pair-transformation diagonalization of the (omega, B) quadratic
     form yields Omega = omega + B; the exact-diagonalization oracle keeps
     an independent record of the two-branch (omega +/- B) structure, and
-    the verification report compares the two. omega must be non-negative
-    and b_field finite (DomainError).
+    the verification report compares the two. omega must be finite and
+    non-negative and b_field finite (DomainError).
     """
-    if not omega >= 0:  # NaN fails it too
-        raise DomainError(f"omega must be non-negative, got {omega!r}")
-    if not math.isfinite(b_field):
-        raise DomainError(f"b_field must be finite, got {b_field!r}")
-    return omega + b_field
+    return (_require_real("omega", omega, 0.0, ends="[)", error=DomainError)
+            + _require_real("b_field", b_field, error=DomainError))

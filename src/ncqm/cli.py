@@ -46,7 +46,7 @@ from dataclasses import replace
 
 from .errors import ConvergenceError, UsageError, ValidationError
 from .params import (PARAM_KEYS, Mechanism, ModelParams, PhysicalConstants,
-                     _require, _require_int, params_from_dict)
+                     _require, _require_int, _require_real, params_from_dict)
 
 # Largest wavefunction --n: the cost of L_n grows with n at every sample
 # point, and 10^6 at the default 200 points takes about a second.
@@ -187,9 +187,7 @@ def _cmd_spectrum(args) -> int:
 
 
 def _cmd_wavefunction(args) -> int:
-    if args.r_max <= 0:
-        raise ValidationError(
-            f"--r-max must be positive, got {args.r_max!r}")
+    _require_real("--r-max", args.r_max, 0.0)
     if args.n > WAVEFUNCTION_MAX_N:
         raise ValidationError(f"--n must be at most {WAVEFUNCTION_MAX_N}, "
                               f"got {args.n}")

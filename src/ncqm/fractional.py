@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 from .errors import ConvergenceError, DomainError, ValidationError
 from .params import (Mechanism, ModelParams, PhysicalConstants,
-                     _require_finite)
+                     _require_finite, _require_real)
 from .specfun import gamma_fn, log_gamma, mittag_leffler
 
 # Most grid steps one Grünwald-Letnikov sum may take: about 0.4 s of
@@ -35,7 +35,11 @@ GL_MAX_STEPS = 10**6
 
 @dataclass(frozen=True)
 class PowerSeriesFn:
-    """A function f(x) = sum_k coeffs[k] * x**(k*alpha_step), x >= 0."""
+    """A function f(x) = sum_k coeffs[k] * x**(k*alpha_step), x >= 0.
+
+    alpha_step must be finite (ValidationError) and positive, radius
+    positive, infinite included (DomainError).
+    """
 
     alpha_step: float
     coeffs: tuple[float, ...]
@@ -43,15 +47,13 @@ class PowerSeriesFn:
 
     def __post_init__(self):
         _require_finite(self, ("alpha_step",))
-        if self.alpha_step <= 0:
-            raise DomainError("alpha_step must be positive")
-        if self.radius <= 0:
-            raise DomainError("radius must be positive")
+        _require_finite(self, ("alpha_step",), 0.0, error=DomainError)
+        object.__setattr__(self, "radius", _require_real(
+            "radius", self.radius, 0.0, ends="(]", error=DomainError))
         object.__setattr__(self, "coeffs", tuple(float(c) for c in self.coeffs))
 
     def __call__(self, x: float) -> float:
-        if not 0 <= x < self.radius:  # NaN fails it too
-            raise DomainError(f"x={x} outside [0, {self.radius})")
+        x = _require_real("x", x, 0.0, self.radius, "[)", DomainError)
         return sum(c * x ** (k * self.alpha_step)
                    for k, c in enumerate(self.coeffs))
 
@@ -76,8 +78,7 @@ def caputo_series_derivative(f: PowerSeriesFn, x: float) -> float:
     sum_k a_{k+1} Gamma(1+(k+1)a)/Gamma(1+k a) x^(k a); the constant term
     is annihilated.
     """
-    if not 0 <= x < f.radius:  # NaN fails it too
-        raise DomainError(f"x={x} outside [0, {f.radius})")
+    x = _require_real("x", x, 0.0, f.radius, "[)", DomainError)
     a = f.alpha_step
     acc = 0.0
     for k in range(len(f.coeffs) - 1):
@@ -90,11 +91,12 @@ def caputo_series_derivative(f: PowerSeriesFn, x: float) -> float:
 
 
 def caputo_exp(order: float, x: float) -> float:
-    """Caputo derivative of exp at order in (0, 1]:  x^(1-a) E_{1,2-a}(x)."""
-    if not 0.0 < order <= 1.0:
-        raise DomainError(f"order must be in (0, 1], got {order}")
-    if x < 0:
-        raise DomainError(f"x must be >= 0, got {x}")
+    """Caputo derivative of exp at order in (0, 1]:  x^(1-a) E_{1,2-a}(x).
+
+    x must be a real >= 0, infinite included (DomainError).
+    """
+    order = _require_real("order", order, 0.0, 1.0, "(]", DomainError)
+    x = _require_real("x", x, 0.0, ends="[]", error=DomainError)
     if x == 0.0:
         return 1.0 if order == 1.0 else 0.0
     return x ** (1.0 - order) * mittag_leffler(1.0, 2.0 - order, x)
@@ -103,12 +105,12 @@ def caputo_exp(order: float, x: float) -> float:
 def liouville_exp(order: float, k: float, x: float) -> float:
     """Liouville-rule fractional derivative of exp(k x): k^a exp(k x), k >= 0.
 
-    A value past the double range raises DomainError.
+    order must be positive and finite, k non-negative and finite and x
+    finite; those and a value past the double range raise DomainError.
     """
-    if not order > 0:  # NaN fails it too
-        raise DomainError(f"order must be positive, got {order}")
-    if not k >= 0:
-        raise DomainError(f"liouville_exp requires k >= 0, got {k}")
+    order = _require_real("order", order, 0.0, error=DomainError)
+    k = _require_real("k", k, 0.0, ends="[)", error=DomainError)
+    x = _require_real("x", x, error=DomainError)
     if k == 0.0:
         return 0.0
     try:
@@ -128,16 +130,17 @@ def riemann_liouville(f, order: float, x: float) -> float:
     n-1 < nu < n. The kernel singularity is removed by the substitution
     u = s^(1/(n-nu)), after which the inner integral is evaluated by
     adaptive quadrature; the outer derivative uses 5-point central
-    differences. Supported for n <= 2.
+    differences. Supported for n <= 2: order in (0, 1) or (1, 2), x
+    positive and finite, and large enough that the step 0.45 x/n does not
+    underflow to 0; those and a value past the double range raise
+    DomainError.
     """
     from scipy import integrate  # needed by this operator alone
-    if not x > 0:  # NaN fails it too
-        raise DomainError(f"x must be positive, got {x}")
-    if not 0 < order < math.inf or order == math.floor(order):
-        raise DomainError(f"order must be positive non-integer, got {order}")
+    x = _require_real("x", x, 0.0, error=DomainError)
+    order = _require_real("order", order, 0.0, 2.0, error=DomainError)
+    if order == 1.0:
+        raise DomainError("order must not be an integer, got 1.0")
     n = math.floor(order) + 1
-    if n > 2:
-        raise DomainError(f"orders above 2 not supported, got {order}")
     mu = n - order  # in (0, 1)
 
     def inner(y: float) -> float:
@@ -156,13 +159,19 @@ def riemann_liouville(f, order: float, x: float) -> float:
 
     h = 0.02 * max(1.0, abs(x))
     h = min(h, 0.45 * x / n)  # keep the stencil inside (0, inf)
+    if h == 0.0:
+        raise DomainError(f"x={x!r} underflows the difference step")
     if n == 1:
         deriv = (inner(x - 2 * h) - 8 * inner(x - h)
                  + 8 * inner(x + h) - inner(x + 2 * h)) / (12 * h)
     else:
         deriv = (-inner(x - 2 * h) + 16 * inner(x - h) - 30 * inner(x)
                  + 16 * inner(x + h) - inner(x + 2 * h)) / (12 * h * h)
-    return deriv / gamma_fn(mu)
+    value = deriv / gamma_fn(mu)
+    if math.isfinite(value):
+        return value
+    raise DomainError(f"riemann_liouville leaves the double range at "
+                      f"order={order!r}, x={x!r}")
 
 
 def grunwald_letnikov(f, order: float, x: float, h: float) -> float:
@@ -170,19 +179,15 @@ def grunwald_letnikov(f, order: float, x: float, h: float) -> float:
 
     sum_j (-1)^j C(alpha, j) f(x - j h) / h^alpha over the grid reaching
     back to 0. Converges O(h) for smooth f; serves as the independent
-    numeric oracle for the closed-form fractional operators. A step h
-    that is not positive and finite, an x below the terminal, or a grid
-    of more than GL_MAX_STEPS steps (x/h not finite included) raises
-    DomainError, and so does a sum past the double range.
+    numeric oracle for the closed-form fractional operators. An order
+    or a step h that is not positive and finite, an x that is not finite
+    or lies below the terminal, or a grid of more than GL_MAX_STEPS steps
+    (x/h not finite included) raises DomainError, and so does a sum past
+    the double range.
     """
-    if order <= 0:
-        raise DomainError(f"order must be positive, got {order}")
-    if not 0.0 < h < math.inf:  # NaN fails it too
-        raise DomainError(f"step must be positive and finite, got "
-                          f"step={h!r}")
-    if x < 0:
-        raise DomainError(f"grunwald_letnikov: x={x!r} outside [0, inf), "
-                          "below the terminal at 0")
+    order = _require_real("order", order, 0.0, error=DomainError)
+    h = _require_real("step", h, 0.0, error=DomainError)
+    x = _require_real("x", x, 0.0, ends="[)", error=DomainError)
     steps = x / h + 1e-12
     if not steps <= GL_MAX_STEPS:
         raise DomainError(f"x={x!r} with step {h!r} needs {x / h:.10g} grid "
@@ -216,16 +221,14 @@ def plane_wave_eigenvalue(order: float, energy: float,
 
     a_alpha = (-i E / hbar)^alpha on the principal branch, so
     |a_alpha| = (E/hbar)^alpha, a_1 = -iE/hbar and a_2 = -E^2/hbar^2.
-    A modulus past the double range raises DomainError.
+    order and energy must be positive and finite, and a modulus past the
+    double range raises DomainError.
     """
-    # written so that NaN fails each check
-    if not order > 0:
-        raise DomainError(f"order must be positive, got {order}")
-    if not energy > 0:
-        raise DomainError(f"energy must be positive, got {energy}")
+    order = _require_real("order", order, 0.0, error=DomainError)
+    energy = _require_real("energy", energy, 0.0, error=DomainError)
     try:
         value = complex(0.0, -energy / c.hbar) ** order
-    except OverflowError:
+    except (OverflowError, ZeroDivisionError):
         raise DomainError(f"the plane-wave eigenvalue (E/hbar)^order leaves "
                           f"the double range at order={order!r}, "
                           f"energy={energy!r}") from None
@@ -241,12 +244,11 @@ def caputo_plane_wave(order: float, energy: float, t: float,
     admit oscillatory exponentials as eigenfunctions, which is why the
     eigenvalue route uses the Liouville-type rule. The difference from
     a_alpha exp(-iEt/hbar) quantifies that mismatch. order must lie in
-    (0, 1] and t be finite and non-negative (DomainError).
+    (0, 1], energy be finite and t finite and non-negative (DomainError).
     """
-    if not 0.0 < order <= 1.0:
-        raise DomainError(f"order must be in (0, 1], got {order}")
-    if not 0.0 <= t < math.inf:  # NaN fails it too
-        raise DomainError(f"t must be finite and >= 0, got t={t!r}")
+    order = _require_real("order", order, 0.0, 1.0, "(]", DomainError)
+    energy = _require_real("energy", energy, error=DomainError)
+    t = _require_real("t", t, 0.0, ends="[)", error=DomainError)
     lam = complex(0.0, -energy / c.hbar)
     if t == 0.0:
         return lam if order == 1.0 else 0.0 + 0.0j

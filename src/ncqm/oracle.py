@@ -48,7 +48,7 @@ import numpy as np
 from .errors import ConvergenceError, GridError, ValidationError
 from .algebra import _shell_blocks, build_heisenberg_rep
 from .params import (ModelParams, PhysicalConstants, _require_int,
-                     effective_coefficients)
+                     _require_real, effective_coefficients)
 
 log = logging.getLogger("ncqm.oracle")
 
@@ -162,6 +162,7 @@ def _tridiagonal_eigenvalues(diag: np.ndarray, off: np.ndarray,
                      for k, x in enumerate(starts.tolist())])
 
 
+@np.errstate(all="ignore")  # an entry past the doubles is refused below
 def _radial_matrix(m_star: float, k_elastic: float, m_phi: int,
                    r_max: float, points: int, hbar: float
                    ) -> tuple[np.ndarray, np.ndarray]:
@@ -172,11 +173,14 @@ def _radial_matrix(m_star: float, k_elastic: float, m_phi: int,
     r = (np.arange(points) + 0.5) * h
     r_plus = r + 0.5 * h
     r_minus = np.maximum(r - 0.5 * h, 0.0)  # zero flux through r = 0
-    kin = hbar ** 2 / (2.0 * m_star)
-    diag = (kin * (r_plus + r_minus) / (h ** 2 * r)
+    try:
+        kin, h2 = hbar ** 2 / (2.0 * m_star), h ** 2
+    except OverflowError:  # float ** raises where an array carries inf
+        kin = h2 = math.inf
+    diag = (kin * (r_plus + r_minus) / (h2 * r)
             + kin * m_phi ** 2 / r ** 2
             + 0.5 * k_elastic * r ** 2)
-    off = -kin * r_plus[:-1] / (h ** 2 * np.sqrt(r[:-1] * r[1:]))
+    off = -kin * r_plus[:-1] / (h2 * np.sqrt(r[:-1] * r[1:]))
     if not (np.all(np.isfinite(diag)) and np.all(np.isfinite(off))):
         raise ValidationError(
             f"the finite-volume matrix at m_star={m_star!r}, "
@@ -210,20 +214,19 @@ def radial_fd_eigensolve(m_star: float, b_field: float, k_elastic: float,
     """
     r_max, points = grid
     points = _require_int("points", points, 500, GridError)
-    if not all(0.0 < v < math.inf for v in (m_star, k_elastic, hbar, r_max)):
-        raise ValidationError(
-            "m_star, k_elastic, hbar and r_max must be finite and positive, "
-            f"got {m_star}, {k_elastic}, {hbar}, {r_max}")
-    if not math.isfinite(b_field):
-        raise ValidationError(f"b_field must be finite, got {b_field}")
+    m_star = _require_real("m_star", m_star, 0.0)
+    k_elastic = _require_real("k_elastic", k_elastic, 0.0)
+    hbar = _require_real("hbar", hbar, 0.0)
+    r_max = _require_real("r_max", r_max, 0.0)
+    b_field = _require_real("b_field", b_field)
     count = _require_int("count", count, 1)
     if count > points:
         raise ValidationError(f"count must be in 1..{points}, got {count}")
     lam = math.sqrt(m_star * k_elastic) / hbar
-    if lam * r_max ** 2 / 2.0 < _DECAY_LOG:
+    if lam * (r_max * r_max) / 2.0 < _DECAY_LOG:  # * overflows to inf
         raise GridError(
             f"r_max={r_max} too small: exp(-xi^2/2) at the boundary is "
-            f"{math.exp(-lam * r_max ** 2 / 2.0):.2e} >= 1e-8")
+            f"{math.exp(-lam * (r_max * r_max) / 2.0):.2e} >= 1e-8")
 
     def solve(n_pts: int, starts) -> np.ndarray:
         return _tridiagonal_eigenvalues(
@@ -278,18 +281,15 @@ def fock_matrix_eigensolve(n_trunc: int, m_star: float, b_field: float,
     in ascending N, and the solve stops before shell N once count levels
     are in hand and the lowest energy shell N or a later one can reach,
     hbar(omega(N+1) - |B| N), lies _SHELL_MARGIN hbar omega above the
-    count-th of them: no later shell can change the result. m_star and
-    k_elastic must be finite and positive (PhysicalConstants holds hbar to
-    the same), with sqrt(K/m*) a positive finite double, b_field finite
-    and count at least 1 (ValidationError).
+    count-th of them: no later shell can change the result. n_trunc must
+    be an integer in 20..120, m_star and k_elastic finite and positive
+    (PhysicalConstants holds hbar to the same), with sqrt(K/m*) a positive
+    finite double, b_field finite and count at least 1 (ValidationError).
     """
     n_trunc = _require_int("n_trunc", n_trunc, 20)
-    if not all(0.0 < v < math.inf for v in (m_star, k_elastic)):
-        raise ValidationError(
-            "m_star and k_elastic must be finite and positive, "
-            f"got {m_star}, {k_elastic}")
-    if not math.isfinite(b_field):
-        raise ValidationError(f"b_field must be finite, got {b_field}")
+    m_star = _require_real("m_star", m_star, 0.0)
+    k_elastic = _require_real("k_elastic", k_elastic, 0.0)
+    b_field = _require_real("b_field", b_field)
     count = _require_int("count", count, 1)
     omega = math.sqrt(k_elastic / m_star)
     if not 0.0 < omega < math.inf:
@@ -297,15 +297,15 @@ def fock_matrix_eigensolve(n_trunc: int, m_star: float, b_field: float,
             f"the natural frequency sqrt(k_elastic/m_star) = {omega!r} is not "
             f"a positive finite double at m_star={m_star!r}, "
             f"k_elastic={k_elastic!r}")
+    # built first: its cap on n_trunc bounds the arrays _certified_count makes
+    rep = build_heisenberg_rep(
+        n_trunc, PhysicalConstants(hbar=c.hbar, mass=m_star),
+        ref_frequency=omega)
     certified = _certified_count(n_trunc, omega, b_field)
     if count > certified:
         raise ValidationError(
             f"count={count} outside the certified window ({certified} levels "
             f"at n_trunc={n_trunc}, B/omega={b_field / omega:.6g})")
-
-    rep = build_heisenberg_rep(
-        n_trunc, PhysicalConstants(hbar=c.hbar, mass=m_star),
-        ref_frequency=omega)
     lz = rep.x @ rep.py - rep.y @ rep.px
     ham = ((rep.px @ rep.px + rep.py @ rep.py) / (2.0 * m_star)
            - b_field * lz
@@ -459,8 +459,7 @@ def self_consistent_wrap(solver: str, p: ModelParams, qn,
     """
     if solver not in ("radial", "fock"):
         raise ValidationError(f"unknown solver {solver!r}; use radial or fock")
-    if not 0.0 < tol < math.inf:
-        raise ValidationError(f"tol must be finite and positive, got {tol}")
+    tol = _require_real("tol", tol, 0.0)
     c = p.constants
     scale = c.hbar * max(c.omega, 1.0 / p.e_ref) * qn.radial_weight
     scale = max(scale, 1e-6 * p.e_ref)

@@ -40,15 +40,44 @@ class Mechanism(enum.Enum):
     EO_II = "eo_ii"  # energy -> kinetic Hamiltonian (fractional Laplacian)
 
 
-def _require_finite(obj, names: tuple[str, ...]):
-    """Reject NaN and infinite fields before they reach any coefficient,
-    and store each as a Python float: arithmetic on a numpy scalar warns
-    and returns inf where a float raises the error the checks expect."""
+def _end(x: float) -> str:
+    """An interval end as a message prints it: 0 and inf short, any other
+    double by its repr."""
+    return f"{x:g}" if float(f"{x:g}") == x else repr(x)
+
+
+def _require_real(name, value, low=-math.inf, high=math.inf, ends="()",
+                  error=ValidationError) -> float:
+    """value as a Python float if it is a real number in the interval
+    from low to high, whose ends is a pair of brackets, a square one
+    closed: "()" by default, "[)" for [low, high). An infinite value
+    passes only where its end is closed ("(]" with high = inf). An int or
+    numpy scalar is read as the float it equals. NaN, a value outside, a
+    string, None or a complex number raises error (ValidationError by
+    default), naming the argument and its value."""
+    x = value
+    if type(x) is not float:
+        try:
+            x = float(x) if isinstance(x, numbers.Real) else math.nan
+        except OverflowError:  # an int past the doubles
+            x = math.nan
+    # NaN fails every comparison
+    if ((low < x if ends[0] == "(" else low <= x)
+            and (x < high if ends[1] == ")" else x <= high)):
+        return x
+    raise error(f"{name} must be in {ends[0]}{_end(low)}, {_end(high)}"
+                f"{ends[1]}, got {value!r}")
+
+
+def _require_finite(obj, names: tuple[str, ...], low=-math.inf,
+                    high=math.inf, ends="()", error=ValidationError):
+    """Read each named field of obj through _require_real, on a finite
+    interval, and store it as a Python float: arithmetic on a numpy scalar
+    warns and returns inf where a float raises the error the checks
+    expect."""
     for name in names:
-        value = getattr(obj, name)
-        if not math.isfinite(value):
-            raise ValidationError(f"{name} must be finite, got {value}")
-        object.__setattr__(obj, name, float(value))
+        object.__setattr__(obj, name, _require_real(
+            name, getattr(obj, name), low, high, ends, error))
 
 
 def _require_int(name, value, minimum=0, error=ValidationError) -> int:
@@ -71,9 +100,10 @@ class PhysicalConstants:
     """Dimensional constants of the underlying commutative problem.
 
     spring_k is the oscillator elastic constant; zero selects the free
-    particle. charge is only used by the mesoscopic-ring module. The
-    coefficients divide by hbar^2, so hbar^2 must be a positive double
-    (ValidationError otherwise).
+    particle. charge is only used by the mesoscopic-ring module. hbar
+    and mass must be positive and charge and spring_k finite, spring_k
+    non-negative; the coefficients divide by hbar^2, so hbar^2 must be a
+    positive double too (ValidationError otherwise).
     """
 
     hbar: float = 1.0
@@ -82,17 +112,13 @@ class PhysicalConstants:
     spring_k: float = 0.0
 
     def __post_init__(self):
-        _require_finite(self, ("hbar", "mass", "charge", "spring_k"))
-        if self.hbar <= 0:
-            raise ValidationError("hbar must be positive")
+        _require_finite(self, ("hbar", "mass"), 0.0)
+        _require_finite(self, ("charge",))
+        _require_finite(self, ("spring_k",), 0.0, ends="[)")
         if not 0.0 < self.hbar * self.hbar < math.inf:
             raise ValidationError(f"hbar={self.hbar!r} squares to "
                                   f"{self.hbar * self.hbar!r}, outside the "
                                   "positive double range")
-        if self.mass <= 0:
-            raise ValidationError("mass must be positive")
-        if self.spring_k < 0:
-            raise ValidationError("spring_k must be non-negative")
 
     @property
     def omega(self) -> float:
@@ -102,7 +128,13 @@ class PhysicalConstants:
 
 @dataclass(frozen=True)
 class ModelParams:
-    """Full parameter set of one energy-dependent noncommutative model."""
+    """Full parameter set of one energy-dependent noncommutative model.
+
+    eta0 and theta0 must be finite and non-negative, the exponents finite
+    and e_ref a finite normal double, mechanism a Mechanism or its value
+    ("ec" is stored as Mechanism.EC) and constants a PhysicalConstants
+    (ValidationError).
+    """
 
     eta0: float = 0.0
     theta0: float = 0.0
@@ -113,16 +145,23 @@ class ModelParams:
     constants: PhysicalConstants = PhysicalConstants()
 
     def __post_init__(self):
-        _require_finite(self, ("eta0", "theta0", "alpha_exp", "beta_exp",
-                               "e_ref"))
-        if self.e_ref <= 0:
-            raise ValidationError("e_ref must be positive")
-        if self.e_ref < sys.float_info.min:  # 1/e_ref would overflow
-            raise ValidationError(f"e_ref={self.e_ref!r} is below the "
-                                  "smallest normal double "
-                                  f"{sys.float_info.min!r}")
-        if self.eta0 < 0 or self.theta0 < 0:
-            raise ValidationError("eta0 and theta0 must be non-negative")
+        _require_finite(self, ("eta0", "theta0"), 0.0, ends="[)")
+        _require_finite(self, ("alpha_exp", "beta_exp"))
+        # from the smallest normal double up, so 1/e_ref is finite
+        _require_finite(self, ("e_ref",), sys.float_info.min, ends="[)")
+        try:
+            object.__setattr__(self, "mechanism", Mechanism(self.mechanism))
+        except ValueError as exc:
+            raise ValidationError(f"mechanism must be a Mechanism or its "
+                                  f"value: {exc}") from None
+        _require_constants(self)
+
+
+def _require_constants(obj):
+    """ValidationError unless obj.constants is a PhysicalConstants."""
+    if not isinstance(obj.constants, PhysicalConstants):
+        raise ValidationError(f"constants must be a PhysicalConstants, got "
+                              f"{obj.constants!r}")
 
 
 def _require(p: ModelParams, mechanism: Mechanism, fn: str,
@@ -231,12 +270,19 @@ def _power(amplitude: float, ratio, exponent: float, name: str):
                                f"E/e_ref={ratio!r}") from None
 
 
+def _strengths(theta, eta) -> tuple[float, float]:
+    """theta and eta read as finite reals (DomainError otherwise)."""
+    return (_require_real("theta", theta, error=DomainError),
+            _require_real("eta", eta, error=DomainError))
+
+
 def effective_planck(theta: float, eta: float, c: PhysicalConstants) -> float:
     """Coordinate-momentum commutator coefficient hbar*(1 + theta*eta/4hbar^2).
 
-    A coefficient that is not finite (NaN strengths included) raises
-    DomainError.
+    theta and eta must be finite, and a coefficient that is not finite
+    raises DomainError.
     """
+    theta, eta = _strengths(theta, eta)
     value = c.hbar * (1.0 + theta * eta / (4.0 * c.hbar ** 2))
     if not math.isfinite(value):
         raise DomainError(f"the effective Planck constant is {value!r} at "
@@ -277,9 +323,10 @@ def k_factor(theta: float, eta: float, c: PhysicalConstants) -> float:
 
     The small-strength approximation k ~ 1 is a documented caller-side
     mode (see algebra.sw_inverse); this function always returns the exact
-    value and raises on the pole theta*eta = 4 hbar^2, and where
-    theta*eta/4hbar^2 is not finite (DomainError).
+    value and raises on the pole theta*eta = 4 hbar^2, and where theta,
+    eta or theta*eta/4hbar^2 is not finite (DomainError).
     """
+    theta, eta = _strengths(theta, eta)
     zeta = theta * eta / (4.0 * c.hbar ** 2)
     if not math.isfinite(zeta):
         raise DomainError(f"theta*eta/4hbar^2 is {zeta!r} at theta={theta!r}, "
@@ -295,9 +342,10 @@ def rescaled_strengths(theta: float, eta: float,
 
     Returns (theta', eta', xi) with xi = (1 + theta*eta/4hbar^2)^(-1/2)
     and theta' = xi^2 * theta, eta' = xi^2 * eta. By construction
-    hbar * xi^2 * (1 + theta*eta/4hbar^2) = hbar. The denominator must be
-    positive and finite (DomainError).
+    hbar * xi^2 * (1 + theta*eta/4hbar^2) = hbar. theta and eta must be
+    finite and the denominator positive and finite (DomainError).
     """
+    theta, eta = _strengths(theta, eta)
     denom = 1.0 + theta * eta / (4.0 * c.hbar ** 2)
     if not 0.0 < denom < math.inf:  # NaN fails it too
         raise DomainError(f"1 + theta*eta/4hbar^2 must be positive and "
@@ -375,13 +423,9 @@ def params_from_dict(doc: dict) -> ModelParams:
         raise ValidationError(f"unknown config fields: {sorted(unknown)}")
     model, constants = {}, {}
     for key, value in doc.items():
-        if key == "mechanism":
-            try:
-                model[key] = Mechanism(value)
-            except ValueError as exc:
-                raise ValidationError(str(exc)) from None
-        elif key in _MODEL_KEYS:
-            model[_MODEL_KEYS[key]] = _number(key, value)
+        if key in _MODEL_KEYS:  # ModelParams reads mechanism itself
+            model[_MODEL_KEYS[key]] = (value if key == "mechanism"
+                                       else _number(key, value))
         else:
             constants[key] = _number(key, value)
     return ModelParams(**model, constants=PhysicalConstants(**constants))

@@ -21,7 +21,8 @@ import math
 from dataclasses import dataclass
 
 from .errors import DomainError, ValidationError
-from .params import ModelParams, PhysicalConstants, nc_strengths
+from .params import (ModelParams, PhysicalConstants, _require_constants,
+                     _require_finite, _require_real, nc_strengths)
 
 
 @dataclass(frozen=True)
@@ -30,7 +31,9 @@ class RingSpec:
 
     alpha_param is the map scale with theta*eta = 2 hbar^2 alpha^2 (1 -
     alpha^2); the effective mass m_star is mass/alpha_param^2 (the
-    quadratic kinetic rescale).
+    quadratic kinetic rescale). radius must be positive and flux_ext
+    finite, alpha_param in (0, 1], constants a PhysicalConstants, and the
+    squares and the flux quantum finite nonzero doubles (ValidationError).
     """
 
     radius: float
@@ -39,21 +42,13 @@ class RingSpec:
     constants: PhysicalConstants = PhysicalConstants()
 
     def __post_init__(self):
-        if self.radius <= 0:
-            raise ValidationError("radius must be positive")
-        if not 0.0 < self.alpha_param <= 1.0:
-            raise ValidationError("alpha_param must lie in (0, 1]")
+        _require_finite(self, ("radius",), 0.0)
+        _require_finite(self, ("alpha_param",), 0.0, 1.0, "(]")
         # ground_level_index rounds the flux shift to an integer l
-        if not math.isfinite(self.flux_ext):
-            raise ValidationError(f"flux_ext must be finite, got "
-                                  f"{self.flux_ext!r}")
-        # arithmetic on a numpy scalar warns where a float's raises or
-        # overflows quietly, so the fields are stored as Python floats
-        for name in ("radius", "flux_ext", "alpha_param"):
-            object.__setattr__(self, name, float(getattr(self, name)))
+        _require_finite(self, ("flux_ext",))
+        _require_constants(self)
         # the flux and the effective mass divide by or multiply with the
-        # squares, so a square that under- or overflows (or a NaN or
-        # infinite radius) is refused here
+        # squares, so a square that under- or overflows is refused here
         for name, value in (("radius", self.radius),
                             ("alpha_param", self.alpha_param)):
             if not 0.0 < value * value < math.inf:
@@ -101,9 +96,10 @@ def nc_flux(spec: RingSpec, eta: float) -> RingFields:
     phi_nc = 2 pi R^2 eta/(e hbar alpha^2).
 
     Note phi_nc carries twice the geometric area-times-field product
-    pi R^2 B_z. A denominator e alpha^2 hbar that underflows to 0 raises
-    DomainError.
+    pi R^2 B_z. eta must be finite, and a denominator e alpha^2 hbar that
+    underflows to 0 raises DomainError.
     """
+    eta = _require_real("eta", eta, error=DomainError)
     c = spec.constants
     denominator = c.charge * spec.alpha_param ** 2 * c.hbar
     if denominator == 0.0:
@@ -175,12 +171,12 @@ def alpha_from_theta_eta(theta_eta: float, hbar: float = 1.0
 
     The quartic has two branches; both roots alpha = sqrt(s_-), sqrt(s_+)
     are returned (ascending). Requires 0 <= theta*eta <= hbar^2/2, and
-    hbar^2 a positive finite double (DomainError otherwise).
+    hbar finite with hbar^2 a positive finite double (DomainError
+    otherwise).
     """
-    # written so that NaN fails each check
-    if not theta_eta >= 0:
-        raise DomainError(f"theta*eta must be non-negative, got "
-                          f"{theta_eta!r}")
+    theta_eta = _require_real("theta_eta", theta_eta, 0.0, ends="[)",
+                              error=DomainError)
+    hbar = _require_real("hbar", hbar, error=DomainError)
     try:
         hbar_sq = hbar ** 2
     except OverflowError:

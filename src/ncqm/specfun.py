@@ -65,7 +65,7 @@ import math
 import numpy as np
 
 from .errors import ConvergenceError, DomainError, SingularityError
-from .params import _require_int
+from .params import _require_int, _require_real
 
 
 # Budget of the Mittag-Leffler series: at most _ML_MAX_TERMS terms, the
@@ -125,21 +125,18 @@ def gamma_fn(x: float) -> float:
     """Gamma function of a real x, +-inf where it leaves the double range.
 
     Raises SingularityError at the poles (non-positive integers) and
-    DomainError at NaN.
+    DomainError where x is not a real number (NaN included).
     """
-    x = float(x)
+    x = _require_real("gamma_fn x", x, ends="[]", error=DomainError)
     if _is_nonpositive_int(x):
         raise SingularityError(f"gamma pole at x={x}")
-    if math.isnan(x):
-        raise DomainError("gamma_fn requires a number, got nan")
     return _gamma(x)
 
 
 def log_gamma(z: float) -> float:
-    """ln Gamma(z) for real z > 0; inf where it exceeds the double range."""
-    z = float(z)
-    if not z > 0:
-        raise DomainError(f"log_gamma requires z > 0, got {z}")
+    """ln Gamma(z) for real z > 0; inf where it exceeds the double range.
+    Any other z raises DomainError."""
+    z = _require_real("log_gamma z", z, 0.0, ends="(]", error=DomainError)
     try:
         return math.lgamma(z)
     except OverflowError:  # z above about 2.5e305
@@ -152,14 +149,12 @@ def recip_gamma(x: float) -> float:
     0 at the poles and past 171.62; x itself where |x| < 5.6e-309, where
     Gamma overflows and 1/Gamma(x) = x + 0.577 x^2 rounds to x; +-inf
     where 1/Gamma leaves the double range (x below about -171.5, where
-    Gamma is subnormal or has underflowed to +-0). Raises DomainError at
-    NaN, as gamma_fn does.
+    Gamma is subnormal or has underflowed to +-0). Raises DomainError
+    where x is not a real number (NaN included), as gamma_fn does.
     """
-    x = float(x)
+    x = _require_real("recip_gamma x", x, ends="[]", error=DomainError)
     if _is_nonpositive_int(x):
         return 0.0
-    if math.isnan(x):
-        raise DomainError("recip_gamma requires a number, got nan")
     g = _gamma(x)
     if math.isinf(g):
         return x if abs(x) < 1.0 else 0.0
@@ -177,12 +172,11 @@ def beta_fn(a: float, b: float) -> float:
     so s is not lost in l + s. Where B leaves the double range the result
     is inf (B is about 1/a + 1/b, past the largest double for an argument
     below about 5.6e-309) or 0.0 (B underflows); at an infinite argument
-    it is 0.0, the limit at the other argument fixed. It is never nan. A
-    non-positive or NaN argument raises DomainError.
+    it is 0.0, the limit at the other argument fixed. It is never nan. An
+    argument that is not a positive real (NaN included) raises DomainError.
     """
-    if not (a > 0 and b > 0):  # NaN fails it too
-        raise DomainError(f"beta_fn requires positive arguments, got ({a}, {b})")
-    a, b = float(a), float(b)
+    a = _require_real("beta_fn a", a, 0.0, ends="(]", error=DomainError)
+    b = _require_real("beta_fn b", b, 0.0, ends="(]", error=DomainError)
     if math.isinf(a) or math.isinf(b):
         return 0.0
     try:
@@ -265,24 +259,44 @@ def bessel_j_asymptotic(order: int, x: float) -> float:
     """Leading large-argument form sqrt(2/pi x) cos(x - m pi/2 - pi/4).
 
     This is the O(1/x)-accurate cosine asymptote; it is exposed separately
-    from bessel_j so the full evaluation can be checked against it.
+    from bessel_j so the full evaluation can be checked against it. A
+    value past the double range (x below about 1e-308) raises DomainError.
     """
-    order, _ = _check_bessel_args(order, x, "bessel_j_asymptotic")
-    if x <= 0:
-        raise DomainError("asymptotic form requires x > 0")
+    order = _require_int("bessel_j_asymptotic order", order, 0, DomainError)
+    x = _require_real("bessel_j_asymptotic x", x, 0.0, error=DomainError)
     chi = x - (0.5 * order + 0.25) * math.pi
-    return math.sqrt(2.0 / (math.pi * x)) * math.cos(chi)
+    value = math.sqrt(2.0 / (math.pi * x)) * math.cos(chi)
+    if not math.isfinite(value):
+        raise DomainError(f"bessel_j_asymptotic leaves the double range at "
+                          f"x={x!r}")
+    return value
 
 
 def bessel_y(order: int, x):
-    """Bessel function of the second kind, integer order >= 0, x > 0."""
+    """Bessel function of the second kind, integer order >= 0, x > 0. A
+    value past the double range (a large order at a small x) raises
+    DomainError."""
     order, x = _check_bessel_args(order, x, "bessel_y")
     if np.any(x == 0):
         raise SingularityError("bessel_y is singular at x = 0")
     if np.any(x < 0):
         raise DomainError(f"bessel_y requires x > 0, got {x}")
     from scipy import special
-    return _real(special.yv(order, x))
+    y = special.yv(order, x)
+    if not np.all(np.isfinite(y)):
+        raise DomainError(f"bessel_y of order {order} leaves the double "
+                          "range at some x")
+    return _real(y)
+
+
+def _laguerre_recurrence(n: int, a: float, x):
+    """L_n^(a)(x) by the forward recurrence of laguerre (n <= 20)."""
+    if n == 0:
+        return np.ones_like(x)
+    prev, cur = 1.0, 1.0 + a - x
+    for k in range(1, n):
+        prev, cur = cur, ((2 * k + 1 + a - x) * cur - (k + a) * prev) / (k + 1)
+    return cur
 
 
 def laguerre(n: int, a: float, x):
@@ -291,24 +305,28 @@ def laguerre(n: int, a: float, x):
     For n <= 20 by the forward recurrence L_0 = 1, L_1 = 1 + a - x,
     L_(k+1) = ((2k + 1 + a - x) L_k - (k + a) L_(k-1)) / (k + 1), whose
     error stays near eps relative to the value, also near its zeros;
-    scipy's eval_genlaguerre beyond.
+    scipy's eval_genlaguerre beyond. A value past the double range raises
+    DomainError.
     """
     n = _require_int("laguerre n", n, 0, DomainError)
-    if not math.isfinite(a):
-        raise DomainError(f"laguerre requires finite a, got {a}")
-    if a <= -1:
-        raise DomainError(f"laguerre requires a > -1, got {a}")
+    a = _require_real("laguerre a", a, -1.0, error=DomainError)
     x = np.asarray(x, dtype=float)
+    # with a and |x| below 1e14 each recurrence step multiplies by less
+    # than 3e14, so 20 of them stay inside the doubles (NaN fails too)
+    if (n <= _LAGUERRE_RECURRENCE_MAX_N and a < 1e14
+            and np.abs(x).max(initial=0.0) < 1e14):
+        return _real(_laguerre_recurrence(n, a, x))
     if not np.all(np.isfinite(x)):
         raise DomainError(f"laguerre requires finite x, got {x}")
-    if n > _LAGUERRE_RECURRENCE_MAX_N:
-        from scipy import special
-        return _real(special.eval_genlaguerre(n, a, x))
-    if n == 0:
-        return _real(np.ones_like(x))
-    prev, cur = 1.0, 1.0 + a - x
-    for k in range(1, n):
-        prev, cur = cur, ((2 * k + 1 + a - x) * cur - (k + a) * prev) / (k + 1)
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below
+        if n > _LAGUERRE_RECURRENCE_MAX_N:
+            from scipy import special
+            cur = special.eval_genlaguerre(n, a, x)
+        else:
+            cur = _laguerre_recurrence(n, a, x)
+    if not np.all(np.isfinite(cur)):
+        raise DomainError(f"laguerre L_{n}^({a!r}) leaves the double range "
+                          "at some x")
     return _real(cur)
 
 
@@ -323,14 +341,17 @@ def mittag_leffler(alpha: float, beta: float, z):
     Raises ConvergenceError if the tail is not below tolerance within the
     budget, if the sum overflows, or if a term exceeds 1e3 |sum|
     (cancellation past 1e-10 relative). Raises DomainError, naming the
-    input, for alpha <= 0 or a NaN alpha, beta or z.
+    input, unless alpha is positive and finite, beta finite and z a
+    complex number or a real one (infinite included), NaN in neither
+    part.
     """
-    if not alpha > 0:
-        raise DomainError(f"mittag_leffler requires alpha > 0, got {alpha}")
-    for name, value in (("beta", beta), ("z", z)):
-        if cmath.isnan(value):
-            raise DomainError(f"mittag_leffler requires a number, got "
-                              f"{name}={value!r}")
+    alpha = _require_real("mittag_leffler alpha", alpha, 0.0,
+                          error=DomainError)
+    beta = _require_real("mittag_leffler beta", beta, error=DomainError)
+    if not isinstance(z, complex):
+        z = _require_real("mittag_leffler z", z, ends="[]", error=DomainError)
+    elif cmath.isnan(z):
+        raise DomainError(f"mittag_leffler z must be a number, got {z!r}")
     if (_ML_MAX_TERMS - 1) * alpha + beta <= 2.0:
         raise ConvergenceError(
             f"mittag_leffler cannot converge in {_ML_MAX_TERMS} terms: "

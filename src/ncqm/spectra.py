@@ -33,7 +33,8 @@ from .errors import (BracketingError, ConvergenceError, DomainError,
                      SingularityError, UsageError, ValidationError)
 from .params import (EffectiveCoefficients, Mechanism, ModelParams,
                      PhysicalConstants, _any, _require, _require_finite,
-                     _require_int, _sqrt, effective_coefficients)
+                     _require_int, _require_real, _sqrt,
+                     effective_coefficients)
 
 log = logging.getLogger("ncqm.spectra")
 
@@ -73,7 +74,8 @@ class SpectrumResult:
 
 @dataclass(frozen=True)
 class FractionalOscSpec:
-    """Parameters of the |p|^alpha + q^2 |x|^beta fractional oscillator."""
+    """Parameters of the |p|^alpha + q^2 |x|^beta fractional oscillator,
+    each positive and finite (ValidationError)."""
 
     alpha_p: float
     beta_p: float
@@ -81,11 +83,7 @@ class FractionalOscSpec:
     q: float
 
     def __post_init__(self):
-        _require_finite(self, ("alpha_p", "beta_p", "d_alpha", "q"))
-        if self.alpha_p <= 0 or self.beta_p <= 0:
-            raise ValidationError("alpha_p and beta_p must be positive")
-        if self.d_alpha <= 0 or self.q <= 0:
-            raise ValidationError("d_alpha and q must be positive")
+        _require_finite(self, ("alpha_p", "beta_p", "d_alpha", "q"), 0.0)
 
 
 def sqf_spectrum(p: ModelParams, eps: float, qn: QuantumNumbers) -> float:
@@ -111,9 +109,9 @@ def sqf_spectrum(p: ModelParams, eps: float, qn: QuantumNumbers) -> float:
 
 def commutative_spectrum(qn: QuantumNumbers, omega: float,
                          c: PhysicalConstants) -> float:
-    """Standard 2D oscillator levels hbar omega (2n + m_phi + 1)."""
-    if not omega >= 0:  # NaN fails it too
-        raise DomainError(f"omega must be non-negative, got {omega!r}")
+    """Standard 2D oscillator levels hbar omega (2n + m_phi + 1); omega
+    must be finite and non-negative (DomainError)."""
+    omega = _require_real("omega", omega, 0.0, ends="[)", error=DomainError)
     return c.hbar * omega * qn.radial_weight
 
 
@@ -317,8 +315,7 @@ def ec_solve_energy(qn: QuantumNumbers, p: ModelParams,
     if not math.isfinite(hi / lo):
         raise ValidationError(f"bracket {bracket} spans more decades than a "
                               "float ratio holds")
-    if not 0.0 < tol < math.inf:
-        raise ValidationError(f"tol must be finite and positive, got {tol}")
+    tol = _require_real("tol", tol, 0.0)
     hbar = p.constants.hbar
     if p.eta0 == 0.0 and p.theta0 == 0.0:
         if p.constants.spring_k == 0:
@@ -499,13 +496,13 @@ def eo_alpha1_radial_params(energy: float, qn: QuantumNumbers, b_i: float,
     sigma = 2 sqrt(m) (1 + m_phi B_I) / sqrt(K_I) plays the role of the
     quantization combination. sigma is energy-independent, so the bound
     condition sigma = 2 (2n + m_phi + 1) constrains the parameters rather
-    than the energy; see eo_alpha1_constraint_residual. DomainError where
-    m K_I E^2 or sigma leaves the double range.
+    than the energy; see eo_alpha1_constraint_residual. energy and K_I
+    must be positive and finite and B_I finite, and m K_I E^2 and sigma
+    finite doubles (DomainError).
     """
-    if k_i <= 0:
-        raise DomainError(f"K_I must be positive, got {k_i}")
-    if energy <= 0:
-        raise DomainError(f"energy must be positive, got {energy}")
+    k_i = _require_real("k_i", k_i, 0.0, error=DomainError)
+    energy = _require_real("energy", energy, 0.0, error=DomainError)
+    b_i = _require_real("b_i", b_i, error=DomainError)
     try:
         scale4 = c.mass * k_i * energy ** 2
     except OverflowError:
@@ -520,8 +517,10 @@ def eo_alpha1_radial_params(energy: float, qn: QuantumNumbers, b_i: float,
 
 
 def eo_alpha1_constraint_residual(sigma: float, qn: QuantumNumbers) -> float:
-    """sigma - 2(2n + m_phi + 1): zero when the parameters admit the level."""
-    return sigma - 2.0 * qn.radial_weight
+    """sigma - 2(2n + m_phi + 1): zero when the parameters admit the level.
+    sigma must be finite (DomainError)."""
+    return (_require_real("sigma", sigma, error=DomainError)
+            - 2.0 * qn.radial_weight)
 
 
 def eo_alpha1_from_ec(p: ModelParams) -> tuple[float, float]:

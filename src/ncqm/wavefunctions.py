@@ -27,7 +27,7 @@ import numpy as np
 from .errors import (DomainError, NormalizabilityError, SingularityError,
                      ValidationError)
 from .params import (Mechanism, ModelParams, _require, _require_finite,
-                     effective_coefficients, nc_strengths)
+                     _require_real, effective_coefficients, nc_strengths)
 from .specfun import bessel_j, laguerre, log_gamma
 
 # Bessel-branch validity: keep xi^2 below this fraction of C.
@@ -60,10 +60,10 @@ def radial_bessel(m_phi: int, c_big: float, xi):
 
     The singular second-kind branch is excluded by regularity at the
     origin. Outside the validity window xi^2 <= BESSEL_WINDOW * C a
-    warning is emitted (evaluation still proceeds).
+    warning is emitted (evaluation still proceeds). C must be positive
+    and finite (DomainError).
     """
-    if c_big <= 0:
-        raise DomainError(f"C must be positive, got {c_big}")
+    c_big = _require_real("c_big", c_big, 0.0, error=DomainError)
     xi_arr = np.asarray(xi, dtype=float)
     if np.any(xi_arr ** 2 > BESSEL_WINDOW * c_big):
         warnings.warn(
@@ -94,12 +94,12 @@ def normalization_constant(n: int, m_phi: int, lambda_scale: float) -> float:
 
     c = sqrt(2 lambda n! / (n + m_phi)!), evaluated in log space. The
     closed form fixes the squared amplitude 2 lambda n!/(n+m_phi)!;
-    quadrature needs its square root. Raises DomainError when c is not a
-    positive normal double: at lambda = 1/2 and n = 0 that is m_phi > 300,
-    where c underflows.
+    quadrature needs its square root. lambda_scale must be positive and
+    finite, and c a positive normal double (DomainError): at lambda = 1/2
+    and n = 0 the latter fails for m_phi > 300, where c underflows.
     """
-    if lambda_scale <= 0:
-        raise DomainError(f"lambda_scale must be positive, got {lambda_scale}")
+    lambda_scale = _require_real("lambda_scale", lambda_scale, 0.0,
+                                 error=DomainError)
     log_c2 = (math.log(2.0 * lambda_scale)
               + log_gamma(n + 1.0) - log_gamma(n + m_phi + 1.0))
     try:
@@ -215,9 +215,7 @@ class GridField:
         object.__setattr__(self, "values", vals)
         if vals.ndim != 2:
             raise ValidationError("GridField values must be 2D")
-        _require_finite(self, ("spacing",))
-        if self.spacing <= 0:
-            raise ValidationError("spacing must be positive")
+        _require_finite(self, ("spacing",), 0.0)
         if not np.all(np.isfinite(vals)):
             raise ValidationError("GridField samples must be finite")
 
@@ -270,9 +268,8 @@ def orthogonality_kernel(v_at_e1, v_at_e2, e1: float, e2: float) -> np.ndarray:
     is delegated to the modified_norm path. The energies must be finite
     (DomainError).
     """
-    if not (math.isfinite(e1) and math.isfinite(e2)):
-        raise DomainError(f"energies must be finite, got e1={e1!r}, "
-                          f"e2={e2!r}")
+    e1 = _require_real("e1", e1, error=DomainError)
+    e2 = _require_real("e2", e2, error=DomainError)
     if e1 == e2:
         raise DomainError("e1 == e2 requires the dV/dE limit; use "
                           "modified_norm with the sampled derivative")

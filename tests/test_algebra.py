@@ -276,8 +276,13 @@ class TestAlternativeMaps:
                                            (0.0, math.nan)])
     @pytest.mark.parametrize("variant", ["sw", "asym_1", "asym_2"])
     def test_overflowing_shift_raises(self, rep, theta, eta, variant):
-        # the products of such entries overflow to inf and NaN residuals
-        with pytest.raises(ValidationError, match="would overflow"):
+        # the products of finite entries overflow to inf and NaN
+        # residuals; an infinite or NaN strength is refused by name first
+        refused = [name for name, value in (("theta", theta), ("eta", eta))
+                   if not math.isfinite(value)]
+        reason = (rf"{refused[0]} must be in \(-inf, inf\)" if refused
+                  else "would overflow")
+        with pytest.raises(ValidationError, match=reason):
             if variant == "sw":
                 sw_forward(rep, theta, eta)
             else:

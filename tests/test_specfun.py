@@ -58,7 +58,7 @@ class TestGamma:
 
     @pytest.mark.parametrize("z", [0.0, -2.5, math.nan, -math.inf])
     def test_log_gamma_domain(self, z):
-        with pytest.raises(DomainError, match="z > 0"):
+        with pytest.raises(DomainError, match=r"log_gamma z must be in \(0"):
             log_gamma(z)
 
     def test_log_gamma_beyond_the_double_range_is_inf(self):
@@ -85,7 +85,8 @@ class TestGamma:
         assert math.isfinite(gamma_fn(5.6e-309))
 
     def test_real_argument_only(self):
-        with pytest.raises(TypeError):
+        # a complex x raises the typed error, as a string or None does
+        with pytest.raises(DomainError, match="gamma_fn x must be"):
             gamma_fn(complex(0.3, 0.4))
 
 
@@ -110,8 +111,8 @@ class TestRecipGamma:
 
     def test_nan_raises_domain_error(self):
         # it returned nan, while gamma_fn(nan) raised
-        with pytest.raises(DomainError, match="recip_gamma requires a "
-                                              "number, got nan"):
+        with pytest.raises(DomainError, match="recip_gamma x must be in "
+                                              r"\[-inf, inf\], got nan"):
             recip_gamma(math.nan)
 
 
@@ -259,7 +260,7 @@ class TestLaguerre:
 
     @pytest.mark.parametrize("a", [math.nan, math.inf, -math.inf])
     def test_non_finite_a_refused(self, a):
-        with pytest.raises(DomainError, match="finite a"):
+        with pytest.raises(DomainError, match=r"laguerre a must be in \(-1"):
             laguerre(2, a, 1.0)
 
     @pytest.mark.parametrize("x", [math.inf, math.nan, [0.5, math.inf]])
@@ -372,10 +373,10 @@ class TestMittagLeffler:
             mittag_leffler(alpha, beta, z)
 
     @pytest.mark.parametrize("alpha,beta,z,named", [
-        (math.nan, 1.0, 0.5, "alpha > 0, got nan"),
-        (0.5, math.nan, 0.5, "beta=nan"),
-        (0.5, 1.0, math.nan, "z=nan"),
-        (0.5, 1.0, complex(0.5, math.nan), r"z=\(0\.5\+nanj\)"),
+        (math.nan, 1.0, 0.5, "alpha must be in .*, got nan"),
+        (0.5, math.nan, 0.5, "beta must be in .*, got nan"),
+        (0.5, 1.0, math.nan, "z must be in .*, got nan"),
+        (0.5, 1.0, complex(0.5, math.nan), r"z must be .*\(0\.5\+nanj\)"),
     ], ids=["alpha", "beta", "real_z", "complex_z"])
     def test_nan_input_raises_domain_error(self, monkeypatch, alpha, beta,
                                            z, named):
